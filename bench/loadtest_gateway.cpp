@@ -112,7 +112,6 @@ RunResult run_one(const LoadConfig& cfg, tenant::SchedulingPolicy policy,
 
   pilot::AgentConfig agent;
   agent.spawn_latency = 0.02;  // spawner must outrun the dispatch rate
-  agent.control_plane = common::ControlPlane::kWatch;
 
   pilot::PilotDescription pd;
   pd.resource = "slurm://" + machine.name + "/";
@@ -122,7 +121,6 @@ RunResult run_one(const LoadConfig& cfg, tenant::SchedulingPolicy policy,
 
   pilot::PilotManager pm(session);
   pilot::UnitManager um(session);
-  um.set_control_plane(common::ControlPlane::kWatch);
   auto pilot_handle = pm.submit_pilot(pd, agent);
   um.add_pilot(pilot_handle);
   while (pilot_handle->state() != pilot::PilotState::kActive &&

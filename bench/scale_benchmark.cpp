@@ -49,7 +49,6 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
   cfg.nodes = nodes;
   cfg.tasks = tasks;
   cfg.yarn_stack = false;
-  cfg.control_plane = common::ControlPlane::kWatch;
   cfg.spawn_latency = 0.001;
   cfg.store_shards = shards;
   cfg.trace_rollup = rollup;

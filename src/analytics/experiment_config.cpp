@@ -121,10 +121,6 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
   if (doc.contains("reuse_yarn_app")) {
     cfg.reuse_yarn_app = doc.at("reuse_yarn_app").as_bool();
   }
-  if (doc.contains("control_plane")) {
-    cfg.control_plane =
-        common::control_plane_from_string(doc.at("control_plane").as_string());
-  }
   if (doc.contains("elastic")) {
     const common::Json& e = doc.at("elastic");
     if (!e.is_object()) {
@@ -363,7 +359,7 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
   warn_unknown_keys(doc,
                     {"machine", "scenario", "nodes", "tasks", "stack",
                      "op_cost", "shuffle_amplification", "reuse_yarn_app",
-                     "control_plane", "elastic", "failures", "recovery",
+                     "elastic", "failures", "recovery",
                      "tenants", "allow_failure", "store_shards",
                      "spawn_latency", "trace_rollup", "pilot_runtime",
                      "transport", "net"},
@@ -396,7 +392,6 @@ common::Json result_to_json(const KmeansExperimentConfig& config,
   j["nodes"] = static_cast<std::int64_t>(config.nodes);
   j["tasks"] = static_cast<std::int64_t>(config.tasks);
   j["stack"] = config.yarn_stack ? "rp-yarn" : "rp";
-  j["control_plane"] = common::to_string(config.control_plane);
   j["ok"] = result.ok;
   j["time_to_completion_s"] = result.time_to_completion;
   j["agent_startup_s"] = result.agent_startup;

@@ -72,8 +72,6 @@ KmeansExperimentResult run_kmeans_experiment(
   agent.wrapper_setup_time = durations.wrapper_per_node;
   agent.wrapper_cached_time = 1.0;
   agent.reuse_yarn_app = config.reuse_yarn_app;
-  agent.control_plane = config.control_plane;
-  agent.yarn.yarn.control_plane = config.control_plane;
   agent.yarn.yarn.am_launch_time = 10.0;
   agent.yarn.yarn.container_launch_time = 4.0;
 
@@ -87,7 +85,6 @@ KmeansExperimentResult run_kmeans_experiment(
 
   pilot::PilotManager pm(session);
   pilot::UnitManager um(session);
-  um.set_control_plane(config.control_plane);
 
   // Multi-tenant front door (plan "tenants" section). Constructed only
   // when configured, so tenant-less plans run the exact pre-gateway
@@ -156,11 +153,9 @@ KmeansExperimentResult run_kmeans_experiment(
 
   std::unique_ptr<elastic::ElasticController> controller;
   if (config.elastic) {
-    elastic::ElasticControllerConfig elastic_config = config.elastic_config;
-    elastic_config.control_plane = config.control_plane;
     controller = std::make_unique<elastic::ElasticController>(
         pm, pilot_handle, elastic::make_policy(config.elastic_policy),
-        elastic_config, um.estimator_ptr());
+        config.elastic_config, um.estimator_ptr());
     controller->start();
   }
   result.peak_nodes = pilot_handle->live_nodes();

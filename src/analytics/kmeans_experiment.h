@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "analytics/kmeans_cost.h"
-#include "common/control_plane.h"
 #include "common/retry.h"
 #include "elastic/elastic_controller.h"
 #include "hpc/frontends.h"
@@ -36,13 +35,6 @@ struct KmeansExperimentConfig {
   /// as YARN applications, local-disk I/O); false = plain RADICAL-Pilot
   /// (fork launch method, shared-filesystem I/O).
   bool yarn_stack = false;
-
-  /// Control-plane mode for the whole middleware stack (plan
-  /// "control_plane": "poll" | "watch", DESIGN.md §10): agent, unit
-  /// manager, YARN RM and elastic controller all follow it. The two modes
-  /// must complete the same unit set (identical output_checksum); watch
-  /// mode executes far fewer engine events on idle-heavy cells.
-  common::ControlPlane control_plane = common::ControlPlane::kPoll;
 
   /// Workload cost-model knobs (see KmeansRunConfig).
   double op_cost = 4.0e-5;
@@ -158,8 +150,9 @@ struct KmeansExperimentResult {
   /// the "byte-identical output" check of the fault ablation.
   std::string output_checksum;
 
-  /// Engine events executed over the whole run — the control-plane
-  /// ablation metric (bench/ablation_control_plane).
+  /// Engine events executed over the whole run (DESIGN.md §10: with the
+  /// event-driven control plane this grows with work, not with virtual
+  /// time).
   std::uint64_t engine_events = 0;
 
   /// Multi-tenant accounting (null Json when the cell had no tenants

@@ -1,34 +1,15 @@
 #pragma once
 
-#include <string>
-
-#include "common/error.h"
-
 /// \file control_plane.h
-/// Control-plane mode shared by the pilot, YARN and elastic layers (see
-/// DESIGN.md §10). kPoll is the paper-faithful periodic-polling plane
-/// (agent store polls, RM scheduler loop, dependency sweeps); kWatch is
-/// the event-driven plane (store watches, lease timers, demand-driven
-/// scheduler passes) whose executed-event count grows with work instead
-/// of with virtual time. Both planes must complete the same unit set —
-/// the keystone plans assert byte-identical output digests across modes.
+/// The middleware runs one control plane, the event-driven watch plane
+/// (DESIGN.md §10): store watches, lease timers and demand-driven
+/// scheduler passes. The enum has a single value; the inert fields that
+/// carry it (AgentConfig::control_plane, YarnConfig::control_plane,
+/// UnitManager::set_control_plane) remain only so the outside-in
+/// benchmark in perfbench/ keeps compiling unchanged.
 
 namespace hoh::common {
 
-enum class ControlPlane {
-  kPoll,   // legacy: fixed-cadence schedule_periodic everywhere
-  kWatch,  // event-driven: store watch/notify + DeadlineTimer leases
-};
-
-inline std::string to_string(ControlPlane plane) {
-  return plane == ControlPlane::kWatch ? "watch" : "poll";
-}
-
-inline ControlPlane control_plane_from_string(const std::string& s) {
-  if (s == "poll") return ControlPlane::kPoll;
-  if (s == "watch") return ControlPlane::kWatch;
-  throw ConfigError("unknown control_plane \"" + s +
-                    "\" (expected \"poll\" or \"watch\")");
-}
+enum class ControlPlane { kWatch };
 
 }  // namespace hoh::common

@@ -59,9 +59,9 @@ void ElasticController::start() {
       agent != nullptr && agent->active()) {
     maybe_subscribe(*agent);
   }
-  // Sampling cadence is kept even on the watch plane: resize decisions
-  // want a stable rhythm, and the periodic also covers quiescence
-  // (allowlisted in tools/lint/check_concurrency.py).
+  // Sampling cadence is kept alongside the capacity-event ticks: resize
+  // decisions want a stable rhythm, and the periodic also covers
+  // quiescence (allowlisted in tools/lint/check_concurrency.py).
   tick_event_ = manager_.session().engine().schedule_periodic(
       config_.sample_interval, [this] { tick(); });
 }
@@ -124,9 +124,7 @@ void ElasticController::tick() {
 }
 
 void ElasticController::maybe_subscribe(pilot::Agent& agent) {
-  if (subscribed_ || config_.control_plane != common::ControlPlane::kWatch) {
-    return;
-  }
+  if (subscribed_) return;
   subscribed_ = true;
   std::weak_ptr<bool> alive = alive_;
   agent.on_capacity_event([this, alive] {

@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "common/control_plane.h"
 #include "common/json.h"
 #include "common/thread_annotations.h"
 #include "elastic/policy.h"
@@ -25,14 +24,12 @@
 namespace hoh::elastic {
 
 struct ElasticControllerConfig {
-  /// Control-plane mode (DESIGN.md §10). Sampling cadence is kept in both
-  /// modes (resize decisions want a stable rhythm); kWatch additionally
+  /// Sampling cadence (DESIGN.md §10). Resize decisions want a stable
+  /// rhythm, so the controller samples on this period; it also
   /// subscribes to the agent's capacity-change events (units arriving or
   /// finishing, nodes landing or leaving) and runs an extra deduplicated
   /// tick one event-turn later, so backlog spikes are acted on without
   /// waiting out the interval.
-  common::ControlPlane control_plane = common::ControlPlane::kPoll;
-
   common::Seconds sample_interval = 30.0;
   /// Node floor. The base allocation can never shrink anyway; a higher
   /// floor keeps grown capacity around.

@@ -240,32 +240,24 @@ void Agent::start(std::function<void()> on_active) {
       active_ = true;
       saga_.trace().record(saga_.engine().now(), "pilot", "agent_active",
                            {{"pilot", pilot_id_}});
-      if (config_.control_plane == common::ControlPlane::kWatch) {
-        // Watch plane: the Unit-Manager's queue_push wakes us through a
-        // store watch; the fallback sweep only covers lost wakeups
-        // (notifications consumed before activation). The heartbeat is a
-        // lease timer — write_heartbeat() re-arms it, and activity
-        // renews it early (renew_heartbeat_lease).
-        unit_watch_ = store_.watch(
-            "agent." + pilot_id_, "", [this](const WatchEvent&) {
-              if (active_) poll_store();
-            });
-        fallback_timer_.bind(saga_.engine(), [this] {
-          if (!active_) return;
-          poll_store();
-          fallback_timer_.arm(config_.watch_fallback_interval);
-        });
+      // The Unit-Manager's queue_push wakes us through a store watch; the
+      // fallback sweep only covers lost wakeups (notifications consumed
+      // before activation). The heartbeat is a lease timer —
+      // write_heartbeat() re-arms it, and activity renews it early
+      // (renew_heartbeat_lease).
+      unit_watch_ = store_.watch(
+          "agent." + pilot_id_, "", [this](const WatchEvent&) {
+            if (active_) poll_store();
+          });
+      fallback_timer_.bind(saga_.engine(), [this] {
+        if (!active_) return;
+        poll_store();
         fallback_timer_.arm(config_.watch_fallback_interval);
-        heartbeat_lease_.bind(saga_.engine(), [this] { write_heartbeat(); });
-        write_heartbeat();
-        poll_store();  // drain anything queued before activation
-      } else {
-        poll_event_ = saga_.engine().schedule_periodic(
-            config_.poll_interval, [this] { poll_store(); });
-        write_heartbeat();
-        heartbeat_event_ = saga_.engine().schedule_periodic(
-            config_.heartbeat_interval, [this] { write_heartbeat(); });
-      }
+      });
+      fallback_timer_.arm(config_.watch_fallback_interval);
+      heartbeat_lease_.bind(saga_.engine(), [this] { write_heartbeat(); });
+      write_heartbeat();
+      poll_store();  // drain anything queued before activation
       if (cb) cb();
       if (config_.transport != nullptr && !config_.event_endpoint.empty()) {
         // Activation crosses the boundary as a one-way lifecycle event.
@@ -355,9 +347,6 @@ void Agent::stop(bool fail_units) {
   const bool was_active = active_;
   stopped_ = true;
   active_ = false;
-  saga_.engine().cancel(poll_event_);
-  saga_.engine().cancel(heartbeat_event_);
-  saga_.engine().cancel(drain_poll_event_);
   if (unit_watch_.valid()) {
     store_.unwatch(unit_watch_);
     unit_watch_ = WatchHandle{};
@@ -407,15 +396,11 @@ void Agent::write_heartbeat() {
   doc["units_running"] = static_cast<std::int64_t>(running_);
   store_.put("heartbeat", pilot_id_, std::move(doc));
   last_heartbeat_at_ = saga_.engine().now();
-  if (config_.control_plane == common::ControlPlane::kWatch && !stopped_) {
-    heartbeat_lease_.arm(config_.heartbeat_interval);
-  }
+  if (!stopped_) heartbeat_lease_.arm(config_.heartbeat_interval);
 }
 
 void Agent::renew_heartbeat_lease() {
-  if (config_.control_plane != common::ControlPlane::kWatch || !active_) {
-    return;
-  }
+  if (!active_) return;
   if (saga_.engine().now() - last_heartbeat_at_ <
       config_.heartbeat_interval * 0.5) {
     return;
@@ -1019,23 +1004,17 @@ void Agent::decommission_nodes(std::vector<std::string> names,
   if (spark_ != nullptr) {
     for (const auto& name : names) spark_->decommission_worker(name);
   }
-  if (config_.control_plane == common::ControlPlane::kWatch) {
-    // Drain progress has no single push source (NM container exits, HDFS
-    // re-replication), so watch mode re-checks on a self re-arming timer
-    // at the poll cadence — bounded to the drain window, not the whole
-    // pilot lifetime.
-    drain_recheck_.bind(saga_.engine(), [this] {
-      if (stopped_ || drain_names_.empty()) return;
-      drain_poll();
-      if (!stopped_ && !drain_names_.empty()) {
-        drain_recheck_.arm(config_.poll_interval);
-      }
-    });
-    drain_recheck_.arm(config_.poll_interval);
-  } else {
-    drain_poll_event_ = saga_.engine().schedule_periodic(
-        config_.poll_interval, [this] { drain_poll(); });
-  }
+  // Drain progress has no single push source (NM container exits, HDFS
+  // re-replication), so the agent re-checks on a self re-arming timer —
+  // bounded to the drain window, not the whole pilot lifetime.
+  drain_recheck_.bind(saga_.engine(), [this] {
+    if (stopped_ || drain_names_.empty()) return;
+    drain_poll();
+    if (!stopped_ && !drain_names_.empty()) {
+      drain_recheck_.arm(config_.poll_interval);
+    }
+  });
+  drain_recheck_.arm(config_.poll_interval);
 }
 
 void Agent::drain_poll() {
@@ -1127,8 +1106,6 @@ void Agent::drain_escalate() {
 }
 
 void Agent::drain_finish() {
-  saga_.engine().cancel(drain_poll_event_);
-  drain_poll_event_ = sim::EventHandle{};
   drain_recheck_.cancel();
   if (owned_yarn_ != nullptr) owned_yarn_->remove_nodes(drain_names_);
   for (const auto& name : drain_names_) {

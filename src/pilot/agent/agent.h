@@ -60,13 +60,13 @@ class Agent {
   Agent& operator=(const Agent&) = delete;
 
   /// P.2: begins agent bootstrap (LRM environment discovery, Mode-I
-  /// cluster bootstrap). When finished the agent is active and polling.
-  /// \p on_active fires at that moment.
+  /// cluster bootstrap). When finished the agent is active and watching
+  /// its store queue. \p on_active fires at that moment.
   void start(std::function<void()> on_active = nullptr);
 
   /// Stops the agent: tears down Mode-I clusters (the LRM "stops the
   /// Hadoop and YARN daemons and removes the associated data files"),
-  /// cancels pending units, stops polling.
+  /// cancels pending units, drops its store watch and timers.
   ///
   /// \p fail_units distinguishes a deliberate stop (cancel/normal end:
   /// queued units become kCanceled, a sink) from an involuntary one (the
@@ -171,8 +171,8 @@ class Agent {
   // --- store interaction (U.3 / state write-back) ---
   void poll_store();
   void write_heartbeat();
-  /// Watch mode: activity renews the heartbeat lease early (rate-limited
-  /// to half the heartbeat interval) instead of waiting for the timer.
+  /// Activity renews the heartbeat lease early (rate-limited to half the
+  /// heartbeat interval) instead of waiting for the timer.
   void renew_heartbeat_lease();
   void notify_capacity_event();
   void set_unit_state(UnitRec& unit, UnitState state);
@@ -261,19 +261,16 @@ class Agent {
   common::Seconds drain_deadline_ = 0.0;
   bool drain_escalated_ = false;
   std::function<void(bool)> drain_callback_;
-  sim::EventHandle drain_poll_event_;
   std::size_t drain_timeouts_ = 0;
   std::map<std::string, bool> wrapper_cache_;   // node -> env localized
   common::MemoryMb yarn_inflight_mb_ = 0;       // dispatched, not finished
   common::Seconds spawner_free_at_ = 0.0;       // Task Spawner serialization
   int active_staging_ = 0;                      // stage-in/out worker slots
   std::deque<std::function<void()>> staging_backlog_;
-  sim::EventHandle poll_event_;
-  sim::EventHandle heartbeat_event_;
-  // Watch-plane state (control_plane == kWatch): the store pushes queue
-  // activity; the fallback timer covers lost wakeups; the heartbeat is a
-  // lease renewed by activity; drains re-check on a bounded self
-  // re-arming timer instead of a periodic.
+  // Control-plane state (DESIGN.md §10): the store pushes queue activity;
+  // the fallback timer covers lost wakeups; the heartbeat is a lease
+  // renewed by activity; drains re-check on a bounded self re-arming
+  // timer.
   WatchHandle unit_watch_;
   sim::DeadlineTimer fallback_timer_;
   sim::DeadlineTimer heartbeat_lease_;

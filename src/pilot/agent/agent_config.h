@@ -14,19 +14,17 @@
 namespace hoh::pilot {
 
 struct AgentConfig {
-  /// Control-plane mode (DESIGN.md §10). kPoll: U.3 store poll, heartbeat
-  /// and drain checks run on fixed cadences. kWatch: the agent watches
-  /// its store queue, heartbeats become a lease renewed by activity, and
-  /// only a quiescent-fallback sweep remains periodic-ish (a self
-  /// re-arming DeadlineTimer).
-  common::ControlPlane control_plane = common::ControlPlane::kPoll;
+  /// Inert: the agent always runs the watch plane (DESIGN.md §10). Kept
+  /// only for the perfbench/ caller that still assigns it.
+  common::ControlPlane control_plane = common::ControlPlane::kWatch;
 
-  /// U.3: cadence at which the agent polls the state store for new units.
+  /// Drain re-check cadence: while nodes are decommissioning, the agent
+  /// re-checks drain progress this often (bounded to the drain window).
   common::Seconds poll_interval = 1.0;
 
-  /// Watch mode: safety-net sweep interval. If no watch event arrives
-  /// (e.g. a notification was consumed while the agent was inactive),
-  /// the agent still re-checks its queue this often.
+  /// Safety-net sweep interval. If no watch event arrives (e.g. a
+  /// notification was consumed while the agent was inactive), the agent
+  /// still re-checks its store queue this often.
   common::Seconds watch_fallback_interval = 60.0;
 
   /// Stage-In/Out workers: how many file transfers the agent's staging

@@ -33,9 +33,6 @@ struct PilotDescription {
   std::string queue = "normal";
   std::string project;
   AgentBackend backend = AgentBackend::kPlain;
-
-  /// Agent tuning knobs (see AgentConfig for semantics); 0 keeps default.
-  common::Seconds agent_poll_interval = 0.0;
 };
 
 /// A file a Compute-Unit stages in or out.

@@ -178,9 +178,6 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
   auto pilot = std::shared_ptr<Pilot>(
       new Pilot(this, pilot_id, description));
 
-  if (description.agent_poll_interval > 0.0) {
-    agent_config.poll_interval = description.agent_poll_interval;
-  }
   // Message boundary (DESIGN.md §14): the agent joins the session
   // transport — control commands in, lifecycle events out — and any
   // Mode-I cluster it bootstraps wires its RM onto the same transport.
@@ -189,9 +186,7 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
   agent_config.yarn.yarn.transport = &session_.transport();
   pilot->agent_config_ = agent_config;
 
-  if (agent_config.control_plane == common::ControlPlane::kWatch) {
-    observe_heartbeat_lease(pilot_id, agent_config.heartbeat_interval);
-  }
+  observe_heartbeat_lease(pilot_id, agent_config.heartbeat_interval);
 
   saga::JobService& service = job_service(url);
   saga::JobDescription jd;

@@ -172,7 +172,7 @@ class PilotManager {
   /// submission (or abandons the chain) per the recovery policy.
   void maybe_resubmit(const std::shared_ptr<Pilot>& failed);
 
-  /// Watch plane: subscribe to the pilot's heartbeat documents and keep a
+  /// Subscribes to the pilot's heartbeat documents and keeps a
   /// lease timer pushed out by each one. A tombstone (alive=false)
   /// retires the lease; silence past the grace window records a
   /// heartbeat_lease_expired trace event.

@@ -43,10 +43,6 @@ UnitState ComputeUnit::state() const {
 
 UnitManager::~UnitManager() {
   session_.transport().unregister_endpoint(submit_endpoint_);
-  if (dependency_check_.valid()) {
-    session_.engine().cancel(dependency_check_);
-    dependency_check_ = sim::EventHandle{};
-  }
   if (dep_watch_.valid()) {
     session_.store().unwatch(dep_watch_);
     dep_watch_ = WatchHandle{};
@@ -362,6 +358,7 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     const std::vector<ComputeUnitDescription>& descriptions) {
   std::vector<std::shared_ptr<ComputeUnit>> out;
   out.reserve(descriptions.size());
+  bool held_any = false;
   for (const auto& desc : descriptions) {
     if (desc.cores < 1) {
       throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
@@ -388,20 +385,15 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
       doc["pilot"] = pilot_id;
       session_.store().put("unit", unit_id, std::move(doc));
       held_.push_back(HeldUnit{unit_id, pilot_id, desc});
-      if (control_plane_ == common::ControlPlane::kWatch) {
-        // Watch plane: any unit-document state write (agent write-back,
-        // cancellation) may resolve a dependency, so re-check on those
-        // instead of sweeping every second.
-        if (!dep_watch_.valid()) {
-          dep_watch_ = session_.store().watch(
-              "unit", "", [this](const WatchEvent& event) {
-                if (event.type != WatchEventType::kUpdate) return;
-                if (!held_.empty()) check_dependencies();
-              });
-        }
-      } else if (!dependency_check_.valid()) {
-        dependency_check_ = session_.engine().schedule_periodic(
-            1.0, [this] { check_dependencies(); });
+      held_any = true;
+      // Any unit-document state write (agent write-back, cancellation)
+      // may resolve a dependency, so re-check on those.
+      if (!dep_watch_.valid()) {
+        dep_watch_ = session_.store().watch(
+            "unit", "", [this](const WatchEvent& event) {
+              if (event.type != WatchEventType::kUpdate) return;
+              if (!held_.empty()) check_dependencies();
+            });
       }
     }
 
@@ -413,6 +405,11 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
   units_.insert(units_.end(), out.begin(), out.end());
   open_units_.insert(open_units_.end(), out.begin(), out.end());
   unsettled_.insert(unsettled_.end(), out.begin(), out.end());
+  // A dependency that is already settled (Done, Failed, Canceled) or
+  // unknown never produces another unit update, so the watch alone would
+  // hold its dependents forever: resolve those now, synchronously, so a
+  // batch without dependencies schedules no extra engine event.
+  if (held_any) check_dependencies();
   return out;
 }
 
@@ -468,15 +465,9 @@ void UnitManager::check_dependencies() {
     dispatch_to_agent(held.unit_id, held.pilot_id, held.desc);
   }
   held_ = std::move(still_held);
-  if (held_.empty()) {
-    if (dependency_check_.valid()) {
-      session_.engine().cancel(dependency_check_);
-      dependency_check_ = sim::EventHandle{};
-    }
-    if (dep_watch_.valid()) {
-      session_.store().unwatch(dep_watch_);
-      dep_watch_ = WatchHandle{};
-    }
+  if (held_.empty() && dep_watch_.valid()) {
+    session_.store().unwatch(dep_watch_);
+    dep_watch_ = WatchHandle{};
   }
 }
 

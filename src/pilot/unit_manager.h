@@ -79,19 +79,14 @@ class UnitManager {
   UnitManager(const UnitManager&) = delete;
   UnitManager& operator=(const UnitManager&) = delete;
 
-  /// Cancels the dependency sweep / unwatches the dependency watch. The
-  /// engine and store outlive the manager, so leaving either armed would
-  /// dangle `this`.
+  /// Unwatches the dependency watch. The store outlives the manager, so
+  /// leaving it armed would dangle `this`.
   ~UnitManager();
 
-  /// Control-plane mode for dependency resolution (set before the first
-  /// submit). kPoll: held units are re-checked by a 1 s periodic sweep.
-  /// kWatch: a store watch on the "unit" collection re-checks exactly
-  /// when some unit's state changed — dependency release happens at
-  /// event time and costs nothing while nothing changes.
-  void set_control_plane(common::ControlPlane plane) {
-    control_plane_ = plane;
-  }
+  /// Inert: dependency resolution always runs on a store watch
+  /// (DESIGN.md §10). Kept only for the perfbench/ caller that still
+  /// calls it.
+  void set_control_plane(common::ControlPlane /*plane*/) {}
 
   /// Registers a pilot as a unit target. With recovery enabled, a pilot
   /// added later (e.g. a resubmitted replacement) immediately absorbs
@@ -112,9 +107,10 @@ class UnitManager {
 
   /// Submits units (U.1/U.2). Returns handles in input order. Units with
   /// depends_on are held client-side until every dependency is Done
-  /// (released by a periodic dependency check), and canceled if a
-  /// dependency fails or is canceled. Dependencies may reference units
-  /// submitted earlier or in the same batch.
+  /// (checked once at submit, then on every unit state write), and
+  /// canceled if a dependency fails, is canceled or is unknown.
+  /// Dependencies may reference units submitted earlier or in the same
+  /// batch.
   std::vector<std::shared_ptr<ComputeUnit>> submit(
       const std::vector<ComputeUnitDescription>& descriptions);
 
@@ -221,9 +217,7 @@ class UnitManager {
   };
   std::vector<HeldUnit> held_;
   std::map<std::string, std::shared_ptr<ComputeUnit>> by_id_;
-  sim::EventHandle dependency_check_;
-  common::ControlPlane control_plane_ = common::ControlPlane::kPoll;
-  WatchHandle dep_watch_;  // watch-mode replacement for dependency_check_
+  WatchHandle dep_watch_;  // armed while held_ is non-empty
   std::vector<std::shared_ptr<Pilot>> pilots_;
   std::map<std::string, std::size_t> bound_counts_;  // pilot -> units
   std::vector<std::shared_ptr<ComputeUnit>> units_;

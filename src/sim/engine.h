@@ -53,9 +53,9 @@ class Engine {
   /// Schedules \p fn every \p period seconds starting after \p period.
   /// The returned handle cancels the whole series.
   ///
-  /// Periodic polling is the legacy control plane; new code should prefer
-  /// store watches or a DeadlineTimer (see DESIGN.md §10). New call sites
-  /// in src/ must be allowlisted in tools/lint/check_concurrency.py.
+  /// The control plane is event-driven; new code should prefer store
+  /// watches or a DeadlineTimer (see DESIGN.md §10). New call sites in
+  /// src/ must be allowlisted in tools/lint/check_concurrency.py.
   EventHandle schedule_periodic(Seconds period, Callback fn);
 
   /// Cancels a pending event; returns false if it already fired or was

@@ -54,15 +54,10 @@ ResourceManager::ResourceManager(sim::Engine& engine,
     nm_index_[node_managers_.back()->node_name()] =
         node_managers_.back().get();
   }
-  if (config_.control_plane == common::ControlPlane::kWatch) {
-    // Demand-driven plane: passes are requested by the events that create
-    // demand or capacity; NM liveness is a per-NM lease instead of a scan.
-    for (const auto& nm : node_managers_) {
-      arm_liveness_lease(nm->node_name());
-    }
-  } else {
-    scheduler_event_ = engine_.schedule_periodic(
-        config_.scheduler_interval, [this] { scheduler_pass(); });
+  // Demand-driven plane: passes are requested by the events that create
+  // demand or capacity; NM liveness is a per-NM lease instead of a scan.
+  for (const auto& nm : node_managers_) {
+    arm_liveness_lease(nm->node_name());
   }
 }
 
@@ -176,7 +171,6 @@ common::Seconds ResourceManager::transport_last_heartbeat(
 void ResourceManager::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  engine_.cancel(scheduler_event_);
   engine_.cancel(pass_event_);
   pass_pending_ = false;
   liveness_leases_.clear();
@@ -189,10 +183,8 @@ void ResourceManager::shutdown() {
 }
 
 void ResourceManager::request_scheduler_pass() {
-  if (shut_down_ || config_.control_plane != common::ControlPlane::kWatch) {
-    return;
-  }
-  if (pass_pending_) return;  // dedup: one pass covers all queued demand
+  // Dedup: one pending pass covers all queued demand.
+  if (shut_down_ || pass_pending_) return;
   pass_pending_ = true;
   pass_event_ = engine_.schedule(config_.scheduler_interval, [this] {
     pass_pending_ = false;
@@ -210,10 +202,7 @@ NodeManager* ResourceManager::find_nm(const std::string& node) {
 }
 
 void ResourceManager::arm_liveness_lease(const std::string& node) {
-  if (config_.control_plane != common::ControlPlane::kWatch ||
-      config_.nm_liveness_timeout <= 0.0) {
-    return;
-  }
+  if (config_.nm_liveness_timeout <= 0.0) return;
   auto& lease = liveness_leases_[node];
   if (lease == nullptr) {
     lease = std::make_unique<sim::DeadlineTimer>(
@@ -226,8 +215,8 @@ void ResourceManager::check_liveness_lease(const std::string& node) {
   if (shut_down_) return;
   NodeManager* nm = find_nm(node);
   if (nm == nullptr || !nm->alive()) return;  // re-armed on recovery
-  // Watch-plane liveness check is a real probe: NodeProbe/NodeStatus
-  // over the transport (poll mode keeps its direct ledger scan).
+  // The liveness check is a real probe: NodeProbe/NodeStatus over the
+  // transport.
   const common::Seconds expire_at =
       transport_last_heartbeat(node) + config_.nm_liveness_timeout;
   if (engine_.now() < expire_at) {
@@ -376,18 +365,6 @@ void ResourceManager::fail_node(const std::string& node) {
     }
   }
   request_scheduler_pass();  // AM re-asks queued, capacity changed
-}
-
-void ResourceManager::liveness_pass() {
-  if (config_.nm_liveness_timeout <= 0.0) return;
-  std::vector<std::string> expired;
-  for (const auto& nm : node_managers_) {
-    if (!nm->alive()) continue;
-    if (engine_.now() - nm->last_heartbeat() >= config_.nm_liveness_timeout) {
-      expired.push_back(nm->node_name());
-    }
-  }
-  for (const auto& node : expired) fail_node(node);
 }
 
 std::optional<ContainerState> ResourceManager::container_state(
@@ -555,9 +532,6 @@ double ResourceManager::queue_usage_ratio(const std::string& queue) const {
 
 void ResourceManager::scheduler_pass() {
   if (shut_down_) return;
-  // Watch plane tracks NM liveness with per-NM leases; only the poll
-  // plane folds the scan into scheduler passes.
-  if (config_.control_plane != common::ControlPlane::kWatch) liveness_pass();
   if (config_.preemption_enabled) preemption_pass();
 
   // Capacity: queues in increasing usage ratio (most-starved first).

@@ -58,8 +58,8 @@ struct AppDescriptor {
 
 class ResourceManager {
  public:
-  /// Brings up one NodeManager per allocation node. The RM starts its
-  /// scheduler loop immediately.
+  /// Brings up one NodeManager per allocation node and arms their
+  /// liveness leases. Scheduler passes run on demand (DESIGN.md §10).
   ResourceManager(sim::Engine& engine, const cluster::Allocation& allocation,
                   YarnConfig config = {},
                   std::vector<QueueConfig> queues = {{"default", 1.0}});
@@ -148,7 +148,8 @@ class ResourceManager {
     preemption_hook_ = std::move(hook);
   }
 
-  /// Stops the scheduler loop (cluster teardown).
+  /// Cancels pending scheduler passes and liveness leases and kills every
+  /// live application (cluster teardown).
   void shutdown();
 
   /// The simulation engine this RM runs on (for payload drivers that
@@ -182,15 +183,12 @@ class ResourceManager {
   void scheduler_pass();
   void preemption_pass();
 
-  /// Watch plane: request a (deduplicated) scheduler pass one
-  /// scheduler_interval from now — the RM's allocation latency. Called on
-  /// every event that changes demand or capacity; a no-op in poll mode.
+  /// Requests a (deduplicated) scheduler pass one scheduler_interval from
+  /// now — the RM's allocation latency. Called on every event that
+  /// changes demand or capacity.
   void request_scheduler_pass();
 
-  /// Expires NMs whose heartbeats stopped nm_liveness_timeout ago.
-  void liveness_pass();
-
-  /// Watch plane: per-NM liveness lease. The timer fires at
+  /// Per-NM liveness lease. The timer fires at
   /// last_heartbeat + nm_liveness_timeout; a fresh heartbeat re-arms it,
   /// a stale one fails the node — detection at exactly crash + timeout.
   void arm_liveness_lease(const std::string& node);
@@ -213,10 +211,10 @@ class ResourceManager {
   // The RM↔NM control plane crosses the session transport as typed
   // messages: AllocateRequest/-Reply, LaunchRequest (completion comes
   // back as a correlated ContainerRunning), ReleaseRequest and the
-  // watch-plane liveness NodeProbe/NodeStatus. Scheduler *reads*
-  // (can_fit/available/capacity and the poll-mode liveness scan) stay
-  // direct: they model the RM's heartbeat-fed local ledger, exactly as
-  // in real YARN, and stay O(1) per lookup at 10k nodes.
+  // liveness NodeProbe/NodeStatus. Scheduler *reads*
+  // (can_fit/available/capacity) stay direct: they model the RM's
+  // heartbeat-fed local ledger, exactly as in real YARN, and stay O(1)
+  // per lookup at 10k nodes.
 
   /// Registers "<prefix>.nm" (NM-facing plane) and "<prefix>.rm"
   /// (launch completions) on the active transport.
@@ -267,8 +265,7 @@ class ResourceManager {
   std::map<std::string, NodeManager*> container_host_;
   std::map<std::string, AppRecord> apps_;
   std::map<std::string, std::deque<PendingAsk>> pending_;  // per queue
-  sim::EventHandle scheduler_event_;
-  // Watch plane: demand-driven pass dedup + per-NM liveness leases.
+  // Demand-driven pass dedup + per-NM liveness leases.
   bool pass_pending_ = false;
   sim::EventHandle pass_event_;
   std::map<std::string, std::unique_ptr<sim::DeadlineTimer>> liveness_leases_;

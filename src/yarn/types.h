@@ -78,12 +78,10 @@ enum class SchedulerPolicy {
 
 /// The subset of yarn-site.xml that drives observable behaviour.
 struct YarnConfig {
-  /// Control-plane mode (DESIGN.md §10). kPoll: the RM runs a periodic
-  /// scheduler loop (scheduler_interval) whose passes also expire NM
-  /// liveness. kWatch: scheduler passes are demand-driven (submission,
-  /// AM asks, releases, capacity changes) and NM liveness is tracked by
-  /// per-NM lease timers.
-  common::ControlPlane control_plane = common::ControlPlane::kPoll;
+  /// Inert: scheduler passes are always demand-driven and NM liveness is
+  /// always a per-NM lease (DESIGN.md §10). Kept only for the perfbench/
+  /// caller that still assigns it.
+  common::ControlPlane control_plane = common::ControlPlane::kWatch;
 
   Resource minimum_allocation{1024, 1};
   Resource maximum_allocation{8192, 8};
@@ -94,7 +92,7 @@ struct YarnConfig {
   common::MemoryMb nm_memory_mb = 0;
   int nm_vcores = 0;
 
-  common::Seconds scheduler_interval = 0.5;  // RM allocation pass cadence
+  common::Seconds scheduler_interval = 0.5;  // RM allocation pass latency
   common::Seconds nm_heartbeat = 1.0;
   common::Seconds container_launch_time = 5.0;  // localization + JVM start
 

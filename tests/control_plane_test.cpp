@@ -1,7 +1,7 @@
-/// Control-plane refactor tests (DESIGN.md §10): the StateStore watch
-/// API, event-driven wakeups across the agent / unit-manager / YARN /
-/// elastic layers, poll-vs-watch output-digest parity on the keystone
-/// scenarios, and the teardown paths of everything that arms timers.
+/// Control-plane tests (DESIGN.md §10): the StateStore watch API,
+/// event-driven wakeups across the agent / unit-manager / YARN / elastic
+/// layers, fault-free output-digest parity on the keystone scenarios,
+/// and the teardown paths of everything that arms timers.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "analytics/experiment_config.h"
 #include "analytics/kmeans_experiment.h"
-#include "common/control_plane.h"
 #include "common/error.h"
 #include "elastic/elastic_controller.h"
 #include "elastic/policy.h"
@@ -25,33 +23,6 @@
 
 namespace hoh {
 namespace {
-
-// ------------------------------------------------- ControlPlane enum ---
-
-TEST(ControlPlaneTest, StringRoundTrip) {
-  EXPECT_EQ(common::to_string(common::ControlPlane::kPoll), "poll");
-  EXPECT_EQ(common::to_string(common::ControlPlane::kWatch), "watch");
-  EXPECT_EQ(common::control_plane_from_string("poll"),
-            common::ControlPlane::kPoll);
-  EXPECT_EQ(common::control_plane_from_string("watch"),
-            common::ControlPlane::kWatch);
-  EXPECT_THROW(common::control_plane_from_string("etcd"),
-               common::ConfigError);
-}
-
-TEST(ControlPlaneTest, ExperimentConfigParsesAndEmits) {
-  const auto cfg = analytics::kmeans_config_from_json(
-      common::Json::parse(R"({"control_plane": "watch"})"));
-  EXPECT_EQ(cfg.control_plane, common::ControlPlane::kWatch);
-  EXPECT_THROW(analytics::kmeans_config_from_json(
-                   common::Json::parse(R"({"control_plane": "zk"})")),
-               common::ConfigError);
-  analytics::KmeansExperimentResult result;
-  result.engine_events = 1234;
-  const auto j = analytics::result_to_json(cfg, result);
-  EXPECT_EQ(j.at("control_plane").as_string(), "watch");
-  EXPECT_EQ(j.at("engine_events").as_int(), 1234);
-}
 
 // ---------------------------------------------- StateStore watch API ---
 
@@ -201,7 +172,7 @@ TEST_F(StoreWatchTest, CallbackMayMutateTheStore) {
             "AgentScheduling");
 }
 
-// --------------------------------------------------- pilot stack (watch) ---
+// --------------------------------------------------------- pilot stack ---
 
 class WatchStackTest : public ::testing::Test {
  protected:
@@ -216,12 +187,6 @@ class WatchStackTest : public ::testing::Test {
     pd.nodes = nodes;
     pd.runtime = 14400.0;
     return pd;
-  }
-
-  pilot::AgentConfig watch_agent() {
-    pilot::AgentConfig cfg;
-    cfg.control_plane = common::ControlPlane::kWatch;
-    return cfg;
   }
 
   pilot::ComputeUnitDescription simple_unit(common::Seconds duration = 5.0) {
@@ -254,8 +219,7 @@ class WatchStackTest : public ::testing::Test {
 TEST_F(WatchStackTest, UnitsExecuteInWatchMode) {
   pilot::PilotManager pm(session_);
   pilot::UnitManager um(session_);
-  um.set_control_plane(common::ControlPlane::kWatch);
-  auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
+  auto pilot = pm.submit_pilot(plain_pilot());
   um.add_pilot(pilot);
   // Two waves: 16 cores per Stampede node, 32 units — exercises the
   // finish_unit -> schedule_queued path without any agent store poll.
@@ -272,8 +236,7 @@ TEST_F(WatchStackTest, UnitsExecuteInWatchMode) {
 TEST_F(WatchStackTest, DependencyChainResolvesViaStoreWatch) {
   pilot::PilotManager pm(session_);
   pilot::UnitManager um(session_);
-  um.set_control_plane(common::ControlPlane::kWatch);
-  auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
+  auto pilot = pm.submit_pilot(plain_pilot());
   um.add_pilot(pilot);
   auto first = um.submit(simple_unit(10.0));
   pilot::ComputeUnitDescription dependent = simple_unit(5.0);
@@ -288,7 +251,7 @@ TEST_F(WatchStackTest, DependencyChainResolvesViaStoreWatch) {
 
 TEST_F(WatchStackTest, HeartbeatLeaseExpiresForSilentPilot) {
   pilot::PilotManager pm(session_);
-  auto cfg = watch_agent();
+  pilot::AgentConfig cfg;
   cfg.heartbeat_interval = 10.0;
   // Occupy the whole 4-node pool so the second pilot queues forever and
   // its agent never gets to write a heartbeat.
@@ -310,7 +273,7 @@ TEST_F(WatchStackTest, HeartbeatLeaseExpiresForSilentPilot) {
 
 TEST_F(WatchStackTest, TombstoneRetiresHeartbeatLease) {
   pilot::PilotManager pm(session_);
-  auto cfg = watch_agent();
+  pilot::AgentConfig cfg;
   cfg.heartbeat_interval = 10.0;
   auto pilot = pm.submit_pilot(plain_pilot(), cfg);
   run_until_active(pilot);
@@ -322,7 +285,6 @@ TEST_F(WatchStackTest, TombstoneRetiresHeartbeatLease) {
 TEST_F(WatchStackTest, RecoveryResubmitsAndWatchPlaneFollows) {
   pilot::PilotManager pm(session_);
   pilot::UnitManager um(session_);
-  um.set_control_plane(common::ControlPlane::kWatch);
   common::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.base_backoff = 5.0;
@@ -336,7 +298,7 @@ TEST_F(WatchStackTest, RecoveryResubmitsAndWatchPlaneFollows) {
                        um.add_pilot(fresh);
                      });
   um.enable_recovery(policy);
-  auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
+  auto pilot = pm.submit_pilot(plain_pilot());
   um.add_pilot(pilot);
   auto units = um.submit(
       std::vector<pilot::ComputeUnitDescription>(8, simple_unit(120.0)));
@@ -346,7 +308,7 @@ TEST_F(WatchStackTest, RecoveryResubmitsAndWatchPlaneFollows) {
       pilot->agent()->allocation().node_names().front());
   EXPECT_EQ(pilot->state(), pilot::PilotState::kFailed);
   session_.engine().run_until(7200.0);
-  // The replacement (also watch-plane) picked the requeued units up.
+  // The replacement picked the requeued units up.
   ASSERT_NE(replacement, nullptr);
   EXPECT_EQ(pm.pilots_resubmitted(), 1u);
   EXPECT_TRUE(um.all_done());
@@ -356,42 +318,34 @@ TEST_F(WatchStackTest, RecoveryResubmitsAndWatchPlaneFollows) {
 // ----------------------------------------------------- teardown paths ---
 
 TEST_F(WatchStackTest, UnitManagerDestructionRetiresDependencySweep) {
-  for (const auto plane :
-       {common::ControlPlane::kPoll, common::ControlPlane::kWatch}) {
-    pilot::PilotManager pm(session_);
-    std::size_t watchers_with_um = 0;
-    {
-      pilot::UnitManager um(session_);
-      um.set_control_plane(plane);
-      auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
-      um.add_pilot(pilot);
-      auto first = um.submit(simple_unit(3600.0));  // never done in time
-      pilot::ComputeUnitDescription dependent = simple_unit(5.0);
-      dependent.depends_on = {first->id()};
-      um.submit(dependent);  // held: arms the sweep / registers the watch
-      run_for(60.0);
-      watchers_with_um = session_.store().watcher_count();
-    }
-    // The manager is gone while its dependency machinery was still armed;
-    // the engine and store must stay usable without touching freed state,
-    // and exactly the manager's own dependency watch must have retired
-    // (the agent's queue watch and the heartbeat lease remain).
-    run_for(120.0);
-    common::Json d;
-    d["state"] = "PendingAgent";
-    session_.store().put("unit", "poke", d);
-    run_for(5.0);
-    const std::size_t expected =
-        plane == common::ControlPlane::kWatch ? watchers_with_um - 1
-                                              : watchers_with_um;
-    EXPECT_EQ(session_.store().watcher_count(), expected)
-        << "mode " << common::to_string(plane);
+  pilot::PilotManager pm(session_);
+  std::size_t watchers_with_um = 0;
+  {
+    pilot::UnitManager um(session_);
+    auto pilot = pm.submit_pilot(plain_pilot());
+    um.add_pilot(pilot);
+    auto first = um.submit(simple_unit(3600.0));  // never done in time
+    pilot::ComputeUnitDescription dependent = simple_unit(5.0);
+    dependent.depends_on = {first->id()};
+    um.submit(dependent);  // held: registers the dependency watch
+    run_for(60.0);
+    watchers_with_um = session_.store().watcher_count();
   }
+  // The manager is gone while its dependency watch was still armed; the
+  // engine and store must stay usable without touching freed state, and
+  // exactly the manager's own dependency watch must have retired (the
+  // agent's queue watch and the heartbeat lease remain).
+  run_for(120.0);
+  common::Json d;
+  d["state"] = "PendingAgent";
+  session_.store().put("unit", "poke", d);
+  run_for(5.0);
+  EXPECT_EQ(session_.store().watcher_count(), watchers_with_um - 1);
 }
 
 TEST_F(WatchStackTest, PilotCancelTwiceIsIdempotent) {
   pilot::PilotManager pm(session_);
-  auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
+  auto pilot = pm.submit_pilot(plain_pilot());
   run_until_active(pilot);
   pilot->cancel();
   pilot->cancel();
@@ -399,7 +353,7 @@ TEST_F(WatchStackTest, PilotCancelTwiceIsIdempotent) {
   EXPECT_TRUE(pilot::is_final(pilot->state()));
 }
 
-// --------------------------------------------------- YARN watch plane ---
+// ------------------------------------------------- YARN control plane ---
 
 class YarnWatchTest : public ::testing::Test {
  protected:
@@ -412,27 +366,21 @@ class YarnWatchTest : public ::testing::Test {
     allocation_ = cluster::Allocation(nodes);
   }
 
-  yarn::YarnConfig watch_config() {
-    yarn::YarnConfig cfg;
-    cfg.control_plane = common::ControlPlane::kWatch;
-    return cfg;
-  }
-
   sim::Engine engine_;
   cluster::MachineProfile machine_;
   cluster::Allocation allocation_;
 };
 
 TEST_F(YarnWatchTest, MrJobCompletesWithDemandDrivenScheduler) {
-  yarn::ResourceManager rm(engine_, allocation_, watch_config());
+  yarn::ResourceManager rm(engine_, allocation_);
   mapreduce::YarnMrDriver driver(rm);
   bool finished = false;
   mapreduce::YarnMrJobSpec spec;
   spec.map_tasks = 8;
   spec.reduce_tasks = 2;
   const auto app_id = driver.submit(spec, [&] { finished = true; });
-  // No periodic scheduler exists in watch mode, so the engine drains on
-  // its own — run() terminating is itself part of the assertion.
+  // The RM has no periodic scheduler, so the engine drains on its own —
+  // run() terminating is itself part of the assertion.
   engine_.run();
   EXPECT_TRUE(finished);
   EXPECT_EQ(driver.status(app_id).maps_done, 8);
@@ -441,7 +389,7 @@ TEST_F(YarnWatchTest, MrJobCompletesWithDemandDrivenScheduler) {
 }
 
 TEST_F(YarnWatchTest, SilentNmCrashDetectedByLeaseAtExactTimeout) {
-  auto cfg = watch_config();
+  yarn::YarnConfig cfg;
   cfg.nm_liveness_timeout = 30.0;
   yarn::ResourceManager rm(engine_, allocation_, cfg);
   sim::Trace trace;
@@ -459,7 +407,7 @@ TEST_F(YarnWatchTest, SilentNmCrashDetectedByLeaseAtExactTimeout) {
 }
 
 TEST_F(YarnWatchTest, OnFinishedFiresExactlyOnceWithFinalReport) {
-  yarn::ResourceManager rm(engine_, allocation_, watch_config());
+  yarn::ResourceManager rm(engine_, allocation_);
   int calls = 0;
   yarn::AppReport last;
   yarn::AppDescriptor app;
@@ -480,7 +428,7 @@ TEST_F(YarnWatchTest, OnFinishedFiresExactlyOnceWithFinalReport) {
 }
 
 TEST_F(YarnWatchTest, RmSideFailureIsPushedIntoMrDriver) {
-  yarn::ResourceManager rm(engine_, allocation_, watch_config());
+  yarn::ResourceManager rm(engine_, allocation_);
   mapreduce::YarnMrDriver driver(rm);
   mapreduce::YarnMrJobSpec spec;
   spec.map_tasks = 4;
@@ -497,15 +445,13 @@ TEST_F(YarnWatchTest, RmSideFailureIsPushedIntoMrDriver) {
 TEST_F(WatchStackTest, ElasticEventTickReactsBeforeFirstSample) {
   pilot::PilotManager pm(session_);
   pilot::UnitManager um(session_);
-  um.set_control_plane(common::ControlPlane::kWatch);
-  auto pilot = pm.submit_pilot(plain_pilot(), watch_agent());
+  auto pilot = pm.submit_pilot(plain_pilot());
   um.add_pilot(pilot);
   run_until_active(pilot);
 
   elastic::ElasticPolicySpec policy;
   policy.name = "backlog";
   elastic::ElasticControllerConfig cfg;
-  cfg.control_plane = common::ControlPlane::kWatch;
   cfg.sample_interval = 100000.0;  // the periodic never fires in this test
   cfg.min_nodes = 1;
   cfg.max_nodes = 2;
@@ -571,41 +517,44 @@ class ControlPlaneParityTest : public ::testing::Test {
     return cfg;
   }
 
-  static analytics::KmeansExperimentResult run_with(
-      analytics::KmeansExperimentConfig cfg, common::ControlPlane plane) {
-    cfg.control_plane = plane;
-    return analytics::run_kmeans_experiment(cfg);
+  /// The same cell without failures or recovery: every recovered run
+  /// must complete exactly this unit set.
+  static analytics::KmeansExperimentConfig fault_free(
+      analytics::KmeansExperimentConfig cfg) {
+    cfg.failures = false;
+    cfg.recovery = false;
+    return cfg;
   }
 };
 
 TEST_F(ControlPlaneParityTest, FaultRecoveryDigestIdenticalInAllTenSeeds) {
+  const auto reference =
+      analytics::run_kmeans_experiment(fault_free(faulty_config(1)));
+  ASSERT_TRUE(reference.ok);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto poll = run_with(faulty_config(seed),
-                               common::ControlPlane::kPoll);
-    const auto watch = run_with(faulty_config(seed),
-                                common::ControlPlane::kWatch);
-    EXPECT_TRUE(poll.ok) << "seed " << seed;
-    EXPECT_TRUE(watch.ok) << "seed " << seed;
-    EXPECT_EQ(poll.output_checksum, watch.output_checksum)
+    const auto run = analytics::run_kmeans_experiment(faulty_config(seed));
+    EXPECT_TRUE(run.ok) << "seed " << seed;
+    EXPECT_EQ(run.output_checksum, reference.output_checksum)
         << "seed " << seed;
   }
 }
 
 TEST_F(ControlPlaneParityTest, ElasticKeystoneDigestIdenticalInAllTenSeeds) {
+  const auto reference =
+      analytics::run_kmeans_experiment(fault_free(elastic_config(1)));
+  ASSERT_TRUE(reference.ok);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto poll = run_with(elastic_config(seed),
-                               common::ControlPlane::kPoll);
-    const auto watch = run_with(elastic_config(seed),
-                                common::ControlPlane::kWatch);
-    EXPECT_TRUE(poll.ok) << "seed " << seed;
-    EXPECT_TRUE(watch.ok) << "seed " << seed;
-    EXPECT_EQ(poll.output_checksum, watch.output_checksum)
+    const auto run = analytics::run_kmeans_experiment(elastic_config(seed));
+    EXPECT_TRUE(run.ok) << "seed " << seed;
+    EXPECT_EQ(run.output_checksum, reference.output_checksum)
         << "seed " << seed;
   }
 }
 
 TEST_F(ControlPlaneParityTest, WatchModeCutsEventCountOnIdleHeavyCell) {
-  // The bench's idle-heavy cell, in miniature: RP-YARN on long tasks.
+  // RP-YARN on long tasks: an idle-heavy cell. The removed periodic
+  // plane executed 9983 engine events here; the event-driven plane must
+  // stay within a tenth of that.
   analytics::KmeansExperimentConfig cfg;
   cfg.machine = cluster::stampede_profile();
   cfg.scheduler = hpc::SchedulerKind::kSlurm;
@@ -613,14 +562,9 @@ TEST_F(ControlPlaneParityTest, WatchModeCutsEventCountOnIdleHeavyCell) {
   cfg.nodes = 3;
   cfg.tasks = 4;
   cfg.yarn_stack = true;
-  const auto poll = run_with(cfg, common::ControlPlane::kPoll);
-  const auto watch = run_with(cfg, common::ControlPlane::kWatch);
-  ASSERT_TRUE(poll.ok);
-  ASSERT_TRUE(watch.ok);
-  EXPECT_EQ(poll.output_checksum, watch.output_checksum);
-  EXPECT_GE(poll.engine_events, 10 * watch.engine_events)
-      << "poll " << poll.engine_events << " vs watch "
-      << watch.engine_events;
+  const auto run = analytics::run_kmeans_experiment(cfg);
+  ASSERT_TRUE(run.ok);
+  EXPECT_LE(run.engine_events, 998u) << "events " << run.engine_events;
 }
 
 }  // namespace

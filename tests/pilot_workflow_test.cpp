@@ -103,6 +103,17 @@ TEST_F(WorkflowTest, UnknownDependencyCancels) {
   EXPECT_EQ(orphan->state(), UnitState::kCanceled);
 }
 
+TEST_F(WorkflowTest, DependencyAlreadyDoneAtSubmitRuns) {
+  auto parent = um_.submit(unit("parent", 5.0));
+  drive();
+  ASSERT_EQ(parent->state(), UnitState::kDone);
+  // The parent is settled before the child exists, so no later unit
+  // update will ever mention it: the child must be released at submit.
+  auto child = um_.submit(unit("child", 5.0, {parent->id()}));
+  drive(120.0);
+  EXPECT_EQ(child->state(), UnitState::kDone);
+}
+
 TEST_F(WorkflowTest, IndependentUnitsUnaffectedByHeldOnes) {
   auto slow = um_.submit(unit("slow", 100.0));
   auto held = um_.submit(unit("held", 5.0, {slow->id()}));

@@ -150,7 +150,6 @@ TEST(ScaleShardTest, FaultSweepDigestParityAcrossShardCounts) {
     cfg.scenario.iterations = 2;
     cfg.nodes = 3;
     cfg.tasks = 16;
-    cfg.control_plane = common::ControlPlane::kWatch;
     cfg.failures = true;
     cfg.failure_plan.seed = seed;
     cfg.failure_plan.mean_time_to_crash = 600;

@@ -13,7 +13,7 @@
 namespace hoh::tenant {
 namespace {
 
-/// Small live middleware stack (plain backend, watch plane) for gateway
+/// Small live middleware stack (plain backend) for gateway
 /// integration tests: an active 2-node pilot fronted by a UnitManager.
 struct GatewayHarness {
   pilot::Session session;
@@ -25,10 +25,8 @@ struct GatewayHarness {
     const cluster::MachineProfile machine =
         cluster::generic_profile(nodes, cores_per_node);
     session.register_machine(machine, hpc::SchedulerKind::kSlurm, nodes);
-    um.set_control_plane(common::ControlPlane::kWatch);
     pilot::AgentConfig agent;
     agent.spawn_latency = 0.01;
-    agent.control_plane = common::ControlPlane::kWatch;
     pilot::PilotDescription pd;
     pd.resource = "slurm://" + machine.name + "/";
     pd.nodes = nodes;
@@ -243,7 +241,6 @@ TEST(SubmissionGateway, SingleTenantRunMatchesGatewaylessDigest) {
   cfg.scenario.label = "parity";
   cfg.nodes = 2;
   cfg.tasks = 8;
-  cfg.control_plane = common::ControlPlane::kWatch;
 
   const analytics::KmeansExperimentResult baseline =
       analytics::run_kmeans_experiment(cfg);

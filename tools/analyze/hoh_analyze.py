@@ -59,14 +59,11 @@ tier-1 preset compiles (compile_commands.json), with four rule families:
                         be host-order-dependent and invisible to the codec
                         fuzz tests.
 
-Frontends
-  The analyzer is frontend-agnostic over a small file IR. `--frontend
-  libclang` uses clang.cindex when the Python bindings and a libclang
-  shared object are installed. `--frontend internal` (the default under
-  `auto` when libclang is absent, and what CI pins for reproducibility)
-  is a dependency-free C++ tokenizer + scope parser tuned to this
-  codebase's idiom; it builds a whole-program registry of class members,
-  mutex declarations and function bodies across the analyzed file set.
+Frontend
+  The rules run over a small file IR built by a dependency-free C++
+  tokenizer + scope parser tuned to this codebase's idiom; it builds a
+  whole-program registry of class members, mutex declarations and
+  function bodies across the analyzed file set.
 
 Baseline ratchet
   Findings print as `file:line: rule: message` (IDE-clickable). A checked-
@@ -239,7 +236,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# File IR shared by both frontends
+# File IR
 # --------------------------------------------------------------------------
 
 
@@ -1103,137 +1100,6 @@ class InternalFrontend:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang frontend (gated: requires python clang bindings + a
-# libclang shared object; absent in minimal containers, present in CI
-# images that install them). Produces the same FileIR.
-# --------------------------------------------------------------------------
-
-
-def load_libclang():
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-    except Exception:  # libclang.so missing or unloadable
-        return None
-    return cindex
-
-
-class LibclangFrontend:
-    """clang.cindex-based frontend. Walks real AST cursors, so lock-expr
-    and container-type resolution are exact where the internal frontend
-    approximates. Kept behaviourally aligned with InternalFrontend: both
-    emit the same FileIR and the fixture self-test runs against whichever
-    frontends are available."""
-
-    def __init__(self, repo: pathlib.Path, cindex, compile_args):
-        self.repo = repo
-        self.cindex = cindex
-        self.index = cindex.Index.create()
-        self.compile_args = compile_args  # file -> [args]
-        # Reuse the internal frontend for suppression comments and the
-        # token-level determinism scans (they are lexical by nature).
-        self.lexical = InternalFrontend(repo)
-
-    def scan_declarations(self, path, rel):
-        self.lexical.scan_declarations(path, rel)
-
-    def analyze(self, path, rel):
-        ir = self.lexical.analyze(path, rel)
-        args = self.compile_args.get(rel) or ["-x", "c++", "-std=c++17",
-                                              "-I", str(self.repo / "src")]
-        try:
-            tu = self.index.parse(str(path), args=args)
-        except self.cindex.TranslationUnitLoadError:
-            return ir
-        ck = self.cindex.CursorKind
-        state_fns = []
-
-        def visit(cur, fn_ir, held):
-            for child in cur.get_children():
-                loc_file = child.location.file
-                if loc_file is None or \
-                        not str(loc_file).endswith(str(path.name)):
-                    continue
-                kind = child.kind
-                if kind in (ck.CXX_METHOD, ck.FUNCTION_DECL,
-                            ck.CONSTRUCTOR, ck.DESTRUCTOR) \
-                        and child.is_definition():
-                    qname = self._qname(child)
-                    f = FunctionIR(qname=qname,
-                                   simple=child.spelling, file=rel,
-                                   line=child.location.line)
-                    state_fns.append(f)
-                    visit(child, f, [])
-                    continue
-                if fn_ir is not None and kind == ck.VAR_DECL \
-                        and child.type.spelling.endswith("MutexLock"):
-                    mid = self._lock_target(child)
-                    fn_ir.acquires.append(Acquire(
-                        mutex_id=mid, line=child.location.line,
-                        held=tuple(held)))
-                    held = held + [mid]
-                if fn_ir is not None and kind == ck.CALL_EXPR:
-                    fn_ir.calls.append(CallSite(
-                        callee=child.spelling or "<expr>", receiver=(),
-                        line=child.location.line, held=tuple(held)))
-                if fn_ir is not None and kind == ck.CXX_FOR_RANGE_STMT:
-                    children = list(child.get_children())
-                    rng = children[-2] if len(children) >= 2 else None
-                    tname = rng.type.spelling if rng is not None else ""
-                    if "unordered_map" in tname or "unordered_set" in tname:
-                        loop = UnorderedLoop(line=child.location.line,
-                                             container=tname)
-                        self._calls_under(children[-1], loop.body_calls)
-                        fn_ir.loops.append(loop)
-                visit(child, fn_ir, held)
-
-        def _noop(*_a):
-            return None
-        del _noop
-        visit(tu.cursor, None, [])
-        # Merge AST-derived functions over the lexical ones (AST wins on
-        # structure; lexical IR already carries token findings etc.).
-        if state_fns:
-            ir.functions = state_fns
-        return ir
-
-    def _calls_under(self, cur, out):
-        ck = self.cindex.CursorKind
-        for child in cur.walk_preorder():
-            if child.kind == ck.CALL_EXPR:
-                out.append(CallSite(callee=child.spelling or "<expr>",
-                                    receiver=(), line=child.location.line,
-                                    held=()))
-
-    def _qname(self, cur):
-        parts = [cur.spelling]
-        p = cur.semantic_parent
-        ck = self.cindex.CursorKind
-        while p is not None and p.kind in (ck.CLASS_DECL, ck.STRUCT_DECL):
-            parts.append(p.spelling)
-            p = p.semantic_parent
-        return "::".join(reversed(parts))
-
-    def _lock_target(self, var_cursor):
-        ck = self.cindex.CursorKind
-        for child in var_cursor.walk_preorder():
-            if child.kind == ck.MEMBER_REF_EXPR:
-                owner = child.semantic_parent
-                cls = owner.spelling if owner is not None else ""
-                ref = child.referenced
-                if ref is not None and ref.semantic_parent is not None:
-                    cls = ref.semantic_parent.spelling
-                return f"{cls}::{child.spelling}"
-            if child.kind == ck.DECL_REF_EXPR \
-                    and child.spelling and child.spelling != var_cursor.spelling:
-                return child.spelling
-        return "<unknown>"
-
-
-# --------------------------------------------------------------------------
 # Rule evaluation over the collected IR
 # --------------------------------------------------------------------------
 
@@ -1495,12 +1361,11 @@ def _lock_order(files: list, registry: Registry):
 
 
 def discover_files(repo: pathlib.Path, args):
-    """Returns (ordered file list, compile_args map). With -p, the TU set
-    comes from compile_commands.json (the tier-1 preset exports it) plus
-    every header under src/ (the engine and RDD layers are header-only);
-    with --paths, a plain tree walk."""
+    """Returns the ordered file list. With -p, the TU set comes from
+    compile_commands.json (the tier-1 preset exports it) plus every header
+    under src/ (the engine and RDD layers are header-only); with --paths,
+    a plain tree walk."""
     rels: dict = {}
-    compile_args: dict = {}
     if args.build_dir:
         db = pathlib.Path(args.build_dir) / "compile_commands.json"
         if not db.is_file():
@@ -1520,12 +1385,6 @@ def discover_files(repo: pathlib.Path, args):
             if not rel.startswith("src/"):
                 continue
             rels[rel] = f
-            raw = entry.get("arguments")
-            if raw is None and entry.get("command"):
-                raw = entry["command"].split()
-            if raw:
-                compile_args[rel] = [a for a in raw[1:]
-                                     if a not in ("-c", "-o")][:-1]
         for f in sorted((repo / "src").rglob("*")):
             if f.suffix in (".h", ".hpp") and f.is_file():
                 rels.setdefault(f.relative_to(repo).as_posix(), f)
@@ -1541,7 +1400,7 @@ def discover_files(repo: pathlib.Path, args):
                     except ValueError:
                         rel = f.resolve().as_posix()
                     rels[rel] = f
-    return sorted(rels.items()), compile_args
+    return sorted(rels.items())
 
 
 # --------------------------------------------------------------------------
@@ -1592,13 +1451,6 @@ def main(argv=None) -> int:
                              "(tier-1 preset exports it)")
     parser.add_argument("--paths", nargs="*",
                         help="analyze these trees instead of a compile db")
-    parser.add_argument("--frontend", choices=("auto", "internal",
-                                               "libclang"),
-                        default="auto",
-                        help="AST frontend; auto = libclang when the "
-                             "python bindings are importable, else the "
-                             "dependency-free internal parser (CI pins "
-                             "internal for reproducibility)")
     parser.add_argument("--baseline",
                         default=str(pathlib.Path(__file__).parent /
                                     "baseline.json"),
@@ -1614,32 +1466,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     repo = pathlib.Path(__file__).resolve().parent.parent.parent
-    files, compile_args = discover_files(repo, args)
+    files = discover_files(repo, args)
     if not files:
         print("hoh_analyze: no source files found", file=sys.stderr)
         return 2
 
-    cindex = None
-    if args.frontend in ("auto", "libclang"):
-        cindex = load_libclang()
-        if cindex is None and args.frontend == "libclang":
-            print("hoh_analyze: --frontend libclang requested but "
-                  "clang.cindex / libclang.so is unavailable; install the "
-                  "python3 clang bindings or use --frontend internal",
-                  file=sys.stderr)
-            return 2
-    if cindex is not None and args.frontend != "internal":
-        frontend = LibclangFrontend(repo, cindex, compile_args)
-        registry = frontend.lexical.registry
-    else:
-        frontend = InternalFrontend(repo)
-        registry = frontend.registry
-
+    frontend = InternalFrontend(repo)
     for rel, path in files:          # pass 1: declarations
         frontend.scan_declarations(path, rel)
     irs = [frontend.analyze(path, rel) for rel, path in files]  # pass 2
 
-    findings, graph = eval_rules(irs, registry, args)
+    findings, graph = eval_rules(irs, frontend.registry, args)
     if args.rules:
         keep = {r.strip() for r in args.rules.split(",")}
         findings = [f for f in findings if f.rule in keep]

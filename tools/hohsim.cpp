@@ -81,9 +81,6 @@ invocation) they abort the run instead. Each experiment supports:
     shuffle_amplification  reduce-phase multiplier   (default 4.0)
     reuse_yarn_app         one AM for all units      (default false)
 
-  control plane (DESIGN.md s10):
-    control_plane  "poll" | "watch"                  (default poll)
-
   elastic (DESIGN.md s8) - resize the pilot under a policy:
     {"policy": "backlog", "max_nodes": 6, "min_nodes": 2,
      "sample_interval": 30, "drain_timeout": 120, "params": {...}}

@@ -23,9 +23,9 @@ hook and dependency-free, unlike the clang-tidy pass it complements:
   5. No new schedule_periodic call sites (DESIGN.md §10). The control
      plane is event-driven: components react to StateStore watches,
      DeadlineTimer leases and completion notifications, not periodic
-     sweeps. The remaining periodic loops are enumerated per file in
-     PERIODIC_BUDGET below (legacy poll plane plus the deliberately
-     periodic elastic sampler); adding one elsewhere — or exceeding a
+     sweeps. The few deliberately periodic loops (the elastic sampler
+     and the Spark standalone scheduler) are enumerated per file in
+     PERIODIC_BUDGET below; adding one elsewhere — or exceeding a
      file's budget — is a violation. Prefer a store watch or a
      sim::DeadlineTimer; if a new periodic loop is genuinely required,
      extend the budget in the same change that adds it and justify it in
@@ -60,17 +60,12 @@ THREAD_ALLOWLIST = {
     "src/net/socket_transport.cpp",
 }
 # Per-file budget of schedule_periodic call sites (rule 5). These are the
-# engine's own declaration/definition, the legacy poll control plane
-# (agent store poll + heartbeat + drain sweep, unit-manager dependency
-# sweep, RM scheduler pass, Spark standalone scheduler) and the elastic
-# sampler, which stays periodic by design in both planes.
+# engine's own declaration/definition, the elastic sampler (resize
+# decisions want a stable rhythm) and the Spark standalone scheduler.
 PERIODIC_BUDGET = {
     "src/sim/engine.h": 1,
     "src/sim/engine.cpp": 1,
     "src/elastic/elastic_controller.cpp": 1,
-    "src/pilot/unit_manager.cpp": 1,
-    "src/pilot/agent/agent.cpp": 3,
-    "src/yarn/resource_manager.cpp": 1,
     "src/spark/standalone.cpp": 1,
 }
 

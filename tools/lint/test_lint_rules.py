@@ -106,8 +106,7 @@ class AnalyzerFixtures(unittest.TestCase):
 
     @staticmethod
     def _run_analyzer(extra):
-        return run([str(ANALYZE), "--paths",
-                    str(FIXTURES / "analyze"), "--frontend", "internal"]
+        return run([str(ANALYZE), "--paths", str(FIXTURES / "analyze")]
                    + extra)
 
     def _findings(self, proc):
@@ -212,8 +211,7 @@ class AnalyzerFixtures(unittest.TestCase):
         """The real tree passes with the checked-in baseline — the same
         gate CI runs (over compile_commands.json there; the file set for
         src/ is identical)."""
-        proc = run([str(ANALYZE), "--paths", "src",
-                    "--frontend", "internal"])
+        proc = run([str(ANALYZE), "--paths", "src"])
         self.assertEqual(
             proc.returncode, 0,
             f"hoh_analyze found new findings in src/:\n{proc.stdout}")
