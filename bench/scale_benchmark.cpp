@@ -3,13 +3,13 @@
 /// Compute-Units — through the full middleware stack and reports host
 /// throughput (engine events/sec, units/sec) plus peak RSS. Before the
 /// timed cell it runs a small parity matrix asserting that the digest is
-/// independent of the state-store shard count and of trace rollup, so a
-/// sharded scale run is provably computing the same workload as the
-/// single-lock configuration the rest of the suite exercises.
+/// independent of trace rollup, so a rolled-up scale run is provably
+/// computing the same workload as the full-trace configuration the rest
+/// of the suite exercises.
 ///
 /// Usage:
 ///   scale_benchmark [--nodes N] [--tasks T] [--iterations I]
-///                   [--shards S] [--assert-min-events-per-sec X]
+///                   [--assert-min-events-per-sec X]
 ///                   [--assert-max-rss-mb Y] [--out BENCH_scale.json]
 ///
 /// CI runs the 1k-node / 100k-unit trajectory point with both gates
@@ -39,7 +39,7 @@ double peak_rss_mb() {
 }
 
 KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
-                                   int shards, bool rollup) {
+                                   bool rollup) {
   KmeansExperimentConfig cfg;
   cfg.machine = cluster::generic_profile();
   cfg.scheduler = hpc::SchedulerKind::kSlurm;
@@ -50,7 +50,6 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
   cfg.tasks = tasks;
   cfg.yarn_stack = false;
   cfg.spawn_latency = 0.001;
-  cfg.store_shards = shards;
   cfg.trace_rollup = rollup;
   // 20 iterations of 50k units need ~5 simulated days; the 48 h default
   // pilot walltime would kill the keystone mid-trajectory.
@@ -61,7 +60,7 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nodes = 10000, tasks = 25000, iterations = 20, shards = 16;
+  int nodes = 10000, tasks = 25000, iterations = 20;
   double min_events_per_sec = 0.0, max_rss_mb = 0.0;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
@@ -73,8 +72,6 @@ int main(int argc, char** argv) {
       tasks = std::atoi(argv[++i]);
     } else if (arg == "--iterations" && next) {
       iterations = std::atoi(argv[++i]);
-    } else if (arg == "--shards" && next) {
-      shards = std::atoi(argv[++i]);
     } else if (arg == "--assert-min-events-per-sec" && next) {
       min_events_per_sec = std::atof(argv[++i]);
     } else if (arg == "--assert-max-rss-mb" && next) {
@@ -90,27 +87,22 @@ int main(int argc, char** argv) {
 
   benchutil::print_header(
       "Web-scale cell — throughput and memory at 10k nodes / 1M units",
-      "scale trajectory (DESIGN.md §13): sharded store, batched event "
-      "delivery, bitmap scheduling, rollup tracing");
+      "scale trajectory (DESIGN.md §13): batched event delivery, bitmap "
+      "scheduling, rollup tracing");
 
   // Parity matrix: a small cell (100 nodes, 1,000 units) must produce
-  // one digest across shard counts and with rollup on or off.
+  // one digest with rollup on or off.
   std::printf("parity matrix (100 nodes, 1000 units):\n");
   std::string parity_digest;
   bool parity_ok = true;
-  struct ParityArm {
-    int shards;
-    bool rollup;
-  };
-  const ParityArm arms[] = {{1, false}, {8, false}, {16, true}};
-  for (const ParityArm& arm : arms) {
+  for (const bool rollup : {false, true}) {
     const auto r = analytics::run_kmeans_experiment(
-        cell_config(100, 250, 2, arm.shards, arm.rollup));
+        cell_config(100, 250, 2, rollup));
     if (parity_digest.empty()) parity_digest = r.output_checksum;
     const bool match = r.ok && r.output_checksum == parity_digest;
     parity_ok = parity_ok && match;
-    std::printf("  shards %2d rollup %-5s units %4zu digest %s %s\n",
-                arm.shards, arm.rollup ? "on" : "off", r.units_completed,
+    std::printf("  rollup %-5s units %4zu digest %s %s\n",
+                rollup ? "on" : "off", r.units_completed,
                 r.output_checksum.c_str(), match ? "ok" : "MISMATCH");
   }
   if (!parity_ok) {
@@ -121,11 +113,10 @@ int main(int argc, char** argv) {
   // Timed cell.
   const std::size_t expected_units = static_cast<std::size_t>(tasks) * 2 *
                                      static_cast<std::size_t>(iterations);
-  std::printf("\ntimed cell: %d nodes, %zu units, %d shards\n", nodes,
-              expected_units, shards);
+  std::printf("\ntimed cell: %d nodes, %zu units\n", nodes, expected_units);
   const auto t0 = std::chrono::steady_clock::now();
   const KmeansExperimentResult result = analytics::run_kmeans_experiment(
-      cell_config(nodes, tasks, iterations, shards, /*rollup=*/true));
+      cell_config(nodes, tasks, iterations, /*rollup=*/true));
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
   const double events_per_sec =
@@ -149,7 +140,7 @@ int main(int argc, char** argv) {
     out << "{\n"
         << "  \"config\": {\"nodes\": " << nodes << ", \"tasks\": " << tasks
         << ", \"iterations\": " << iterations << ", \"units\": "
-        << expected_units << ", \"store_shards\": " << shards << "},\n"
+        << expected_units << "},\n"
         << "  \"parity\": {\"ok\": " << (parity_ok ? "true" : "false")
         << ", \"digest\": \"" << parity_digest << "\"},\n"
         << "  \"wall_s\": " << wall_s << ",\n"

@@ -294,12 +294,6 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
   if (doc.contains("allow_failure")) {
     cfg.allow_failure = doc.at("allow_failure").as_bool();
   }
-  if (doc.contains("store_shards")) {
-    cfg.store_shards = static_cast<int>(doc.at("store_shards").as_int());
-    if (cfg.store_shards < 1) {
-      throw common::ConfigError("store_shards must be >= 1");
-    }
-  }
   if (doc.contains("spawn_latency")) {
     cfg.spawn_latency = doc.at("spawn_latency").as_number();
     if (cfg.spawn_latency < 0.0) {
@@ -360,9 +354,8 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
                     {"machine", "scenario", "nodes", "tasks", "stack",
                      "op_cost", "shuffle_amplification", "reuse_yarn_app",
                      "elastic", "failures", "recovery",
-                     "tenants", "allow_failure", "store_shards",
-                     "spawn_latency", "trace_rollup", "pilot_runtime",
-                     "transport", "net"},
+                     "tenants", "allow_failure", "spawn_latency",
+                     "trace_rollup", "pilot_runtime", "transport", "net"},
                     "experiment");
   return cfg;
 }
@@ -398,7 +391,6 @@ common::Json result_to_json(const KmeansExperimentConfig& config,
   j["mean_unit_startup_s"] = result.mean_unit_startup;
   j["units_completed"] = static_cast<std::int64_t>(result.units_completed);
   j["engine_events"] = static_cast<std::int64_t>(result.engine_events);
-  j["store_shards"] = static_cast<std::int64_t>(config.store_shards);
   j["transport"] = config.transport;
   j["outputChecksum"] = result.output_checksum;
   if (config.elastic) {

@@ -33,10 +33,10 @@ namespace hoh::analytics {
 /// FailureInjector over the batch pool, and an optional "recovery"
 /// object {max_attempts, base_backoff, multiplier, max_backoff, jitter}
 /// enables pilot resubmission + unit requeue under that retry policy.
-/// Scale knobs (DESIGN.md §13): "store_shards" (state-store shard
-/// count, >= 1), "spawn_latency" (agent task-spawner latency override),
-/// "trace_rollup" (fold per-unit trace events into counters),
-/// "pilot_runtime" (pilot walltime request in simulated seconds).
+/// Scale knobs (DESIGN.md §13): "spawn_latency" (agent task-spawner
+/// latency override), "trace_rollup" (fold per-unit trace events into
+/// counters), "pilot_runtime" (pilot walltime request in simulated
+/// seconds).
 /// Missing fields keep defaults; unknown machine/stack/scenario/policy
 /// values throw ConfigError.
 KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc);

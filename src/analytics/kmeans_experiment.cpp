@@ -43,10 +43,6 @@ KmeansExperimentResult run_kmeans_experiment(
   if (config.transport == "socket") {
     session.set_transport(std::make_unique<net::SocketTransport>(config.net));
   }
-  if (config.store_shards > 1) {
-    session.store().set_shard_count(
-        static_cast<std::size_t>(config.store_shards));
-  }
   if (config.trace_rollup) session.trace().enable_rollup("unit");
   const int pool_nodes =
       config.elastic ? std::max(config.nodes, config.elastic_config.max_nodes)

@@ -90,11 +90,6 @@ struct KmeansExperimentConfig {
   /// arm of the fault ablation) does not fail the whole hohsim run.
   bool allow_failure = false;
 
-  /// Plan "store_shards": StateStore shard count for this cell
-  /// (DESIGN.md §13). Digests are shard-count independent, which the CI
-  /// scale job asserts by running the same cell sharded and unsharded.
-  int store_shards = 1;
-
   /// Plan "trace_rollup": fold per-unit trace events into O(1) counters
   /// (DESIGN.md §13). Required at the 1M-unit scale — the raw event list
   /// would dominate peak RSS. Digests are unaffected (the checksum is

@@ -8,88 +8,23 @@
 
 namespace hoh::pilot {
 
-namespace {
-
-/// FNV-1a over the bucket name; stable across runs so shard placement —
-/// and with it every digest — is deterministic.
-std::uint64_t bucket_hash(const std::string& bucket) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bucket) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-StateStore::StateStore(sim::Engine& engine, common::Seconds op_latency)
-    : engine_(engine), op_latency_(op_latency) {
-  shards_.push_back(std::make_unique<Shard>());
-}
-
-StateStore::Shard& StateStore::shard_for(const std::string& bucket) const {
-  return *shards_[bucket_hash(bucket) % shards_.size()];
-}
-
-bool StateStore::in_use() const {
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    if (!shard->collections.empty() || !shard->queues.empty() ||
-        !shard->watchers.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void StateStore::set_shard_count(std::size_t count) {
-  if (count == 0 || count > kMaxShards) {
-    throw common::ConfigError("StateStore: shard count must be in [1, " +
-                              std::to_string(kMaxShards) + "]");
-  }
-  if (in_use()) {
-    throw common::StateError(
-        "StateStore::set_shard_count: store already holds documents, "
-        "queues or watchers");
-  }
-  std::uint64_t carried = 0;
-  std::uint64_t carried_muts = 0;
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    carried += shard->ops;
-    carried_muts += shard->muts;
-  }
-  {
-    common::MutexLock lock(id_mu_);
-    ops_base_ += carried;
-    muts_base_ += carried_muts;
-  }
-  shards_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 void StateStore::put(const std::string& collection, const std::string& id,
                      common::Json document) {
-  Shard& shard = shard_for(collection);
   {
-    common::MutexLock lock(shard.mu);
-    ++shard.ops;
-    ++shard.muts;
-    shard.collections[collection][id] = std::move(document);
+    common::MutexLock lock(mu_);
+    ++ops_;
+    ++muts_;
+    collections_[collection][id] = std::move(document);
   }
   notify(WatchEventType::kPut, collection, id);
 }
 
 std::optional<common::Json> StateStore::get(const std::string& collection,
                                             const std::string& id) const {
-  Shard& shard = shard_for(collection);
-  common::MutexLock lock(shard.mu);
-  ++shard.ops;
-  auto cit = shard.collections.find(collection);
-  if (cit == shard.collections.end()) return std::nullopt;
+  common::MutexLock lock(mu_);
+  ++ops_;
+  auto cit = collections_.find(collection);
+  if (cit == collections_.end()) return std::nullopt;
   auto dit = cit->second.find(id);
   if (dit == cit->second.end()) return std::nullopt;
   return dit->second;
@@ -98,11 +33,10 @@ std::optional<common::Json> StateStore::get(const std::string& collection,
 std::optional<common::Json> StateStore::get_field(
     const std::string& collection, const std::string& id,
     const std::string& field) const {
-  Shard& shard = shard_for(collection);
-  common::MutexLock lock(shard.mu);
-  ++shard.ops;
-  auto cit = shard.collections.find(collection);
-  if (cit == shard.collections.end()) return std::nullopt;
+  common::MutexLock lock(mu_);
+  ++ops_;
+  auto cit = collections_.find(collection);
+  if (cit == collections_.end()) return std::nullopt;
   auto dit = cit->second.find(id);
   if (dit == cit->second.end()) return std::nullopt;
   if (!dit->second.is_object() || !dit->second.contains(field)) {
@@ -113,12 +47,11 @@ std::optional<common::Json> StateStore::get_field(
 
 void StateStore::update(const std::string& collection, const std::string& id,
                         const common::JsonObject& fields) {
-  Shard& shard = shard_for(collection);
   {
-    common::MutexLock lock(shard.mu);
-    ++shard.ops;
-    auto cit = shard.collections.find(collection);
-    if (cit == shard.collections.end() || cit->second.count(id) == 0) {
+    common::MutexLock lock(mu_);
+    ++ops_;
+    auto cit = collections_.find(collection);
+    if (cit == collections_.end() || cit->second.count(id) == 0) {
       throw common::NotFoundError("StateStore: no document " + collection +
                                   "/" + id);
     }
@@ -137,109 +70,78 @@ void StateStore::update(const std::string& collection, const std::string& id,
       }
     }
     for (const auto& [k, v] : fields) doc[k] = v;
-    ++shard.muts;
+    ++muts_;
   }
   notify(WatchEventType::kUpdate, collection, id);
 }
 
 std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
     const std::string& collection) const {
-  Shard& shard = shard_for(collection);
-  common::MutexLock lock(shard.mu);
-  ++shard.ops;
+  common::MutexLock lock(mu_);
+  ++ops_;
   std::vector<std::pair<std::string, common::Json>> out;
-  auto cit = shard.collections.find(collection);
-  if (cit == shard.collections.end()) return out;
+  auto cit = collections_.find(collection);
+  if (cit == collections_.end()) return out;
   out.assign(cit->second.begin(), cit->second.end());
   return out;
 }
 
 void StateStore::queue_push(const std::string& queue, const std::string& id) {
-  Shard& shard = shard_for(queue);
   {
-    common::MutexLock lock(shard.mu);
-    ++shard.ops;
-    ++shard.muts;
-    shard.queues[queue].push_back(id);
+    common::MutexLock lock(mu_);
+    ++ops_;
+    ++muts_;
+    queues_[queue].push_back(id);
   }
   notify(WatchEventType::kQueuePush, queue, id);
 }
 
 std::vector<std::string> StateStore::queue_pop_all(const std::string& queue) {
-  Shard& shard = shard_for(queue);
-  common::MutexLock lock(shard.mu);
-  ++shard.ops;
-  ++shard.muts;
+  common::MutexLock lock(mu_);
+  ++ops_;
+  ++muts_;
   std::vector<std::string> out;
-  auto it = shard.queues.find(queue);
-  if (it == shard.queues.end()) return out;
+  auto it = queues_.find(queue);
+  if (it == queues_.end()) return out;
   out.assign(it->second.begin(), it->second.end());
   it->second.clear();
   return out;
 }
 
 std::size_t StateStore::queue_depth(const std::string& queue) const {
-  Shard& shard = shard_for(queue);
-  common::MutexLock lock(shard.mu);
-  auto it = shard.queues.find(queue);
-  return it == shard.queues.end() ? 0 : it->second.size();
+  common::MutexLock lock(mu_);
+  auto it = queues_.find(queue);
+  return it == queues_.end() ? 0 : it->second.size();
 }
 
 std::uint64_t StateStore::op_count() const {
-  std::uint64_t total = 0;
-  {
-    common::MutexLock lock(id_mu_);
-    total = ops_base_;
-  }
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    total += shard->ops;
-  }
-  return total;
+  common::MutexLock lock(mu_);
+  return ops_;
 }
 
 std::uint64_t StateStore::mutation_count() const {
-  std::uint64_t total = 0;
-  {
-    common::MutexLock lock(id_mu_);
-    total = muts_base_;
-  }
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    total += shard->muts;
-  }
-  return total;
+  common::MutexLock lock(mu_);
+  return muts_;
 }
 
 WatchHandle StateStore::watch(const std::string& bucket,
                               const std::string& key_prefix,
                               WatchCallback callback) {
-  const std::size_t shard_index = bucket_hash(bucket) % shards_.size();
-  std::uint64_t id = 0;
-  {
-    common::MutexLock lock(id_mu_);
-    id = (next_watch_seq_++ << 8) | shard_index;
-  }
-  Shard& shard = *shards_[shard_index];
-  common::MutexLock lock(shard.mu);
-  shard.watchers.emplace(id, Watcher{bucket, key_prefix, std::move(callback)});
+  common::MutexLock lock(mu_);
+  const std::uint64_t id = next_watch_id_++;
+  watchers_.emplace(id, Watcher{bucket, key_prefix, std::move(callback)});
   return WatchHandle(id);
 }
 
 bool StateStore::unwatch(WatchHandle handle) {
   if (!handle.valid()) return false;
-  Shard& shard = *shards_[(handle.id_ & 0xff) % shards_.size()];
-  common::MutexLock lock(shard.mu);
-  return shard.watchers.erase(handle.id_) > 0;
+  common::MutexLock lock(mu_);
+  return watchers_.erase(handle.id_) > 0;
 }
 
 std::size_t StateStore::watcher_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->mu);
-    n += shard->watchers.size();
-  }
-  return n;
+  common::MutexLock lock(mu_);
+  return watchers_.size();
 }
 
 void StateStore::notify(WatchEventType type, const std::string& bucket,
@@ -247,23 +149,19 @@ void StateStore::notify(WatchEventType type, const std::string& bucket,
   // Snapshot the ids of matching watchers; resolve them again at delivery
   // time so an unwatch between mutation and delivery (or during delivery
   // of the same mutation to an earlier watcher) suppresses the callback.
-  Shard& shard = shard_for(bucket);
-  std::vector<std::uint64_t> targets;
+  // Coalesced delivery: mutations join one FIFO, and only the first one
+  // pending schedules the zero-delay drain tick. A burst of k mutations
+  // at one instant costs one engine event instead of k.
+  bool need_schedule = false;
   {
-    common::MutexLock lock(shard.mu);
-    for (const auto& [id, w] : shard.watchers) {
+    common::MutexLock lock(mu_);
+    std::vector<std::uint64_t> targets;
+    for (const auto& [id, w] : watchers_) {
       if (w.bucket == bucket && key.rfind(w.prefix, 0) == 0) {
         targets.push_back(id);
       }
     }
-  }
-  if (targets.empty()) return;
-  // Coalesced delivery: mutations join one global FIFO; only the first
-  // one pending schedules the zero-delay drain tick. A burst of k
-  // mutations at one instant costs one engine event instead of k.
-  bool need_schedule = false;
-  {
-    common::MutexLock lock(delivery_mu_);
+    if (targets.empty()) return;
     pending_deliveries_.push_back(
         PendingDelivery{std::move(targets), WatchEvent{type, bucket, key}});
     if (!delivery_scheduled_) {
@@ -281,7 +179,7 @@ void StateStore::deliver_pending() {
   // to a fresh tick at the same timestamp, preserving FIFO order.
   std::vector<PendingDelivery> batch;
   {
-    common::MutexLock lock(delivery_mu_);
+    common::MutexLock lock(mu_);
     batch.swap(pending_deliveries_);
     delivery_scheduled_ = false;
   }
@@ -305,12 +203,11 @@ void StateStore::deliver_pending() {
 
 void StateStore::deliver_one(std::uint64_t watcher_id,
                              const WatchEvent& event) {
-  Shard& shard = *shards_[(watcher_id & 0xff) % shards_.size()];
   WatchCallback fn;
   {
-    common::MutexLock lock(shard.mu);
-    auto it = shard.watchers.find(watcher_id);
-    if (it == shard.watchers.end()) return;
+    common::MutexLock lock(mu_);
+    auto it = watchers_.find(watcher_id);
+    if (it == watchers_.end()) return;
     fn = it->second.fn;
   }
   fn(event);

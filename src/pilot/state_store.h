@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,37 +18,29 @@
 /// through — the paper's MongoDB instance ("The Unit-Manager queues new
 /// Compute-Units using a shared MongoDB instance (step U.2). The
 /// RADICAL-Pilot-Agent periodically checks for new Compute-Units (U.3)").
-/// Documents are JSON; named queues provide the U.2/U.3 handoff. Every
-/// operation pays a configurable round-trip latency, which is how the
-/// store's share of Compute-Unit startup latency enters the simulation.
+/// Documents are JSON; named queues provide the U.2/U.3 handoff. Store
+/// operations take no simulated time: the store enters the simulation
+/// only through its zero-delay watch-delivery ticks.
 ///
-/// Sharding (DESIGN.md §13): the store is internally split into
-/// set_shard_count() shards, each with its own annotated Mutex. A bucket
-/// (collection or queue name) hashes to exactly one shard, so all
-/// operations, watchers and notifications for one bucket stay on one
-/// lock — per-bucket FIFO and per-shard registration order are preserved
-/// by construction, and two shard locks are never held at once. The
-/// default is one shard, which is byte-for-byte the old single-lock
-/// store; web-scale plans raise it via the "store_shards" plan key.
-///
-/// Thread-safety: all operations lock the owning shard's Mutex, like
-/// the real store's server-side concurrency control. The store is also
-/// the single chokepoint every unit state write goes through, so
-/// update() enforces the Fig. 3 lifecycle-transition table (see
-/// pilot/transitions.h): merging an illegal "state" value into a "unit"
-/// document throws StateError instead of corrupting the lifecycle.
+/// Thread-safety: the store is one lock domain. Every operation takes
+/// the single annotated mu_, like the real store's server-side
+/// concurrency control. The store is also the single chokepoint every
+/// unit state write goes through, so update() enforces the Fig. 3
+/// lifecycle-transition table (see pilot/transitions.h): merging an
+/// illegal "state" value into a "unit" document throws StateError
+/// instead of corrupting the lifecycle.
 ///
 /// Watch/notify (etcd/ZooKeeper-style, DESIGN.md §10): watch() registers
 /// a callback on a bucket and key prefix; every put/update/queue_push
 /// under that bucket fires the matching watchers. Delivery goes through
 /// the sim engine as a coalesced zero-delay tick: mutations enqueue onto
-/// one global FIFO and a single drain event delivers every mutation
-/// pending at that instant, so (a) callbacks never run under any store
-/// mutex, (b) delivery is deterministic and independent of the shard
-/// count — mutations in global FIFO order, watchers in registration
-/// order — and (c) the transition gate in update() has already validated
-/// the write by the time any watcher sees it. Mutations performed *by* a
-/// watch callback go to a fresh tick at the same timestamp.
+/// one FIFO and a single drain event delivers every mutation pending at
+/// that instant, so (a) callbacks never run under the store mutex,
+/// (b) delivery is deterministic — mutations in FIFO order, watchers in
+/// registration order — and (c) the transition gate in update() has
+/// already validated the write by the time any watcher sees it.
+/// Mutations performed *by* a watch callback go to a fresh tick at the
+/// same timestamp.
 
 namespace hoh::pilot {
 
@@ -83,22 +74,13 @@ class StateStore {
  public:
   using WatchCallback = std::function<void(const WatchEvent&)>;
 
-  /// Shard indices are packed into the low bits of watch ids.
-  static constexpr std::size_t kMaxShards = 256;
-
-  explicit StateStore(sim::Engine& engine, common::Seconds op_latency = 0.05);
+  explicit StateStore(sim::Engine& engine) : engine_(engine) {}
 
   ~StateStore() { set_transport(nullptr); }  // drop transport endpoints
 
-  common::Seconds op_latency() const { return op_latency_; }
-
-  /// Re-partitions the (empty) store into \p count shards. Must be
-  /// called before any document, queue element or watcher exists;
-  /// throws StateError once the store is in use and ConfigError for
-  /// count == 0 or count > kMaxShards.
-  void set_shard_count(std::size_t count);
-
-  std::size_t shard_count() const { return shards_.size(); }
+  /// Inert: the store is one lock domain (DESIGN.md §13). Kept only for
+  /// the perfbench/ caller that still calls it.
+  void set_shard_count(std::size_t /*count*/) {}
 
   /// Inserts or replaces a document.
   void put(const std::string& collection, const std::string& id,
@@ -178,34 +160,16 @@ class StateStore {
     WatchCallback fn;
   };
 
-  /// One lock domain: the documents, queues and watchers of every bucket
-  /// hashing here. Watch ids pack (registration counter << 8) | shard
-  /// index, so map order inside a shard is registration order and
-  /// unwatch/delivery recover the shard without a side table.
-  struct Shard {
-    mutable common::Mutex mu;
-    mutable std::uint64_t ops HOH_GUARDED_BY(mu) = 0;
-    std::uint64_t muts HOH_GUARDED_BY(mu) = 0;
-    std::map<std::string, std::map<std::string, common::Json>> collections
-        HOH_GUARDED_BY(mu);
-    std::map<std::string, std::deque<std::string>> queues HOH_GUARDED_BY(mu);
-    /// Keyed by watch id; std::map iteration = registration-order delivery.
-    std::map<std::uint64_t, Watcher> watchers HOH_GUARDED_BY(mu);
-  };
-
-  /// One mutation awaiting watch delivery; targets were matched under
-  /// the bucket's shard lock at mutation time and are re-resolved at
-  /// delivery time.
+  /// One mutation awaiting watch delivery; targets were matched at
+  /// mutation time and are re-resolved at delivery time.
   struct PendingDelivery {
     std::vector<std::uint64_t> targets;
     WatchEvent event;
   };
 
-  Shard& shard_for(const std::string& bucket) const;
-
-  /// Enqueues one mutation onto the global delivery FIFO and schedules
-  /// the coalesced drain tick if none is pending. Called after the
-  /// mutating critical section released its shard lock.
+  /// Enqueues one mutation onto the delivery FIFO and schedules the
+  /// coalesced drain tick if none is pending. Called after the mutating
+  /// critical section released mu_.
   void notify(WatchEventType type, const std::string& bucket,
               const std::string& key);
 
@@ -216,26 +180,21 @@ class StateStore {
   /// shared by the transport endpoint and the standalone path).
   void deliver_one(std::uint64_t watcher_id, const WatchEvent& event);
 
-  bool in_use() const;
-
   sim::Engine& engine_;
-  common::Seconds op_latency_;
   net::Transport* transport_ = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Watch-id allocation is global so registration order is total across
-  /// shards; ops_base_ carries operation counts across re-sharding.
-  mutable common::Mutex id_mu_;
-  std::uint64_t next_watch_seq_ HOH_GUARDED_BY(id_mu_) = 1;
-  std::uint64_t ops_base_ HOH_GUARDED_BY(id_mu_) = 0;
-  std::uint64_t muts_base_ HOH_GUARDED_BY(id_mu_) = 0;
-
-  /// Global mutation FIFO: delivery order is submission order no matter
-  /// how many shards the buckets hash across.
-  mutable common::Mutex delivery_mu_;
-  std::vector<PendingDelivery> pending_deliveries_
-      HOH_GUARDED_BY(delivery_mu_);
-  bool delivery_scheduled_ HOH_GUARDED_BY(delivery_mu_) = false;
+  mutable common::Mutex mu_;
+  mutable std::uint64_t ops_ HOH_GUARDED_BY(mu_) = 0;
+  std::uint64_t muts_ HOH_GUARDED_BY(mu_) = 0;
+  std::map<std::string, std::map<std::string, common::Json>> collections_
+      HOH_GUARDED_BY(mu_);
+  std::map<std::string, std::deque<std::string>> queues_ HOH_GUARDED_BY(mu_);
+  /// Keyed by watch id; ids count up, so std::map iteration is
+  /// registration-order delivery.
+  std::map<std::uint64_t, Watcher> watchers_ HOH_GUARDED_BY(mu_);
+  std::uint64_t next_watch_id_ HOH_GUARDED_BY(mu_) = 1;
+  std::vector<PendingDelivery> pending_deliveries_ HOH_GUARDED_BY(mu_);
+  bool delivery_scheduled_ HOH_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace hoh::pilot

@@ -124,6 +124,34 @@ TEST(ExperimentConfigTest, PlanParsing) {
                common::ConfigError);
 }
 
+/// Strict plan parsing (hohsim --strict): an unknown key is a hard
+/// ConfigError instead of a warning.
+TEST(ExperimentConfigTest, StrictPlanParsingRejectsUnknownKeys) {
+  // A misspelt knob, and a state-store shard count, which the one-lock
+  // store does not have.
+  for (const std::string key : {"spawn_latencyy", "store_shards"}) {
+    const auto doc = common::Json::parse(
+        R"({"experiments": [{"machine": "generic", "nodes": 1, "tasks": 2,
+            "stack": "rp", "scenario": "10k", ")" + key + R"(": 4}]})");
+    EXPECT_NO_THROW(experiment_plan_from_json(doc)) << key;
+    set_strict_plan_parsing(true);
+    EXPECT_THROW(experiment_plan_from_json(doc), common::ConfigError) << key;
+    set_strict_plan_parsing(false);
+  }
+  // Correctly-spelled scale knobs parse in strict mode.
+  const char* good = R"({"experiments": [
+      {"machine": "generic", "nodes": 1, "tasks": 2, "stack": "rp",
+       "scenario": "10k", "spawn_latency": 0.01, "trace_rollup": true,
+       "pilot_runtime": 1209600}]})";
+  set_strict_plan_parsing(true);
+  const auto cfgs = experiment_plan_from_json(common::Json::parse(good));
+  set_strict_plan_parsing(false);
+  ASSERT_EQ(cfgs.size(), 1u);
+  EXPECT_DOUBLE_EQ(cfgs[0].spawn_latency, 0.01);
+  EXPECT_TRUE(cfgs[0].trace_rollup);
+  EXPECT_DOUBLE_EQ(cfgs[0].pilot_runtime, 1209600.0);
+}
+
 TEST(ExperimentConfigTest, ResultRoundTripsThroughJsonText) {
   KmeansExperimentConfig cfg;
   cfg.machine = cluster::stampede_profile();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/error.h"
 #include "pilot/agent/agent.h"
 #include "pilot/descriptions.h"
@@ -96,6 +100,84 @@ TEST(StateStoreTest, OpCounting) {
   store.queue_push("q", "x");
   store.queue_pop_all("q");
   EXPECT_EQ(store.op_count(), before + 4);
+}
+
+TEST(StateStoreTest, WatchDeliveryIsFifoAcrossBuckets) {
+  sim::Engine engine;
+  StateStore store(engine);
+  // One watcher per bucket: delivery must follow mutation order, not
+  // bucket or registration order.
+  std::vector<std::string> delivered;
+  const int kBuckets = 12;
+  for (int i = 0; i < kBuckets; ++i) {
+    store.watch("b." + std::to_string(i), "",
+                [&delivered](const WatchEvent& e) {
+                  delivered.push_back(e.bucket + "/" + e.key);
+                });
+  }
+  std::vector<std::string> expected;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = kBuckets - 1; i >= 0; --i) {  // deliberately non-sorted
+      const std::string bucket = "b." + std::to_string(i);
+      const std::string key = "k" + std::to_string(round);
+      store.put(bucket, key, common::Json());
+      expected.push_back(bucket + "/" + key);
+    }
+  }
+  engine.run_until(1.0);
+  EXPECT_EQ(delivered, expected);
+}
+
+TEST(StateStoreTest, UnwatchIsIdempotent) {
+  sim::Engine engine;
+  StateStore store(engine);
+  int fired = 0;
+  auto h1 = store.watch("alpha", "", [&fired](const WatchEvent&) { ++fired; });
+  auto h2 = store.watch("beta", "", [&fired](const WatchEvent&) { ++fired; });
+  EXPECT_EQ(store.watcher_count(), 2u);
+  EXPECT_TRUE(store.unwatch(h1));
+  EXPECT_FALSE(store.unwatch(h1));  // double-unwatch is a no-op
+  EXPECT_EQ(store.watcher_count(), 1u);
+  store.put("alpha", "x", common::Json());
+  store.put("beta", "y", common::Json());
+  engine.run_until(1.0);
+  EXPECT_EQ(fired, 1);  // only the surviving beta watcher
+  EXPECT_TRUE(store.unwatch(h2));
+  EXPECT_EQ(store.watcher_count(), 0u);
+}
+
+/// TSan target: hammer the store from several threads, each on its own
+/// buckets (watcher-free, so no engine events are scheduled — the engine
+/// itself is single-threaded by contract). Any missing locking shows up
+/// as a data race under -fsanitize=thread.
+TEST(StateStoreTest, ConcurrentMutationStress) {
+  sim::Engine engine;
+  StateStore store(engine);
+  const int kThreads = 4, kOps = 500;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      const std::string coll = "stress." + std::to_string(t);
+      const std::string queue = "q." + std::to_string(t);
+      for (int i = 0; i < kOps; ++i) {
+        const std::string id = "d" + std::to_string(i);
+        common::Json doc;
+        doc["n"] = static_cast<std::int64_t>(i);
+        store.put(coll, id, doc);
+        store.update(coll, id, {{"m", common::Json("y")}});
+        ASSERT_TRUE(store.get(coll, id).has_value());
+        store.queue_push(queue, id);
+      }
+      EXPECT_EQ(store.queue_pop_all(queue).size(),
+                static_cast<std::size_t>(kOps));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(store.find_all("stress." + std::to_string(t)).size(),
+              static_cast<std::size_t>(kOps));
+  }
 }
 
 TEST(UnitJsonTest, RoundTrip) {

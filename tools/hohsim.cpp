@@ -81,7 +81,7 @@ invocation) they abort the run instead. Each experiment supports:
     shuffle_amplification  reduce-phase multiplier   (default 4.0)
     reuse_yarn_app         one AM for all units      (default false)
 
-  elastic (DESIGN.md s8) - resize the pilot under a policy:
+  elastic (DESIGN.md s5) - resize the pilot under a policy:
     {"policy": "backlog", "max_nodes": 6, "min_nodes": 2,
      "sample_interval": 30, "drain_timeout": 120, "params": {...}}
 
@@ -109,7 +109,6 @@ invocation) they abort the run instead. Each experiment supports:
   allow_failure  expected-to-fail cell does not fail the run  (false)
 
   scale knobs (DESIGN.md s13):
-    store_shards   state-store shard count, >= 1       (default 1)
     spawn_latency  agent task-spawner seconds          (default 1.2)
     trace_rollup   fold unit trace events to counters  (default false)
     pilot_runtime  pilot walltime request, sim seconds (default 172800)
