@@ -554,8 +554,9 @@ bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
     case AgentBackend::kYarnModeI:
     case AgentBackend::kYarnModeII: {
       // The YARN scheduler gates on *memory and cores* using the RM's
-      // REST metrics (paper SS-III-C), accounting for submissions whose
-      // containers are not visible in the metrics yet.
+      // free capacity (the REST metrics' availableMB, paper SS-III-C),
+      // accounting for submissions whose containers are not visible in
+      // the RM's ledger yet.
       yarn::ResourceManager& rm = yarn_cluster()->resource_manager();
       const yarn::YarnConfig& ycfg = rm.config();
       const yarn::Resource cu =
@@ -564,8 +565,7 @@ bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
       if (!config_.reuse_yarn_app || shared_am_ == nullptr) {
         need += ycfg.normalize(config_.yarn.yarn.am_resource).memory_mb;
       }
-      const auto metrics = rm.cluster_metrics().at("clusterMetrics");
-      if (metrics.at("availableMB").as_int() - yarn_inflight_mb_ < need) {
+      if (rm.available().memory_mb - yarn_inflight_mb_ < need) {
         return false;
       }
       // Data-aware extension: steer the unit towards the node holding

@@ -14,6 +14,8 @@ void StateStore::put(const std::string& collection, const std::string& id,
     common::MutexLock lock(mu_);
     ++ops_;
     ++muts_;
+    ++collection_muts_[collection];
+    record_write(collection, id);
     collections_[collection][id] = std::move(document);
   }
   notify(WatchEventType::kPut, collection, id);
@@ -71,6 +73,8 @@ void StateStore::update(const std::string& collection, const std::string& id,
     }
     for (const auto& [k, v] : fields) doc[k] = v;
     ++muts_;
+    ++collection_muts_[collection];
+    record_write(collection, id);
   }
   notify(WatchEventType::kUpdate, collection, id);
 }
@@ -122,6 +126,38 @@ std::uint64_t StateStore::op_count() const {
 std::uint64_t StateStore::mutation_count() const {
   common::MutexLock lock(mu_);
   return muts_;
+}
+
+std::uint64_t StateStore::mutation_count(const std::string& collection) const {
+  common::MutexLock lock(mu_);
+  auto it = collection_muts_.find(collection);
+  return it == collection_muts_.end() ? 0 : it->second;
+}
+
+std::uint64_t StateStore::open_feed(const std::string& collection) {
+  common::MutexLock lock(mu_);
+  const std::uint64_t id = next_feed_id_++;
+  feeds_.emplace(id, Feed{collection, {}});
+  return id;
+}
+
+std::vector<std::string> StateStore::drain_feed(std::uint64_t feed) {
+  common::MutexLock lock(mu_);
+  auto it = feeds_.find(feed);
+  if (it == feeds_.end()) return {};
+  return std::exchange(it->second.ids, {});
+}
+
+void StateStore::close_feed(std::uint64_t feed) {
+  common::MutexLock lock(mu_);
+  feeds_.erase(feed);
+}
+
+void StateStore::record_write(const std::string& collection,
+                              const std::string& id) {
+  for (auto& [feed_id, feed] : feeds_) {
+    if (feed.collection == collection) feed.ids.push_back(id);
+  }
 }
 
 WatchHandle StateStore::watch(const std::string& bucket,

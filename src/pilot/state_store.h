@@ -122,9 +122,29 @@ class StateStore {
   std::uint64_t op_count() const;
 
   /// Total *mutations* (put/update/queue push/pop) — reads excluded.
-  /// A poller that saw this unchanged knows no document or queue
-  /// changed, so barrier checks can skip their rescan (DESIGN.md §13).
   std::uint64_t mutation_count() const;
+
+  /// Document writes (put/update) to one \p collection; queue traffic
+  /// and other collections leave it unchanged. Not an op. A poller keyed
+  /// on mutation_count("unit") skips its rescan across writes that
+  /// cannot change a unit state, such as heartbeat leases (DESIGN.md
+  /// §13).
+  std::uint64_t mutation_count(const std::string& collection) const;
+
+  /// Opens a write feed on \p collection: from now on the id of every
+  /// document put/updated there is appended to the feed (once per
+  /// write, in write order) until drain_feed() hands the ids over. A
+  /// poller that drains its feed re-reads only the documents written
+  /// since its last poll (DESIGN.md §13). Feeds are not ops and fire no
+  /// watch. Returns a non-zero feed id.
+  std::uint64_t open_feed(const std::string& collection);
+
+  /// The ids written since the feed opened or was last drained; empties
+  /// the feed. An unknown (closed) feed yields nothing.
+  std::vector<std::string> drain_feed(std::uint64_t feed);
+
+  /// Stops recording into \p feed and drops what it holds.
+  void close_feed(std::uint64_t feed);
 
   /// Registers a watch on \p bucket (a collection or queue name) for keys
   /// starting with \p key_prefix (empty = every key). The callback fires
@@ -154,6 +174,15 @@ class StateStore {
   net::Transport* transport() const { return transport_; }
 
  private:
+  struct Feed {
+    std::string collection;
+    std::vector<std::string> ids;
+  };
+
+  /// Appends \p id to every feed on \p collection (under mu_).
+  void record_write(const std::string& collection, const std::string& id)
+      HOH_REQUIRES(mu_);
+
   struct Watcher {
     std::string bucket;
     std::string prefix;
@@ -186,9 +215,12 @@ class StateStore {
   mutable common::Mutex mu_;
   mutable std::uint64_t ops_ HOH_GUARDED_BY(mu_) = 0;
   std::uint64_t muts_ HOH_GUARDED_BY(mu_) = 0;
+  std::map<std::string, std::uint64_t> collection_muts_ HOH_GUARDED_BY(mu_);
   std::map<std::string, std::map<std::string, common::Json>> collections_
       HOH_GUARDED_BY(mu_);
   std::map<std::string, std::deque<std::string>> queues_ HOH_GUARDED_BY(mu_);
+  std::map<std::uint64_t, Feed> feeds_ HOH_GUARDED_BY(mu_);
+  std::uint64_t next_feed_id_ HOH_GUARDED_BY(mu_) = 1;
   /// Keyed by watch id; ids count up, so std::map iteration is
   /// registration-order delivery.
   std::map<std::uint64_t, Watcher> watchers_ HOH_GUARDED_BY(mu_);

@@ -35,14 +35,20 @@ void UnitManager::register_submit_endpoint() {
 }
 
 UnitState ComputeUnit::state() const {
-  const auto state =
-      manager_->session().store().get_field("unit", id_, "state");
-  if (!state.has_value()) return UnitState::kNew;
-  return unit_state_from_string(state->as_string());
+  const StateStore& store = manager_->session().store();
+  const std::uint64_t unit_muts = store.mutation_count("unit");
+  if (unit_muts == cached_at_) return cached_state_;
+  const auto state = store.get_field("unit", id_, "state");
+  cached_state_ = state.has_value()
+                      ? unit_state_from_string(state->as_string())
+                      : UnitState::kNew;
+  cached_at_ = unit_muts;
+  return cached_state_;
 }
 
 UnitManager::~UnitManager() {
   session_.transport().unregister_endpoint(submit_endpoint_);
+  if (unit_feed_ != 0) session_.store().close_feed(unit_feed_);
   if (dep_watch_.valid()) {
     session_.store().unwatch(dep_watch_);
     dep_watch_ = WatchHandle{};
@@ -138,6 +144,9 @@ void UnitManager::watch_pilot_for_recovery(
   const std::string pilot_id = pilot->id();
   pilot->on_state_change([this, pilot_id](PilotState state) {
     if (state != PilotState::kFailed) return;
+    // A dead pilot unsettles its kFailed units before any unit write
+    // lands: a barrier poll at the crash instant must recheck them.
+    recovery_dirty_ = true;
     // Decouple from the failure callback stack (the agent is mid-
     // teardown when the pilot announces kFailed).
     session_.engine().schedule(
@@ -212,16 +221,15 @@ void UnitManager::try_requeue(const std::string& unit_id) {
   auto pred = unit_predictions_.find(unit_id);
   const double predicted =
       pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit_reconciled_.count(unit_id) == 0) {
+  if (unit->open_seq_ != 0) {
     // Not folded back yet: the old pilot's backlog still carries it.
     backlog_seconds_[from] -= predicted;
   } else {
     // Folded back already: the unit is live again, re-open it so the
     // next reconcile() folds the new attempt too.
-    open_units_.push_back(unit);
+    open_unit(unit.get());
   }
   backlog_seconds_[to] += predicted;
-  unit_reconciled_.erase(unit_id);
   unit->pilot_id_ = to;
   requeue_counts_[unit_id] += 1;
   ++units_requeued_;
@@ -279,13 +287,12 @@ bool UnitManager::redispatch_failed(const std::string& unit_id) {
   auto pred = unit_predictions_.find(unit_id);
   const double predicted =
       pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit_reconciled_.count(unit_id) == 0) {
+  if (unit->open_seq_ != 0) {
     backlog_seconds_[from] -= predicted;
   } else {
-    open_units_.push_back(unit);  // live again: reconcile the new attempt
+    open_unit(unit.get());  // live again: reconcile the new attempt
   }
   backlog_seconds_[to] += predicted;
-  unit_reconciled_.erase(unit_id);
   unit->pilot_id_ = to;
 
   session_.store().update(
@@ -326,15 +333,20 @@ void UnitManager::reconcile() {
       done_time_[unit_attr->second] = e.time;
     }
   }
-  std::vector<std::shared_ptr<ComputeUnit>> still_open;
-  for (const auto& unit : open_units_) {
-    if (unit_reconciled_.count(unit->id()) > 0) continue;
+  // An open unit's state can only have turned final through a write
+  // since the last pass, or it was (re)opened since: recheck exactly
+  // those, folding in open order (the estimator and the backlog sums
+  // are order-sensitive).
+  absorb_unit_writes();
+  std::sort(open_recheck_.begin(), open_recheck_.end(),
+            [](const ComputeUnit* a, const ComputeUnit* b) {
+              return a->open_seq_ < b->open_seq_;
+            });
+  for (ComputeUnit* unit : open_recheck_) {
+    if (unit->open_seq_ == 0) continue;  // folded (listed twice)
     const UnitState state = unit->state();
-    if (!is_final(state)) {
-      still_open.push_back(unit);
-      continue;
-    }
-    unit_reconciled_[unit->id()] = true;
+    if (!is_final(state)) continue;
+    unit->open_seq_ = 0;
     auto pred = unit_predictions_.find(unit->id());
     if (pred != unit_predictions_.end()) {
       backlog_seconds_[unit->pilot_id()] -= pred->second;
@@ -351,7 +363,29 @@ void UnitManager::reconcile() {
     if (exec_at != exec_time_.end()) exec_time_.erase(exec_at);
     if (done_at != done_time_.end()) done_time_.erase(done_at);
   }
-  open_units_ = std::move(still_open);
+  open_recheck_.clear();
+}
+
+void UnitManager::open_unit(ComputeUnit* unit) {
+  unit->open_seq_ = next_open_seq_++;
+  open_recheck_.push_back(unit);
+}
+
+void UnitManager::absorb_unit_writes() {
+  StateStore& store = session_.store();
+  if (unit_feed_ == 0) {
+    // Every unit submitted so far waits in both recheck lists already;
+    // from here on the feed names the ones written.
+    unit_feed_ = store.open_feed("unit");
+    return;
+  }
+  for (const std::string& id : store.drain_feed(unit_feed_)) {
+    const auto it = by_id_.find(id);
+    if (it == by_id_.end()) continue;  // another manager's unit
+    ComputeUnit* unit = it->second.get();
+    if (unit->open_seq_ != 0) open_recheck_.push_back(unit);
+    settle_recheck_.push_back(unit);
+  }
 }
 
 std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
@@ -403,8 +437,13 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     out.push_back(std::move(handle));
   }
   units_.insert(units_.end(), out.begin(), out.end());
-  open_units_.insert(open_units_.end(), out.begin(), out.end());
-  unsettled_.insert(unsettled_.end(), out.begin(), out.end());
+  std::uint64_t seq = units_.size() - out.size();  // out's place in units_
+  for (const auto& unit : out) {
+    unit->submit_seq_ = seq++;
+    open_unit(unit.get());
+    unsettled_.emplace(unit->submit_seq_, unit.get());
+    settle_recheck_.push_back(unit.get());
+  }
   // A dependency that is already settled (Done, Failed, Canceled) or
   // unknown never produces another unit update, so the watch alone would
   // hold its dependents forever: resolve those now, synchronously, so a
@@ -477,19 +516,14 @@ std::shared_ptr<ComputeUnit> UnitManager::submit(
 }
 
 bool UnitManager::all_done() {
-  // Barrier fast path (DESIGN.md §13): unit and pilot states live in the
-  // store, so if nothing was mutated since the last poll — and no
-  // recovery bookkeeping (limbo/abandon triage) moved either — the
-  // answer cannot have changed. Long-running waves poll every few
-  // simulated seconds while nothing happens; this makes those polls
-  // O(1) instead of O(in-flight units).
-  const std::uint64_t muts = session_.store().mutation_count();
-  if (all_done_cached_ && !recovery_dirty_ && muts == all_done_muts_) {
-    return all_done_cache_;
-  }
+  // Incremental barrier (DESIGN.md §13): unit states live in the "unit"
+  // collection, so a unit no write named since the last poll keeps the
+  // answer it gave then — unless a recovery input (limbo/abandon
+  // triage, a pilot crash) moved. Long-running waves poll every few
+  // simulated seconds while few units change; a poll costs
+  // O(units written since the last one), not O(in-flight units).
   reconcile();
-  const auto settled_now = [this](const std::shared_ptr<ComputeUnit>& u,
-                                  UnitState state) {
+  const auto settled_now = [this](const ComputeUnit* u, UnitState state) {
     if (state == UnitState::kFailed && recovery_enabled_) {
       if (limbo_.count(u->id()) > 0) {
         return false;  // requeue in flight: not settled yet
@@ -513,31 +547,37 @@ bool UnitManager::all_done() {
     }
     return is_final(state);
   };
-  // Only units whose outcome is not locked in are re-read. kDone and
+  // Only units whose outcome is not locked in are re-read, and of those
+  // only the ones written or submitted since the last poll — unless a
+  // recovery input moved, which can unsettle any kFailed unit. kDone and
   // kCanceled are sinks and leave the working set for good; kFailed
   // stays (requeue/redispatch may cross its one legal out-edge).
-  bool all = true;
-  std::vector<std::shared_ptr<ComputeUnit>> still_unsettled;
-  for (const auto& u : unsettled_) {
+  if (recovery_dirty_) {
+    settle_recheck_.clear();
+    for (const auto& [seq, u] : unsettled_) settle_recheck_.push_back(u);
+  }
+  for (ComputeUnit* u : settle_recheck_) {
+    const auto it = unsettled_.find(u->submit_seq_);
+    if (it == unsettled_.end()) continue;  // settled (listed twice)
     const UnitState state = u->state();
     if (state == UnitState::kDone || state == UnitState::kCanceled) {
       if (state == UnitState::kDone) ++settled_done_;
-      continue;
+      unsettled_.erase(it);
+      blocking_.erase(u);
+    } else if (settled_now(u, state)) {
+      blocking_.erase(u);
+    } else {
+      blocking_.insert(u);
     }
-    still_unsettled.push_back(u);
-    if (!settled_now(u, state)) all = false;
   }
-  unsettled_ = std::move(still_unsettled);
-  all_done_cached_ = true;
-  all_done_cache_ = all;
-  all_done_muts_ = muts;
+  settle_recheck_.clear();
   recovery_dirty_ = false;
-  return all;
+  return blocking_.empty();
 }
 
 std::size_t UnitManager::done_count() const {
   std::size_t n = settled_done_;
-  for (const auto& u : unsettled_) {
+  for (const auto& [seq, u] : unsettled_) {
     if (u->state() == UnitState::kDone) ++n;
   }
   return n;

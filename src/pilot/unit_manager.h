@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/control_plane.h"
@@ -31,7 +33,11 @@ class ComputeUnit {
   const std::string& id() const { return id_; }
   const ComputeUnitDescription& description() const { return description_; }
 
-  /// Current state, read from the shared store document.
+  /// Current state, read from the shared store document. Memoised
+  /// against the store's "unit" write count: while no unit document was
+  /// written since the last read, the last answer still holds, so a
+  /// barrier poll reads each unit at most once. The memo is
+  /// engine-thread-confined (DESIGN.md §7).
   UnitState state() const;
 
   /// Pilot this unit was bound to.
@@ -50,6 +56,15 @@ class ComputeUnit {
   std::string id_;
   std::string pilot_id_;
   ComputeUnitDescription description_;
+  // state() read memo: the last document state and the "unit" write
+  // count it was read at.
+  mutable std::uint64_t cached_at_ = UINT64_MAX;
+  mutable UnitState cached_state_ = UnitState::kNew;
+  // Position in the manager's submission order.
+  std::uint64_t submit_seq_ = 0;
+  // The manager's fold order while the unit is open (not yet folded
+  // back by reconcile()); 0 once folded.
+  std::uint64_t open_seq_ = 0;
 };
 
 /// Unit scheduling policy across pilots.
@@ -129,7 +144,8 @@ class UnitManager {
   std::size_t done_count() const;
 
   /// Folds finished units back into the estimator and the per-pilot
-  /// backlog accounting. Called implicitly by all_done()/done_count().
+  /// backlog accounting. Called implicitly by all_done() and by the
+  /// kPredictive pilot pick.
   void reconcile();
 
   RuntimeEstimator& estimator() { return *estimator_; }
@@ -168,6 +184,11 @@ class UnitManager {
                          const std::string& pilot_id,
                          const ComputeUnitDescription& desc);
   void check_dependencies();
+  /// Marks \p unit open (to be folded back by reconcile()) and queues
+  /// it for reconcile()'s next pass.
+  void open_unit(ComputeUnit* unit);
+  /// Drains the "unit" write feed into the recheck lists.
+  void absorb_unit_writes();
 
   // --- fault recovery (requeue units off a dead pilot) ---
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);
@@ -183,31 +204,37 @@ class UnitManager {
   std::shared_ptr<RuntimeEstimator> estimator_;
   std::map<std::string, double> backlog_seconds_;    // pilot -> predicted
   std::map<std::string, double> unit_predictions_;   // unit -> predicted
-  std::map<std::string, bool> unit_reconciled_;      // unit -> folded back
 
   /// Incremental reconcile/all_done bookkeeping (DESIGN.md §13). The
   /// trace is append-only, so reconcile() scans it once past
   /// trace_scan_pos_ into per-unit Executing/Done time maps instead of
-  /// re-walking the whole trace per finished unit; open_units_ holds
-  /// only units not yet folded back, and unsettled_ holds units whose
-  /// terminal outcome is not yet locked in (kDone/kCanceled are sinks
-  /// and leave it; kFailed stays, since requeue/redispatch may revive
-  /// it) — a barrier poll over 1M finished units costs O(1), not
-  /// O(units) store reads.
+  /// re-walking the whole trace per finished unit. Unit states change
+  /// only through "unit" document writes, which the store's write feed
+  /// (unit_feed_) names, so a poll re-reads only the units written or
+  /// (re)opened since the last one: open_recheck_ for reconcile() (open
+  /// units, folded in open_seq_ order), settle_recheck_ for all_done().
+  /// unsettled_ holds units whose terminal outcome is not yet locked in
+  /// (kDone/kCanceled are sinks and leave it; kFailed stays, since
+  /// requeue/redispatch may revive it), blocking_ those of them not
+  /// settled at their last read — the barrier holds while it is
+  /// non-empty. A recovery input (recovery_dirty_) rechecks all of
+  /// unsettled_.
   std::size_t trace_scan_pos_ = 0;
   std::map<std::string, double> exec_time_;          // unit -> Executing at
   std::map<std::string, double> done_time_;          // unit -> Done at
-  std::vector<std::shared_ptr<ComputeUnit>> open_units_;
-  std::vector<std::shared_ptr<ComputeUnit>> unsettled_;
+  std::uint64_t unit_feed_ = 0;  // opened by the first reconcile()
+  std::uint64_t next_open_seq_ = 1;
+  /// The handles are owned by units_ for the manager's lifetime.
+  std::vector<ComputeUnit*> open_recheck_;
+  std::vector<ComputeUnit*> settle_recheck_;
+  std::map<std::uint64_t, ComputeUnit*> unsettled_;  // by submit_seq_
+  std::unordered_set<const ComputeUnit*> blocking_;
   std::size_t settled_done_ = 0;  // kDone units dropped from unsettled_
 
-  /// all_done() memo: valid while the store mutation count is unchanged
-  /// and no recovery bookkeeping (which can move without a store write)
-  /// was touched — see recovery_dirty_ sites.
-  bool all_done_cached_ = false;
-  bool all_done_cache_ = false;
+  /// Set by every recovery input that can unsettle a unit without a
+  /// unit write (limbo/abandon triage, a pilot reaching kFailed):
+  /// the next all_done() rechecks every unsettled unit.
   bool recovery_dirty_ = false;
-  std::uint64_t all_done_muts_ = 0;
 
   /// Units held back by dependencies: (unit id, pilot id, description).
   struct HeldUnit {

@@ -95,8 +95,10 @@ bool NodeManager::allocate(const Container& container) {
           ledger_cores, container.resource.memory_mb})) {
     return false;  // node ledger shared with non-YARN users said no
   }
+  count_in_view(-1);
   in_use_.memory_mb += container.resource.memory_mb;
   in_use_.vcores += container.resource.vcores;
+  count_in_view(+1);
   Container c = container;
   c.node = node_->name();
   c.state = ContainerState::kAllocated;
@@ -144,8 +146,10 @@ void NodeManager::release(const std::string& container_id,
     return;  // already released
   }
   c.state = final_state;
+  count_in_view(-1);
   in_use_.memory_mb -= c.resource.memory_mb;
   in_use_.vcores -= c.resource.vcores;
+  count_in_view(+1);
   const int ledger_cores =
       config_.memory_only_scheduling ? 0 : c.resource.vcores;
   node_->release(
@@ -180,7 +184,9 @@ std::vector<std::string> NodeManager::live_container_ids() const {
 
 void NodeManager::fail() {
   if (!alive_) return;
+  count_in_view(-1);
   alive_ = false;
+  count_in_view(+1);
   for (const auto& id : live_container_ids()) {
     release(id, ContainerState::kKilled);
   }
@@ -188,11 +194,53 @@ void NodeManager::fail() {
 
 void NodeManager::crash() {
   if (crashed_ || !alive_) return;
+  count_in_view(-1);
   crashed_ = true;
+  count_in_view(+1);
   crash_time_ = engine_.now();
   lost_on_crash_ = live_container_ids();
   for (const auto& id : lost_on_crash_) {
     release(id, ContainerState::kKilled);
+  }
+}
+
+void NodeManager::recover() {
+  count_in_view(-1);
+  alive_ = true;
+  decommissioning_ = false;
+  crashed_ = false;
+  count_in_view(+1);
+  lost_on_crash_.clear();
+}
+
+void NodeManager::start_decommission() {
+  count_in_view(-1);
+  decommissioning_ = true;
+  count_in_view(+1);
+}
+
+void NodeManager::attach_view(ClusterView* view) {
+  count_in_view(-1);
+  view_ = view;
+  if (view_ != nullptr) view_order_ = view_->attached++;
+  count_in_view(+1);
+}
+
+void NodeManager::count_in_view(int sign) {
+  if (view_ == nullptr) return;
+  if (alive_ && !decommissioning_) {
+    view_->capacity.memory_mb += sign * capacity_.memory_mb;
+    view_->capacity.vcores += sign * capacity_.vcores;
+  }
+  view_->allocated.memory_mb += sign * in_use_.memory_mb;
+  view_->allocated.vcores += sign * in_use_.vcores;
+  if (alive_ && !crashed_ && !decommissioning_) {
+    const std::pair key{-available().memory_mb, view_order_};
+    if (sign > 0) {
+      view_->by_free_memory.emplace(key, this);
+    } else {
+      view_->by_free_memory.erase(key);
+    }
   }
 }
 

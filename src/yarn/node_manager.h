@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/node.h"
 #include "sim/engine.h"
@@ -26,6 +28,24 @@ struct Container {
   Resource resource;
   ContainerState state = ContainerState::kAllocated;
   bool is_am = false;
+};
+
+class NodeManager;
+
+/// What a set of NodeManagers keeps current for its ResourceManager as
+/// each NM changes, so the RM reads its cluster sums and picks a
+/// placement without walking every NM:
+/// - capacity: of the live, non-decommissioning NMs;
+/// - allocated: on all of them;
+/// - by_free_memory: the NMs that may take containers at all (alive,
+///   not crashed, not decommissioning), keyed (-free memory, attach
+///   order) — most free memory first, ties in attach order.
+struct ClusterView {
+  Resource capacity{0, 0};
+  Resource allocated{0, 0};
+  std::map<std::pair<common::MemoryMb, std::uint64_t>, NodeManager*>
+      by_free_memory;
+  std::uint64_t attached = 0;  // attach counter (the tie-break order)
 };
 
 class NodeManager {
@@ -94,20 +114,22 @@ class NodeManager {
 
   /// Rejoins a failed NM (recommissioning); capacity becomes usable on
   /// the next scheduler pass. Also clears a decommission mark.
-  void recover() {
-    alive_ = true;
-    decommissioning_ = false;
-    crashed_ = false;
-    lost_on_crash_.clear();
-  }
+  void recover();
 
   /// Graceful-decommission mark: the scheduler stops placing new
   /// containers here while running ones finish undisturbed.
-  void start_decommission() { decommissioning_ = true; }
+  void start_decommission();
   bool decommissioning() const { return decommissioning_; }
+
+  /// Counts this NM into \p view from now on; nullptr takes its share
+  /// back out of the view it was counted into.
+  void attach_view(ClusterView* view);
 
  private:
   Container& find(const std::string& container_id);
+  /// Adds (\p sign +1) or removes (-1) this NM's share of view_.
+  /// Every field change a share depends on is bracketed by -1 / +1.
+  void count_in_view(int sign);
 
   sim::Engine& engine_;
   const YarnConfig& config_;
@@ -120,6 +142,8 @@ class NodeManager {
   common::Seconds crash_time_ = 0.0;
   std::vector<std::string> lost_on_crash_;
   std::map<std::string, Container> containers_;
+  ClusterView* view_ = nullptr;
+  std::uint64_t view_order_ = 0;  // tie-break key in view_->by_free_memory
 };
 
 }  // namespace hoh::yarn

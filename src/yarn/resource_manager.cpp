@@ -51,6 +51,7 @@ ResourceManager::ResourceManager(sim::Engine& engine,
   for (const auto& node : allocation.nodes()) {
     node_managers_.push_back(
         std::make_unique<NodeManager>(engine_, config_, node));
+    node_managers_.back()->attach_view(&view_);
     nm_index_[node_managers_.back()->node_name()] =
         node_managers_.back().get();
   }
@@ -398,6 +399,7 @@ void ResourceManager::add_node(std::shared_ptr<cluster::Node> node) {
   const std::string name = node->name();
   node_managers_.push_back(
       std::make_unique<NodeManager>(engine_, config_, std::move(node)));
+  node_managers_.back()->attach_view(&view_);
   nm_index_[name] = node_managers_.back().get();
   arm_liveness_lease(name);
   request_scheduler_pass();  // capacity grew
@@ -426,6 +428,7 @@ void ResourceManager::remove_node(const std::string& node) {
     return entry.second == removed;
   });
   nm_index_.erase(node);
+  removed->attach_view(nullptr);
   node_managers_.erase(it);
 }
 
@@ -476,19 +479,17 @@ NodeManager* ResourceManager::try_place(const PendingAsk& ask,
   if (!ask.request.preferred_nodes.empty() && !ask.request.relax_locality) {
     return nullptr;
   }
-  // Least-loaded placement by free memory: one allocation-free argmax
-  // scan over the NMs that can host the ask. Picking the max-available
-  // NM (first wins on ties) selects exactly the NM the old
-  // stable_sort-then-first-fit walk found, without building and sorting
-  // a candidate vector per ask.
+  // Least-loaded placement by free memory: the NM with the most free
+  // memory that can host the ask, first registered wins on ties. The
+  // view lists schedulable NMs in exactly that order, so the first fit
+  // is the pick; once free memory drops below the ask nothing later
+  // fits either.
   NodeManager* best = nullptr;
-  common::MemoryMb best_available = -1;
-  for (auto& nm : node_managers_) {
-    if (!nm->can_fit(out.resource)) continue;
-    const common::MemoryMb available = nm->available().memory_mb;
-    if (available > best_available) {
-      best = nm.get();
-      best_available = available;
+  for (const auto& [key, nm] : view_.by_free_memory) {
+    if (-key.first < out.resource.memory_mb) break;
+    if (nm->can_fit(out.resource)) {
+      best = nm;
+      break;
     }
   }
   if (best != nullptr && transport_allocate(*best, out)) {
@@ -739,23 +740,9 @@ void ResourceManager::am_unregister(const std::string& app_id, bool success) {
                      success ? AppState::kFinished : AppState::kFailed);
 }
 
-Resource ResourceManager::total_capacity() const {
-  Resource total{0, 0};
-  for (const auto& nm : node_managers_) {
-    if (!nm->alive() || nm->decommissioning()) continue;
-    total.memory_mb += nm->capacity().memory_mb;
-    total.vcores += nm->capacity().vcores;
-  }
-  return total;
-}
-
-Resource ResourceManager::total_allocated() const {
-  Resource total{0, 0};
-  for (const auto& nm : node_managers_) {
-    total.memory_mb += nm->allocated().memory_mb;
-    total.vcores += nm->allocated().vcores;
-  }
-  return total;
+Resource ResourceManager::available() const {
+  return Resource{view_.capacity.memory_mb - view_.allocated.memory_mb,
+                  view_.capacity.vcores - view_.allocated.vcores};
 }
 
 common::Json ResourceManager::cluster_metrics() const {
@@ -778,9 +765,9 @@ common::Json ResourceManager::cluster_metrics() const {
   m["totalVirtualCores"] = static_cast<std::int64_t>(cap.vcores);
   m["allocatedMB"] = used.memory_mb;
   m["allocatedVirtualCores"] = static_cast<std::int64_t>(used.vcores);
-  m["availableMB"] = cap.memory_mb - used.memory_mb;
-  m["availableVirtualCores"] =
-      static_cast<std::int64_t>(cap.vcores - used.vcores);
+  const Resource free = available();
+  m["availableMB"] = free.memory_mb;
+  m["availableVirtualCores"] = static_cast<std::int64_t>(free.vcores);
   m["activeNodes"] = static_cast<std::int64_t>(live_node_count());
   m["lostNodes"] =
       static_cast<std::int64_t>(node_managers_.size() - live_node_count());

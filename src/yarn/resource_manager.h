@@ -92,11 +92,24 @@ class ResourceManager {
 
   /// Live capacity: sums NMs that are alive and not decommissioning —
   /// the single capacity query schedulers and agent backpressure use, so
-  /// totals stay consistent as nodes join and leave mid-run.
-  Resource total_capacity() const;
-  Resource total_allocated() const;
+  /// totals stay consistent as nodes join and leave mid-run. Both sums
+  /// are kept current by the NMs themselves (ClusterView), so these
+  /// reads are O(1).
+  Resource total_capacity() const { return view_.capacity; }
+  Resource total_allocated() const { return view_.allocated; }
+
+  /// Free capacity: total_capacity() minus total_allocated() — the
+  /// availableMB/availableVirtualCores of cluster_metrics(), read typed
+  /// and without building the REST document or walking the NMs (the
+  /// agent's per-dispatch backpressure check).
+  Resource available() const;
 
   std::size_t node_count() const { return node_managers_.size(); }
+  /// NMs that can take new containers (alive, not crashed, not
+  /// decommissioning): the placement candidates.
+  std::size_t schedulable_node_count() const {
+    return view_.by_free_memory.size();
+  }
   std::size_t live_node_count() const;
   NodeManager& node_manager(const std::string& node);
 
@@ -257,6 +270,7 @@ class ResourceManager {
   sim::Trace* trace_ = nullptr;
   PreemptionHook preemption_hook_;
   std::vector<QueueConfig> queues_;
+  ClusterView view_;  // every NM in node_managers_ counts into it
   std::vector<std::unique_ptr<NodeManager>> node_managers_;
   /// Free-list style indexes (DESIGN.md §13): NM by node name and
   /// hosting NM by container id, so placement, liveness and release

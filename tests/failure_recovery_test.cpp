@@ -477,6 +477,31 @@ TEST_F(PilotRecoveryTest, RespawnedPilotAbsorbsWaitingUnits) {
   EXPECT_GE(um.units_requeued(), 1u);
 }
 
+TEST_F(PilotRecoveryTest, PilotCrashBetweenPollsRechecksTheBarrier) {
+  pilot::PilotManager pm(session_);
+  pilot::UnitManager um(session_);
+  um.enable_recovery(fast_policy());
+  auto pilot = pm.submit_pilot(one_node_pilot());
+  um.add_pilot(pilot);
+  pilot::ComputeUnitDescription cud;
+  cud.duration = 600.0;
+  auto unit = um.submit(cud);
+  run_until_active(pilot);
+  run_for(30.0);
+  // Parked at kFailed on a live pilot: settled, so the barrier is done.
+  ASSERT_TRUE(pilot->agent()->preempt_unit(unit->id()));
+  ASSERT_EQ(unit->state(), pilot::UnitState::kFailed);
+  EXPECT_TRUE(um.all_done());
+
+  // The crash writes no unit document, yet recovery will revive the
+  // unit: the next poll must recheck it rather than keep its answer.
+  const auto unit_muts = session_.store().mutation_count("unit");
+  scheduler().fail_node(pilot_node(pilot));
+  ASSERT_EQ(pilot->state(), pilot::PilotState::kFailed);
+  ASSERT_EQ(session_.store().mutation_count("unit"), unit_muts);
+  EXPECT_FALSE(um.all_done());
+}
+
 // ------------------------------------------------ elastic failure grow ---
 
 TEST_F(PilotRecoveryTest, CapacityLossBelowFloorForcesGrow) {

@@ -189,6 +189,70 @@ TEST_F(PilotLifecycleTest, UnitStartupSpanRecorded) {
   EXPECT_GT(spans[0].duration(), 0.0);
 }
 
+TEST_F(PilotLifecycleTest, BarrierPollSkipsHeartbeatOnlyWrites) {
+  // A wave in flight: 8 long units, all executing on one 16-core node.
+  auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(8, simple_unit(3600.0)));
+  session_.engine().run_until(300.0);
+  for (const auto& u : units) ASSERT_EQ(u->state(), UnitState::kExecuting);
+  EXPECT_FALSE(um_.all_done());
+
+  // Between the polls only heartbeat leases (and agent queue polls)
+  // write the store; no unit document changes.
+  StateStore& store = session_.store();
+  const auto muts = store.mutation_count();
+  session_.engine().run_until(330.0);
+  ASSERT_GT(store.mutation_count(), muts);
+  for (const auto& u : units) ASSERT_EQ(u->state(), UnitState::kExecuting);
+
+  const auto ops = store.op_count();
+  EXPECT_FALSE(um_.all_done());
+  EXPECT_EQ(store.op_count() - ops, 0u);
+}
+
+TEST_F(PilotLifecycleTest, UnitWriteSettlingTheLastUnitFlipsTheBarrier) {
+  // The pilot never runs, so both units wait at PendingAgent and only
+  // the test writes their documents.
+  auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(2, simple_unit()));
+  const common::JsonObject cancel{
+      {"state", common::Json(to_string(UnitState::kCanceled))}};
+  StateStore& store = session_.store();
+  store.update("unit", units[0]->id(), cancel);
+  EXPECT_FALSE(um_.all_done());
+  const auto ops = store.op_count();
+  EXPECT_FALSE(um_.all_done());  // nothing written: nothing read
+  EXPECT_EQ(store.op_count(), ops);
+
+  store.update("unit", units[1]->id(), cancel);
+  EXPECT_TRUE(um_.all_done());
+  EXPECT_EQ(units[1]->state(), UnitState::kCanceled);
+}
+
+TEST_F(PilotLifecycleTest, BarrierPollRereadsOnlyWrittenUnits) {
+  // The pilot never runs: every unit waits at PendingAgent and only the
+  // test writes unit documents.
+  auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(8, simple_unit()));
+  EXPECT_FALSE(um_.all_done());
+
+  // One unit written since the last poll: the next poll reads that one
+  // document once, not all eight.
+  StateStore& store = session_.store();
+  store.update("unit", units[3]->id(),
+               {{"state", common::Json(to_string(UnitState::kCanceled))}});
+  const auto ops = store.op_count();
+  EXPECT_FALSE(um_.all_done());
+  EXPECT_EQ(store.op_count() - ops, 1u);
+  EXPECT_EQ(um_.done_count(), 0u);
+}
+
 TEST_F(PilotLifecycleTest, SubmitWithoutPilotsThrows) {
   EXPECT_THROW(um_.submit(simple_unit()), common::StateError);
 }

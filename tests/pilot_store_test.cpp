@@ -102,6 +102,82 @@ TEST(StateStoreTest, OpCounting) {
   EXPECT_EQ(store.op_count(), before + 4);
 }
 
+TEST(StateStoreTest, CollectionMutationCountMovesOnlyOnItsWrites) {
+  sim::Engine engine;
+  StateStore store(engine);
+  common::Json doc;
+  doc["state"] = "PendingAgent";
+  EXPECT_EQ(store.mutation_count("unit"), 0u);
+
+  store.put("unit", "u", doc);
+  EXPECT_EQ(store.mutation_count("unit"), 1u);
+  store.update("unit", "u", {{"state", common::Json("AgentScheduling")}});
+  EXPECT_EQ(store.mutation_count("unit"), 2u);
+
+  // Heartbeat leases and queue traffic leave the unit count alone but
+  // still move the store-wide count.
+  auto total = store.mutation_count();
+  store.put("heartbeat", "pilot.0", common::Json(1));
+  EXPECT_EQ(store.mutation_count("heartbeat"), 1u);
+  store.queue_push("agent.pilot.0", "u");
+  store.queue_pop_all("agent.pilot.0");
+  EXPECT_EQ(store.mutation_count("unit"), 2u);
+  EXPECT_EQ(store.mutation_count(), total + 3);
+
+  // A write the transition gate rejects is no mutation.
+  total = store.mutation_count();
+  EXPECT_THROW(store.update("unit", "u", {{"state", common::Json("New")}}),
+               common::StateError);
+  EXPECT_EQ(store.mutation_count("unit"), 2u);
+  EXPECT_EQ(store.mutation_count(), total);
+
+  // Reading the counter is not an op.
+  const auto ops = store.op_count();
+  store.mutation_count("unit");
+  EXPECT_EQ(store.op_count(), ops);
+}
+
+TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
+  sim::Engine engine;
+  StateStore store(engine);
+  common::Json doc;
+  doc["state"] = "PendingAgent";
+  store.put("unit", "before", doc);  // predates the feed
+
+  const auto ops = store.op_count();
+  const auto feed = store.open_feed("unit");
+  const auto other = store.open_feed("unit");
+  EXPECT_NE(feed, 0u);
+  EXPECT_NE(feed, other);
+  store.put("unit", "a", doc);
+  store.update("unit", "a", {{"state", common::Json("AgentScheduling")}});
+  store.put("unit", "b", doc);
+  // Other collections and queue traffic are not unit writes.
+  store.put("heartbeat", "pilot.0", common::Json(1));
+  store.queue_push("agent.pilot.0", "a");
+  store.queue_pop_all("agent.pilot.0");
+  // A write the transition gate rejects never happened.
+  EXPECT_THROW(store.update("unit", "b", {{"state", common::Json("New")}}),
+               common::StateError);
+
+  const std::vector<std::string> written{"a", "a", "b"};
+  EXPECT_EQ(store.drain_feed(feed), written);
+  EXPECT_TRUE(store.drain_feed(feed).empty());
+  store.update("unit", "b", {{"state", common::Json("AgentScheduling")}});
+  EXPECT_EQ(store.drain_feed(feed), std::vector<std::string>{"b"});
+  // Feeds are independent: the second still holds everything.
+  EXPECT_EQ(store.drain_feed(other),
+            (std::vector<std::string>{"a", "a", "b", "b"}));
+
+  store.close_feed(feed);
+  store.put("unit", "c", doc);
+  EXPECT_TRUE(store.drain_feed(feed).empty());
+  EXPECT_EQ(store.drain_feed(other), std::vector<std::string>{"c"});
+  // Opening, draining and closing feeds are not ops: the 9 counted are
+  // the writes, queue calls and the rejected update.
+  EXPECT_EQ(store.op_count() - ops, 9u);
+}
+
 TEST(StateStoreTest, WatchDeliveryIsFifoAcrossBuckets) {
   sim::Engine engine;
   StateStore store(engine);

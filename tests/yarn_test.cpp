@@ -212,6 +212,126 @@ TEST_F(YarnTest, ClusterMetricsJson) {
   rm.shutdown();
 }
 
+TEST_F(YarnTest, ClusterTotalsMatchANodeScanAcrossNodeChurn) {
+  ResourceManager rm(engine_, allocation_);
+  std::vector<std::string> nodes{"n0", "n1", "n2"};
+  // The RM keeps its totals current incrementally; recount them from
+  // the NMs, and check available() against the REST document.
+  const auto expect_totals = [&](const char* when) {
+    Resource capacity{0, 0};
+    Resource allocated{0, 0};
+    std::size_t schedulable = 0;
+    for (const auto& name : nodes) {
+      const NodeManager& nm = rm.node_manager(name);
+      if (nm.alive() && !nm.decommissioning()) {
+        capacity.memory_mb += nm.capacity().memory_mb;
+        capacity.vcores += nm.capacity().vcores;
+        if (!nm.crashed()) ++schedulable;
+      }
+      allocated.memory_mb += nm.allocated().memory_mb;
+      allocated.vcores += nm.allocated().vcores;
+    }
+    EXPECT_EQ(rm.total_capacity(), capacity) << when;
+    EXPECT_EQ(rm.total_allocated(), allocated) << when;
+    EXPECT_EQ(rm.schedulable_node_count(), schedulable) << when;
+    const Resource free = rm.available();
+    EXPECT_EQ(free.memory_mb, capacity.memory_mb - allocated.memory_mb)
+        << when;
+    const auto m = rm.cluster_metrics().at("clusterMetrics");
+    EXPECT_EQ(free.memory_mb, m.at("availableMB").as_int()) << when;
+    EXPECT_EQ(free.vcores, m.at("availableVirtualCores").as_int()) << when;
+  };
+  expect_totals("idle");
+  EXPECT_EQ(rm.available(), rm.total_capacity());
+
+  std::vector<std::string> task_nodes;
+  AppDescriptor app;
+  app.on_am_start = [&](ApplicationMaster& am) {
+    ContainerRequest req;
+    req.resource = {4096, 2};
+    am.request_containers(3, req, [&](const Container& c) {
+      task_nodes.push_back(c.node);
+      am.launch(c.id, [] {});
+    });
+  };
+  const auto app_id = rm.submit_application(std::move(app));
+  engine_.run_until(60.0);
+  ASSERT_EQ(rm.application(app_id).state, AppState::kRunning);
+  ASSERT_EQ(task_nodes.size(), 3u);
+  EXPECT_LT(rm.available().memory_mb, rm.total_capacity().memory_mb);
+  expect_totals("after allocations");
+
+  // A decommissioning node leaves the capacity while its containers
+  // still run and still count as allocated.
+  rm.decommission_node(task_nodes[0]);
+  expect_totals("after decommission");
+
+  const std::string lost = task_nodes[1] != task_nodes[0] ? task_nodes[1]
+                                                          : task_nodes[2];
+  rm.node_manager(lost).crash();  // containers die, the RM is not told
+  expect_totals("after a silent crash");
+  rm.fail_node(lost);
+  expect_totals("after fail_node");
+  rm.recover_node(lost);
+  expect_totals("after recover_node");
+  rm.recover_node(task_nodes[0]);  // also clears the decommission mark
+  expect_totals("after recommission");
+
+  rm.add_node(std::make_shared<cluster::Node>("n3", machine_.node));
+  nodes.push_back("n3");
+  expect_totals("after add_node");
+  rm.remove_node("n3");
+  nodes.pop_back();
+  expect_totals("after remove_node");
+  rm.shutdown();
+}
+
+TEST_F(YarnTest, PlacementPicksMostFreeMemoryFirstRegisteredOnTies) {
+  ResourceManager rm(engine_, allocation_);
+  std::vector<std::string> placed;
+  ApplicationMaster* master = nullptr;
+  AppDescriptor app;
+  app.on_am_start = [&](ApplicationMaster& am) { master = &am; };
+  rm.submit_application(std::move(app));
+  engine_.run_until(60.0);
+  ASSERT_NE(master, nullptr);
+  const auto ask = [&](int n) {
+    ContainerRequest req;
+    req.resource = {2048, 1};
+    master->request_containers(n, req, [&](const Container& c) {
+      placed.push_back(c.node);
+    });
+    engine_.run_until(engine_.now() + 30.0);
+  };
+  const std::string am_node = rm.node_manager("n0").live_count() > 0 ? "n0"
+                              : rm.node_manager("n1").live_count() > 0
+                                  ? "n1"
+                                  : "n2";
+  // The AM's node has the least free memory; the other two tie and are
+  // filled alternately, first registered first.
+  ask(2);
+  std::vector<std::string> others;
+  for (const std::string n : {"n0", "n1", "n2"}) {
+    if (n != am_node) others.push_back(n);
+  }
+  EXPECT_EQ(placed, others);
+
+  // Neither a decommissioning nor a crashed node takes containers, even
+  // with the most free memory.
+  placed.clear();
+  rm.decommission_node(others[0]);
+  rm.node_manager(others[1]).crash();
+  ask(1);
+  EXPECT_EQ(placed, std::vector<std::string>{am_node});
+
+  // A node joining later has the most free memory and is picked next.
+  placed.clear();
+  rm.add_node(std::make_shared<cluster::Node>("n3", machine_.node));
+  ask(1);
+  EXPECT_EQ(placed, std::vector<std::string>{"n3"});
+  rm.shutdown();
+}
+
 TEST_F(YarnTest, SchedulerInfoShowsQueues) {
   ResourceManager rm(engine_, allocation_, YarnConfig{},
                      {{"default", 0.7}, {"analytics", 0.3}});
