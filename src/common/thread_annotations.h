@@ -28,8 +28,8 @@
 ///   }
 ///
 /// See https://clang.llvm.org/docs/ThreadSafetyAnalysis.html for the full
-/// attribute semantics. tools/lint/check_concurrency.py rejects naked
-/// std::mutex in src/ so new code cannot bypass the analysis.
+/// attribute semantics. tools/analyze/hoh_analyze.py (conc-naked-primitive)
+/// rejects naked std::mutex in src/ so new code cannot bypass the analysis.
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(guarded_by)

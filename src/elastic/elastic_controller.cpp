@@ -61,7 +61,7 @@ void ElasticController::start() {
   }
   // Sampling cadence is kept alongside the capacity-event ticks: resize
   // decisions want a stable rhythm, and the periodic also covers
-  // quiescence (allowlisted in tools/lint/check_concurrency.py).
+  // quiescence (budgeted for conc-periodic-budget in hoh_analyze.py).
   tick_event_ = manager_.session().engine().schedule_periodic(
       config_.sample_interval, [this] { tick(); });
 }

@@ -55,7 +55,8 @@ class Engine {
   ///
   /// The control plane is event-driven; new code should prefer store
   /// watches or a DeadlineTimer (see DESIGN.md §10). New call sites in
-  /// src/ must be allowlisted in tools/lint/check_concurrency.py.
+  /// src/ must fit PERIODIC_BUDGET in tools/analyze/hoh_analyze.py
+  /// (conc-periodic-budget).
   EventHandle schedule_periodic(Seconds period, Callback fn);
 
   /// Cancels a pending event; returns false if it already fired or was

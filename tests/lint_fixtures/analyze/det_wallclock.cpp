@@ -1,5 +1,5 @@
 // Known-bad fixture for hoh_analyze rule det-wallclock. Not compiled —
-// consumed by tools/lint/test_lint_rules.py, which asserts each rule
+// consumed by tools/analyze/test_rules.py, which asserts each rule
 // fires exactly on the lines annotated `EXPECT: <rule>`.
 #include <chrono>
 #include <ctime>

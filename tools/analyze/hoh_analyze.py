@@ -3,12 +3,36 @@
 
 Every correctness claim this repo makes — fault-sweep recovery, control-
 plane parity, gateway passthrough — is asserted as byte-identical run
-digests (DESIGN.md §9–§11). The regex lint (tools/lint/check_concurrency.py)
-and the runtime sanitizers cannot see the failure modes that silently
-break that replayability: a wall-clock read, an iteration over a hash
-table feeding a trace, a state write that bypasses validate_transition.
-This tool enforces them structurally, over the same translation units the
-tier-1 preset compiles (compile_commands.json), with four rule families:
+digests (DESIGN.md §9–§11). Runtime sanitizers cannot see the failure
+modes that silently break that replayability: a wall-clock read, an
+iteration over a hash table feeding a trace, a state write that bypasses
+validate_transition, a lock the thread-safety analysis never sees. This
+tool is the project's one source-rule engine. It enforces them
+structurally, over the same translation units the tier-1 preset compiles
+(compile_commands.json), with six rule families:
+
+  concurrency (DESIGN.md §7)
+    conc-naked-primitive  std::mutex / recursive_mutex / shared_mutex /
+                          timed_mutex / lock_guard / unique_lock /
+                          scoped_lock / shared_lock / condition_variable(_any)
+                          outside src/common/thread_annotations.h — all
+                          locking goes through the annotated common::Mutex /
+                          MutexLock / CondVar so -Wthread-safety sees it.
+    conc-raw-thread       std::thread / std::jthread outside the thread pool
+                          and the socket transport's reactor (THREAD_ALLOWLIST);
+                          std::thread::hardware_concurrency is fine.
+    conc-detach           .detach(): a detached thread escapes join/shutdown
+                          and TSan's happens-before graph.
+    conc-this-capture     a lambda capturing raw `this` as the first argument
+                          of submit( / enqueue( / parallel_for( — a worker may
+                          still hold the callback after the object dies.
+    conc-periodic-budget  more schedule_periodic call sites in a file than
+                          its PERIODIC_BUDGET entry (0 when absent): the
+                          control plane is event-driven (DESIGN.md §10).
+    tenant-threading      std::atomic* / semaphores / latch / barrier /
+                          promise / future / async under src/tenant/ — the
+                          gateway is deterministic engine-driven code
+                          (DESIGN.md §11).
 
   determinism
     det-wallclock       std::chrono::{system,steady,high_resolution}_clock,
@@ -41,10 +65,10 @@ tier-1 preset compiles (compile_commands.json), with four rule families:
                         validate_transition (DESIGN.md §7, Fig. 3).
 
   annotation-coverage
-    guard-missing       a common::Mutex member whose class declares no
-                        HOH_GUARDED_BY / HOH_PT_GUARDED_BY member — the
-                        -Wthread-safety analysis is blind to everything
-                        that mutex protects.
+    guard-missing       a common::Mutex class member or namespace-scope
+                        variable that no HOH_GUARDED_BY / HOH_PT_GUARDED_BY
+                        declaration names — the -Wthread-safety analysis is
+                        blind to everything that mutex protects.
     guard-local-mutex   a function-local common::Mutex (outside a local
                         struct): locals cannot carry GUARDED_BY; hoist the
                         mutex into a struct with annotated members (see
@@ -59,18 +83,24 @@ tier-1 preset compiles (compile_commands.json), with four rule families:
                         be host-order-dependent and invisible to the codec
                         fuzz tests.
 
+Path-keyed rules
+  The allowlists, the periodic budget, src/tenant/, the src/net/ wire
+  exemption, the src/common/random.* determinism exemption and the state
+  gate files all match rule_path(): the repo path for a file under src/,
+  else the tail from the file's last `src/` component. A fixture tree
+  that mirrors src/ (tests/lint_fixtures/analyze/src/) is therefore
+  judged exactly like the real files.
+
 Frontend
   The rules run over a small file IR built by a dependency-free C++
   tokenizer + scope parser tuned to this codebase's idiom; it builds a
   whole-program registry of class members, mutex declarations and
   function bodies across the analyzed file set.
 
-Baseline ratchet
-  Findings print as `file:line: rule: message` (IDE-clickable). A checked-
-  in baseline (tools/analyze/baseline.json) suppresses grandfathered
-  findings by line-independent fingerprint; anything not in the baseline
-  fails the run, and baseline entries that no longer fire are reported as
-  stale so the file only ever shrinks. Per-site suppression:
+Suppression
+  Findings print as `file:line: rule: message` (IDE-clickable); any
+  finding fails the run. A site that is safe for a reason the rule cannot
+  see carries a justified per-site suppression:
 
       // hoh-analyze: allow(det-unordered-emit) -- <why this is safe>
       // hoh-analyze: allow-next-line(state-write) -- <why>
@@ -81,18 +111,15 @@ Baseline ratchet
 Usage
   tools/analyze/hoh_analyze.py -p build               # compile_commands.json
   tools/analyze/hoh_analyze.py --paths src            # plain tree walk
-  tools/analyze/hoh_analyze.py -p build --write-baseline
   tools/analyze/hoh_analyze.py -p build --dot lock_order.dot \
       --graph-json lock_order.json
 
-Exit status: 0 clean (baseline-suppressed findings allowed), 1 new
-findings, 2 usage/environment error.
+Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import pathlib
 import re
@@ -105,6 +132,12 @@ from dataclasses import dataclass, field
 # --------------------------------------------------------------------------
 
 RULES = (
+    "conc-naked-primitive",
+    "conc-raw-thread",
+    "conc-detach",
+    "conc-this-capture",
+    "conc-periodic-budget",
+    "tenant-threading",
     "det-wallclock",
     "det-rand",
     "det-unseeded-rng",
@@ -117,6 +150,43 @@ RULES = (
     "wire-encoding",
     "suppression-unjustified",
 )
+
+# Files allowed to touch the naked primitives: the wrapper itself.
+PRIMITIVE_ALLOWLIST = {"src/common/thread_annotations.h"}
+# Files allowed to construct std::thread: the pool, and the socket
+# transport's epoll reactor (one long-lived I/O thread, joined in stop).
+THREAD_ALLOWLIST = {
+    "src/common/thread_pool.h",
+    "src/common/thread_pool.cpp",
+    "src/net/socket_transport.h",
+    "src/net/socket_transport.cpp",
+}
+# Per-file budget of schedule_periodic call sites (conc-periodic-budget).
+# These are the engine's own declaration/definition, the elastic sampler
+# (resize decisions want a stable rhythm) and the Spark standalone
+# scheduler.
+PERIODIC_BUDGET = {
+    "src/sim/engine.h": 1,
+    "src/sim/engine.cpp": 1,
+    "src/elastic/elastic_controller.cpp": 1,
+    "src/spark/standalone.cpp": 1,
+}
+NAKED_PRIMITIVES = {
+    "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
+    "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
+    "condition_variable", "condition_variable_any",
+}
+RAW_THREAD_TYPES = {"thread", "jthread"}
+# Cross-thread submission points for conc-this-capture.
+SUBMIT_CALLEES = {"submit", "enqueue", "parallel_for"}
+
+# The tenant subsystem is deterministic single-threaded code
+# (tenant-threading); any std::atomic* is banned there too.
+TENANT_DIR_PREFIX = "src/tenant/"
+TENANT_BANNED = {
+    "counting_semaphore", "binary_semaphore", "latch", "barrier",
+    "promise", "future", "shared_future", "async",
+}
 
 # The codec / transport layer is the one place allowed to touch raw
 # bytes and byte order (wire-encoding rule).
@@ -210,6 +280,8 @@ CPP_KEYWORDS = {
     "noexcept", "assert", "defined", "typeid", "co_await", "co_return",
 }
 
+GUARD_MACROS = ("HOH_GUARDED_BY", "HOH_PT_GUARDED_BY")
+
 SUPPRESS_RE = re.compile(
     r"hoh-analyze:\s*allow(?P<next>-next-line)?\s*\(\s*(?P<rules>[\w\s,-]+?)\s*\)"
     r"(?P<just>\s*--\s*\S.*)?"
@@ -226,13 +298,16 @@ class Finding:
     def render(self) -> str:
         return f"{self.file}:{self.line}: {self.rule}: {self.message}"
 
-    def fingerprint(self) -> str:
-        # Line-independent: rule + file + message, so a finding survives
-        # unrelated edits above it without churning the baseline.
-        digest = hashlib.sha1(
-            f"{self.rule}|{self.file}|{self.message}".encode()
-        ).hexdigest()
-        return digest[:12]
+
+def rule_path(rel: str) -> str:
+    """The path every path-keyed rule matches against: `rel` itself for a
+    file under the repo's src/, else the tail from the file's last `src/`
+    component, so `tests/lint_fixtures/analyze/src/tenant/x.cpp` is judged
+    exactly like `src/tenant/x.cpp`. Reported locations keep `rel`."""
+    if rel.startswith("src/"):
+        return rel
+    _, sep, tail = rel.rpartition("/src/")
+    return "src/" + tail if sep else rel
 
 
 # --------------------------------------------------------------------------
@@ -293,6 +368,7 @@ class FunctionIR:
 @dataclass
 class FileIR:
     path: str
+    key: str               # rule_path(path), for the path-keyed rules
     mutexes: list = field(default_factory=list)      # MutexDecl
     guarded: set = field(default_factory=set)        # mutex ids with >=1 GUARDED_BY
     functions: list = field(default_factory=list)    # FunctionIR
@@ -382,7 +458,6 @@ def lex(text: str, suppressions: dict, unjustified: list) -> list:
                     continue
                 end = nl
                 break
-            line += 0
             i = end
             continue
         m = TOKEN_RE.match(text, i)
@@ -476,6 +551,20 @@ def _ident_chain_before(toks, i):
     return chain, j
 
 
+def _is_mutex_decl(toks, i, hi):
+    """toks[i:] spells `Mutex name;` or `Mutex name = ...`."""
+    return toks[i].text == "Mutex" and i + 1 < hi and i + 2 < len(toks) \
+        and toks[i + 1].is_ident and toks[i + 2].text in (";", "=")
+
+
+def _guard_target(toks, i, hi):
+    """toks[i] is a HOH_(PT_)GUARDED_BY macro. Returns (index past its
+    closing paren, the guarding mutex's simple name or None)."""
+    end = _match_paren(toks, i + 1)
+    expr = [tok.text for tok in toks[i + 2:end - 1] if tok.is_ident]
+    return end, (expr[-1] if expr else None)
+
+
 class Registry:
     """Whole-program knowledge shared between passes: class members and
     their (string) types, and per-simple-name function index."""
@@ -510,10 +599,10 @@ class InternalFrontend:
 
     def analyze(self, path: pathlib.Path, rel: str) -> FileIR:
         toks, suppressions, unjustified = self._lexed[rel]
-        ir = FileIR(path=rel, suppressions=suppressions,
+        ir = FileIR(path=rel, key=rule_path(rel), suppressions=suppressions,
                     unjustified=list(unjustified))
         self._walk_scopes(toks, rel, ir)
-        self._token_scan(toks, rel, ir)
+        self._token_scan(toks, ir)
         return ir
 
     # -- shared machinery --------------------------------------------------
@@ -569,6 +658,23 @@ class InternalFrontend:
                 i = _match_brace(toks, j) if j < n and toks[j].text == "{" \
                     else j + 1
                 continue
+            if t.text in GUARD_MACROS and i + 1 < n \
+                    and toks[i + 1].text == "(":
+                end, target = _guard_target(toks, i, n)
+                if target and ir is not None:
+                    ir.guarded.add(self._resolve_mutex_name(target, scope))
+                i = end
+                continue
+            if _is_mutex_decl(toks, i, n):
+                # Namespace-scope mutex: guard-missing covers it like a
+                # class member.
+                if ir is not None:
+                    ir.mutexes.append(MutexDecl(
+                        mutex_id=self._resolve_mutex_name(
+                            toks[i + 1].text, scope),
+                        scope="", file=rel, line=t.line))
+                i += 2
+                continue
             if t.text == "{":
                 i = _match_brace(toks, i)
                 continue
@@ -605,30 +711,21 @@ class InternalFrontend:
                     continue
                 i = j + 1
                 continue
-            if t.is_ident and t.text in ("HOH_GUARDED_BY", "HOH_PT_GUARDED_BY") \
-                    and i + 1 < hi and toks[i + 1].text == "(":
-                end = _match_paren(toks, i + 1)
-                expr = [tok.text for tok in toks[i + 2:end - 1] if tok.is_ident]
-                if expr and ir is not None:
-                    ir.guarded.add(self._resolve_mutex_name(expr[-1], scope))
-                if expr:
-                    # Also record during pass 1 (registry-level guard set
-                    # is not needed; per-file IR carries it).
-                    pass
+            if t.text in GUARD_MACROS and i + 1 < hi \
+                    and toks[i + 1].text == "(":
+                end, target = _guard_target(toks, i, hi)
+                if target and ir is not None:
+                    ir.guarded.add(self._resolve_mutex_name(target, scope))
                 i = end
                 continue
-            if t.is_ident and t.text == "Mutex" and i + 1 < hi \
-                    and toks[i + 1].is_ident and i + 2 <= hi \
-                    and toks[i + 2].text in (";", "="):
+            if _is_mutex_decl(toks, i, hi):
                 name = toks[i + 1].text
-                mid = "::".join(scope) + "::" + name
                 self.registry.members["::".join(scope)][name] = "Mutex"
                 self.registry.members[cls][name] = "Mutex"
                 if ir is not None:
                     ir.mutexes.append(MutexDecl(
                         mutex_id=self._resolve_mutex_name(name, scope),
                         scope="::".join(scope), file=rel, line=t.line))
-                del mid
                 i += 2
                 continue
             if t.text == "(":
@@ -646,7 +743,6 @@ class InternalFrontend:
                 # Plain member declaration `Type name;` — record its type.
                 chain, start = _ident_chain_before(toks, i)
                 if start >= lo and chain:
-                    prev = toks[start - 1] if start - 1 >= lo else None
                     name = chain[-1]
                     type_toks = []
                     k = start - 1
@@ -661,7 +757,6 @@ class InternalFrontend:
                         # needs the full spelling; lock resolution strips
                         # it down at the point of use.
                         self.registry.members[cls][name] = "".join(type_toks)
-                    del prev
                 i += 2
                 continue
             i += 1
@@ -728,9 +823,8 @@ class InternalFrontend:
         fn = FunctionIR(qname=qname, simple=simple, file=rel,
                         line=toks[paren_i - 1].line)
         params = self._parse_params(toks, paren_i + 1, close - 1)
-        if ir is not None or True:
-            self._parse_body(toks, j + 1, body_end - 1, fn, params,
-                             tuple(cls_scope), ir)
+        self._parse_body(toks, j + 1, body_end - 1, fn, params,
+                         tuple(cls_scope), ir)
         self.registry.functions_by_simple[simple].append(fn)
         self.registry.functions_by_qname[qname] = fn
         if ir is not None:
@@ -815,9 +909,7 @@ class InternalFrontend:
                 i = end
                 continue
             # Function-local Mutex declaration (rule guard-local-mutex).
-            if t.is_ident and t.text == "Mutex" and i + 1 < hi \
-                    and toks[i + 1].is_ident and i + 2 <= hi \
-                    and toks[i + 2].text in (";", "="):
+            if _is_mutex_decl(toks, i, hi):
                 name = toks[i + 1].text
                 if ir is not None:
                     ir.mutexes.append(MutexDecl(
@@ -1016,70 +1108,122 @@ class InternalFrontend:
             k += 1
         return None
 
-    # -- token-stream determinism scans ------------------------------------
+    # -- token-stream scans -----------------------------------------------
 
-    def _token_scan(self, toks, rel, ir: FileIR) -> None:
-        if rel in DET_FILE_ALLOWLIST:
-            return
-        wire_exempt = rel.startswith(WIRE_DIR_PREFIX)
+    def _token_scan(self, toks, ir: FileIR) -> None:
+        """The token-pattern rules: concurrency, tenant, wire-encoding and
+        determinism bans, each skipping the paths its policy table
+        exempts (matched on ir.key, see rule_path)."""
+        key = ir.key
+        primitive_ok = key in PRIMITIVE_ALLOWLIST
+        thread_ok = key in THREAD_ALLOWLIST
+        tenant = key.startswith(TENANT_DIR_PREFIX)
+        wire_exempt = key.startswith(WIRE_DIR_PREFIX)
+        det_exempt = key in DET_FILE_ALLOWLIST
         n = len(toks)
+        periodic_sites = []
+
+        def flag(tok, rule, message):
+            ir.token_findings.append(Finding(ir.path, tok.line, rule,
+                                             message))
+
+        def std_qualified(i):
+            return i >= 2 and toks[i - 1].text == "::" \
+                and toks[i - 2].text == "std"
+
+        def is_call(i):
+            return i + 1 < n and toks[i + 1].text == "("
+
         for i, t in enumerate(toks):
             if not t.is_ident:
                 continue
+            if std_qualified(i):
+                if t.text in NAKED_PRIMITIVES and not primitive_ok:
+                    flag(t, "conc-naked-primitive",
+                         f"naked synchronisation primitive `std::{t.text}`; "
+                         f"use hoh::common::Mutex / MutexLock / CondVar "
+                         f"(common/thread_annotations.h)")
+                    continue
+                if t.text in RAW_THREAD_TYPES and not thread_ok \
+                        and not (i + 2 < n and toks[i + 1].text == "::"
+                                 and toks[i + 2].text ==
+                                 "hardware_concurrency"):
+                    flag(t, "conc-raw-thread",
+                         f"raw `std::{t.text}`; run work on "
+                         f"common::ThreadPool instead")
+                    continue
+                if tenant and (t.text.startswith("atomic")
+                               or t.text in TENANT_BANNED):
+                    flag(t, "tenant-threading",
+                         f"`std::{t.text}` in src/tenant/; the gateway is "
+                         f"deterministic engine-driven code (DESIGN.md "
+                         f"§11) and must not use atomics, futures or "
+                         f"barriers")
+                    continue
+            if t.text == "detach" and is_call(i) and i >= 1 \
+                    and toks[i - 1].text in (".", "->"):
+                flag(t, "conc-detach",
+                     "detached thread; detached threads escape "
+                     "join/shutdown and TSan analysis")
+                continue
+            if t.text in SUBMIT_CALLEES and is_call(i) and i + 2 < n \
+                    and toks[i + 2].text == "[":
+                j = i + 3
+                while j < n and toks[j].text != "]":
+                    if toks[j].text == "this":
+                        flag(t, "conc-this-capture",
+                             f"raw `this` captured in a lambda handed to "
+                             f"`{t.text}()`; capture members by value or "
+                             f"use a weak alive-token")
+                        break
+                    j += 1
+                continue
+            if t.text == "schedule_periodic" and is_call(i):
+                periodic_sites.append(t)
+                continue
             if not wire_exempt:
                 if t.text == "reinterpret_cast":
-                    ir.token_findings.append(Finding(
-                        rel, t.line, "wire-encoding",
-                        "reinterpret_cast outside src/net/; wire images "
-                        "come from the net::Packer codec (DESIGN.md "
-                        "§14), not pointer reinterpretation"))
+                    flag(t, "wire-encoding",
+                         "reinterpret_cast outside src/net/; wire images "
+                         "come from the net::Packer codec (DESIGN.md "
+                         "§14), not pointer reinterpretation")
                     continue
-                if t.text in WIRE_BYTEORDER_IDENTS and i + 1 < n \
-                        and toks[i + 1].text == "(":
-                    ir.token_findings.append(Finding(
-                        rel, t.line, "wire-encoding",
-                        f"byte-order intrinsic `{t.text}()` outside "
-                        f"src/net/; endianness is the codec's concern "
-                        f"(net::Packer, DESIGN.md §14)"))
+                if t.text in WIRE_BYTEORDER_IDENTS and is_call(i):
+                    flag(t, "wire-encoding",
+                         f"byte-order intrinsic `{t.text}()` outside "
+                         f"src/net/; endianness is the codec's concern "
+                         f"(net::Packer, DESIGN.md §14)")
                     continue
-                if t.text in WIRE_MEM_CALLEES and i + 1 < n \
-                        and toks[i + 1].text == "(":
-                    ir.token_findings.append(Finding(
-                        rel, t.line, "wire-encoding",
-                        f"`{t.text}()` outside src/net/; raw-memory "
-                        f"serialization bypasses the bounds-checked "
-                        f"net::Packer codec (DESIGN.md §14)"))
+                if t.text in WIRE_MEM_CALLEES and is_call(i):
+                    flag(t, "wire-encoding",
+                         f"`{t.text}()` outside src/net/; raw-memory "
+                         f"serialization bypasses the bounds-checked "
+                         f"net::Packer codec (DESIGN.md §14)")
                     continue
-            if t.text in WALLCLOCK_IDENTS:
-                ir.token_findings.append(Finding(
-                    rel, t.line, "det-wallclock",
-                    f"wall-clock source `{t.text}`; simulated time comes "
-                    f"from sim::Engine::now()"))
+            if det_exempt:
                 continue
-            if t.text == "clock" and i >= 1 and toks[i - 1].text == "::" \
-                    and i >= 2 and toks[i - 2].text == "std":
-                ir.token_findings.append(Finding(
-                    rel, t.line, "det-wallclock",
-                    "std::clock; simulated time comes from "
-                    "sim::Engine::now()"))
+            if t.text in WALLCLOCK_IDENTS:
+                flag(t, "det-wallclock",
+                     f"wall-clock source `{t.text}`; simulated time comes "
+                     f"from sim::Engine::now()")
+                continue
+            if t.text == "clock" and std_qualified(i):
+                flag(t, "det-wallclock",
+                     "std::clock; simulated time comes from "
+                     "sim::Engine::now()")
                 continue
             if t.text in RAND_IDENTS:
-                ir.token_findings.append(Finding(
-                    rel, t.line, "det-rand",
-                    f"`{t.text}`; all randomness flows through the seeded "
-                    f"common::Rng wrapper"))
+                flag(t, "det-rand",
+                     f"`{t.text}`; all randomness flows through the seeded "
+                     f"common::Rng wrapper")
                 continue
-            if t.text in RAND_CALLEES and i + 1 < n \
-                    and toks[i + 1].text == "(" \
+            if t.text in RAND_CALLEES and is_call(i) \
                     and (i == 0 or toks[i - 1].text not in (".", "->")):
-                qualified_std = i >= 2 and toks[i - 1].text == "::" \
-                    and toks[i - 2].text == "std"
-                unqualified = i == 0 or toks[i - 1].text not in ("::",)
-                if qualified_std or unqualified:
-                    ir.token_findings.append(Finding(
-                        rel, t.line, "det-rand",
-                        f"`{t.text}()`; all randomness flows through the "
-                        f"seeded common::Rng wrapper"))
+                unqualified = i == 0 or toks[i - 1].text != "::"
+                if std_qualified(i) or unqualified:
+                    flag(t, "det-rand",
+                         f"`{t.text}()`; all randomness flows through the "
+                         f"seeded common::Rng wrapper")
                 continue
             if t.text in RNG_ENGINE_TYPES and i + 1 < n \
                     and toks[i + 1].is_ident:
@@ -1092,11 +1236,18 @@ class InternalFrontend:
                     if j + 1 < n and toks[j + 1].text == closer:
                         unseeded = True
                 if unseeded:
-                    ir.token_findings.append(Finding(
-                        rel, t.line, "det-unseeded-rng",
-                        f"`std::{t.text} {toks[i + 1].text}` constructed "
-                        f"without a seed; seed every engine explicitly "
-                        f"(or use common::Rng)"))
+                    flag(t, "det-unseeded-rng",
+                         f"`std::{t.text} {toks[i + 1].text}` constructed "
+                         f"without a seed; seed every engine explicitly "
+                         f"(or use common::Rng)")
+        budget = PERIODIC_BUDGET.get(key, 0)
+        for t in periodic_sites[budget:]:
+            flag(t, "conc-periodic-budget",
+                 f"schedule_periodic call site over budget "
+                 f"({len(periodic_sites)} found, {budget} allowed); the "
+                 f"control plane is event-driven — use a StateStore watch "
+                 f"or sim::DeadlineTimer, or extend PERIODIC_BUDGET with a "
+                 f"DESIGN.md justification")
 
 
 # --------------------------------------------------------------------------
@@ -1104,7 +1255,7 @@ class InternalFrontend:
 # --------------------------------------------------------------------------
 
 
-def eval_rules(files: list, registry: Registry, args) -> tuple:
+def eval_rules(files: list, registry: Registry) -> tuple:
     findings: list = []
     for ir in files:
         findings.extend(ir.token_findings)
@@ -1149,7 +1300,7 @@ def _guard_rules(ir: FileIR):
 
 def _state_rules(ir: FileIR):
     out = []
-    if ir.path in STATE_GATE_FILES:
+    if ir.key in STATE_GATE_FILES:
         return out
     for fn in ir.functions:
         if fn.qname in STATE_GATE_FUNCTIONS:
@@ -1404,39 +1555,6 @@ def discover_files(repo: pathlib.Path, args):
 
 
 # --------------------------------------------------------------------------
-# Baseline
-# --------------------------------------------------------------------------
-
-
-def load_baseline(path: pathlib.Path):
-    if not path.is_file():
-        return []
-    data = json.loads(path.read_text())
-    return data.get("findings", [])
-
-
-def write_baseline(path: pathlib.Path, findings):
-    entries = []
-    counts: dict = {}
-    for f in sorted(findings, key=lambda x: (x.file, x.line, x.rule)):
-        fp = f.fingerprint()
-        counts[fp] = counts.get(fp, 0) + 1
-        entries.append({
-            "rule": f.rule,
-            "file": f.file,
-            "fingerprint": fp,
-            "occurrence": counts[fp],
-            "note": f.message,
-        })
-    path.write_text(json.dumps(
-        {"comment": "Grandfathered hoh_analyze findings. Ratchet-only: "
-                    "entries may be removed when fixed, never added — new "
-                    "findings must be fixed or suppressed at the site "
-                    "with a justified `hoh-analyze: allow(...)` comment.",
-         "findings": entries}, indent=2) + "\n")
-
-
-# --------------------------------------------------------------------------
 # Main
 # --------------------------------------------------------------------------
 
@@ -1444,25 +1562,17 @@ def write_baseline(path: pathlib.Path, findings):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hoh_analyze.py",
-        description="AST-level determinism / lock-order / state-discipline "
-                    "/ annotation-coverage analyzer (see module docstring)")
+        description="AST-level concurrency / determinism / lock-order / "
+                    "state-discipline / annotation-coverage / wire-encoding "
+                    "analyzer (see module docstring)")
     parser.add_argument("-p", "--build-dir",
                         help="build dir containing compile_commands.json "
                              "(tier-1 preset exports it)")
     parser.add_argument("--paths", nargs="*",
                         help="analyze these trees instead of a compile db")
-    parser.add_argument("--baseline",
-                        default=str(pathlib.Path(__file__).parent /
-                                    "baseline.json"),
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline (report everything)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     parser.add_argument("--dot", help="write the lock-order graph as DOT")
     parser.add_argument("--graph-json",
                         help="write the lock-order graph as JSON")
-    parser.add_argument("--rules", help="comma-separated rule subset")
     args = parser.parse_args(argv)
 
     repo = pathlib.Path(__file__).resolve().parent.parent.parent
@@ -1476,10 +1586,7 @@ def main(argv=None) -> int:
         frontend.scan_declarations(path, rel)
     irs = [frontend.analyze(path, rel) for rel, path in files]  # pass 2
 
-    findings, graph = eval_rules(irs, frontend.registry, args)
-    if args.rules:
-        keep = {r.strip() for r in args.rules.split(",")}
-        findings = [f for f in findings if f.rule in keep]
+    findings, graph = eval_rules(irs, frontend.registry)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
 
     if args.dot:
@@ -1500,40 +1607,11 @@ def main(argv=None) -> int:
         pathlib.Path(args.graph_json).write_text(
             json.dumps(graph, indent=2) + "\n")
 
-    if args.write_baseline:
-        write_baseline(pathlib.Path(args.baseline), findings)
-        print(f"hoh_analyze: baseline written with {len(findings)} "
-              f"finding(s)", file=sys.stderr)
-        return 0
-
-    baseline = [] if args.no_baseline else \
-        load_baseline(pathlib.Path(args.baseline))
-    budget: dict = defaultdict(int)
-    for entry in baseline:
-        budget[entry["fingerprint"]] += 1
-    new = []
-    seen: dict = defaultdict(int)
     for f in findings:
-        fp = f.fingerprint()
-        seen[fp] += 1
-        if seen[fp] <= budget.get(fp, 0):
-            continue
-        new.append(f)
-    stale = sum(b - seen.get(fp, 0) for fp, b in budget.items()
-                if b > seen.get(fp, 0))
-
-    for f in new:
         print(f.render())
-    print(
-        f"hoh_analyze: {len(files)} files, {len(findings)} finding(s), "
-        f"{len(findings) - len(new)} baselined, {len(new)} new, "
-        f"{stale} stale baseline entr{'y' if stale == 1 else 'ies'}",
-        file=sys.stderr)
-    if stale:
-        print("hoh_analyze: stale baseline entries no longer fire — "
-              "shrink the baseline (ratchet!) with --write-baseline",
-              file=sys.stderr)
-    return 1 if new else 0
+    print(f"hoh_analyze: {len(files)} files, {len(findings)} finding(s)",
+          file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
