@@ -1,6 +1,7 @@
 #include "analytics/experiment_config.h"
 
 #include <initializer_list>
+#include <set>
 #include <string>
 
 #include "common/error.h"
@@ -254,6 +255,7 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
     if (!t.contains("list") || !t.at("list").is_array()) {
       throw common::ConfigError("\"tenants\" needs a \"list\" array");
     }
+    std::set<std::string> listed;
     for (const auto& entry : t.at("list").as_array()) {
       if (!entry.is_object()) {
         throw common::ConfigError("tenants.list entries must be objects");
@@ -284,6 +286,10 @@ KmeansExperimentConfig kmeans_config_from_json(const common::Json& doc) {
       if (spec.share_weight <= 0.0) {
         throw common::ConfigError("tenant \"" + spec.id +
                                   "\": share must be > 0");
+      }
+      if (!listed.insert(spec.id).second) {
+        throw common::ConfigError("tenant \"" + spec.id +
+                                  "\" is listed twice");
       }
       cfg.tenant_specs.push_back(std::move(spec));
     }

@@ -217,7 +217,7 @@ void YarnMrDriver::fail_job(const std::string& app_id,
 }
 
 void YarnMrDriver::trace_event(const std::string& name,
-                               std::map<std::string, std::string> attrs) {
+                               sim::TraceAttrs attrs) {
   if (!trace_) return;
   trace_->record(rm_.engine().now(), "mapreduce", name, std::move(attrs));
 }

@@ -112,7 +112,7 @@ class YarnMrDriver {
   void fail_job(const std::string& app_id, yarn::ApplicationMaster& am,
                 const std::string& reason);
   void trace_event(const std::string& name,
-                   std::map<std::string, std::string> attrs);
+                   sim::TraceAttrs attrs);
 
   yarn::ResourceManager& rm_;
   sim::Trace* trace_ = nullptr;

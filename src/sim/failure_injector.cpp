@@ -141,9 +141,9 @@ bool FailureInjector::is_down(const std::string& node) const {
 
 void FailureInjector::trace_event(const std::string& name,
                                   const std::string& node,
-                                  std::map<std::string, std::string> extra) {
+                                  TraceAttrs extra) {
   if (!trace_) return;
-  extra["node"] = node;
+  extra.insert_or_assign("node", node);
   trace_->record(engine_.now(), "failure", name, std::move(extra));
 }
 

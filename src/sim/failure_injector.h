@@ -104,7 +104,7 @@ class FailureInjector {
   /// Picks an up (not crashed) node uniformly; empty when all are down.
   std::string pick_up_node();
   void trace_event(const std::string& name, const std::string& node,
-                   std::map<std::string, std::string> extra = {});
+                   TraceAttrs extra = {});
 
   Engine& engine_;
   FailurePlan plan_;

@@ -1,6 +1,10 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+
+#include "common/thread_annotations.h"
 
 namespace hoh::sim {
 namespace {
@@ -10,11 +14,78 @@ std::string span_key(const std::string& category, const std::string& name,
   return category + "\x1f" + name + "\x1f" + key;
 }
 
+/// Every TraceName text, each stored once. std::set nodes never move,
+/// so the pointers TraceName holds stay valid for the process lifetime.
+struct NameTable {
+  common::Mutex mu;
+  std::set<std::string, std::less<>> texts HOH_GUARDED_BY(mu);
+};
+
+NameTable& name_table() {
+  static NameTable table;
+  return table;
+}
+
+/// First attribute in \p items whose key is not less than \p key.
+template <typename Items>
+auto lower_bound_key(Items& items, std::string_view key) {
+  return std::lower_bound(
+      items.begin(), items.end(), key,
+      [](const TraceAttrs::value_type& item, std::string_view k) {
+        return item.first.str() < k;
+      });
+}
+
 }  // namespace
 
+TraceName::TraceName(std::string_view text) {
+  NameTable& table = name_table();
+  common::MutexLock lock(table.mu);
+  auto it = table.texts.find(text);
+  if (it == table.texts.end()) it = table.texts.emplace(text).first;
+  text_ = &*it;
+}
+
+TraceAttrs::TraceAttrs(std::initializer_list<TraceAttr> attrs) {
+  items_.reserve(attrs.size());
+  for (const auto& [key, value] : attrs) {
+    const auto it = lower_bound_key(items_, key);
+    if (it != items_.end() && it->first.str() == key) continue;  // first wins
+    items_.emplace(it, TraceName(key), std::string(value));
+  }
+}
+
+TraceAttrs::const_iterator TraceAttrs::find(std::string_view key) const {
+  const auto it = lower_bound_key(items_, key);
+  return it != items_.end() && it->first.str() == key ? it : items_.end();
+}
+
+const std::string& TraceAttrs::at(std::string_view key) const {
+  const auto it = find(key);
+  if (it == items_.end()) {
+    throw std::out_of_range("TraceAttrs: no attribute " + std::string(key));
+  }
+  return it->second;
+}
+
+void TraceAttrs::insert_or_assign(std::string_view key, std::string value) {
+  const auto it = lower_bound_key(items_, key);
+  if (it != items_.end() && it->first.str() == key) {
+    it->second = std::move(value);
+  } else {
+    items_.emplace(it, TraceName(key), std::move(value));
+  }
+}
+
 void Trace::record(common::Seconds time, std::string category,
-                   std::string name,
-                   std::map<std::string, std::string> attrs) {
+                   std::string name, std::initializer_list<TraceAttr> attrs) {
+  TraceAttrs kept;  // a rolled-up category keeps no attributes
+  if (!rollup_enabled(category)) kept = TraceAttrs(attrs);
+  record(time, std::move(category), std::move(name), std::move(kept));
+}
+
+void Trace::record(common::Seconds time, std::string category,
+                   std::string name, TraceAttrs attrs) {
   if (rollup_enabled(category)) {
     TraceRollup& r = rollups_[{std::move(category), std::move(name)}];
     if (r.count == 0) r.first = time;
@@ -144,10 +215,10 @@ common::Json Trace::to_json() const {
   for (const auto& e : events_) {
     common::JsonObject obj;
     obj["t"] = e.time;
-    obj["category"] = e.category;
-    obj["name"] = e.name;
+    obj["category"] = e.category.str();
+    obj["name"] = e.name.str();
     common::JsonObject attrs;
-    for (const auto& [k, v] : e.attrs) attrs[k] = v;
+    for (const auto& [k, v] : e.attrs) attrs[k.str()] = v;
     obj["attrs"] = std::move(attrs);
     arr.emplace_back(std::move(obj));
   }

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <deque>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,20 +21,85 @@
 
 namespace hoh::sim {
 
+/// An interned trace label: a category, an event or span name, or an
+/// attribute key. Labels are code literals and state names, a small
+/// fixed set, so each distinct text is stored once in a process-wide
+/// table that never shrinks, and a record holds an 8-byte pointer per
+/// label instead of a 32-byte std::string. Converts to and compares
+/// with std::string.
+class TraceName {
+ public:
+  TraceName() : TraceName(std::string_view()) {}
+  TraceName(std::string_view text);
+  TraceName(const std::string& text) : TraceName(std::string_view(text)) {}
+  TraceName(const char* text) : TraceName(std::string_view(text)) {}
+
+  const std::string& str() const { return *text_; }
+  operator const std::string&() const { return *text_; }
+  const char* c_str() const { return text_->c_str(); }
+
+  friend bool operator==(TraceName a, TraceName b) {
+    return a.text_ == b.text_;
+  }
+  friend bool operator==(TraceName a, const std::string& b) {
+    return *a.text_ == b;
+  }
+  friend bool operator==(TraceName a, const char* b) {
+    return *a.text_ == b;
+  }
+
+ private:
+  const std::string* text_;
+};
+
+/// One attribute as a record() call site writes it, e.g.
+/// `{"unit", unit_id}`. Views: a record that a rollup discards copies
+/// nothing.
+using TraceAttr = std::pair<std::string_view, std::string_view>;
+
+/// Attributes of one trace record: (key, value) pairs kept sorted by
+/// key in one flat vector. Reads like the std::map it replaced (at,
+/// find, count, ordered iteration; the first of duplicate keys wins)
+/// but costs one allocation per record instead of one tree node per
+/// attribute, which matters when a run keeps every record.
+class TraceAttrs {
+ public:
+  using value_type = std::pair<TraceName, std::string>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  TraceAttrs() = default;
+  TraceAttrs(std::initializer_list<TraceAttr> attrs);
+
+  /// Throws std::out_of_range for a missing key, like std::map::at.
+  const std::string& at(std::string_view key) const;
+  const_iterator find(std::string_view key) const;
+  std::size_t count(std::string_view key) const {
+    return find(key) == end() ? 0 : 1;
+  }
+  /// Sets \p key to \p value, adding the key when it is missing.
+  void insert_or_assign(std::string_view key, std::string value);
+
+  const_iterator begin() const { return items_.begin(); }
+  const_iterator end() const { return items_.end(); }
+
+ private:
+  std::vector<value_type> items_;
+};
+
 /// One trace record.
 struct TraceEvent {
   common::Seconds time = 0.0;
-  std::string category;  // e.g. "pilot", "yarn", "unit"
-  std::string name;      // e.g. "agent_active", "container_allocated"
-  std::map<std::string, std::string> attrs;
+  TraceName category;  // e.g. "pilot", "yarn", "unit"
+  TraceName name;      // e.g. "agent_active", "container_allocated"
+  TraceAttrs attrs;
 };
 
 /// A completed duration span.
 struct TraceSpan {
   common::Seconds begin = 0.0;
   common::Seconds end = 0.0;
-  std::string category;
-  std::string name;
+  TraceName category;
+  TraceName name;
   std::string key;  // entity id the span belongs to
 
   common::Seconds duration() const { return end - begin; }
@@ -60,8 +128,12 @@ struct TraceSpanStats {
 /// Append-only trace store.
 class Trace {
  public:
+  /// Appends one record. The initializer-list form builds the stored
+  /// attributes only when \p category keeps records (not rolled up).
   void record(common::Seconds time, std::string category, std::string name,
-              std::map<std::string, std::string> attrs = {});
+              std::initializer_list<TraceAttr> attrs);
+  void record(common::Seconds time, std::string category, std::string name,
+              TraceAttrs attrs = {});
 
   /// Rollup mode (DESIGN.md §13): a web-scale run emits millions of
   /// "unit" records whose per-event storage dominates peak RSS long
@@ -91,8 +163,10 @@ class Trace {
   void end_span(common::Seconds time, const std::string& category,
                 const std::string& name, const std::string& key);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
-  const std::vector<TraceSpan>& spans() const { return spans_; }
+  /// Deques, not vectors: a kept-everything trace grows by blocks
+  /// instead of doubling, so it never holds up to 2x its records.
+  const std::deque<TraceEvent>& events() const { return events_; }
+  const std::deque<TraceSpan>& spans() const { return spans_; }
 
   /// All events matching category (and name, when non-empty).
   std::vector<TraceEvent> find(const std::string& category,
@@ -114,8 +188,8 @@ class Trace {
   void clear();
 
  private:
-  std::vector<TraceEvent> events_;
-  std::vector<TraceSpan> spans_;
+  std::deque<TraceEvent> events_;
+  std::deque<TraceSpan> spans_;
   std::map<std::string, common::Seconds> open_spans_;
   std::set<std::string> rollup_categories_;
   std::map<std::pair<std::string, std::string>, TraceRollup> rollups_;

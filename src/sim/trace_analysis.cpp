@@ -61,7 +61,7 @@ std::string to_csv(const Trace& trace) {
     std::string attrs;
     for (const auto& [k, v] : e.attrs) {
       if (!attrs.empty()) attrs += ';';
-      attrs += k + "=" + v;
+      attrs += k.str() + "=" + v;
     }
     out += common::strformat("%.6f,%s,%s,%s\n", e.time, e.category.c_str(),
                              e.name.c_str(), attrs.c_str());

@@ -1,7 +1,6 @@
 #include "tenant/submission_gateway.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.h"
 #include "net/json_codec.h"
@@ -35,7 +34,7 @@ SubmissionGateway::SubmissionGateway(pilot::UnitManager& um,
     : um_(um),
       engine_(um.session().engine()),
       config_(config),
-      scheduler_(config.decay_half_life),
+      scheduler_(config.decay_half_life, config.policy),
       accounting_(config.accounting_journal) {
   // Watch plane: the gateway learns about unit lifecycle progress from
   // the same store writes the agents make — in-flight units reaching
@@ -65,15 +64,15 @@ void SubmissionGateway::add_tenant(TenantSpec spec) {
   rec.bucket = TokenBucket(spec.quota.submit_rate, spec.quota.submit_burst);
   scheduler_.add_tenant(spec.id, spec.share_weight);
   rec.spec = std::move(spec);
-  const std::string id = rec.spec.id;
-  tenants_[id] = std::move(rec);
+  tenants_.push_back(std::move(rec));
 }
 
 bool SubmissionGateway::quota_allows(const TenantRec& tenant,
                                      int head_cores) const {
   const TenantQuota& quota = tenant.spec.quota;
   if (quota.max_in_flight_units > 0 &&
-      tenant.in_flight >= quota.max_in_flight_units) {
+      static_cast<int>(tenant.flights.size()) >=
+          quota.max_in_flight_units) {
     return false;
   }
   if (quota.max_cores > 0 &&
@@ -83,14 +82,19 @@ bool SubmissionGateway::quota_allows(const TenantRec& tenant,
   return true;
 }
 
+void SubmissionGateway::refresh_eligibility(TenantIndex t) {
+  const TenantRec& tenant = tenants_[t];
+  const bool eligible =
+      !tenant.pending.empty() &&
+      quota_allows(tenant, tenant.pending.front().desc.cores);
+  scheduler_.set_eligible(t, eligible,
+                          eligible ? tenant.pending.front().seq : 0);
+}
+
 Admission SubmissionGateway::submit(const std::string& tenant_id,
                                     pilot::ComputeUnitDescription desc) {
-  auto it = tenants_.find(tenant_id);
-  if (it == tenants_.end()) {
-    throw common::NotFoundError("SubmissionGateway: unknown tenant " +
-                                tenant_id);
-  }
-  TenantRec& tenant = it->second;
+  const TenantIndex t = scheduler_.index_of(tenant_id);  // or NotFound
+  TenantRec& tenant = tenants_[t];
   const common::Seconds now = engine_.now();
   accounting_.on_submitted(now, tenant_id, desc.name);
 
@@ -114,6 +118,8 @@ Admission SubmissionGateway::submit(const std::string& tenant_id,
   unit.submit_time = now;
   accounting_.on_admitted(now, tenant_id, unit.desc.name, !immediate);
   tenant.pending.push_back(std::move(unit));
+  pending_units_ += 1;
+  refresh_eligibility(t);
   request_dispatch();
   return Admission{true, !immediate, ""};
 }
@@ -131,46 +137,60 @@ void SubmissionGateway::request_dispatch() {
 void SubmissionGateway::dispatch_pass() {
   const common::Seconds now = engine_.now();
   while (true) {
-    // Eligible = has pending work and its head fits the tenant quotas.
-    std::vector<std::string> eligible;
-    for (const auto& [id, tenant] : tenants_) {
-      if (!tenant.pending.empty() &&
-          quota_allows(tenant, tenant.pending.front().desc.cores)) {
-        eligible.push_back(id);
-      }
-    }
-    if (eligible.empty()) return;
-
-    std::string winner;
-    if (config_.policy == SchedulingPolicy::kFairShare) {
-      winner = scheduler_.pick(eligible, now);
-    } else {
-      std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-      for (const auto& id : eligible) {
-        const std::uint64_t seq = tenants_.at(id).pending.front().seq;
-        if (seq < best_seq) {
-          best_seq = seq;
-          winner = id;
-        }
-      }
-    }
+    const TenantIndex winner = scheduler_.pick(now);
+    if (winner == kNoTenant) return;
 
     if (config_.dispatch_window > 0 &&
         static_cast<int>(in_flight_.size()) >= config_.dispatch_window) {
       // Window full. Fair-share may evict a much lower-priority tenant's
       // freshest unit for the winner; otherwise wait for a completion.
+      // The pick above still stamped the winner's last pick — the "lost
+      // turn" the perfbench pins encode (DESIGN.md §11).
       if (config_.policy == SchedulingPolicy::kFairShare &&
           config_.preemption && try_preempt_for(winner, now)) {
         continue;  // a slot is free now; re-run the pick
       }
       return;
     }
-    dispatch_head(tenants_.at(winner));
+    dispatch_head(winner);
   }
 }
 
-void SubmissionGateway::dispatch_head(TenantRec& tenant) {
+void SubmissionGateway::enter_window(InFlight::iterator flight) {
+  const TenantIndex t = flight->second.tenant;
+  TenantRec& tenant = tenants_[t];
+  if (tenant.flights.empty()) {
+    tenant.holder_pos = holders_.size();
+    holders_.push_back(t);
+  }
+  tenant.cores_in_flight += flight->second.cores;
+  const auto pos = std::upper_bound(
+      tenant.flights.begin(), tenant.flights.end(), flight,
+      [](InFlight::iterator a, InFlight::iterator b) {
+        if (a->second.dispatch_time != b->second.dispatch_time) {
+          return a->second.dispatch_time < b->second.dispatch_time;
+        }
+        return a->second.seq < b->second.seq;
+      });
+  tenant.flights.insert(pos, flight);
+}
+
+void SubmissionGateway::leave_window(InFlight::iterator flight) {
+  TenantRec& tenant = tenants_[flight->second.tenant];
+  tenant.cores_in_flight -= flight->second.cores;
+  tenant.flights.erase(
+      std::find(tenant.flights.begin(), tenant.flights.end(), flight));
+  if (tenant.flights.empty()) {
+    const TenantIndex moved = holders_.back();
+    holders_[tenant.holder_pos] = moved;
+    tenants_[moved].holder_pos = tenant.holder_pos;
+    holders_.pop_back();
+  }
+}
+
+void SubmissionGateway::dispatch_head(TenantIndex t) {
   const common::Seconds now = engine_.now();
+  TenantRec& tenant = tenants_[t];
   PendingUnit unit = std::move(tenant.pending.front());
   tenant.pending.pop_front();
 
@@ -193,11 +213,13 @@ void SubmissionGateway::dispatch_head(TenantRec& tenant) {
     // edge back onto a live pilot.
     if (!um_.redispatch_failed(unit.unit_id)) {
       tenant.pending.push_front(std::move(unit));  // no live pilot yet
+      refresh_eligibility(t);
       return;
     }
     flight.handle = um_.find_unit(unit.unit_id);
   }
-  flight.tenant = tenant.spec.id;
+  pending_units_ -= 1;
+  flight.tenant = t;
   flight.name = unit.desc.name;
   flight.seq = unit.seq;
   flight.submit_time = unit.submit_time;
@@ -205,35 +227,39 @@ void SubmissionGateway::dispatch_head(TenantRec& tenant) {
   flight.cores = unit.desc.cores;
   flight.duration = unit.desc.duration;
   flight.wait_recorded = unit.wait_recorded;
-  tenant.in_flight += 1;
-  tenant.cores_in_flight += unit.desc.cores;
   if (config_.policy == SchedulingPolicy::kFairShare) {
     // Charge the estimated usage at dispatch; a preemption refunds it.
     flight.charged = unit.desc.cores * std::max(unit.desc.duration, 0.0);
-    scheduler_.charge(flight.tenant, flight.charged, now);
+    scheduler_.charge(t, flight.charged, now);
   }
-  accounting_.on_dispatched(now, flight.tenant, flight.name);
+  accounting_.on_dispatched(now, tenant.spec.id, flight.name);
   um_.session().trace().record(now, "tenant", "dispatched",
-                               {{"tenant", flight.tenant},
+                               {{"tenant", tenant.spec.id},
                                 {"unit", unit.unit_id}});
-  in_flight_[unit.unit_id] = std::move(flight);
+  const auto placed =
+      in_flight_.emplace(unit.unit_id, std::move(flight)).first;
+  enter_window(placed);
+  refresh_eligibility(t);
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_.size());
 }
 
-bool SubmissionGateway::try_preempt_for(const std::string& claimant,
+bool SubmissionGateway::try_preempt_for(TenantIndex claimant,
                                         common::Seconds now) {
-  // Victim tenant: lowest effective priority among window holders.
-  const std::string* victim_tenant = nullptr;
+  // Victim tenant: lowest effective priority among window holders,
+  // ties to the smallest id.
+  TenantIndex victim = kNoTenant;
   double victim_priority = 0.0;
-  for (const auto& [id, tenant] : tenants_) {
-    if (id == claimant || tenant.in_flight == 0) continue;
-    const double priority = scheduler_.effective_priority(id, now);
-    if (victim_tenant == nullptr || priority < victim_priority) {
-      victim_tenant = &id;
+  for (const TenantIndex t : holders_) {
+    if (t == claimant) continue;
+    const double priority = scheduler_.effective_priority(t, now);
+    if (victim == kNoTenant || priority < victim_priority ||
+        (priority == victim_priority &&
+         tenants_[t].spec.id < tenants_[victim].spec.id)) {
+      victim = t;
       victim_priority = priority;
     }
   }
-  if (victim_tenant == nullptr) return false;
+  if (victim == kNoTenant) return false;
   const double claimant_priority =
       scheduler_.effective_priority(claimant, now);
   if (claimant_priority < config_.preempt_ratio * victim_priority) {
@@ -243,46 +269,36 @@ bool SubmissionGateway::try_preempt_for(const std::string& claimant,
   // Victim unit: the victim tenant's most recently dispatched in-flight
   // unit (least sunk work). The agent may refuse one mid-staging; try
   // the next.
-  std::vector<const std::string*> candidates;
-  for (const auto& [unit_id, flight] : in_flight_) {
-    if (flight.tenant == *victim_tenant) candidates.push_back(&unit_id);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [this](const std::string* a, const std::string* b) {
-              const FlightRec& fa = in_flight_.at(*a);
-              const FlightRec& fb = in_flight_.at(*b);
-              if (fa.dispatch_time != fb.dispatch_time) {
-                return fa.dispatch_time > fb.dispatch_time;
-              }
-              return fa.seq > fb.seq;
-            });
-  for (const std::string* unit_id : candidates) {
-    FlightRec& flight = in_flight_.at(*unit_id);
+  TenantRec& owner = tenants_[victim];
+  for (auto rit = owner.flights.rbegin(); rit != owner.flights.rend();
+       ++rit) {
+    const InFlight::iterator entry = *rit;
+    const std::string& unit_id = entry->first;
+    FlightRec& flight = entry->second;
     auto pilot = um_.pilot_by_id(flight.handle->pilot_id());
     if (pilot == nullptr || pilot->agent() == nullptr) continue;
-    if (!pilot->agent()->preempt_unit(*unit_id)) continue;
+    if (!pilot->agent()->preempt_unit(unit_id)) continue;
 
     // The victim now sits at kFailed in the store (the PR 4 requeue
     // edge's tail state). Park it at the front of its tenant queue so
     // it is the next unit its tenant redispatches.
-    const std::string id = *unit_id;  // copy before the map erase
-    TenantRec& owner = tenants_.at(flight.tenant);
     PendingUnit parked;
     parked.seq = flight.seq;
     parked.desc = flight.handle->description();
     parked.submit_time = flight.submit_time;
-    parked.unit_id = id;
+    parked.unit_id = unit_id;
     parked.wait_recorded = flight.wait_recorded;
-    owner.in_flight -= 1;
-    owner.cores_in_flight -= flight.cores;
-    scheduler_.charge(flight.tenant, -flight.charged, now);  // refund
-    accounting_.on_preempted(now, flight.tenant, flight.name);
+    scheduler_.charge(victim, -flight.charged, now);  // refund
+    accounting_.on_preempted(now, owner.spec.id, flight.name);
     um_.session().trace().record(now, "tenant", "preempted",
-                                 {{"tenant", flight.tenant},
-                                  {"unit", id},
-                                  {"for", claimant}});
+                                 {{"tenant", owner.spec.id},
+                                  {"unit", unit_id},
+                                  {"for", tenants_[claimant].spec.id}});
     owner.pending.push_front(std::move(parked));
-    in_flight_.erase(id);
+    pending_units_ += 1;
+    leave_window(entry);
+    in_flight_.erase(entry);
+    refresh_eligibility(victim);
     units_preempted_ += 1;
     return true;
   }
@@ -297,7 +313,8 @@ void SubmissionGateway::on_store_event(const pilot::WatchEvent& event) {
   const common::Seconds now = engine_.now();
   if (state == pilot::UnitState::kExecuting && !it->second.wait_recorded) {
     it->second.wait_recorded = true;
-    accounting_.on_started(now, it->second.tenant, it->second.name,
+    accounting_.on_started(now, tenants_[it->second.tenant].spec.id,
+                           it->second.name,
                            now - it->second.submit_time);
   }
   if (pilot::is_final(state)) handle_final(event.key, state);
@@ -307,18 +324,19 @@ void SubmissionGateway::handle_final(const std::string& unit_id,
                                      pilot::UnitState state) {
   auto it = in_flight_.find(unit_id);
   if (it == in_flight_.end()) return;
+  const TenantIndex t = it->second.tenant;
+  leave_window(it);
   FlightRec flight = std::move(it->second);
   in_flight_.erase(it);
-  TenantRec& tenant = tenants_.at(flight.tenant);
-  tenant.in_flight -= 1;
-  tenant.cores_in_flight -= flight.cores;
+  refresh_eligibility(t);
+  const std::string& tenant_id = tenants_[t].spec.id;
   const common::Seconds now = engine_.now();
   if (state == pilot::UnitState::kDone) {
-    accounting_.on_completed(now, flight.tenant, flight.name,
+    accounting_.on_completed(now, tenant_id, flight.name,
                              flight.cores * flight.duration);
     completed_names_.push_back(flight.name);
   } else {
-    accounting_.on_failed(now, flight.tenant, flight.name);
+    accounting_.on_failed(now, tenant_id, flight.name);
   }
   // A slot freed: see whether queued work fits now. This tick — driven
   // by the completion's store write — is the gateway's only dispatch
@@ -327,17 +345,7 @@ void SubmissionGateway::handle_final(const std::string& unit_id,
 }
 
 bool SubmissionGateway::quiescent() const {
-  if (!in_flight_.empty()) return false;
-  for (const auto& [id, tenant] : tenants_) {
-    if (!tenant.pending.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t SubmissionGateway::pending_count() const {
-  std::size_t count = 0;
-  for (const auto& [id, tenant] : tenants_) count += tenant.pending.size();
-  return count;
+  return in_flight_.empty() && pending_units_ == 0;
 }
 
 }  // namespace hoh::tenant

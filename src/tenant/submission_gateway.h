@@ -35,12 +35,6 @@
 
 namespace hoh::tenant {
 
-/// Cross-tenant ordering of the gateway dispatch queue.
-enum class SchedulingPolicy {
-  kFifo,       // global arrival order, tenant-blind
-  kFairShare,  // FairShareScheduler priority order
-};
-
 SchedulingPolicy scheduling_policy_from_string(const std::string& name);
 const char* to_string(SchedulingPolicy policy);
 
@@ -82,9 +76,10 @@ class SubmissionGateway {
   SubmissionGateway(const SubmissionGateway&) = delete;
   SubmissionGateway& operator=(const SubmissionGateway&) = delete;
 
+  /// Throws ConfigError for an empty or already registered id.
   void add_tenant(TenantSpec spec);
   bool has_tenant(const std::string& id) const {
-    return tenants_.count(id) > 0;
+    return scheduler_.has_tenant(id);
   }
 
   /// Admission control + (possibly deferred) dispatch. Throws
@@ -96,14 +91,14 @@ class SubmissionGateway {
   /// the experiment barrier is `um.all_done() && gateway.quiescent()`.
   bool quiescent() const;
 
-  std::size_t pending_count() const;
+  std::size_t pending_count() const { return pending_units_; }
   std::size_t in_flight_count() const { return in_flight_.size(); }
   std::size_t peak_in_flight() const { return peak_in_flight_; }
   std::size_t units_preempted() const { return units_preempted_; }
 
   AccountingStore& accounting() { return accounting_; }
   const AccountingStore& accounting() const { return accounting_; }
-  FairShareScheduler& scheduler() { return scheduler_; }
+  const FairShareScheduler& scheduler() const { return scheduler_; }
 
   /// Names of units the gateway observed reaching kDone (digest input).
   const std::vector<std::string>& completed_unit_names() const {
@@ -125,7 +120,7 @@ class SubmissionGateway {
   };
 
   struct FlightRec {
-    std::string tenant;
+    TenantIndex tenant = kNoTenant;
     std::string name;
     std::uint64_t seq = 0;
     common::Seconds submit_time = 0.0;
@@ -136,32 +131,46 @@ class SubmissionGateway {
     bool wait_recorded = false;
     std::shared_ptr<pilot::ComputeUnit> handle;
   };
+  using InFlight = std::map<std::string, FlightRec>;  // unit id -> record
 
   struct TenantRec {
     TenantSpec spec;
     TokenBucket bucket;
     std::deque<PendingUnit> pending;
-    int in_flight = 0;
+    /// This tenant's in-flight units by (dispatch_time, seq): the
+    /// preemption victim order, freshest last.
+    std::vector<InFlight::iterator> flights;
     int cores_in_flight = 0;
+    std::size_t holder_pos = 0;  // slot in holders_ while flights exist
   };
 
   /// Schedules one deduplicated zero-delay dispatch tick.
   void request_dispatch();
   void dispatch_pass();
   bool quota_allows(const TenantRec& tenant, int head_cores) const;
-  void dispatch_head(TenantRec& tenant);
+  /// Re-files tenant \p t in the scheduler's eligible set: it is
+  /// eligible when its queue head fits its quotas.
+  void refresh_eligibility(TenantIndex t);
+  void dispatch_head(TenantIndex t);
+  /// Books a unit into / out of the window: counters, the tenant's
+  /// flight list and the holder set.
+  void enter_window(InFlight::iterator flight);
+  void leave_window(InFlight::iterator flight);
   void on_store_event(const pilot::WatchEvent& event);
   void handle_final(const std::string& unit_id, pilot::UnitState state);
   /// One preemption attempt on behalf of blocked tenant \p claimant.
-  bool try_preempt_for(const std::string& claimant, common::Seconds now);
+  bool try_preempt_for(TenantIndex claimant, common::Seconds now);
 
   pilot::UnitManager& um_;
   sim::Engine& engine_;
   GatewayConfig config_;
   FairShareScheduler scheduler_;
   AccountingStore accounting_;
-  std::map<std::string, TenantRec> tenants_;
-  std::map<std::string, FlightRec> in_flight_;  // unit id -> record
+  std::deque<TenantRec> tenants_;  // by TenantIndex; grows without slack
+  InFlight in_flight_;
+  /// Tenants holding window slots (non-empty flights), in no order: the
+  /// preemption victim is chosen among these only.
+  std::vector<TenantIndex> holders_;
   std::vector<std::string> completed_names_;
   pilot::WatchHandle watch_;
   sim::EventHandle tick_event_;
@@ -169,6 +178,7 @@ class SubmissionGateway {
   std::uint64_t next_seq_ = 1;
   std::size_t peak_in_flight_ = 0;
   std::size_t units_preempted_ = 0;
+  std::size_t pending_units_ = 0;
 };
 
 }  // namespace hoh::tenant

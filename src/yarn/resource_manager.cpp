@@ -376,7 +376,7 @@ std::optional<ContainerState> ResourceManager::container_state(
 }
 
 void ResourceManager::trace_event(const std::string& name,
-                                  std::map<std::string, std::string> attrs) {
+                                  sim::TraceAttrs attrs) {
   if (!trace_) return;
   trace_->record(engine_.now(), "yarn", name, std::move(attrs));
 }

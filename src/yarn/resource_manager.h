@@ -208,7 +208,7 @@ class ResourceManager {
   void check_liveness_lease(const std::string& node);
   NodeManager* find_nm(const std::string& node);
   void trace_event(const std::string& name,
-                   std::map<std::string, std::string> attrs);
+                   sim::TraceAttrs attrs);
 
   /// Attempts to place one ask; returns the hosting NM or nullptr.
   NodeManager* try_place(const PendingAsk& ask, Container& out);

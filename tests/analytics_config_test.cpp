@@ -66,6 +66,9 @@ TEST(ExperimentConfigTest, RejectsBadValues) {
                common::ConfigError);
   EXPECT_THROW(kmeans_config_from_json(common::Json::parse("[1,2]")),
                common::ConfigError);
+  EXPECT_THROW(kmeans_config_from_json(common::Json::parse(
+                   R"({"tenants": {"list": [{"id": "a"}, {"id": "a"}]}})")),
+               common::ConfigError);
 }
 
 TEST(ExperimentConfigTest, ElasticSectionParsed) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analytics/kmeans_experiment.h"
 #include "common/error.h"
+#include "common/random.h"
 #include "pilot/pilot_manager.h"
 #include "pilot/unit_manager.h"
 #include "tenant/submission_gateway.h"
@@ -196,6 +199,97 @@ TEST(SubmissionGateway, PreemptionEvictsLowPriorityAndRecovers) {
   EXPECT_EQ(gw.accounting().usage("hog").completed, 2u);
   EXPECT_EQ(gw.accounting().usage("hog").failed, 0u);
   ASSERT_EQ(gw.completed_unit_names().size(), 3u);
+}
+
+TEST(SubmissionGateway, PreemptionTieBreaksToTheSmallestTenantId) {
+  // Two equal-share holders charged the same usage at the same instant
+  // tie on priority; the victim is the smaller id even though the other
+  // registered and dispatched first.
+  GatewayHarness h(1, 2);
+  GatewayConfig gc;
+  gc.policy = SchedulingPolicy::kFairShare;
+  gc.dispatch_window = 2;
+  gc.preemption = true;
+  SubmissionGateway gw(h.um, gc);
+  for (const char* id : {"hog-b", "hog-a"}) {
+    TenantSpec spec;
+    spec.id = id;
+    gw.add_tenant(spec);
+  }
+  TenantSpec urgent;
+  urgent.id = "urgent";
+  urgent.share_weight = 8.0;
+  gw.add_tenant(urgent);
+
+  gw.submit("hog-b", GatewayHarness::unit("b-0", 400.0));
+  gw.submit("hog-a", GatewayHarness::unit("a-0", 400.0));
+  h.session.engine().run_until(h.session.engine().now() + 30.0);
+  ASSERT_EQ(gw.in_flight_count(), 2u);
+
+  gw.submit("urgent", GatewayHarness::unit("urgent-0", 50.0));
+  h.session.engine().run_until(h.session.engine().now() + 60.0);
+  const auto preempted = h.session.trace().find("tenant", "preempted");
+  ASSERT_FALSE(preempted.empty());
+  EXPECT_EQ(preempted.front().attrs.at("for"), "urgent");
+  EXPECT_EQ(preempted.front().attrs.at("tenant"), "hog-a");
+  h.drain(gw);
+  EXPECT_EQ(gw.completed_unit_names().size(), 3u);
+}
+
+TEST(SubmissionGateway, ManyTenantPreemptionMatchesRecordedRun) {
+  // 200 tenants with mixed shares arrive staggered against a window of
+  // 16 with preemption on, so every fresh tenant out-ranks the window's
+  // heaviest holder. The completed-name digest and the preemption count
+  // pin the victim tenant (lowest priority, then smallest id) and the
+  // victim unit (latest dispatch, then highest arrival sequence).
+  GatewayHarness h(4, 4);
+  GatewayConfig gc;
+  gc.policy = SchedulingPolicy::kFairShare;
+  gc.decay_half_life = 300.0;
+  gc.dispatch_window = 16;
+  gc.preemption = true;
+  gc.preempt_ratio = 2.0;
+  SubmissionGateway gw(h.um, gc);
+  const double weights[] = {0.5, 1.0, 2.0, 4.0};
+  const int tenants = 200;
+  for (int i = 0; i < tenants; ++i) {
+    TenantSpec spec;
+    spec.id = "t" + std::to_string(1000 + i);
+    spec.share_weight = weights[i % 4];
+    gw.add_tenant(spec);
+  }
+  common::Rng rng(2024);
+  const double t0 = h.session.engine().now();
+  double last_arrival = t0;
+  int submitted = 0;
+  for (int i = 0; i < tenants; ++i) {
+    const std::string id = "t" + std::to_string(1000 + i);
+    double t = t0 + rng.uniform(0.0, 900.0);
+    const auto units = rng.uniform_int(1, 4);
+    for (std::int64_t u = 0; u < units; ++u) {
+      const pilot::ComputeUnitDescription cud = GatewayHarness::unit(
+          id + "-u" + std::to_string(u), rng.uniform(20.0, 120.0));
+      h.session.engine().schedule_at(t, [&gw, id, cud] { gw.submit(id, cud); });
+      last_arrival = std::max(last_arrival, t);
+      t += rng.uniform(0.0, 30.0);
+      submitted += 1;
+    }
+  }
+  h.session.engine().run_until(last_arrival);
+  h.drain(gw, 200000.0);
+
+  ASSERT_TRUE(gw.quiescent());
+  const std::vector<std::string>& names = gw.completed_unit_names();
+  ASSERT_EQ(names.size(), static_cast<std::size_t>(submitted));
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  for (const std::string& name : names) {
+    for (const char c : name + "\n") {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(digest, 0x4e54fd2a0f6702baull);
+  EXPECT_EQ(gw.units_preempted(), 770u);
 }
 
 TEST(SubmissionGateway, FifoServesArrivalOrder) {
