@@ -12,27 +12,6 @@
 
 namespace hoh::analytics {
 
-namespace {
-
-/// FNV-1a over the sorted, newline-joined names — stable across runs and
-/// platforms, unlike std::hash.
-std::string digest_names(std::vector<std::string> names) {
-  std::sort(names.begin(), names.end());
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& name : names) {
-    for (const char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= static_cast<unsigned char>('\n');
-    h *= 1099511628211ull;
-  }
-  return common::strformat("%016llx",
-                           static_cast<unsigned long long>(h));
-}
-
-}  // namespace
-
 KmeansExperimentResult run_kmeans_experiment(
     const KmeansExperimentConfig& config) {
   pilot::Session session;
@@ -242,7 +221,7 @@ KmeansExperimentResult run_kmeans_experiment(
       gateway->accounting().write_json(config.accounting_journal);
     }
   }
-  result.output_checksum = digest_names(std::move(completed_names));
+  result.output_checksum = common::digest_names(std::move(completed_names));
   result.engine_events = session.engine().executed();
 
   // --- metrics from the trace ---

@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdarg>
@@ -75,6 +76,20 @@ std::string format_seconds(double seconds) {
   if (mins < 60) return strformat("%dm%04.1fs", mins, rem);
   const int hours = mins / 60;
   return strformat("%dh%02dm%02.0fs", hours, mins % 60, rem);
+}
+
+std::string digest_names(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& name : names) {
+    for (const char c : name) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= static_cast<unsigned char>('\n');
+    h *= 1099511628211ull;
+  }
+  return strformat("%016llx", static_cast<unsigned long long>(h));
 }
 
 }  // namespace hoh::common

@@ -33,4 +33,10 @@ std::string format_bytes(std::int64_t bytes);
 /// Human-readable duration, e.g. "2m03s" or "45.2s".
 std::string format_seconds(double seconds);
 
+/// The run digest: FNV-1a over the sorted, newline-joined names, as 16
+/// hex digits. Stable across runs, platforms and processes (unlike
+/// std::hash), so hohsim's outputChecksum and a multi-process hohnode
+/// run over the same unit set print the same value.
+std::string digest_names(std::vector<std::string> names);
+
 }  // namespace hoh::common

@@ -47,234 +47,6 @@ FrameHeader FrameHeader::unpack(Unpacker& u) {
   return h;
 }
 
-void AllocateRequest::pack(Packer& p) const {
-  p.str(container_id);
-  p.str(app_id);
-  p.str(node);
-  p.i64(memory_mb);
-  p.i64(vcores);
-  p.boolean(is_am);
-}
-
-AllocateRequest AllocateRequest::unpack(Unpacker& u) {
-  AllocateRequest m;
-  m.container_id = u.str();
-  m.app_id = u.str();
-  m.node = u.str();
-  m.memory_mb = u.i64();
-  m.vcores = u.i64();
-  m.is_am = u.boolean();
-  u.expect_done();
-  return m;
-}
-
-void AllocateReply::pack(Packer& p) const {
-  p.boolean(ok);
-  p.str(node);
-}
-
-AllocateReply AllocateReply::unpack(Unpacker& u) {
-  AllocateReply m;
-  m.ok = u.boolean();
-  m.node = u.str();
-  u.expect_done();
-  return m;
-}
-
-void LaunchRequest::pack(Packer& p) const {
-  p.str(node);
-  p.str(container_id);
-  p.u64(correlation);
-}
-
-LaunchRequest LaunchRequest::unpack(Unpacker& u) {
-  LaunchRequest m;
-  m.node = u.str();
-  m.container_id = u.str();
-  m.correlation = u.u64();
-  u.expect_done();
-  return m;
-}
-
-void ContainerRunning::pack(Packer& p) const {
-  p.str(container_id);
-  p.u64(correlation);
-}
-
-ContainerRunning ContainerRunning::unpack(Unpacker& u) {
-  ContainerRunning m;
-  m.container_id = u.str();
-  m.correlation = u.u64();
-  u.expect_done();
-  return m;
-}
-
-void ReleaseRequest::pack(Packer& p) const {
-  p.str(node);
-  p.str(container_id);
-  p.u8(final_state);
-}
-
-ReleaseRequest ReleaseRequest::unpack(Unpacker& u) {
-  ReleaseRequest m;
-  m.node = u.str();
-  m.container_id = u.str();
-  m.final_state = u.u8();
-  u.expect_done();
-  return m;
-}
-
-void NodeProbe::pack(Packer& p) const { p.str(node); }
-
-NodeProbe NodeProbe::unpack(Unpacker& u) {
-  NodeProbe m;
-  m.node = u.str();
-  u.expect_done();
-  return m;
-}
-
-void NodeStatus::pack(Packer& p) const {
-  p.str(node);
-  p.f64(last_heartbeat);
-  p.boolean(alive);
-}
-
-NodeStatus NodeStatus::unpack(Unpacker& u) {
-  NodeStatus m;
-  m.node = u.str();
-  m.last_heartbeat = u.f64();
-  m.alive = u.boolean();
-  u.expect_done();
-  return m;
-}
-
-void WatchNotify::pack(Packer& p) const {
-  p.u64(watcher_id);
-  p.u8(event_type);
-  p.str(bucket);
-  p.str(key);
-}
-
-WatchNotify WatchNotify::unpack(Unpacker& u) {
-  WatchNotify m;
-  m.watcher_id = u.u64();
-  m.event_type = u.u8();
-  m.bucket = u.str();
-  m.key = u.str();
-  u.expect_done();
-  return m;
-}
-
-void StoreIngest::pack(Packer& p) const {
-  p.str(collection);
-  p.str(unit_id);
-  p.str(queue);
-  p.bytes(document);
-}
-
-StoreIngest StoreIngest::unpack(Unpacker& u) {
-  StoreIngest m;
-  m.collection = u.str();
-  m.unit_id = u.str();
-  m.queue = u.str();
-  m.document = u.bytes();
-  u.expect_done();
-  return m;
-}
-
-void AgentCommand::pack(Packer& p) const {
-  p.str(pilot_id);
-  p.u8(op);
-}
-
-AgentCommand AgentCommand::unpack(Unpacker& u) {
-  AgentCommand m;
-  m.pilot_id = u.str();
-  m.op = u.u8();
-  u.expect_done();
-  return m;
-}
-
-void AgentEvent::pack(Packer& p) const {
-  p.str(pilot_id);
-  p.u8(kind);
-}
-
-AgentEvent AgentEvent::unpack(Unpacker& u) {
-  AgentEvent m;
-  m.pilot_id = u.str();
-  m.kind = u.u8();
-  u.expect_done();
-  return m;
-}
-
-void SubmitRequest::pack(Packer& p) const {
-  p.str(tenant_id);
-  p.bytes(description);
-}
-
-SubmitRequest SubmitRequest::unpack(Unpacker& u) {
-  SubmitRequest m;
-  m.tenant_id = u.str();
-  m.description = u.bytes();
-  u.expect_done();
-  return m;
-}
-
-void SubmitReply::pack(Packer& p) const { p.str(unit_id); }
-
-SubmitReply SubmitReply::unpack(Unpacker& u) {
-  SubmitReply m;
-  m.unit_id = u.str();
-  u.expect_done();
-  return m;
-}
-
-void Hello::pack(Packer& p) const {
-  p.u8(role);
-  p.str(name);
-  p.i64(cores);
-}
-
-Hello Hello::unpack(Unpacker& u) {
-  Hello m;
-  m.role = u.u8();
-  m.name = u.str();
-  m.cores = u.i64();
-  u.expect_done();
-  return m;
-}
-
-void UnitAssign::pack(Packer& p) const {
-  p.str(unit_id);
-  p.str(name);
-  p.f64(duration);
-}
-
-UnitAssign UnitAssign::unpack(Unpacker& u) {
-  UnitAssign m;
-  m.unit_id = u.str();
-  m.name = u.str();
-  m.duration = u.f64();
-  u.expect_done();
-  return m;
-}
-
-void UnitResult::pack(Packer& p) const {
-  p.str(unit_id);
-  p.str(name);
-  p.boolean(ok);
-}
-
-UnitResult UnitResult::unpack(Unpacker& u) {
-  UnitResult m;
-  m.unit_id = u.str();
-  m.name = u.str();
-  m.ok = u.boolean();
-  u.expect_done();
-  return m;
-}
-
 std::vector<std::uint8_t> encode_frame(const Envelope& e) {
   Packer p;
   FrameHeader h;
@@ -286,16 +58,18 @@ std::vector<std::uint8_t> encode_frame(const Envelope& e) {
   return out;
 }
 
-std::size_t try_decode_frame(const std::uint8_t* data, std::size_t size,
-                             Envelope* out) {
-  if (size < kFrameHeaderBytes) return 0;
-  Unpacker u(data, size);
+bool pop_frame(RingBuffer& in, Envelope* out) {
+  std::uint8_t header[kFrameHeaderBytes];
+  if (in.peek(header, sizeof(header)) < sizeof(header)) return false;
+  Unpacker u(header, sizeof(header));
   const FrameHeader h = FrameHeader::unpack(u);
-  if (size < kFrameHeaderBytes + h.length) return 0;
+  if (in.size() < kFrameHeaderBytes + h.length) return false;
+  in.consume(kFrameHeaderBytes);
   out->type = static_cast<MsgType>(h.type);
-  out->payload.assign(data + kFrameHeaderBytes,
-                      data + kFrameHeaderBytes + h.length);
-  return kFrameHeaderBytes + h.length;
+  out->payload.resize(h.length);
+  in.peek(out->payload.data(), h.length);
+  in.consume(h.length);
+  return true;
 }
 
 }  // namespace hoh::net

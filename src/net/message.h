@@ -5,14 +5,17 @@
 #include <vector>
 
 #include "net/pack.h"
+#include "net/ring_buffer.h"
 
 /// \file message.h
 /// The typed wire vocabulary of the control plane (DESIGN.md §14). Every
 /// cross-component interaction — RM↔NM container traffic, store watch
 /// fan-out and ingest, PilotManager↔Agent commands, gateway↔UnitManager
 /// submission, and the hohnode multi-process roles — is one of these
-/// structs, packed with the net::Packer codec behind a versioned frame
-/// header:
+/// structs. Each lists its fields once, in wire order, as
+/// `static auto fields(auto& m)`; make_envelope packs that list with the
+/// net::Packer codec and open_envelope unpacks it, behind a versioned
+/// frame header:
 ///
 ///   FrameHeader  := magic u32 ("HOH1") | version u16 | type u16
 ///                 | length u32 (payload bytes)
@@ -86,17 +89,13 @@ struct Envelope {
 };
 
 /// --- message structs -----------------------------------------------
-/// Each struct packs/unpacks itself field-by-field; unpack consumes the
-/// whole payload (expect_done), so a frame whose length disagrees with
-/// its message is a CodecError, never a silent partial read.
+/// fields() is the whole wire layout of a message: the field types pick
+/// the encodings (Packer::put / Unpacker::get), the list order is the
+/// byte order, and adding a field is one edit to the list.
 
 struct Ack {
   static constexpr MsgType kType = MsgType::kAck;
-  void pack(Packer&) const {}
-  static Ack unpack(Unpacker& u) {
-    u.expect_done();
-    return {};
-  }
+  static auto fields(auto&) { return std::tie(); }
 };
 
 /// RM -> NM: reserve resources and create the container record.
@@ -109,8 +108,10 @@ struct AllocateRequest {
   std::int64_t vcores = 0;
   bool is_am = false;
 
-  void pack(Packer& p) const;
-  static AllocateRequest unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.container_id, m.app_id, m.node, m.memory_mb, m.vcores,
+                    m.is_am);
+  }
 };
 
 struct AllocateReply {
@@ -118,8 +119,7 @@ struct AllocateReply {
   bool ok = false;
   std::string node;
 
-  void pack(Packer& p) const;
-  static AllocateReply unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.ok, m.node); }
 };
 
 /// RM -> NM: start an allocated container. The NM answers with an Ack
@@ -132,8 +132,9 @@ struct LaunchRequest {
   std::string container_id;
   std::uint64_t correlation = 0;
 
-  void pack(Packer& p) const;
-  static LaunchRequest unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.node, m.container_id, m.correlation);
+  }
 };
 
 struct ContainerRunning {
@@ -141,8 +142,9 @@ struct ContainerRunning {
   std::string container_id;
   std::uint64_t correlation = 0;
 
-  void pack(Packer& p) const;
-  static ContainerRunning unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.container_id, m.correlation);
+  }
 };
 
 /// RM -> NM: finish a container (final_state is a yarn::ContainerState).
@@ -152,8 +154,9 @@ struct ReleaseRequest {
   std::string container_id;
   std::uint8_t final_state = 0;
 
-  void pack(Packer& p) const;
-  static ReleaseRequest unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.node, m.container_id, m.final_state);
+  }
 };
 
 /// RM liveness monitor -> NM: heartbeat probe.
@@ -161,8 +164,7 @@ struct NodeProbe {
   static constexpr MsgType kType = MsgType::kNodeProbe;
   std::string node;
 
-  void pack(Packer& p) const;
-  static NodeProbe unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.node); }
 };
 
 struct NodeStatus {
@@ -171,8 +173,9 @@ struct NodeStatus {
   double last_heartbeat = 0.0;
   bool alive = false;
 
-  void pack(Packer& p) const;
-  static NodeStatus unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.node, m.last_heartbeat, m.alive);
+  }
 };
 
 /// Store -> watcher: one watch delivery (event_type is a
@@ -184,8 +187,9 @@ struct WatchNotify {
   std::string bucket;
   std::string key;
 
-  void pack(Packer& p) const;
-  static WatchNotify unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.watcher_id, m.event_type, m.bucket, m.key);
+  }
 };
 
 /// UnitManager -> store: the U.2 handoff (unit document put + agent
@@ -198,8 +202,9 @@ struct StoreIngest {
   std::string queue;  // empty = no queue push
   std::vector<std::uint8_t> document;
 
-  void pack(Packer& p) const;
-  static StoreIngest unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.collection, m.unit_id, m.queue, m.document);
+  }
 };
 
 /// PilotManager -> Agent lifecycle command.
@@ -209,8 +214,7 @@ struct AgentCommand {
   std::string pilot_id;
   std::uint8_t op = kStart;
 
-  void pack(Packer& p) const;
-  static AgentCommand unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.pilot_id, m.op); }
 };
 
 /// Agent -> PilotManager event (today only "active").
@@ -220,8 +224,7 @@ struct AgentEvent {
   std::string pilot_id;
   std::uint8_t kind = kActive;
 
-  void pack(Packer& p) const;
-  static AgentEvent unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.pilot_id, m.kind); }
 };
 
 /// Gateway -> UnitManager: submit one unit description (packed binary
@@ -231,16 +234,14 @@ struct SubmitRequest {
   std::string tenant_id;
   std::vector<std::uint8_t> description;
 
-  void pack(Packer& p) const;
-  static SubmitRequest unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.tenant_id, m.description); }
 };
 
 struct SubmitReply {
   static constexpr MsgType kType = MsgType::kSubmitReply;
   std::string unit_id;
 
-  void pack(Packer& p) const;
-  static SubmitReply unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.unit_id); }
 };
 
 /// hohnode: role announcement on connect.
@@ -251,8 +252,7 @@ struct Hello {
   std::string name;
   std::int64_t cores = 0;  // agent capacity; 0 for submitters
 
-  void pack(Packer& p) const;
-  static Hello unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.role, m.name, m.cores); }
 };
 
 /// hohnode rm -> agent: run one unit.
@@ -262,30 +262,26 @@ struct UnitAssign {
   std::string name;
   double duration = 0.0;
 
-  void pack(Packer& p) const;
-  static UnitAssign unpack(Unpacker& u);
+  static auto fields(auto& m) {
+    return std::tie(m.unit_id, m.name, m.duration);
+  }
 };
 
-/// hohnode agent -> rm: unit finished. Also submitter -> rm inside
-/// SubmitRequest-free hohnode flow.
+/// hohnode agent -> rm: unit finished. (Submitters hand the rm new
+/// units as UnitAssign, not as UnitResult.)
 struct UnitResult {
   static constexpr MsgType kType = MsgType::kUnitResult;
   std::string unit_id;
   std::string name;
   bool ok = false;
 
-  void pack(Packer& p) const;
-  static UnitResult unpack(Unpacker& u);
+  static auto fields(auto& m) { return std::tie(m.unit_id, m.name, m.ok); }
 };
 
 /// hohnode: orderly goodbye (submitter done; rm tells agents to exit).
 struct Bye {
   static constexpr MsgType kType = MsgType::kBye;
-  void pack(Packer&) const {}
-  static Bye unpack(Unpacker& u) {
-    u.expect_done();
-    return {};
-  }
+  static auto fields(auto&) { return std::tie(); }
 };
 
 /// --- envelope / frame helpers --------------------------------------
@@ -293,7 +289,7 @@ struct Bye {
 template <typename M>
 Envelope make_envelope(const M& m) {
   Packer p;
-  m.pack(p);
+  pack_fields(p, m);
   return Envelope{M::kType, p.take()};
 }
 
@@ -306,17 +302,20 @@ M open_envelope(const Envelope& e) {
                      to_string(M::kType) + ", got " + to_string(e.type));
   }
   Unpacker u(e.payload);
-  return M::unpack(u);
+  M m;
+  unpack_fields(u, m);
+  return m;
 }
 
 /// header + payload as one contiguous byte string.
 std::vector<std::uint8_t> encode_frame(const Envelope& e);
 
-/// Incremental decode: returns the number of bytes consumed from the
-/// front of [data, data+size) and fills \p out, or 0 when the buffer
-/// does not yet hold a complete frame. Throws CodecError for a frame
-/// that can never become valid (bad magic/version/length).
-std::size_t try_decode_frame(const std::uint8_t* data, std::size_t size,
-                             Envelope* out);
+/// The one frame reader of every byte stream: moves the front frame of
+/// \p in into \p out and returns true, or returns false and consumes
+/// nothing while the frame is incomplete. The header is validated as
+/// soon as it is buffered, so a frame that can never become valid (bad
+/// magic/version/length) throws CodecError before its length field can
+/// drive an allocation.
+bool pop_frame(RingBuffer& in, Envelope* out);
 
 }  // namespace hoh::net

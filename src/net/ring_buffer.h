@@ -21,6 +21,7 @@ class RingBuffer {
   bool empty() const { return count_ == 0; }
 
   void append(const std::uint8_t* data, std::size_t n) {
+    if (n == 0) return;  // data may be null (an empty vector's data())
     reserve(count_ + n);
     const std::size_t cap = buf_.size();
     std::size_t tail = (head_ + count_) & (cap - 1);
@@ -34,6 +35,7 @@ class RingBuffer {
   /// returns the number copied.
   std::size_t peek(std::uint8_t* out, std::size_t n) const {
     n = std::min(n, count_);
+    if (n == 0) return 0;  // out may be null (an empty payload's data())
     const std::size_t cap = buf_.size();
     const std::size_t first = std::min(n, cap - head_);
     std::memcpy(out, buf_.data() + head_, first);

@@ -208,10 +208,7 @@ TransportStats SocketTransport::stats() const {
 
 std::vector<std::uint8_t> SocketTransport::encode_wire(const WireMessage& msg) {
   Packer body;
-  body.u64(msg.seq);
-  body.u8(msg.kind);
-  body.str(msg.endpoint);
-  body.bytes(msg.envelope.payload);
+  pack_fields(body, msg);
   return encode_frame(Envelope{msg.envelope.type, body.take()});
 }
 
@@ -219,12 +216,8 @@ SocketTransport::WireMessage SocketTransport::decode_wire(
     const Envelope& frame) {
   Unpacker u(frame.payload);
   WireMessage msg;
-  msg.seq = u.u64();
-  msg.kind = u.u8();
-  msg.endpoint = u.str();
   msg.envelope.type = frame.type;
-  msg.envelope.payload = u.bytes();
-  u.expect_done();
+  unpack_fields(u, msg);
   return msg;
 }
 
@@ -434,31 +427,14 @@ bool SocketTransport::reactor_read(int slot) {
     peer.in.append(buf, static_cast<std::size_t>(n));
     stats_.bytes_received += static_cast<std::uint64_t>(n);
     // Reassemble complete frames off the ring.
-    for (;;) {
-      std::uint8_t header[kFrameHeaderBytes];
-      if (peer.in.peek(header, sizeof(header)) < sizeof(header)) break;
-      std::size_t total;
-      try {
-        Unpacker hu(header, sizeof(header));
-        const FrameHeader fh = FrameHeader::unpack(hu);
-        total = kFrameHeaderBytes + fh.length;
-      } catch (const CodecError&) {
-        return false;  // corrupt stream: drop the connection
-      }
-      if (peer.in.size() < total) break;
-      std::vector<std::uint8_t> frame(total);
-      peer.in.peek(frame.data(), total);
-      peer.in.consume(total);
+    try {
       Envelope env;
-      try {
-        if (try_decode_frame(frame.data(), frame.size(), &env) != total) {
-          return false;
-        }
-      } catch (const CodecError&) {
-        return false;
+      while (pop_frame(peer.in, &env)) {
+        inbound_.push_back(std::move(env));
+        cv_.notify_all();
       }
-      inbound_.push_back(std::move(env));
-      cv_.notify_all();
+    } catch (const CodecError&) {
+      return false;  // corrupt stream: drop the connection
     }
   }
   return true;

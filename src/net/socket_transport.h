@@ -79,8 +79,8 @@ class SocketTransport : public Transport {
   void kill_connection();
 
  private:
-  /// Internal wire body wrapped around every envelope:
-  ///   seq u64 | kind u8 | endpoint str | payload bytes
+  /// Internal wire body wrapped around every envelope: see
+  /// WireMessage::fields().
   enum WireKind : std::uint8_t { kRequest = 0, kOneWay = 1, kReply = 2 };
 
   /// One TCP peer the reactor services. Exactly two exist when the
@@ -109,7 +109,11 @@ class SocketTransport : public Transport {
     std::uint64_t seq = 0;
     std::uint8_t kind = kRequest;
     std::string endpoint;
-    Envelope envelope;
+    Envelope envelope;  // the type travels in the frame header
+
+    static auto fields(auto& m) {
+      return std::tie(m.seq, m.kind, m.endpoint, m.envelope.payload);
+    }
   };
   WireMessage wire_transfer(int peer_slot, const WireMessage& msg);
 

@@ -95,18 +95,7 @@ void write_frame(int fd, const Envelope& envelope) {
 
 bool read_frame(int fd, RingBuffer& buf, Envelope* out) {
   std::uint8_t chunk[4096];
-  for (;;) {
-    if (buf.size() >= kFrameHeaderBytes) {
-      // Copy the buffered prefix out flat for the incremental decoder.
-      std::vector<std::uint8_t> flat(buf.size());
-      buf.peek(flat.data(), flat.size());
-      const std::size_t used =
-          try_decode_frame(flat.data(), flat.size(), out);
-      if (used > 0) {
-        buf.consume(used);
-        return true;
-      }
-    }
+  while (!pop_frame(buf, out)) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n > 0) {
       buf.append(chunk, static_cast<std::size_t>(n));
@@ -119,6 +108,7 @@ bool read_frame(int fd, RingBuffer& buf, Envelope* out) {
     }
     throw_errno("read_frame");
   }
+  return true;
 }
 
 void close_socket(int& fd) {

@@ -7,6 +7,18 @@
 
 namespace hoh::pilot {
 
+namespace {
+
+/// The one-container request a unit's application master asks YARN for.
+yarn::ContainerRequest container_request(const ComputeUnitDescription& desc) {
+  yarn::ContainerRequest req;
+  req.resource = {desc.memory_mb, desc.cores};
+  req.preferred_nodes = desc.preferred_nodes;
+  return req;
+}
+
+}  // namespace
+
 std::string to_string(PilotState state) {
   switch (state) {
     case PilotState::kNew:
@@ -692,27 +704,43 @@ bool Agent::try_gang_allocate(UnitRec& unit) {
   return true;
 }
 
-void Agent::finish_unit(std::shared_ptr<UnitRec> unit,
-                        UnitState final_state) {
-  if (unit->node != nullptr) {
-    unit->node->release(cluster::ResourceRequest{unit->desc.cores,
-                                                 unit->desc.memory_mb});
-    note_node_release(unit->node);
-    unit->node = nullptr;
+void Agent::release_unit(UnitRec& unit) {
+  if (unit.node != nullptr) {
+    unit.node->release(
+        cluster::ResourceRequest{unit.desc.cores, unit.desc.memory_mb});
+    note_node_release(unit.node);
+    unit.node = nullptr;
   }
-  for (const auto& [node, piece] : unit->pieces) {
+  for (const auto& [node, piece] : unit.pieces) {
     node->release(piece);
     note_node_release(node);
   }
-  unit->pieces.clear();
-  if (unit->yarn_reserved_mb > 0) {
-    yarn_inflight_mb_ -= unit->yarn_reserved_mb;
-    unit->yarn_reserved_mb = 0;
+  unit.pieces.clear();
+  if (unit.yarn_reserved_mb > 0) {
+    yarn_inflight_mb_ -= unit.yarn_reserved_mb;
+    unit.yarn_reserved_mb = 0;
   }
-  unit->exec_event = sim::EventHandle{};
-  unit->am = nullptr;
-  running_units_.erase(unit->id);
+  unit.exec_event = sim::EventHandle{};
+  unit.am = nullptr;
+  running_units_.erase(unit.id);
   running_ = running_ > 0 ? running_ - 1 : 0;
+}
+
+void Agent::withdraw_unit(UnitRec& unit) {
+  saga_.engine().cancel(unit.exec_event);
+  if (unit.am != nullptr) {
+    unit.am->kill_container(unit.container_id);
+    if (unit.dedicated_app) unit.am->unregister(false);
+    unit.container_id.clear();
+    unit.exec_node.clear();
+    unit.dedicated_app = false;
+  }
+  release_unit(unit);
+}
+
+void Agent::finish_unit(std::shared_ptr<UnitRec> unit,
+                        UnitState final_state) {
+  release_unit(*unit);
   set_unit_state(*unit, final_state);
   if (final_state == UnitState::kDone) {
     ++units_completed_;
@@ -793,57 +821,48 @@ void Agent::exec_yarn(std::shared_ptr<UnitRec> unit) {
 void Agent::exec_yarn_submit(std::shared_ptr<UnitRec> unit,
                              yarn::ResourceManager& rm) {
   if (stopped_) return;
-  {
-    if (config_.reuse_yarn_app) {
-      if (shared_am_ != nullptr) {
-        yarn::ContainerRequest req;
-        req.resource = {unit->desc.memory_mb, unit->desc.cores};
-        req.preferred_nodes = unit->desc.preferred_nodes;
-        shared_am_->request_containers(
-            1, req, [this, unit](const yarn::Container& c) {
-              exec_yarn_in_container(unit, *shared_am_, c, false);
-            });
-        return;
-      }
-      waiting_for_shared_am_.push_back(unit);
-      if (!shared_app_id_.empty()) return;  // AM already requested
-      yarn::AppDescriptor app;
-      app.name = "radical-pilot-shared";
-      app.am_resource = config_.yarn.yarn.am_resource;
-      app.on_am_start = [this](yarn::ApplicationMaster& am) {
-        if (stopped_) return;
-        shared_am_ = &am;
-        auto waiting = std::move(waiting_for_shared_am_);
-        waiting_for_shared_am_.clear();
-        for (auto& w : waiting) {
-          yarn::ContainerRequest req;
-          req.resource = {w->desc.memory_mb, w->desc.cores};
-          req.preferred_nodes = w->desc.preferred_nodes;
-          shared_am_->request_containers(
-              1, req, [this, w](const yarn::Container& c) {
-                exec_yarn_in_container(w, *shared_am_, c, false);
-              });
-        }
-      };
-      shared_app_id_ = rm.submit_application(std::move(app));
+  if (config_.reuse_yarn_app) {
+    if (shared_am_ != nullptr) {
+      shared_am_->request_containers(
+          1, container_request(unit->desc),
+          [this, unit](const yarn::Container& c) {
+            exec_yarn_in_container(unit, *shared_am_, c, false);
+          });
       return;
     }
-    // Paper default: one YARN application (own AM) per Compute-Unit.
+    waiting_for_shared_am_.push_back(unit);
+    if (!shared_app_id_.empty()) return;  // AM already requested
     yarn::AppDescriptor app;
-    app.name = unit->desc.name;
+    app.name = "radical-pilot-shared";
     app.am_resource = config_.yarn.yarn.am_resource;
-    app.on_am_start = [this, unit](yarn::ApplicationMaster& am) {
+    app.on_am_start = [this](yarn::ApplicationMaster& am) {
       if (stopped_) return;
-      yarn::ContainerRequest req;
-      req.resource = {unit->desc.memory_mb, unit->desc.cores};
-      req.preferred_nodes = unit->desc.preferred_nodes;
-      am.request_containers(1, req,
-                            [this, unit, &am](const yarn::Container& c) {
-                              exec_yarn_in_container(unit, am, c, true);
-                            });
+      shared_am_ = &am;
+      auto waiting = std::move(waiting_for_shared_am_);
+      waiting_for_shared_am_.clear();
+      for (auto& w : waiting) {
+        shared_am_->request_containers(
+            1, container_request(w->desc),
+            [this, w](const yarn::Container& c) {
+              exec_yarn_in_container(w, *shared_am_, c, false);
+            });
+      }
     };
-    rm.submit_application(std::move(app));
+    shared_app_id_ = rm.submit_application(std::move(app));
+    return;
   }
+  // Paper default: one YARN application (own AM) per Compute-Unit.
+  yarn::AppDescriptor app;
+  app.name = unit->desc.name;
+  app.am_resource = config_.yarn.yarn.am_resource;
+  app.on_am_start = [this, unit](yarn::ApplicationMaster& am) {
+    if (stopped_) return;
+    am.request_containers(1, container_request(unit->desc),
+                          [this, unit, &am](const yarn::Container& c) {
+                            exec_yarn_in_container(unit, am, c, true);
+                          });
+  };
+  rm.submit_application(std::move(app));
 }
 
 void Agent::exec_yarn_in_container(std::shared_ptr<UnitRec> unit,
@@ -1159,33 +1178,7 @@ bool Agent::preempt_unit(const std::string& unit_id) {
       (!unit->exec_event.valid() && unit->am == nullptr)) {
     return false;
   }
-  saga_.engine().cancel(unit->exec_event);
-  unit->exec_event = sim::EventHandle{};
-  if (unit->node != nullptr) {
-    unit->node->release(cluster::ResourceRequest{unit->desc.cores,
-                                                 unit->desc.memory_mb});
-    note_node_release(unit->node);
-    unit->node = nullptr;
-  }
-  for (const auto& [node, piece] : unit->pieces) {
-    node->release(piece);
-    note_node_release(node);
-  }
-  unit->pieces.clear();
-  if (unit->am != nullptr) {
-    unit->am->kill_container(unit->container_id);
-    if (unit->dedicated_app) unit->am->unregister(false);
-    unit->am = nullptr;
-    unit->container_id.clear();
-    unit->exec_node.clear();
-    unit->dedicated_app = false;
-  }
-  if (unit->yarn_reserved_mb > 0) {
-    yarn_inflight_mb_ -= unit->yarn_reserved_mb;
-    unit->yarn_reserved_mb = 0;
-  }
-  running_units_.erase(unit->id);
-  running_ = running_ > 0 ? running_ - 1 : 0;
+  withdraw_unit(*unit);
   saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                        {{"unit", unit->id}, {"pilot", pilot_id_}});
   // kFailed is legal from any non-final state and is the parking state
@@ -1199,33 +1192,7 @@ bool Agent::preempt_unit(const std::string& unit_id) {
 }
 
 void Agent::requeue_unit(const std::shared_ptr<UnitRec>& unit) {
-  saga_.engine().cancel(unit->exec_event);
-  unit->exec_event = sim::EventHandle{};
-  if (unit->node != nullptr) {
-    unit->node->release(cluster::ResourceRequest{unit->desc.cores,
-                                                 unit->desc.memory_mb});
-    note_node_release(unit->node);
-    unit->node = nullptr;
-  }
-  for (const auto& [node, piece] : unit->pieces) {
-    node->release(piece);
-    note_node_release(node);
-  }
-  unit->pieces.clear();
-  if (unit->am != nullptr) {
-    unit->am->kill_container(unit->container_id);
-    if (unit->dedicated_app) unit->am->unregister(false);
-    unit->am = nullptr;
-    unit->container_id.clear();
-    unit->exec_node.clear();
-    unit->dedicated_app = false;
-  }
-  if (unit->yarn_reserved_mb > 0) {
-    yarn_inflight_mb_ -= unit->yarn_reserved_mb;
-    unit->yarn_reserved_mb = 0;
-  }
-  running_units_.erase(unit->id);
-  running_ = running_ > 0 ? running_ - 1 : 0;
+  withdraw_unit(*unit);
   saga_.trace().end_span(saga_.engine().now(), "unit", "exec", unit->id);
   saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                        {{"unit", unit->id}, {"pilot", pilot_id_}});

@@ -201,6 +201,13 @@ class Agent {
                               const yarn::Container& container,
                               bool dedicated_app);
   void exec_spark(std::shared_ptr<UnitRec> unit);
+  /// Returns the node, gang-piece and YARN-reservation ledgers \p unit
+  /// holds and drops it from the running set.
+  void release_unit(UnitRec& unit);
+  /// Takes a unit off its resources mid-run: cancels the payload event,
+  /// kills its container (and unregisters a dedicated AM), then
+  /// release_unit. The caller records why and picks the next state.
+  void withdraw_unit(UnitRec& unit);
   void finish_unit(std::shared_ptr<UnitRec> unit, UnitState final_state);
 
   // --- drain machinery ---

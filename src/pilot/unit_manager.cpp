@@ -210,37 +210,10 @@ void UnitManager::try_requeue(const std::string& unit_id) {
     pending_requeue_.push_back(unit_id);
     return;
   }
-  const std::string from = unit->pilot_id();
   const std::string to = target->id();
-
-  // Rebind accounting: the unit now counts against the new pilot.
-  if (bound_counts_.count(from) > 0 && bound_counts_[from] > 0) {
-    bound_counts_[from] -= 1;
-  }
-  bound_counts_[to] += 1;
-  auto pred = unit_predictions_.find(unit_id);
-  const double predicted =
-      pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit->open_seq_ != 0) {
-    // Not folded back yet: the old pilot's backlog still carries it.
-    backlog_seconds_[from] -= predicted;
-  } else {
-    // Folded back already: the unit is live again, re-open it so the
-    // next reconcile() folds the new attempt too.
-    open_unit(unit.get());
-  }
-  backlog_seconds_[to] += predicted;
-  unit->pilot_id_ = to;
+  const std::string from = rebind_failed(*unit, to);
   requeue_counts_[unit_id] += 1;
   ++units_requeued_;
-
-  // kFailed -> kPendingAgent is the one legal edge out of a final state
-  // (see transitions.h); then back onto a live agent queue (U.2 again).
-  session_.store().update(
-      "unit", unit_id,
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
-  session_.store().queue_push("agent." + to, unit_id);
   session_.trace().record(session_.engine().now(), "recovery",
                           "unit_requeued",
                           {{"unit", unit_id},
@@ -267,6 +240,38 @@ std::shared_ptr<Pilot> UnitManager::pilot_by_id(
   return nullptr;
 }
 
+std::string UnitManager::rebind_failed(ComputeUnit& unit,
+                                       const std::string& to) {
+  const std::string from = unit.pilot_id();
+  // Rebind accounting: the unit now counts against the new pilot.
+  if (bound_counts_.count(from) > 0 && bound_counts_[from] > 0) {
+    bound_counts_[from] -= 1;
+  }
+  bound_counts_[to] += 1;
+  auto pred = unit_predictions_.find(unit.id());
+  const double predicted =
+      pred != unit_predictions_.end() ? pred->second : 0.0;
+  if (unit.open_seq_ != 0) {
+    // Not folded back yet: the old pilot's backlog still carries it.
+    backlog_seconds_[from] -= predicted;
+  } else {
+    // Folded back already: the unit is live again, re-open it so the
+    // next reconcile() folds the new attempt too.
+    open_unit(&unit);
+  }
+  backlog_seconds_[to] += predicted;
+  unit.pilot_id_ = to;
+
+  // kFailed -> kPendingAgent is the one legal edge out of a final state
+  // (see transitions.h); then back onto a live agent queue (U.2 again).
+  session_.store().update(
+      "unit", unit.id(),
+      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
+       {"pilot", common::Json(to)}});
+  session_.store().queue_push("agent." + to, unit.id());
+  return from;
+}
+
 bool UnitManager::redispatch_failed(const std::string& unit_id) {
   recovery_dirty_ = true;
   auto it = by_id_.find(unit_id);
@@ -275,31 +280,8 @@ bool UnitManager::redispatch_failed(const std::string& unit_id) {
   if (unit->state() != UnitState::kFailed) return false;
   Pilot* target = find_live_pilot();
   if (target == nullptr) return false;
-  const std::string from = unit->pilot_id();
   const std::string to = target->id();
-
-  // Rebind accounting exactly like the recovery requeue: the unit now
-  // counts against the target pilot's bindings and backlog.
-  if (bound_counts_.count(from) > 0 && bound_counts_[from] > 0) {
-    bound_counts_[from] -= 1;
-  }
-  bound_counts_[to] += 1;
-  auto pred = unit_predictions_.find(unit_id);
-  const double predicted =
-      pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit->open_seq_ != 0) {
-    backlog_seconds_[from] -= predicted;
-  } else {
-    open_unit(unit.get());  // live again: reconcile the new attempt
-  }
-  backlog_seconds_[to] += predicted;
-  unit->pilot_id_ = to;
-
-  session_.store().update(
-      "unit", unit_id,
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
-  session_.store().queue_push("agent." + to, unit_id);
+  const std::string from = rebind_failed(*unit, to);
   session_.trace().record(session_.engine().now(), "tenant",
                           "unit_redispatched",
                           {{"unit", unit_id}, {"from", from}, {"to", to}});

@@ -194,6 +194,11 @@ class UnitManager {
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);
   void handle_pilot_failure(const std::string& pilot_id);
   void try_requeue(const std::string& unit_id);
+  /// Moves a kFailed unit onto pilot \p to: bound counts and predicted
+  /// backlog follow it, the store sees kFailed -> kPendingAgent and the
+  /// unit joins that agent's queue. Returns the pilot it left. Shared by
+  /// the recovery requeue and the gateway's redispatch.
+  std::string rebind_failed(ComputeUnit& unit, const std::string& to);
   void drain_pending_requeues();
   /// Any registered pilot not in a final state; nullptr when none.
   Pilot* find_live_pilot();

@@ -1,8 +1,9 @@
 // Codec property tests (DESIGN.md §14): every message type round-trips
-// through pack -> frame -> try_decode_frame -> unpack unchanged, and a
-// hostile stream — truncated at every byte, corrupted length, wrong
-// magic/version, random garbage — produces a CodecError, never UB, a
-// silent partial read, or an allocation driven by a corrupt length.
+// through pack -> frame -> pop_frame -> unpack unchanged and encodes to
+// its recorded wire image, and a hostile stream — truncated at every
+// byte, corrupted length, wrong magic/version, random garbage — makes
+// pop_frame wait or throw CodecError, never UB, a silent partial read,
+// or an allocation driven by a corrupt length.
 
 #include <cstdint>
 #include <limits>
@@ -15,18 +16,30 @@
 #include "common/random.h"
 #include "net/json_codec.h"
 #include "net/message.h"
+#include "net/ring_buffer.h"
 
 namespace hoh::net {
 namespace {
 
-/// pack -> encode_frame -> try_decode_frame -> open_envelope.
+/// A ring buffer holding the first \p n of \p bytes, as a reader would
+/// have received them.
+RingBuffer ring_of(const std::vector<std::uint8_t>& bytes, std::size_t n) {
+  RingBuffer ring;
+  ring.append(bytes.data(), n);
+  return ring;
+}
+
+RingBuffer ring_of(const std::vector<std::uint8_t>& bytes) {
+  return ring_of(bytes, bytes.size());
+}
+
+/// pack -> encode_frame -> pop_frame -> open_envelope.
 template <typename M>
 M wire_round_trip(const M& msg) {
-  const std::vector<std::uint8_t> frame = encode_frame(make_envelope(msg));
+  RingBuffer ring = ring_of(encode_frame(make_envelope(msg)));
   Envelope decoded;
-  const std::size_t used =
-      try_decode_frame(frame.data(), frame.size(), &decoded);
-  EXPECT_EQ(used, frame.size());
+  EXPECT_TRUE(pop_frame(ring, &decoded));
+  EXPECT_TRUE(ring.empty());
   EXPECT_EQ(decoded.type, M::kType);
   return open_envelope<M>(decoded);
 }
@@ -196,6 +209,76 @@ TEST(NetCodecRoundTrip, JsonDocumentsBitExact) {
   EXPECT_EQ(p2.data(), bytes);
 }
 
+// --- golden wire images ---------------------------------------------
+// Round trips cannot see a field reordered on both sides; these byte
+// images, recorded before the codec moved to per-struct field lists,
+// pin the layout of every message type and of the frame header.
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// Encodes \p msg, compares it with \p hex, then decodes the recorded
+/// image and checks that it re-encodes to the same bytes.
+template <typename M>
+void expect_golden(const M& msg, const std::string& hex) {
+  const Envelope env = make_envelope(msg);
+  EXPECT_EQ(env.type, M::kType) << to_string(M::kType);
+  EXPECT_EQ(env.payload, from_hex(hex)) << to_string(M::kType);
+  const Envelope recorded{M::kType, from_hex(hex)};
+  EXPECT_EQ(make_envelope(open_envelope<M>(recorded)).payload,
+            recorded.payload)
+      << to_string(M::kType);
+}
+
+TEST(NetCodecGolden, EveryMessageEncodesAsRecorded) {
+  expect_golden(Ack{}, "");
+  expect_golden(AllocateRequest{"c1", "app_1", "node-7", 4096, -3, true},
+                "000000026331000000056170705f31000000066e6f64652d37"
+                "0000000000001000fffffffffffffffd01");
+  expect_golden(AllocateReply{true, "node-7"}, "01000000066e6f64652d37");
+  expect_golden(LaunchRequest{"node-7", "c1", 0x0102030405060708ull},
+                "000000066e6f64652d370000000263310102030405060708");
+  expect_golden(ContainerRunning{"c1", 42}, "000000026331000000000000002a");
+  expect_golden(ReleaseRequest{"node-7", "c1", 3},
+                "000000066e6f64652d3700000002633103");
+  expect_golden(NodeProbe{"n"}, "000000016e");
+  expect_golden(NodeStatus{"node-7", 12.5, true},
+                "000000066e6f64652d37402900000000000001");
+  expect_golden(WatchNotify{7, 2, "unit", "unit.000001"},
+                "00000000000000070200000004756e69740000000b756e69742e"
+                "303030303031");
+  expect_golden(StoreIngest{"unit", "unit.000001", "agent.p1",
+                            {0x00, 0xff, 0x10}},
+                "00000004756e69740000000b756e69742e303030303031000000"
+                "086167656e742e70310000000300ff10");
+  expect_golden(AgentCommand{"pilot.0", AgentCommand::kStopFailUnits},
+                "0000000770696c6f742e3002");
+  expect_golden(AgentEvent{"pilot.0", AgentEvent::kActive},
+                "0000000770696c6f742e3000");
+  expect_golden(SubmitRequest{"alice", {1, 2, 3}},
+                "00000005616c69636500000003010203");
+  expect_golden(SubmitReply{"unit.000002"},
+                "0000000b756e69742e303030303032");
+  expect_golden(Hello{Hello::kSubmitter, "s0", -1},
+                "01000000027330ffffffffffffffff");
+  expect_golden(UnitAssign{"u1", "map-1", 0.1},
+                "000000027531000000056d61702d313fb999999999999a");
+  expect_golden(UnitResult{"u1", "map-1", false},
+                "000000027531000000056d61702d3100");
+  expect_golden(Bye{}, "");
+}
+
+TEST(NetCodecGolden, FrameEncodesAsRecorded) {
+  EXPECT_EQ(encode_frame(make_envelope(NodeProbe{"n"})),
+            from_hex("484f48310001000f00000005000000016e"));
+}
+
 // --- hostile input ---------------------------------------------------
 
 std::vector<std::uint8_t> sample_frame() {
@@ -206,27 +289,57 @@ std::vector<std::uint8_t> sample_frame() {
 TEST(NetCodecHostile, TruncationAtEveryByteNeverPartiallyDecodes) {
   const auto frame = sample_frame();
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    // Header incomplete, or header complete and payload short: either
+    // way the reader waits for more bytes and consumes none.
+    RingBuffer ring = ring_of(frame, cut);
     Envelope out;
-    if (cut < kFrameHeaderBytes) {
-      // Header incomplete: decoder must simply wait for more bytes.
-      EXPECT_EQ(try_decode_frame(frame.data(), cut, &out), 0u) << cut;
-    } else {
-      // Header complete, payload short: also "wait for more".
-      EXPECT_EQ(try_decode_frame(frame.data(), cut, &out), 0u) << cut;
-    }
+    EXPECT_FALSE(pop_frame(ring, &out)) << cut;
+    EXPECT_EQ(ring.size(), cut) << cut;
   }
+  RingBuffer ring = ring_of(frame);
   Envelope out;
-  EXPECT_EQ(try_decode_frame(frame.data(), frame.size(), &out),
-            frame.size());
+  EXPECT_TRUE(pop_frame(ring, &out));
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(NetCodecHostile, BackToBackFramesPopInOrder) {
+  // Several frames buffered at once come off one at a time, in order,
+  // and a trailing partial frame stays buffered untouched until it
+  // completes.
+  const auto first = encode_frame(make_envelope(NodeProbe{"a"}));
+  const auto second = sample_frame();
+  RingBuffer ring(64);
+  ring.append(first.data(), first.size());
+  ring.append(second.data(), second.size());
+  ring.append(first.data(), kFrameHeaderBytes + 1);
+  Envelope out;
+  ASSERT_TRUE(pop_frame(ring, &out));
+  EXPECT_EQ(open_envelope<NodeProbe>(out).node, "a");
+  ASSERT_TRUE(pop_frame(ring, &out));
+  EXPECT_EQ(open_envelope<UnitAssign>(out).name, "wave0-map-1");
+  EXPECT_FALSE(pop_frame(ring, &out));
+  EXPECT_EQ(ring.size(), kFrameHeaderBytes + 1);
+  // The rest of the partial frame arrives; then one frame stays
+  // buffered while more stream through, so the ring's head wraps past
+  // the end of its storage and wrapped frames must come off intact.
+  ring.append(first.data() + kFrameHeaderBytes + 1,
+              first.size() - kFrameHeaderBytes - 1);
+  ASSERT_TRUE(pop_frame(ring, &out));
+  EXPECT_EQ(open_envelope<NodeProbe>(out).node, "a");
+  ring.append(second.data(), second.size());
+  for (int i = 0; i < 10; ++i) {
+    ring.append(second.data(), second.size());
+    ASSERT_TRUE(pop_frame(ring, &out)) << i;
+    EXPECT_EQ(open_envelope<UnitAssign>(out).duration, 12.25) << i;
+  }
 }
 
 TEST(NetCodecHostile, TruncatedPayloadFailsMessageUnpack) {
   // A frame whose length field undercuts the real message: the message
   // unpack hits the bounds check or expect_done, never reads past.
-  const auto frame = sample_frame();
+  RingBuffer ring = ring_of(sample_frame());
   Envelope out;
-  ASSERT_EQ(try_decode_frame(frame.data(), frame.size(), &out),
-            frame.size());
+  ASSERT_TRUE(pop_frame(ring, &out));
   for (std::size_t cut = 0; cut < out.payload.size(); ++cut) {
     Envelope shorter = out;
     shorter.payload.resize(cut);
@@ -241,17 +354,17 @@ TEST(NetCodecHostile, TruncatedPayloadFailsMessageUnpack) {
 TEST(NetCodecHostile, BadMagicRejectedBeforePayload) {
   auto frame = sample_frame();
   frame[0] ^= 0x20;
+  RingBuffer ring = ring_of(frame);
   Envelope out;
-  EXPECT_THROW(try_decode_frame(frame.data(), frame.size(), &out),
-               CodecError);
+  EXPECT_THROW(pop_frame(ring, &out), CodecError);
 }
 
 TEST(NetCodecHostile, WrongVersionRejected) {
   auto frame = sample_frame();
   frame[5] = static_cast<std::uint8_t>(kWireVersion + 1);  // version lo byte
+  RingBuffer ring = ring_of(frame);
   Envelope out;
-  EXPECT_THROW(try_decode_frame(frame.data(), frame.size(), &out),
-               CodecError);
+  EXPECT_THROW(pop_frame(ring, &out), CodecError);
 }
 
 TEST(NetCodecHostile, CorruptLengthCannotDriveAllocation) {
@@ -262,9 +375,12 @@ TEST(NetCodecHostile, CorruptLengthCannotDriveAllocation) {
   frame[9] = 0xff;
   frame[10] = 0xff;
   frame[11] = 0xff;
+  RingBuffer ring = ring_of(frame);
   Envelope out;
-  EXPECT_THROW(try_decode_frame(frame.data(), frame.size(), &out),
-               CodecError);
+  EXPECT_THROW(pop_frame(ring, &out), CodecError);
+  // The header alone is enough to refuse it.
+  RingBuffer header_only = ring_of(frame, kFrameHeaderBytes);
+  EXPECT_THROW(pop_frame(header_only, &out), CodecError);
 }
 
 TEST(NetCodecHostile, StringLengthPastBufferThrows) {
@@ -292,9 +408,10 @@ TEST(NetCodecHostile, RandomGarbageNeverCrashes) {
     for (auto& b : junk) {
       b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
+    RingBuffer ring = ring_of(junk);
     Envelope out;
     try {
-      (void)try_decode_frame(junk.data(), junk.size(), &out);
+      (void)pop_frame(ring, &out);
     } catch (const CodecError&) {
     }
     const Envelope env{MsgType::kAllocateRequest, junk};

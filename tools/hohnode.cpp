@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "net/message.h"
 #include "net/ring_buffer.h"
 #include "net/socket_util.h"
@@ -61,25 +62,6 @@ sleeping duration * work-scale seconds (default 0: complete instantly).
 
 submit streams N UnitAssign submissions and says Bye.
 )";
-
-/// FNV-1a over the sorted, newline-joined names — the simulator's
-/// outputChecksum formula (kmeans_experiment.cpp).
-std::string digest_names(std::vector<std::string> names) {
-  std::sort(names.begin(), names.end());
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& name : names) {
-    for (const char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= static_cast<unsigned char>('\n');
-    h *= 1099511628211ull;
-  }
-  char out[17];
-  std::snprintf(out, sizeof(out), "%016llx",
-                static_cast<unsigned long long>(h));
-  return out;
-}
 
 struct Options {
   std::string role;
@@ -160,20 +142,6 @@ struct Conn {
   int cores = 1;
   int in_flight = 0;
 };
-
-/// Drains every complete frame buffered on \p conn into \p out.
-void drain_frames(Conn& conn, std::deque<net::Envelope>* out) {
-  while (conn.buf.size() >= net::kFrameHeaderBytes) {
-    std::vector<std::uint8_t> flat(conn.buf.size());
-    conn.buf.peek(flat.data(), flat.size());
-    net::Envelope env;
-    const std::size_t used =
-        net::try_decode_frame(flat.data(), flat.size(), &env);
-    if (used == 0) return;
-    conn.buf.consume(used);
-    out->push_back(std::move(env));
-  }
-}
 
 int run_rm(const Options& opt) {
   if (opt.agents < 1) {
@@ -266,9 +234,8 @@ int run_rm(const Options& opt) {
         continue;
       }
       it->buf.append(chunk, static_cast<std::size_t>(n));
-      std::deque<net::Envelope> frames;
-      drain_frames(*it, &frames);
-      for (const auto& env : frames) {
+      net::Envelope env;
+      while (net::pop_frame(it->buf, &env)) {
         if (!it->said_hello) {
           const auto hello = net::open_envelope<net::Hello>(env);
           it->said_hello = true;
@@ -321,7 +288,7 @@ int run_rm(const Options& opt) {
   }
   net::close_socket(listen_fd);
   std::printf("hohnode: %zu units, digest %s\n", completed.size(),
-              digest_names(completed).c_str());
+              common::digest_names(completed).c_str());
   return 0;
 }
 
