@@ -399,6 +399,7 @@ common::Json result_to_json(const KmeansExperimentConfig& config,
   j["engine_events"] = static_cast<std::int64_t>(result.engine_events);
   j["transport"] = config.transport;
   j["outputChecksum"] = result.output_checksum;
+  j["scheduleDigest"] = result.schedule_digest;
   if (config.elastic) {
     j["elastic"] = common::Json(common::JsonObject{
         {"policy", config.elastic_policy.name},

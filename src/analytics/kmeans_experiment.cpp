@@ -222,6 +222,9 @@ KmeansExperimentResult run_kmeans_experiment(
     }
   }
   result.output_checksum = common::digest_names(std::move(completed_names));
+  result.schedule_digest = common::strformat(
+      "%016llx",
+      static_cast<unsigned long long>(session.store().schedule_digest()));
   result.engine_events = session.engine().executed();
 
   // --- metrics from the trace ---

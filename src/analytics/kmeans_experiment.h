@@ -145,6 +145,11 @@ struct KmeansExperimentResult {
   /// the "byte-identical output" check of the fault ablation.
   std::string output_checksum;
 
+  /// The store's schedule digest (StateStore::schedule_digest) as 16 hex
+  /// digits: unlike output_checksum it moves when a unit runs on another
+  /// node or at another time.
+  std::string schedule_digest;
+
   /// Engine events executed over the whole run (DESIGN.md §10: with the
   /// event-driven control plane this grows with work, not with virtual
   /// time).

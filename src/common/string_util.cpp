@@ -78,16 +78,19 @@ std::string format_seconds(double seconds) {
   return strformat("%dh%02dm%02.0fs", hours, mins % 60, rem);
 }
 
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 std::string digest_names(std::vector<std::string> names) {
   std::sort(names.begin(), names.end());
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aBasis;
   for (const auto& name : names) {
-    for (const char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= static_cast<unsigned char>('\n');
-    h *= 1099511628211ull;
+    h = fnv1a(fnv1a(h, name), "\n");
   }
   return strformat("%016llx", static_cast<unsigned long long>(h));
 }

@@ -33,6 +33,11 @@ std::string format_bytes(std::int64_t bytes);
 /// Human-readable duration, e.g. "2m03s" or "45.2s".
 std::string format_seconds(double seconds);
 
+/// FNV-1a: the 64-bit offset basis, and one fold of \p bytes into the
+/// running hash \p h. Both run digests are built from it.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes);
+
 /// The run digest: FNV-1a over the sorted, newline-joined names, as 16
 /// hex digits. Stable across runs, platforms and processes (unlike
 /// std::hash), so hohsim's outputChecksum and a multi-process hohnode

@@ -3,189 +3,8 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/string_util.h"
 
 namespace hoh::pilot {
-
-namespace {
-
-/// The one-container request a unit's application master asks YARN for.
-yarn::ContainerRequest container_request(const ComputeUnitDescription& desc) {
-  yarn::ContainerRequest req;
-  req.resource = {desc.memory_mb, desc.cores};
-  req.preferred_nodes = desc.preferred_nodes;
-  return req;
-}
-
-}  // namespace
-
-std::string to_string(PilotState state) {
-  switch (state) {
-    case PilotState::kNew:
-      return "New";
-    case PilotState::kPendingLaunch:
-      return "PendingLaunch";
-    case PilotState::kLaunching:
-      return "Launching";
-    case PilotState::kActive:
-      return "Active";
-    case PilotState::kDone:
-      return "Done";
-    case PilotState::kCanceled:
-      return "Canceled";
-    case PilotState::kFailed:
-      return "Failed";
-  }
-  return "?";
-}
-
-std::string to_string(UnitState state) {
-  switch (state) {
-    case UnitState::kNew:
-      return "New";
-    case UnitState::kUmgrScheduling:
-      return "UmgrScheduling";
-    case UnitState::kPendingAgent:
-      return "PendingAgent";
-    case UnitState::kAgentScheduling:
-      return "AgentScheduling";
-    case UnitState::kStagingInput:
-      return "StagingInput";
-    case UnitState::kExecuting:
-      return "Executing";
-    case UnitState::kStagingOutput:
-      return "StagingOutput";
-    case UnitState::kDone:
-      return "Done";
-    case UnitState::kCanceled:
-      return "Canceled";
-    case UnitState::kFailed:
-      return "Failed";
-  }
-  return "?";
-}
-
-PilotState pilot_state_from_string(const std::string& name) {
-  static const std::map<std::string, PilotState> kNames = {
-      {"New", PilotState::kNew},
-      {"PendingLaunch", PilotState::kPendingLaunch},
-      {"Launching", PilotState::kLaunching},
-      {"Active", PilotState::kActive},
-      {"Done", PilotState::kDone},
-      {"Canceled", PilotState::kCanceled},
-      {"Failed", PilotState::kFailed},
-  };
-  auto it = kNames.find(name);
-  if (it == kNames.end()) {
-    throw common::StateError("unknown pilot state: " + name);
-  }
-  return it->second;
-}
-
-UnitState unit_state_from_string(const std::string& name) {
-  static const std::map<std::string, UnitState> kNames = {
-      {"New", UnitState::kNew},
-      {"UmgrScheduling", UnitState::kUmgrScheduling},
-      {"PendingAgent", UnitState::kPendingAgent},
-      {"AgentScheduling", UnitState::kAgentScheduling},
-      {"StagingInput", UnitState::kStagingInput},
-      {"Executing", UnitState::kExecuting},
-      {"StagingOutput", UnitState::kStagingOutput},
-      {"Done", UnitState::kDone},
-      {"Canceled", UnitState::kCanceled},
-      {"Failed", UnitState::kFailed},
-  };
-  auto it = kNames.find(name);
-  if (it == kNames.end()) {
-    throw common::StateError("unknown unit state: " + name);
-  }
-  return it->second;
-}
-
-std::string to_string(AgentBackend backend) {
-  switch (backend) {
-    case AgentBackend::kPlain:
-      return "plain";
-    case AgentBackend::kYarnModeI:
-      return "yarn-mode1";
-    case AgentBackend::kYarnModeII:
-      return "yarn-mode2";
-    case AgentBackend::kSparkModeI:
-      return "spark-mode1";
-  }
-  return "?";
-}
-
-common::Json unit_to_json(const ComputeUnitDescription& desc) {
-  common::Json j;
-  // An empty list is left out (unit_from_json reads it back as empty):
-  // most units have five, and every store document and every copy of
-  // one would otherwise carry a map node for each.
-  auto put_list = [&j](const char* key, common::JsonArray arr) {
-    if (!arr.empty()) j[key] = std::move(arr);
-  };
-  auto strings = [](const std::vector<std::string>& values) {
-    return common::JsonArray(values.begin(), values.end());
-  };
-  auto stage_list = [](const std::vector<StagedFile>& files) {
-    common::JsonArray arr;
-    for (const auto& f : files) {
-      common::Json entry;
-      entry["url"] = f.url.str();
-      entry["size"] = f.size;
-      arr.push_back(std::move(entry));
-    }
-    return arr;
-  };
-  j["name"] = desc.name;
-  j["executable"] = desc.executable;
-  put_list("arguments", strings(desc.arguments));
-  j["cores"] = static_cast<std::int64_t>(desc.cores);
-  j["memory_mb"] = desc.memory_mb;
-  j["duration"] = desc.duration;
-  j["exit_code"] = static_cast<std::int64_t>(desc.exit_code);
-  j["is_mpi"] = desc.is_mpi;
-  put_list("input_staging", stage_list(desc.input_staging));
-  put_list("output_staging", stage_list(desc.output_staging));
-  put_list("preferred_nodes", strings(desc.preferred_nodes));
-  put_list("depends_on", strings(desc.depends_on));
-  return j;
-}
-
-ComputeUnitDescription unit_from_json(const common::Json& doc) {
-  static const common::JsonArray kNone;
-  auto list = [&doc](const char* key) -> const common::JsonArray& {
-    return doc.contains(key) ? doc.at(key).as_array() : kNone;
-  };
-  ComputeUnitDescription desc;
-  desc.name = doc.at("name").as_string();
-  desc.executable = doc.at("executable").as_string();
-  for (const auto& a : list("arguments")) {
-    desc.arguments.push_back(a.as_string());
-  }
-  desc.cores = static_cast<int>(doc.at("cores").as_int());
-  desc.memory_mb = doc.at("memory_mb").as_int();
-  desc.duration = doc.at("duration").as_number();
-  desc.exit_code = static_cast<int>(doc.at("exit_code").as_int());
-  desc.is_mpi = doc.at("is_mpi").as_bool();
-  auto parse_stage = [](const common::JsonArray& arr) {
-    std::vector<StagedFile> out;
-    for (const auto& e : arr) {
-      out.push_back(StagedFile{saga::Url(e.at("url").as_string()),
-                               e.at("size").as_int()});
-    }
-    return out;
-  };
-  desc.input_staging = parse_stage(list("input_staging"));
-  desc.output_staging = parse_stage(list("output_staging"));
-  for (const auto& n : list("preferred_nodes")) {
-    desc.preferred_nodes.push_back(n.as_string());
-  }
-  for (const auto& d : list("depends_on")) {
-    desc.depends_on.push_back(d.as_string());
-  }
-  return desc;
-}
 
 Agent::Agent(saga::SagaContext& saga, StateStore& store,
              saga::FileTransferService& transfer, std::string pilot_id,
@@ -199,14 +18,27 @@ Agent::Agent(saga::SagaContext& saga, StateStore& store,
       machine_(machine),
       allocation_(std::move(allocation)),
       backend_(backend),
-      config_(config),
-      external_yarn_(external_yarn) {
+      config_(config) {
   if (allocation_.empty()) {
     throw common::ConfigError("Agent: empty allocation");
   }
-  if (backend_ == AgentBackend::kYarnModeII && external_yarn_ == nullptr) {
-    throw common::ConfigError(
-        "Agent: Mode II requires an existing YARN cluster");
+  switch (backend_) {
+    case AgentBackend::kPlain:
+      launch_ = make_plain_launch(*this);
+      break;
+    case AgentBackend::kYarnModeI:
+      launch_ = make_yarn_launch(*this, nullptr);
+      break;
+    case AgentBackend::kYarnModeII:
+      if (external_yarn == nullptr) {
+        throw common::ConfigError(
+            "Agent: Mode II requires an existing YARN cluster");
+      }
+      launch_ = make_yarn_launch(*this, external_yarn);
+      break;
+    case AgentBackend::kSparkModeI:
+      launch_ = make_spark_launch(*this);
+      break;
   }
   if (config_.transport != nullptr) {
     // Message boundary (DESIGN.md §14): PilotManager commands arrive as
@@ -252,7 +84,7 @@ void Agent::start(std::function<void()> on_active) {
   saga_.engine().schedule(machine_.agent_bootstrap_time,
                           [this, cb = std::move(on_active)] {
     if (stopped_) return;
-    lrm_bootstrap([this, cb] {
+    launch_->bootstrap([this, cb] {
       if (stopped_) return;
       active_ = true;
       saga_.trace().record(saga_.engine().now(), "pilot", "agent_active",
@@ -285,80 +117,6 @@ void Agent::start(std::function<void()> on_active) {
   });
 }
 
-void Agent::lrm_bootstrap(std::function<void()> on_done) {
-  switch (backend_) {
-    case AgentBackend::kPlain:
-      // The LRM only parses the batch environment; negligible cost.
-      on_done();
-      return;
-    case AgentBackend::kYarnModeI: {
-      const common::Seconds dt = machine_.bootstrap.yarn_bootstrap_time(
-          static_cast<int>(allocation_.size()));
-      saga_.engine().schedule(dt, [this, dt, cb = std::move(on_done)] {
-        if (stopped_) return;
-        owned_yarn_ = std::make_unique<yarn::YarnCluster>(
-            saga_.engine(), machine_, allocation_, config_.yarn);
-        saga_.trace().record(
-            saga_.engine().now(), "pilot", "yarn_bootstrapped",
-            {{"pilot", pilot_id_},
-             {"seconds", common::strformat("%.2f", dt)}});
-        cb();
-      });
-      return;
-    }
-    case AgentBackend::kYarnModeII: {
-      // Connect to the running RM and read its REST metrics once.
-      saga_.engine().schedule(2.0, [this, cb = std::move(on_done)] {
-        if (stopped_) return;
-        const auto metrics = external_yarn_->resource_manager()
-                                 .cluster_metrics();
-        saga_.trace().record(
-            saga_.engine().now(), "pilot", "yarn_connected",
-            {{"pilot", pilot_id_},
-             {"availableMB",
-              std::to_string(metrics.at("clusterMetrics")
-                                 .at("availableMB")
-                                 .as_int())}});
-        cb();
-      });
-      return;
-    }
-    case AgentBackend::kSparkModeI: {
-      const common::Seconds dt = machine_.bootstrap.spark_bootstrap_time(
-          static_cast<int>(allocation_.size()));
-      saga_.engine().schedule(dt, [this, dt, cb = std::move(on_done)] {
-        if (stopped_) return;
-        spark_ = std::make_unique<spark::SparkStandaloneCluster>(
-            saga_.engine(), machine_, allocation_, config_.spark);
-        // One long-lived Spark application per pilot holds all slots.
-        spark::SparkAppDescriptor app;
-        app.name = pilot_id_;
-        app.executor_cores = allocation_.nodes()[0]->spec().cores;
-        app.executor_memory_mb =
-            allocation_.nodes()[0]->spec().memory_mb - 2048;
-        spark_app_id_ = spark_->submit_application(app);
-        saga_.trace().record(
-            saga_.engine().now(), "pilot", "spark_bootstrapped",
-            {{"pilot", pilot_id_},
-             {"seconds", common::strformat("%.2f", dt)}});
-        cb();
-      });
-      return;
-    }
-  }
-  throw common::ConfigError("Agent: unknown backend");
-}
-
-void Agent::lrm_teardown() {
-  if (owned_yarn_ != nullptr) owned_yarn_->shutdown();
-  if (spark_ != nullptr) {
-    if (!spark_app_id_.empty()) {
-      spark_->finish_application(spark_app_id_);
-    }
-    spark_->shutdown();
-  }
-}
-
 void Agent::stop(bool fail_units) {
   if (stopped_) return;
   const bool was_active = active_;
@@ -383,21 +141,15 @@ void Agent::stop(bool fail_units) {
     set_unit_state(*unit, backlog_final);
   }
   queue_.clear();
-  for (auto& unit : waiting_for_shared_am_) {
+  // Running units end with the backlog, withdrawn wherever they run, so
+  // nothing they hold outlives the agent.
+  auto running = running_units_;
+  for (auto& [id, unit] : running) {
+    withdraw_unit(*unit);
     set_unit_state(*unit, backlog_final);
+    if (fail_units) ++units_failed_;
   }
-  waiting_for_shared_am_.clear();
-  if (fail_units) {
-    // The allocation died mid-execution: in-flight units are lost too.
-    // finish_unit releases their node/core ledgers so the nodes return
-    // to the batch pool clean for the next (resubmitted) pilot.
-    auto running = running_units_;
-    for (auto& [id, unit] : running) {
-      saga_.engine().cancel(unit->exec_event);
-      finish_unit(unit, UnitState::kFailed);
-    }
-  }
-  lrm_teardown();
+  launch_->teardown();
   saga_.trace().record(saga_.engine().now(), "pilot", "agent_stopped",
                        {{"pilot", pilot_id_},
                         {"failed_units", fail_units ? "true" : "false"}});
@@ -510,105 +262,18 @@ void Agent::schedule_queued() {
   queue_ = std::move(still_waiting);
 }
 
-void Agent::note_node_release(const cluster::Node* node) {
-  if (plain_cursor_ == 0) return;
-  if (node_pos_stale_) {
-    node_pos_.clear();
-    const auto& nodes = allocation_.nodes();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      node_pos_[nodes[i].get()] = i;
-    }
-    node_pos_stale_ = false;
-  }
-  const auto it = node_pos_.find(node);
-  plain_cursor_ =
-      it == node_pos_.end() ? 0 : std::min(plain_cursor_, it->second);
+bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
+  if (!launch_->admit(*unit)) return false;  // stays queued
+  running_ += 1;
+  running_units_[unit->id] = unit;
+  launch_->launch(unit);
+  return true;
 }
 
-bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
-  switch (backend_) {
-    case AgentBackend::kPlain: {
-      // Continuous scheduler: first node with enough free cores+memory.
-      const cluster::ResourceRequest req{unit->desc.cores,
-                                         unit->desc.memory_mb};
-      const auto& nodes = allocation_.nodes();
-      // Advance the first-fit cursor past exhausted nodes; every
-      // non-draining node below it has zero free cores and cannot host
-      // any unit that wants a core, so the scan starts at the cursor.
-      if (plain_cursor_ > nodes.size()) plain_cursor_ = 0;
-      while (plain_cursor_ < nodes.size() &&
-             nodes[plain_cursor_]->free_cores() == 0 &&
-             !node_draining(nodes[plain_cursor_]->name())) {
-        ++plain_cursor_;
-      }
-      const std::size_t start = unit->desc.cores > 0 ? plain_cursor_ : 0;
-      for (std::size_t i = start; i < nodes.size(); ++i) {
-        const auto& node = nodes[i];
-        if (node_draining(node->name())) continue;
-        if (node->allocate(req)) {
-          unit->node = node.get();
-          saga_.trace().record(saga_.engine().now(), "unit", "placed",
-                               {{"unit", unit->id}, {"node", node->name()}});
-          exec_plain(unit);
-          return true;
-        }
-      }
-      // MPI units gang-schedule across nodes when no single node can
-      // host them (mpiexec spans the allocation).
-      if (unit->desc.is_mpi && try_gang_allocate(*unit)) {
-        std::string nodes;
-        for (const auto& [node, piece] : unit->pieces) {
-          if (!nodes.empty()) nodes += ",";
-          nodes += node->name();
-        }
-        saga_.trace().record(saga_.engine().now(), "unit", "placed",
-                             {{"unit", unit->id}, {"node", nodes}});
-        exec_plain(unit);
-        return true;
-      }
-      return false;  // stays queued until capacity frees up
-    }
-    case AgentBackend::kYarnModeI:
-    case AgentBackend::kYarnModeII: {
-      // The YARN scheduler gates on *memory and cores* using the RM's
-      // free capacity (the REST metrics' availableMB, paper SS-III-C),
-      // accounting for submissions whose containers are not visible in
-      // the RM's ledger yet.
-      yarn::ResourceManager& rm = yarn_cluster()->resource_manager();
-      const yarn::YarnConfig& ycfg = rm.config();
-      const yarn::Resource cu =
-          ycfg.normalize({unit->desc.memory_mb, unit->desc.cores});
-      common::MemoryMb need = cu.memory_mb;
-      if (!config_.reuse_yarn_app || shared_am_ == nullptr) {
-        need += ycfg.normalize(config_.yarn.yarn.am_resource).memory_mb;
-      }
-      if (rm.available().memory_mb - yarn_inflight_mb_ < need) {
-        return false;
-      }
-      // Data-aware extension: steer the unit towards the node holding
-      // most HDFS blocks of its first resident input.
-      if (config_.data_aware_scheduling &&
-          unit->desc.preferred_nodes.empty()) {
-        for (const auto& f : unit->desc.input_staging) {
-          if (f.url.scheme() == "hdfs" &&
-              yarn_cluster()->hdfs().exists(f.url.path())) {
-            const auto best = yarn_cluster()->hdfs().best_node(f.url.path());
-            if (!best.empty()) unit->desc.preferred_nodes.push_back(best);
-            break;
-          }
-        }
-      }
-      unit->yarn_reserved_mb = need;
-      yarn_inflight_mb_ += need;
-      exec_yarn(unit);
-      return true;
-    }
-    case AgentBackend::kSparkModeI:
-      // The Spark scheduler's own wave queueing handles backpressure.
-      exec_spark(unit);
-      return true;
-  }
-  return false;
+void Agent::record_placed(const UnitRec& unit, const std::string& nodes) {
+  saga_.trace().record(saga_.engine().now(), "unit", "placed",
+                       {{"unit", unit.id}, {"node", nodes}});
+  store_.record_placement(unit.id, nodes);
 }
 
 void Agent::enqueue_transfer(const saga::Url& src, const saga::Url& dst,
@@ -679,62 +344,16 @@ void Agent::stage_out(std::shared_ptr<UnitRec> unit,
   }
 }
 
-bool Agent::try_gang_allocate(UnitRec& unit) {
-  // Greedy: walk nodes taking as many cores as each offers, memory split
-  // proportionally to the cores taken. All-or-nothing.
-  int remaining = unit.desc.cores;
-  std::vector<std::pair<cluster::Node*, cluster::ResourceRequest>> taken;
-  for (const auto& node : allocation_.nodes()) {
-    if (remaining <= 0) break;
-    if (node_draining(node->name())) continue;
-    const int cores = std::min(remaining, node->free_cores());
-    if (cores <= 0) continue;
-    const common::MemoryMb memory =
-        unit.desc.memory_mb * cores / unit.desc.cores;
-    const cluster::ResourceRequest piece{cores, memory};
-    if (!node->allocate(piece)) continue;
-    taken.emplace_back(node.get(), piece);
-    remaining -= cores;
-  }
-  if (remaining > 0) {
-    for (const auto& [node, piece] : taken) node->release(piece);
-    return false;
-  }
-  unit.pieces = std::move(taken);
-  return true;
-}
-
 void Agent::release_unit(UnitRec& unit) {
-  if (unit.node != nullptr) {
-    unit.node->release(
-        cluster::ResourceRequest{unit.desc.cores, unit.desc.memory_mb});
-    note_node_release(unit.node);
-    unit.node = nullptr;
-  }
-  for (const auto& [node, piece] : unit.pieces) {
-    node->release(piece);
-    note_node_release(node);
-  }
-  unit.pieces.clear();
-  if (unit.yarn_reserved_mb > 0) {
-    yarn_inflight_mb_ -= unit.yarn_reserved_mb;
-    unit.yarn_reserved_mb = 0;
-  }
+  launch_->release(unit);
   unit.exec_event = sim::EventHandle{};
-  unit.am = nullptr;
   running_units_.erase(unit.id);
   running_ = running_ > 0 ? running_ - 1 : 0;
 }
 
 void Agent::withdraw_unit(UnitRec& unit) {
   saga_.engine().cancel(unit.exec_event);
-  if (unit.am != nullptr) {
-    unit.am->kill_container(unit.container_id);
-    if (unit.dedicated_app) unit.am->unregister(false);
-    unit.container_id.clear();
-    unit.exec_node.clear();
-    unit.dedicated_app = false;
-  }
+  launch_->withdraw(unit);
   release_unit(unit);
 }
 
@@ -753,164 +372,22 @@ void Agent::finish_unit(std::shared_ptr<UnitRec> unit,
   notify_capacity_event();
 }
 
-common::Seconds Agent::wrapper_time_for(const std::string& node) {
-  auto it = wrapper_cache_.find(node);
-  if (it != wrapper_cache_.end() && it->second) {
-    return config_.wrapper_cached_time;
-  }
-  wrapper_cache_[node] = true;
-  return config_.wrapper_setup_time;
+common::Seconds Agent::spawn_delay(common::Seconds latency) {
+  // The Task Spawner handles one launch at a time; later units wait for
+  // it.
+  const common::Seconds now = saga_.engine().now();
+  const common::Seconds starts = std::max(now, spawner_free_at_);
+  spawner_free_at_ = starts + latency;
+  return (starts - now) + latency;
 }
 
-void Agent::exec_plain(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
-  running_units_[unit->id] = unit;
-  stage_in(unit, [this, unit] {
-    const common::Seconds launch_latency =
-        unit->desc.is_mpi ? config_.mpiexec_latency : config_.spawn_latency;
-    // The Task Spawner handles one launch at a time; later units wait
-    // for it, then load their runtime environment in parallel.
-    const common::Seconds now = saga_.engine().now();
-    const common::Seconds spawn_starts = std::max(now, spawner_free_at_);
-    spawner_free_at_ = spawn_starts + launch_latency;
-    const common::Seconds delay =
-        (spawn_starts - now) + launch_latency + config_.env_load_seconds;
-    saga_.engine().schedule(delay, [this, unit] {
-          if (stopped_) return;
-          set_unit_state(*unit, UnitState::kExecuting);
-          // A degraded node (FailureInjector slow-node episode) stretches
-          // the payload wall time by its current speed factor.
-          common::Seconds duration = unit->desc.duration;
-          if (unit->node != nullptr) {
-            duration *= unit->node->speed_factor();
-          }
-          unit->exec_event =
-              saga_.engine().schedule(duration, [this, unit] {
-            if (stopped_) return;
-            unit->exec_event = sim::EventHandle{};
-            // The Task Spawner "collects the exit code" (paper SS-III-B).
-            if (unit->desc.exit_code != 0) {
-              finish_unit(unit, UnitState::kFailed);
-              return;
-            }
-            stage_out(unit, [this, unit] {
-              finish_unit(unit, UnitState::kDone);
-            });
-          });
-        });
-  });
-}
-
-void Agent::exec_yarn(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
-  running_units_[unit->id] = unit;
-  yarn::ResourceManager& rm = yarn_cluster()->resource_manager();
-  saga_.trace().begin_span(saga_.engine().now(), "unit", "yarn_submit",
-                           unit->id);
-  stage_in(unit, [this, unit, &rm] {
-    // Serialized `yarn jar` CLI submission round trip.
-    const common::Seconds now = saga_.engine().now();
-    const common::Seconds submit_starts = std::max(now, spawner_free_at_);
-    spawner_free_at_ = submit_starts + config_.yarn_submit_latency;
-    saga_.engine().schedule(
-        (submit_starts - now) + config_.yarn_submit_latency,
-        [this, unit, &rm] { exec_yarn_submit(unit, rm); });
-  });
-}
-
-void Agent::exec_yarn_submit(std::shared_ptr<UnitRec> unit,
-                             yarn::ResourceManager& rm) {
-  if (stopped_) return;
-  if (config_.reuse_yarn_app) {
-    if (shared_am_ != nullptr) {
-      shared_am_->request_containers(
-          1, container_request(unit->desc),
-          [this, unit](const yarn::Container& c) {
-            exec_yarn_in_container(unit, *shared_am_, c, false);
-          });
-      return;
-    }
-    waiting_for_shared_am_.push_back(unit);
-    if (!shared_app_id_.empty()) return;  // AM already requested
-    yarn::AppDescriptor app;
-    app.name = "radical-pilot-shared";
-    app.am_resource = config_.yarn.yarn.am_resource;
-    app.on_am_start = [this](yarn::ApplicationMaster& am) {
-      if (stopped_) return;
-      shared_am_ = &am;
-      auto waiting = std::move(waiting_for_shared_am_);
-      waiting_for_shared_am_.clear();
-      for (auto& w : waiting) {
-        shared_am_->request_containers(
-            1, container_request(w->desc),
-            [this, w](const yarn::Container& c) {
-              exec_yarn_in_container(w, *shared_am_, c, false);
-            });
-      }
-    };
-    shared_app_id_ = rm.submit_application(std::move(app));
+void Agent::payload_done(const std::shared_ptr<UnitRec>& unit) {
+  // The Task Spawner "collects the exit code" (paper SS-III-B).
+  if (unit->desc.exit_code != 0) {
+    finish_unit(unit, UnitState::kFailed);
     return;
   }
-  // Paper default: one YARN application (own AM) per Compute-Unit.
-  yarn::AppDescriptor app;
-  app.name = unit->desc.name;
-  app.am_resource = config_.yarn.yarn.am_resource;
-  app.on_am_start = [this, unit](yarn::ApplicationMaster& am) {
-    if (stopped_) return;
-    am.request_containers(1, container_request(unit->desc),
-                          [this, unit, &am](const yarn::Container& c) {
-                            exec_yarn_in_container(unit, am, c, true);
-                          });
-  };
-  rm.submit_application(std::move(app));
-}
-
-void Agent::exec_yarn_in_container(std::shared_ptr<UnitRec> unit,
-                                   yarn::ApplicationMaster& am,
-                                   const yarn::Container& container,
-                                   bool dedicated_app) {
-  const std::string container_id = container.id;
-  const std::string node = container.node;
-  unit->am = &am;
-  unit->container_id = container_id;
-  unit->exec_node = node;
-  unit->dedicated_app = dedicated_app;
-  saga_.trace().record(saga_.engine().now(), "unit", "placed",
-                       {{"unit", unit->id}, {"node", node}});
-  am.launch(container_id, [this, unit, &am, container_id, node,
-                           dedicated_app] {
-    if (stopped_) return;
-    // Wrapper script: sets up the RP environment inside the container
-    // (cached per node by the NM's resource localization).
-    saga_.engine().schedule(wrapper_time_for(node), [this, unit, &am,
-                                                     container_id,
-                                                     dedicated_app] {
-      if (stopped_) return;
-      if (unit->container_id != container_id) return;  // preempted
-      set_unit_state(*unit, UnitState::kExecuting);
-      saga_.trace().end_span(saga_.engine().now(), "unit", "yarn_submit",
-                             unit->id);
-      unit->exec_event =
-          saga_.engine().schedule(unit->desc.duration, [this, unit, &am,
-                                                        container_id,
-                                                        dedicated_app] {
-        if (stopped_) return;
-        unit->exec_event = sim::EventHandle{};
-        unit->am = nullptr;
-        if (unit->desc.exit_code != 0) {
-          am.kill_container(container_id);
-          if (dedicated_app) am.unregister(false);
-          finish_unit(unit, UnitState::kFailed);
-          return;
-        }
-        am.complete_container(container_id);
-        if (dedicated_app) am.unregister(true);
-        stage_out(unit, [this, unit] {
-          finish_unit(unit, UnitState::kDone);
-        });
-      });
-    });
-  });
+  stage_out(unit, [this, unit] { finish_unit(unit, UnitState::kDone); });
 }
 
 // --------------------------------------------------------- elasticity ---
@@ -928,13 +405,7 @@ AgentCapacity Agent::capacity() {
     cap.total_memory_mb += node->spec().memory_mb;
     cap.used_memory_mb += node->used_memory_mb();
   }
-  if (yarn::YarnCluster* yc = yarn_cluster()) {
-    // Memory-only scheduling leaves node core ledgers untouched; the RM
-    // ledger is the authority for YARN usage.
-    const yarn::Resource used = yc->resource_manager().total_allocated();
-    cap.used_cores = used.vcores;
-    cap.used_memory_mb = used.memory_mb;
-  }
+  launch_->used_capacity(cap);
   return cap;
 }
 
@@ -946,38 +417,23 @@ std::vector<ComputeUnitDescription> Agent::queued_descriptions() const {
 }
 
 void Agent::add_nodes(std::vector<std::shared_ptr<cluster::Node>> nodes) {
-  if (backend_ == AgentBackend::kYarnModeII) {
-    throw common::StateError(
-        "Agent: Mode II pilots cannot grow — the external cluster is not "
-        "ours to resize");
-  }
+  const common::Seconds per_node = launch_->node_start_time();
   if (nodes.empty() || stopped_) return;
   if (!active_) {
     // Bootstrap has not finished; the LRM picks the nodes up when it
     // builds the backend cluster from the (now larger) allocation.
     for (auto& node : nodes) allocation_.add(std::move(node));
-    plain_cursor_ = 0;
-    node_pos_stale_ = true;
     return;
   }
   // Per-node worker-daemon start before the capacity becomes usable.
-  common::Seconds dt = machine_.bootstrap.configure_time;
-  if (backend_ == AgentBackend::kYarnModeI) {
-    dt += machine_.bootstrap.worker_daemon_start *
-          static_cast<double>(nodes.size());
-  } else if (backend_ == AgentBackend::kSparkModeI) {
-    dt += machine_.bootstrap.spark_worker_start *
-          static_cast<double>(nodes.size());
-  }
+  const common::Seconds dt = machine_.bootstrap.configure_time +
+                             per_node * static_cast<double>(nodes.size());
   saga_.engine().schedule(dt, [this, nodes = std::move(nodes)] {
     if (stopped_) return;
     for (const auto& node : nodes) {
-      if (owned_yarn_ != nullptr) owned_yarn_->add_nodes({node});
-      if (spark_ != nullptr) spark_->add_worker(node);
+      launch_->grow(node);
       allocation_.add(node);
     }
-    plain_cursor_ = 0;
-    node_pos_stale_ = true;
     saga_.trace().record(
         saga_.engine().now(), "pilot", "resize",
         {{"pilot", pilot_id_},
@@ -1024,10 +480,7 @@ void Agent::decommission_nodes(std::vector<std::string> names,
   saga_.trace().record(saga_.engine().now(), "pilot", "drain_started",
                        {{"pilot", pilot_id_},
                         {"nodes", std::to_string(names.size())}});
-  if (owned_yarn_ != nullptr) owned_yarn_->decommission_nodes(names);
-  if (spark_ != nullptr) {
-    for (const auto& name : names) spark_->decommission_worker(name);
-  }
+  launch_->drain(names);
   // Drain progress has no single push source (NM container exits, HDFS
   // re-replication), so the agent re-checks on a self re-arming timer —
   // bounded to the drain window, not the whole pilot lifetime.
@@ -1043,47 +496,24 @@ void Agent::decommission_nodes(std::vector<std::string> names,
 
 void Agent::drain_poll() {
   if (stopped_) return;
-  // Compute drained: no unit resources left on any leaving node.
-  bool compute_drained = true;
-  for (const auto& node : allocation_.nodes()) {
-    if (!node_draining(node->name())) continue;
-    if (node->used_cores() > 0 || node->used_memory_mb() > 0) {
-      compute_drained = false;
-      break;
-    }
-  }
-  if (compute_drained && owned_yarn_ != nullptr) {
-    for (const auto& name : drain_names_) {
-      yarn::NodeManager& nm =
-          owned_yarn_->resource_manager().node_manager(name);
-      if (nm.alive() && nm.live_count() > 0) {
-        compute_drained = false;
-        break;
-      }
-    }
-  }
-  if (compute_drained && spark_ != nullptr) {
-    for (const auto& name : drain_names_) {
-      if (!spark_->worker_drained(name)) {
-        compute_drained = false;
-        break;
-      }
-    }
-  }
+  // Compute drained: no unit resources left on any leaving node, and the
+  // backend's daemons there are idle.
+  const auto& nodes = allocation_.nodes();
+  const bool compute_drained =
+      std::none_of(nodes.begin(), nodes.end(),
+                   [this](const std::shared_ptr<cluster::Node>& node) {
+                     return node_draining(node->name()) &&
+                            (node->used_cores() > 0 ||
+                             node->used_memory_mb() > 0);
+                   }) &&
+      launch_->drained(drain_names_);
   if (!compute_drained) {
     if (!drain_escalated_ && saga_.engine().now() >= drain_deadline_) {
       drain_escalate();
     }
     return;
   }
-  // Data drained: blocks re-replicated off leaving DataNodes. This
-  // barrier is never skipped — a drain timeout may preempt compute, but
-  // releasing a node before its blocks are safe would lose data.
-  if (owned_yarn_ != nullptr &&
-      !owned_yarn_->decommission_complete(drain_names_)) {
-    return;
-  }
-  drain_finish();
+  if (launch_->data_safe(drain_names_)) drain_finish();
 }
 
 void Agent::drain_escalate() {
@@ -1097,49 +527,21 @@ void Agent::drain_escalate() {
   // wasted work, never lost units.
   std::vector<std::shared_ptr<UnitRec>> victims;
   for (const auto& [id, unit] : running_units_) {
-    bool on_leaving = false;
-    // A YARN unit is preemptible as soon as it holds a container on a
-    // leaving node, even before it reaches Executing — fail_node below
-    // would otherwise kill the container with no one requeueing the unit.
-    if (unit->am != nullptr && node_draining(unit->exec_node)) {
-      on_leaving = true;
-    }
-    if (unit->state == UnitState::kExecuting && unit->exec_event.valid()) {
-      if (unit->node != nullptr && node_draining(unit->node->name())) {
-        on_leaving = true;
-      }
-      for (const auto& [node, piece] : unit->pieces) {
-        if (node_draining(node->name())) on_leaving = true;
-      }
-    }
-    if (on_leaving) victims.push_back(unit);
+    if (launch_->on_draining_node(*unit)) victims.push_back(unit);
   }
   for (const auto& unit : victims) requeue_unit(unit);
-  // Anything still pinning a leaving NM (e.g. an Application Master
-  // container) is evicted through the RM's node-loss path; the DataNode
-  // stays alive, so no block is lost.
-  if (owned_yarn_ != nullptr) {
-    yarn::ResourceManager& rm = owned_yarn_->resource_manager();
-    for (const auto& name : drain_names_) {
-      yarn::NodeManager& nm = rm.node_manager(name);
-      if (nm.alive() && nm.live_count() > 0) rm.fail_node(name);
-    }
-  }
+  launch_->evict(drain_names_);
   schedule_queued();
   notify_capacity_event();  // preempted units re-entered the backlog
 }
 
 void Agent::drain_finish() {
   drain_recheck_.cancel();
-  if (owned_yarn_ != nullptr) owned_yarn_->remove_nodes(drain_names_);
+  launch_->remove(drain_names_);
   for (const auto& name : drain_names_) {
-    if (spark_ != nullptr) spark_->remove_worker(name);
     allocation_.remove(name);
     draining_.erase(name);
-    wrapper_cache_.erase(name);
   }
-  plain_cursor_ = 0;
-  node_pos_stale_ = true;
   saga_.trace().record(
       saga_.engine().now(), "pilot", "resize",
       {{"pilot", pilot_id_},
@@ -1171,11 +573,11 @@ bool Agent::preempt_unit(const std::string& unit_id) {
   auto it = running_units_.find(unit_id);
   if (it == running_units_.end()) return false;
   auto unit = it->second;
-  // Only a unit whose payload is actually running is preemptible here
-  // (the drain path's criterion): one mid-staging or waiting on the
-  // serialized Task Spawner holds continuations that must run out.
-  if (unit->state != UnitState::kExecuting ||
-      (!unit->exec_event.valid() && unit->am == nullptr)) {
+  // Only a unit whose payload is actually running is preemptible here:
+  // one mid-staging or waiting on the serialized Task Spawner holds
+  // continuations that must run out, and a Spark stage has no payload
+  // event to cancel.
+  if (unit->state != UnitState::kExecuting || !unit->exec_event.valid()) {
     return false;
   }
   withdraw_unit(*unit);
@@ -1198,26 +600,6 @@ void Agent::requeue_unit(const std::shared_ptr<UnitRec>& unit) {
                        {{"unit", unit->id}, {"pilot", pilot_id_}});
   set_unit_state(*unit, UnitState::kAgentScheduling);
   queue_.push_back(unit);
-}
-
-void Agent::exec_spark(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
-  running_units_[unit->id] = unit;
-  stage_in(unit, [this, unit] {
-    set_unit_state(*unit, UnitState::kExecuting);
-    spark_->run_stage(spark_app_id_, unit->desc.cores,
-                      [unit](int) { return unit->desc.duration; },
-                      [this, unit] {
-                        if (stopped_) return;
-                        if (unit->desc.exit_code != 0) {
-                          finish_unit(unit, UnitState::kFailed);
-                          return;
-                        }
-                        stage_out(unit, [this, unit] {
-                          finish_unit(unit, UnitState::kDone);
-                        });
-                      });
-  });
 }
 
 }  // namespace hoh::pilot

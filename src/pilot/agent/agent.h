@@ -11,23 +11,21 @@
 #include "cluster/machine.h"
 #include "common/object_pool.h"
 #include "pilot/agent/agent_config.h"
+#include "pilot/agent/launch_method.h"
 #include "pilot/descriptions.h"
 #include "pilot/state_store.h"
 #include "pilot/states.h"
 #include "saga/context.h"
 #include "saga/file_transfer.h"
-#include "spark/standalone.h"
-#include "yarn/application_master.h"
-#include "yarn/yarn_cluster.h"
 
 /// \file agent.h
 /// The RADICAL-Pilot agent (paper Fig. 3, right side). One agent runs on
 /// the head node of a batch allocation and consists of the components the
-/// paper names: the Local Resource Manager (environment discovery and, in
-/// Mode I, Hadoop/Spark bootstrap), the Scheduler (cores for the plain
-/// path; cores *and memory* for the YARN path), the Task Spawner and the
-/// Launch Methods (fork / mpiexec / yarn / spark), a heartbeat monitor
-/// and the stage-in/stage-out workers.
+/// paper names: the Local Resource Manager, the Scheduler, the Task
+/// Spawner, a heartbeat monitor and the stage-in/stage-out workers, plus
+/// one Launch Method per backend (launch_method.h: fork/mpiexec, YARN
+/// Mode I/II, Spark), which owns the backend cluster, the admission
+/// check and the placement. The agent never branches on its backend.
 
 namespace hoh::pilot {
 
@@ -64,15 +62,14 @@ class Agent {
   /// its store queue. \p on_active fires at that moment.
   void start(std::function<void()> on_active = nullptr);
 
-  /// Stops the agent: tears down Mode-I clusters (the LRM "stops the
-  /// Hadoop and YARN daemons and removes the associated data files"),
-  /// cancels pending units, drops its store watch and timers.
+  /// Stops the agent: withdraws every running unit, tears down Mode-I
+  /// clusters (the LRM "stops the Hadoop and YARN daemons and removes the
+  /// associated data files"), drops its store watch and timers.
   ///
-  /// \p fail_units distinguishes a deliberate stop (cancel/normal end:
-  /// queued units become kCanceled, a sink) from an involuntary one (the
-  /// placeholder job died under the agent: queued AND running units
-  /// become kFailed, the one final state the Unit-Manager may requeue
-  /// from, with their node/core ledgers released).
+  /// Queued and running units end kCanceled on a deliberate stop (cancel
+  /// or normal end; a sink) and kFailed when \p fail_units (the
+  /// placeholder job died under the agent; kFailed is the one final
+  /// state the Unit-Manager may requeue from).
   void stop(bool fail_units = false);
 
   bool active() const { return active_; }
@@ -82,10 +79,10 @@ class Agent {
   const AgentConfig& config() const { return config_; }
 
   /// Mode-I/II backend clusters (nullptr when not applicable).
-  yarn::YarnCluster* yarn_cluster() {
-    return external_yarn_ != nullptr ? external_yarn_ : owned_yarn_.get();
+  yarn::YarnCluster* yarn_cluster() { return launch_->yarn_cluster(); }
+  spark::SparkStandaloneCluster* spark_cluster() {
+    return launch_->spark_cluster();
   }
-  spark::SparkStandaloneCluster* spark_cluster() { return spark_.get(); }
 
   std::size_t units_completed() const { return units_completed_; }
   std::size_t units_failed() const { return units_failed_; }
@@ -144,29 +141,10 @@ class Agent {
   void on_capacity_event(std::function<void()> cb);
 
  private:
-  struct UnitRec {
-    std::string id;
-    ComputeUnitDescription desc;
-    UnitState state = UnitState::kPendingAgent;
-    cluster::Node* node = nullptr;  // plain path assignment
-    /// Gang-scheduled MPI units span nodes: each piece is one node's
-    /// share of (cores, memory), released together on completion.
-    std::vector<std::pair<cluster::Node*, cluster::ResourceRequest>> pieces;
-    common::MemoryMb yarn_reserved_mb = 0;  // in-flight YARN gate share
-
-    /// Preemption handle: the payload-duration event plus enough context
-    /// to withdraw a YARN container, so a drain timeout can requeue the
-    /// unit instead of losing it.
-    sim::EventHandle exec_event;
-    yarn::ApplicationMaster* am = nullptr;
-    std::string container_id;
-    std::string exec_node;
-    bool dedicated_app = false;
-  };
-
-  // --- Local Resource Manager ---
-  void lrm_bootstrap(std::function<void()> on_done);
-  void lrm_teardown();
+  // The launch methods drive staging, the Task Spawner and unit states.
+  friend class PlainLaunch;
+  friend class YarnLaunch;
+  friend class SparkLaunch;
 
   // --- store interaction (U.3 / state write-back) ---
   void poll_store();
@@ -180,7 +158,8 @@ class Agent {
   // --- Scheduler (U.4/U.5) ---
   void schedule_queued();
   bool dispatch(const std::shared_ptr<UnitRec>& unit);
-  bool try_gang_allocate(UnitRec& unit);
+  /// Traces the placement and folds it into the schedule digest.
+  void record_placed(const UnitRec& unit, const std::string& nodes);
 
   // --- stage-in/out workers (bounded concurrency) ---
   void stage_in(std::shared_ptr<UnitRec> unit,
@@ -191,22 +170,18 @@ class Agent {
                         common::Bytes bytes, std::function<void()> done);
   void staging_slot_released();
 
-  // --- Task Spawner + Launch Methods ---
-  void exec_plain(std::shared_ptr<UnitRec> unit);
-  void exec_yarn(std::shared_ptr<UnitRec> unit);
-  void exec_yarn_submit(std::shared_ptr<UnitRec> unit,
-                        yarn::ResourceManager& rm);
-  void exec_yarn_in_container(std::shared_ptr<UnitRec> unit,
-                              yarn::ApplicationMaster& am,
-                              const yarn::Container& container,
-                              bool dedicated_app);
-  void exec_spark(std::shared_ptr<UnitRec> unit);
-  /// Returns the node, gang-piece and YARN-reservation ledgers \p unit
-  /// holds and drops it from the running set.
+  // --- Task Spawner ---
+  /// Books the serialized Task Spawner for one launch of \p latency;
+  /// returns the delay until that launch is done.
+  common::Seconds spawn_delay(common::Seconds latency);
+  /// The payload ended: Failed on a non-zero exit code, else stage-out
+  /// and Done.
+  void payload_done(const std::shared_ptr<UnitRec>& unit);
+  /// Returns what the unit holds and drops it from the running set.
   void release_unit(UnitRec& unit);
-  /// Takes a unit off its resources mid-run: cancels the payload event,
-  /// kills its container (and unregisters a dedicated AM), then
-  /// release_unit. The caller records why and picks the next state.
+  /// The one way a unit leaves its resources mid-run (preemption, drain
+  /// timeout, agent stop). The caller records why and picks the next
+  /// state.
   void withdraw_unit(UnitRec& unit);
   void finish_unit(std::shared_ptr<UnitRec> unit, UnitState final_state);
 
@@ -215,15 +190,9 @@ class Agent {
   void drain_escalate();
   void drain_finish();
   void requeue_unit(const std::shared_ptr<UnitRec>& unit);
-  /// Plain-path first-fit cursor maintenance: a release on \p node may
-  /// re-open capacity below the cursor, so the cursor moves back to its
-  /// index (map rebuilt lazily after topology changes).
-  void note_node_release(const cluster::Node* node);
   bool node_draining(const std::string& name) const {
     return draining_.count(name) > 0;
   }
-
-  common::Seconds wrapper_time_for(const std::string& node);
 
   saga::SagaContext& saga_;
   StateStore& store_;
@@ -238,15 +207,7 @@ class Agent {
   /// agent runs without a message boundary).
   std::string ctrl_endpoint_;
 
-  yarn::YarnCluster* external_yarn_ = nullptr;
-  std::unique_ptr<yarn::YarnCluster> owned_yarn_;
-  std::unique_ptr<spark::SparkStandaloneCluster> spark_;
-  std::string spark_app_id_;
-
-  // Shared-application extension state.
-  std::string shared_app_id_;
-  yarn::ApplicationMaster* shared_am_ = nullptr;
-  std::deque<std::shared_ptr<UnitRec>> waiting_for_shared_am_;
+  std::unique_ptr<LaunchMethod> launch_;
 
   std::deque<std::shared_ptr<UnitRec>> queue_;  // agent scheduler queue
   std::map<std::string, std::shared_ptr<UnitRec>> running_units_;
@@ -256,21 +217,12 @@ class Agent {
   /// still referenced by continuations (DESIGN.md §13).
   std::shared_ptr<common::SlabArena> unit_arena_ =
       std::make_shared<common::SlabArena>();
-  /// First-fit cursor for the plain scheduler: every non-draining node
-  /// below the cursor has zero free cores, so a dispatch scan starts at
-  /// the cursor — the 10k-node dispatch burst is O(units), not
-  /// O(units * nodes). Releases move it back; topology changes reset it.
-  std::size_t plain_cursor_ = 0;
-  std::map<const cluster::Node*, std::size_t> node_pos_;
-  bool node_pos_stale_ = true;
   std::set<std::string> draining_;              // nodes being drained
   std::vector<std::string> drain_names_;        // active drain, in order
   common::Seconds drain_deadline_ = 0.0;
   bool drain_escalated_ = false;
   std::function<void(bool)> drain_callback_;
   std::size_t drain_timeouts_ = 0;
-  std::map<std::string, bool> wrapper_cache_;   // node -> env localized
-  common::MemoryMb yarn_inflight_mb_ = 0;       // dispatched, not finished
   common::Seconds spawner_free_at_ = 0.0;       // Task Spawner serialization
   int active_staging_ = 0;                      // stage-in/out worker slots
   std::deque<std::function<void()>> staging_backlog_;
@@ -292,9 +244,5 @@ class Agent {
   std::size_t units_preempted_ = 0;
   std::size_t running_ = 0;
 };
-
-/// Serialization of unit documents for the state store.
-common::Json unit_to_json(const ComputeUnitDescription& desc);
-ComputeUnitDescription unit_from_json(const common::Json& doc);
 
 }  // namespace hoh::pilot

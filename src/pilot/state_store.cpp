@@ -1,5 +1,6 @@
 #include "pilot/state_store.h"
 
+#include <bit>
 #include <utility>
 
 #include "common/error.h"
@@ -65,10 +66,19 @@ void StateStore::update(const std::string& collection, const std::string& id,
     // illegal write.
     if (collection == "unit") {
       auto state_field = fields.find("state");
-      if (state_field != fields.end() && doc.contains("state")) {
-        validate_transition(
-            unit_state_from_string(doc.at("state").as_string()),
-            unit_state_from_string(state_field->second.as_string()), id);
+      if (state_field != fields.end()) {
+        const std::string& state = state_field->second.as_string();
+        if (doc.contains("state")) {
+          validate_transition(
+              unit_state_from_string(doc.at("state").as_string()),
+              unit_state_from_string(state), id);
+        }
+        const auto bits = std::bit_cast<std::uint64_t>(engine_.now());
+        char time_bytes[sizeof bits];
+        for (std::size_t i = 0; i < sizeof bits; ++i) {
+          time_bytes[i] = static_cast<char>(bits >> (8 * i));
+        }
+        fold_schedule({std::string_view(time_bytes, sizeof bits), id, state});
       }
     }
     for (const auto& [k, v] : fields) doc[k] = v;
@@ -132,6 +142,25 @@ std::uint64_t StateStore::mutation_count(const std::string& collection) const {
   common::MutexLock lock(mu_);
   auto it = collection_muts_.find(collection);
   return it == collection_muts_.end() ? 0 : it->second;
+}
+
+std::uint64_t StateStore::schedule_digest() const {
+  common::MutexLock lock(mu_);
+  return schedule_digest_;
+}
+
+void StateStore::record_placement(const std::string& unit,
+                                  const std::string& nodes) {
+  common::MutexLock lock(mu_);
+  fold_schedule({"placed", unit, nodes});
+}
+
+void StateStore::fold_schedule(
+    std::initializer_list<std::string_view> parts) {
+  for (const std::string_view part : parts) {
+    schedule_digest_ =
+        common::fnv1a(common::fnv1a(schedule_digest_, part), "\n");
+  }
 }
 
 std::uint64_t StateStore::open_feed(const std::string& collection) {

@@ -3,12 +3,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
+#include "common/string_util.h"
 #include "common/thread_annotations.h"
 #include "net/transport.h"
 #include "sim/engine.h"
@@ -131,6 +134,17 @@ class StateStore {
   /// §13).
   std::uint64_t mutation_count(const std::string& collection) const;
 
+  /// The schedule digest: FNV-1a folded, in event order, over every unit
+  /// state write that passes the transition gate in update() — as (sim
+  /// time bits, unit id, new state) — and every placement an agent
+  /// records. The run digest pins which units finished; this one also
+  /// moves when a unit runs on another node or at another time.
+  std::uint64_t schedule_digest() const;
+
+  /// Folds one placement into the schedule digest: \p unit went to
+  /// \p nodes (a comma-joined node list, or a YARN container's node).
+  void record_placement(const std::string& unit, const std::string& nodes);
+
   /// Opens a write feed on \p collection: from now on the id of every
   /// document put/updated there is appended to the feed (once per
   /// write, in write order) until drain_feed() hands the ids over. A
@@ -183,6 +197,11 @@ class StateStore {
   void record_write(const std::string& collection, const std::string& id)
       HOH_REQUIRES(mu_);
 
+  /// Folds each of \p parts, newline-terminated, into the schedule
+  /// digest.
+  void fold_schedule(std::initializer_list<std::string_view> parts)
+      HOH_REQUIRES(mu_);
+
   struct Watcher {
     std::string bucket;
     std::string prefix;
@@ -220,6 +239,7 @@ class StateStore {
       HOH_GUARDED_BY(mu_);
   std::map<std::string, std::deque<std::string>> queues_ HOH_GUARDED_BY(mu_);
   std::map<std::uint64_t, Feed> feeds_ HOH_GUARDED_BY(mu_);
+  std::uint64_t schedule_digest_ HOH_GUARDED_BY(mu_) = common::kFnv1aBasis;
   std::uint64_t next_feed_id_ HOH_GUARDED_BY(mu_) = 1;
   /// Keyed by watch id; ids count up, so std::map iteration is
   /// registration-order delivery.

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/config.h"
-#include "common/error.h"
 #include "common/id.h"
 #include "common/string_util.h"
 #include "common/units.h"
@@ -58,54 +56,6 @@ TEST(IdGeneratorTest, MonotonicAndPrefixed) {
   EXPECT_EQ(gen.next(), "unit.0000");
   EXPECT_EQ(gen.next(), "unit.0001");
   EXPECT_EQ(gen.issued(), 2u);
-}
-
-TEST(ConfigTest, TypedAccess) {
-  Config c;
-  c.set("yarn.nodemanager.resource.memory-mb", "28672");
-  c.set_int("cores", 16);
-  c.set_bool("enabled", true);
-  c.set_double("rate", 1.5);
-  EXPECT_EQ(c.get_int("yarn.nodemanager.resource.memory-mb"), 28672);
-  EXPECT_EQ(c.get_int("cores"), 16);
-  EXPECT_TRUE(c.get_bool("enabled"));
-  EXPECT_DOUBLE_EQ(c.get_double("rate"), 1.5);
-  EXPECT_EQ(c.get("missing", "def"), "def");
-  EXPECT_EQ(c.get_int("missing", 9), 9);
-}
-
-TEST(ConfigTest, MalformedValuesThrow) {
-  Config c;
-  c.set("n", "not-a-number");
-  EXPECT_THROW(c.get_int("n"), ConfigError);
-  EXPECT_THROW(c.get_double("n"), ConfigError);
-  EXPECT_THROW(c.get_bool("n"), ConfigError);
-}
-
-TEST(ConfigTest, MergeOtherWins) {
-  Config a;
-  a.set("k", "old");
-  a.set("only_a", "1");
-  Config b;
-  b.set("k", "new");
-  a.merge(b);
-  EXPECT_EQ(a.get("k"), "new");
-  EXPECT_EQ(a.get("only_a"), "1");
-}
-
-TEST(ConfigTest, XmlRendering) {
-  Config c;
-  c.set("fs.defaultFS", "hdfs://n0:9000");
-  const std::string xml = c.to_xml();
-  EXPECT_NE(xml.find("<name>fs.defaultFS</name>"), std::string::npos);
-  EXPECT_NE(xml.find("<value>hdfs://n0:9000</value>"), std::string::npos);
-  EXPECT_NE(xml.find("<configuration>"), std::string::npos);
-}
-
-TEST(ConfigTest, PropertiesRendering) {
-  Config c;
-  c.set("SPARK_WORKER_CORES", "48");
-  EXPECT_EQ(c.to_properties(), "SPARK_WORKER_CORES=48\n");
 }
 
 }  // namespace

@@ -3,174 +3,11 @@
 #include "analytics/workload_gen.h"
 #include "common/error.h"
 #include "common/statistics.h"
-#include "hdfs/input_splits.h"
-#include "mapreduce/yarn_mr_driver.h"
 #include "pilot/pilot_manager.h"
 #include "pilot/unit_manager.h"
-#include "spark/dag_scheduler.h"
 
 namespace hoh {
 namespace {
-
-// ------------------------------------------------------ input splits ---
-
-class InputSplitTest : public ::testing::Test {
- protected:
-  InputSplitTest() : machine_(cluster::stampede_profile()) {
-    for (int i = 0; i < 4; ++i) nodes_.push_back("n" + std::to_string(i));
-    fs_ = std::make_unique<hdfs::HdfsCluster>(engine_, machine_, nodes_);
-  }
-  sim::Engine engine_;
-  cluster::MachineProfile machine_;
-  std::vector<std::string> nodes_;
-  std::unique_ptr<hdfs::HdfsCluster> fs_;
-};
-
-TEST_F(InputSplitTest, OneSplitPerBlock) {
-  fs_->create_file("/in", 300 * common::kMiB, "n1");  // 3 blocks
-  const auto splits = hdfs::compute_input_splits(*fs_, "/in");
-  ASSERT_EQ(splits.size(), 3u);
-  EXPECT_EQ(splits[0].offset, 0);
-  EXPECT_EQ(splits[0].length, 128 * common::kMiB);
-  EXPECT_EQ(splits[1].offset, 128 * common::kMiB);
-  EXPECT_EQ(splits[2].length, 44 * common::kMiB);
-  // Hosts come from replica placement (writer = n1 holds replica 1).
-  for (const auto& s : splits) {
-    ASSERT_EQ(s.hosts.size(), 3u);
-    EXPECT_EQ(s.hosts[0], "n1");
-  }
-}
-
-TEST_F(InputSplitTest, MergingCapsSplitCount) {
-  fs_->create_file("/in", 1024 * common::kMiB, "n0");  // 8 blocks
-  const auto splits = hdfs::compute_input_splits(*fs_, "/in", 3);
-  ASSERT_EQ(splits.size(), 3u);
-  common::Bytes total = 0;
-  for (const auto& s : splits) total += s.length;
-  EXPECT_EQ(total, 1024 * common::kMiB);
-  // Contiguous coverage.
-  EXPECT_EQ(splits[1].offset, splits[0].offset + splits[0].length);
-}
-
-TEST_F(InputSplitTest, PreferredHostsVector) {
-  fs_->create_file("/in", 256 * common::kMiB, "n2");
-  const auto hosts =
-      hdfs::preferred_hosts(hdfs::compute_input_splits(*fs_, "/in"));
-  ASSERT_EQ(hosts.size(), 2u);
-  EXPECT_EQ(hosts[0], "n2");
-}
-
-TEST_F(InputSplitTest, SplitsFeedMrDriverLocality) {
-  // End-to-end: HDFS placement -> splits -> MR job on YARN over the same
-  // nodes -> every map runs on a replica holder.
-  std::vector<std::shared_ptr<cluster::Node>> cnodes;
-  for (const auto& n : nodes_) {
-    cnodes.push_back(std::make_shared<cluster::Node>(n, machine_.node));
-  }
-  cluster::Allocation allocation(cnodes);
-  yarn::ResourceManager rm(engine_, allocation);
-
-  fs_->create_file("/dataset", 512 * common::kMiB, "n0", 2);  // 4 blocks
-  const auto splits = hdfs::compute_input_splits(*fs_, "/dataset");
-
-  mapreduce::YarnMrDriver driver(rm);
-  mapreduce::YarnMrJobSpec spec;
-  spec.map_tasks = static_cast<int>(splits.size());
-  spec.reduce_tasks = 1;
-  spec.map_task_seconds = 10.0;
-  spec.reduce_task_seconds = 5.0;
-  spec.split_locations = hdfs::preferred_hosts(splits);
-  const auto id = driver.submit(spec);
-  engine_.run_until(600.0);
-  const auto status = driver.status(id);
-  ASSERT_TRUE(status.finished);
-  EXPECT_DOUBLE_EQ(status.map_locality, 1.0);
-  rm.shutdown();
-}
-
-// ------------------------------------------------------ DAG scheduler ---
-
-class DagSchedulerTest : public ::testing::Test {
- protected:
-  DagSchedulerTest() : machine_(cluster::generic_profile(2, 8, 16 * 1024)) {
-    std::vector<std::shared_ptr<cluster::Node>> nodes;
-    for (int i = 0; i < 2; ++i) {
-      nodes.push_back(std::make_shared<cluster::Node>(
-          "n" + std::to_string(i), machine_.node));
-    }
-    allocation_ = cluster::Allocation(nodes);
-    spark_ = std::make_unique<spark::SparkStandaloneCluster>(
-        engine_, machine_, allocation_);
-    spark::SparkAppDescriptor app;
-    app.executor_cores = 8;
-    app_id_ = spark_->submit_application(app);
-    engine_.run_until(30.0);
-  }
-
-  sim::Engine engine_;
-  cluster::MachineProfile machine_;
-  cluster::Allocation allocation_;
-  std::unique_ptr<spark::SparkStandaloneCluster> spark_;
-  std::string app_id_;
-};
-
-TEST_F(DagSchedulerTest, LinearDagRunsInOrder) {
-  spark::DagScheduler dag(*spark_, app_id_);
-  bool done = false;
-  spark::SparkJobSpec job;
-  job.stages = {{"read", 8, 5.0, {}},
-                {"map", 8, 5.0, {0}},
-                {"reduce", 2, 5.0, {1}}};
-  const auto id = dag.submit(job, [&] { done = true; });
-  engine_.run_until(engine_.now() + 300.0);
-  const auto status = dag.status(id);
-  EXPECT_TRUE(done);
-  EXPECT_TRUE(status.finished);
-  EXPECT_EQ(status.completion_order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST_F(DagSchedulerTest, DiamondDependency) {
-  spark::DagScheduler dag(*spark_, app_id_);
-  spark::SparkJobSpec job;
-  job.stages = {{"src", 4, 5.0, {}},
-                {"left", 4, 5.0, {0}},
-                {"right", 4, 5.0, {0}},
-                {"join", 4, 5.0, {1, 2}}};
-  const auto id = dag.submit(job);
-  engine_.run_until(engine_.now() + 300.0);
-  const auto status = dag.status(id);
-  ASSERT_TRUE(status.finished);
-  // Join must be last; src first.
-  EXPECT_EQ(status.completion_order.front(), 0);
-  EXPECT_EQ(status.completion_order.back(), 3);
-}
-
-TEST_F(DagSchedulerTest, ValidationRejectsBadDags) {
-  spark::DagScheduler dag(*spark_, app_id_);
-  spark::SparkJobSpec empty;
-  EXPECT_THROW(dag.submit(empty), common::ConfigError);
-  spark::SparkJobSpec forward;
-  forward.stages = {{"a", 1, 1.0, {1}}, {"b", 1, 1.0, {}}};
-  EXPECT_THROW(dag.submit(forward), common::ConfigError);
-  spark::SparkJobSpec self_parent;
-  self_parent.stages = {{"a", 1, 1.0, {0}}};
-  EXPECT_THROW(dag.submit(self_parent), common::ConfigError);
-  spark::SparkJobSpec zero_tasks;
-  zero_tasks.stages = {{"a", 0, 1.0, {}}};
-  EXPECT_THROW(dag.submit(zero_tasks), common::ConfigError);
-  EXPECT_THROW(dag.status("nope"), common::NotFoundError);
-}
-
-TEST_F(DagSchedulerTest, TwoJobsInterleave) {
-  spark::DagScheduler dag(*spark_, app_id_);
-  int done = 0;
-  spark::SparkJobSpec job;
-  job.stages = {{"s0", 8, 10.0, {}}, {"s1", 8, 10.0, {0}}};
-  dag.submit(job, [&] { ++done; });
-  dag.submit(job, [&] { ++done; });
-  engine_.run_until(engine_.now() + 600.0);
-  EXPECT_EQ(done, 2);
-}
 
 // --------------------------------------------------- workload generator ---
 

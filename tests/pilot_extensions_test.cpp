@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "pilot/config_templates.h"
 #include "pilot/estimator.h"
 #include "pilot/pilot_manager.h"
 #include "pilot/unit_manager.h"
@@ -162,76 +161,6 @@ TEST_F(PredictivePolicyTest, ReconcileFeedsObservationsBack) {
   ASSERT_TRUE(um.all_done());  // triggers reconcile
   // The estimator learned ~50s (exact: Executing -> Done span).
   EXPECT_NEAR(estimator->predict(cud), 50.0, 1.0);
-}
-
-// ------------------------------------------------ config templates ---
-
-TEST(ConfigTemplateTest, AgentTuningTracksLocalStorage) {
-  const auto stampede = tuned_agent_config(cluster::stampede_profile());
-  const auto wrangler = tuned_agent_config(cluster::wrangler_profile());
-  // Flash-backed Wrangler localizes containers much faster.
-  EXPECT_LT(wrangler.wrapper_setup_time, stampede.wrapper_setup_time);
-  EXPECT_LT(wrangler.yarn.yarn.container_launch_time,
-            stampede.yarn.yarn.container_launch_time);
-  // NM capacity derived from the node spec.
-  EXPECT_EQ(stampede.yarn.yarn.nm_vcores, 16);
-  EXPECT_EQ(wrangler.yarn.yarn.nm_vcores, 48);
-  EXPECT_EQ(wrangler.yarn.yarn.nm_memory_mb, 128 * 1024 * 7 / 8);
-}
-
-TEST(ConfigTemplateTest, YarnSiteUsesFastTierForShuffle) {
-  const auto stampede = yarn_site_template(cluster::stampede_profile());
-  const auto wrangler = yarn_site_template(cluster::wrangler_profile());
-  EXPECT_EQ(stampede.get("yarn.nodemanager.local-dirs"), "/tmp/yarn/local");
-  EXPECT_EQ(wrangler.get("yarn.nodemanager.local-dirs"),
-            "/flash/yarn/local");
-  EXPECT_EQ(stampede.get_int("yarn.nodemanager.resource.memory-mb"),
-            32 * 1024 * 7 / 8);
-  // Renders to well-formed Hadoop XML.
-  const auto xml = wrangler.to_xml();
-  EXPECT_NE(xml.find("<name>yarn.nodemanager.local-dirs</name>"),
-            std::string::npos);
-}
-
-TEST(ConfigTemplateTest, HdfsSiteCapsReplicationByNodes) {
-  const auto two = hdfs_site_template(cluster::stampede_profile(), 2);
-  EXPECT_EQ(two.get_int("dfs.replication"), 2);
-  const auto many = hdfs_site_template(cluster::stampede_profile(), 16);
-  EXPECT_EQ(many.get_int("dfs.replication"), 3);
-  const auto flash = hdfs_site_template(cluster::wrangler_profile(), 4);
-  EXPECT_EQ(flash.get("dfs.storage.policy"), "ALL_SSD");
-}
-
-TEST(ConfigTemplateTest, SparkEnvRendersProperties) {
-  const auto env = spark_env_template(cluster::wrangler_profile());
-  EXPECT_EQ(env.get_int("SPARK_WORKER_CORES"), 48);
-  EXPECT_EQ(env.get("SPARK_LOCAL_DIRS"), "/flash/spark");
-  const auto props = env.to_properties();
-  EXPECT_NE(props.find("SPARK_WORKER_CORES=48\n"), std::string::npos);
-}
-
-TEST(ConfigTemplateTest, TunedConfigRunsEndToEnd) {
-  // A pilot configured by the template must work like any other.
-  Session session;
-  session.register_machine(cluster::wrangler_profile(),
-                           hpc::SchedulerKind::kSge, 4);
-  PilotManager pm(session);
-  UnitManager um(session);
-  PilotDescription pd;
-  pd.resource = "sge://wrangler/";
-  pd.nodes = 2;
-  pd.backend = AgentBackend::kYarnModeI;
-  auto pilot = pm.submit_pilot(
-      pd, tuned_agent_config(cluster::wrangler_profile()));
-  um.add_pilot(pilot);
-  ComputeUnitDescription cud;
-  cud.duration = 10.0;
-  cud.memory_mb = 2048;
-  um.submit({cud, cud});
-  while (!um.all_done() && session.engine().now() < 7200.0) {
-    session.engine().run_until(session.engine().now() + 5.0);
-  }
-  EXPECT_EQ(um.done_count(), 2u);
 }
 
 }  // namespace

@@ -259,5 +259,61 @@ TEST_F(PilotYarnSparkTest, DataAwareSchedulingFollowsHdfsBlocks) {
   EXPECT_EQ(placed, target);
 }
 
+// Cancelling a pilot withdraws the units it is still executing: they end
+// Canceled (a deliberate stop), the Unit-Manager's barrier releases, and
+// whatever they held returns to its owner.
+TEST_F(PilotYarnSparkTest, CancelEndsExecutingUnitsOnPlain) {
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("slurm://stampede/", 2, AgentBackend::kPlain));
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(4, simple_unit(100000.0)));
+  session_.engine().run_until(600.0);
+  for (const auto& u : units) ASSERT_EQ(u->state(), UnitState::kExecuting);
+  pilot->cancel();
+  session_.engine().run_until(engine_now_plus(18000.0));
+  for (const auto& u : units) EXPECT_EQ(u->state(), UnitState::kCanceled);
+  EXPECT_TRUE(um_.all_done());
+}
+
+TEST_F(PilotYarnSparkTest, CancelReleasesExternalYarnOnModeII) {
+  auto* hadoop = session_.dedicated_hadoop("wrangler");
+  ASSERT_NE(hadoop, nullptr);
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("sge://wrangler/", 2, AgentBackend::kYarnModeII));
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(4, simple_unit(100000.0)));
+  session_.engine().run_until(600.0);
+  for (const auto& u : units) ASSERT_EQ(u->state(), UnitState::kExecuting);
+  ASSERT_GT(hadoop->resource_manager().total_allocated().memory_mb, 0);
+  pilot->cancel();
+  session_.engine().run_until(engine_now_plus(18000.0));
+  for (const auto& u : units) EXPECT_EQ(u->state(), UnitState::kCanceled);
+  EXPECT_TRUE(um_.all_done());
+  EXPECT_EQ(hadoop->resource_manager().total_allocated().memory_mb, 0);
+  EXPECT_EQ(hadoop->resource_manager().total_allocated().vcores, 0);
+}
+
+// A Mode II pilot's shared application lives on a cluster the pilot does
+// not own: ending the pilot must end the application too.
+TEST_F(PilotYarnSparkTest, CancelReleasesSharedAmOnModeII) {
+  auto* hadoop = session_.dedicated_hadoop("wrangler");
+  ASSERT_NE(hadoop, nullptr);
+  AgentConfig reuse;
+  reuse.reuse_yarn_app = true;
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("sge://wrangler/", 1, AgentBackend::kYarnModeII), reuse);
+  um_.add_pilot(pilot);
+  auto units = um_.submit(
+      std::vector<ComputeUnitDescription>(3, simple_unit(10.0)));
+  session_.engine().run_until(600.0);
+  for (const auto& u : units) ASSERT_EQ(u->state(), UnitState::kDone);
+  pilot->cancel();
+  session_.engine().run_until(engine_now_plus(600.0));
+  EXPECT_EQ(hadoop->resource_manager().total_allocated().memory_mb, 0);
+  EXPECT_EQ(hadoop->resource_manager().total_allocated().vcores, 0);
+}
+
 }  // namespace
 }  // namespace hoh::pilot

@@ -1,10 +1,11 @@
-#include "yarn/yarn_client.h"
-
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "mapreduce/yarn_mr_driver.h"
-#include "yarn/application_master.h"
+#include "yarn/resource_manager.h"
+
+/// Clients of the YARN ResourceManager: the MapReduce-over-YARN driver
+/// submits its jobs through the RM's public API, as any YARN client does.
 
 namespace hoh {
 namespace {
@@ -27,45 +28,6 @@ class YarnClientTest : public ::testing::Test {
   cluster::Allocation allocation_;
   std::unique_ptr<yarn::ResourceManager> rm_;
 };
-
-TEST_F(YarnClientTest, SubmitStatusList) {
-  yarn::YarnClient client(*rm_);
-  yarn::AppDescriptor app;
-  app.name = "sleepjob";
-  app.on_am_start = [](yarn::ApplicationMaster& am) { am.unregister(true); };
-  const auto id = client.submit(std::move(app));
-  EXPECT_EQ(client.status(id).name, "sleepjob");
-  engine_.run_until(60.0);
-  EXPECT_EQ(client.status(id).state, yarn::AppState::kFinished);
-  EXPECT_EQ(client.list().size(), 1u);
-  EXPECT_EQ(client.list(yarn::AppState::kFinished).size(), 1u);
-  EXPECT_TRUE(client.list(yarn::AppState::kRunning).empty());
-}
-
-TEST_F(YarnClientTest, KillThroughClient) {
-  yarn::YarnClient client(*rm_);
-  yarn::AppDescriptor app;
-  app.on_am_start = [](yarn::ApplicationMaster&) {};  // hangs
-  const auto id = client.submit(std::move(app));
-  engine_.run_until(60.0);
-  ASSERT_EQ(client.status(id).state, yarn::AppState::kRunning);
-  client.kill(id);
-  EXPECT_EQ(client.status(id).state, yarn::AppState::kKilled);
-}
-
-TEST_F(YarnClientTest, LogsAccumulate) {
-  yarn::YarnClient client(*rm_);
-  yarn::AppDescriptor app;
-  app.on_am_start = [](yarn::ApplicationMaster& am) { am.unregister(true); };
-  const auto id = client.submit(std::move(app));
-  client.append_log(id, "map 100% reduce 0%");
-  client.append_log(id, "map 100% reduce 100%");
-  ASSERT_EQ(client.logs(id).size(), 3u);  // "submitted" + 2
-  EXPECT_EQ(client.logs(id).back(), "map 100% reduce 100%");
-  EXPECT_TRUE(client.logs("application_nope").empty());
-}
-
-// ------------------------------------------------- MR-over-YARN driver ---
 
 TEST_F(YarnClientTest, MrJobRunsMapThenReduce) {
   mapreduce::YarnMrDriver driver(*rm_);

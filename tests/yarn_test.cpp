@@ -53,8 +53,14 @@ TEST_F(YarnTest, AmLifecycleTwoStageAllocation) {
   };
   const auto app_id = rm.submit_application(std::move(app));
   EXPECT_EQ(rm.application(app_id).state, AppState::kSubmitted);
+  EXPECT_EQ(rm.application(app_id).name, "radical-yarn-app");
   engine_.run_until(60.0);
   EXPECT_EQ(rm.application(app_id).state, AppState::kFinished);
+  // `yarn application -list` sees the one application, finished.
+  const auto apps = rm.applications();
+  ASSERT_EQ(apps.size(), 1u);
+  EXPECT_EQ(apps.front().id, app_id);
+  EXPECT_EQ(apps.front().state, AppState::kFinished);
   // AM start pays: scheduler pass + AM launch + registration.
   EXPECT_GE(am_started_at, rm.config().am_launch_time +
                                rm.config().am_register_time);
