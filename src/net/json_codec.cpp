@@ -4,33 +4,23 @@ namespace hoh::net {
 
 namespace {
 
-enum Tag : std::uint8_t {
-  kNull = 0,
-  kFalse = 1,
-  kTrue = 2,
-  kNumber = 3,
-  kString = 4,
-  kArray = 5,
-  kObject = 6,
-};
-
 common::Json unpack_json_depth(Unpacker& u, int depth) {
   if (depth > 64) {
     throw CodecError("json: nesting exceeds 64 levels");
   }
   const std::uint8_t tag = u.u8();
-  switch (tag) {
-    case kNull:
+  switch (static_cast<JsonTag>(tag)) {
+    case JsonTag::kNull:
       return common::Json();
-    case kFalse:
+    case JsonTag::kFalse:
       return common::Json(false);
-    case kTrue:
+    case JsonTag::kTrue:
       return common::Json(true);
-    case kNumber:
+    case JsonTag::kNumber:
       return common::Json(u.f64());
-    case kString:
+    case JsonTag::kString:
       return common::Json(u.str());
-    case kArray: {
+    case JsonTag::kArray: {
       const std::uint32_t n = u.u32();
       common::JsonArray arr;
       arr.reserve(std::min<std::uint32_t>(n, 4096));
@@ -39,7 +29,7 @@ common::Json unpack_json_depth(Unpacker& u, int depth) {
       }
       return common::Json(std::move(arr));
     }
-    case kObject: {
+    case JsonTag::kObject: {
       const std::uint32_t n = u.u32();
       common::JsonObject obj;
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -57,22 +47,22 @@ common::Json unpack_json_depth(Unpacker& u, int depth) {
 
 void pack_json(Packer& p, const common::Json& doc) {
   if (doc.is_null()) {
-    p.u8(kNull);
+    pack_tag(p, JsonTag::kNull);
   } else if (doc.is_bool()) {
-    p.u8(doc.as_bool() ? kTrue : kFalse);
+    pack_tag(p, doc.as_bool() ? JsonTag::kTrue : JsonTag::kFalse);
   } else if (doc.is_number()) {
-    p.u8(kNumber);
+    pack_tag(p, JsonTag::kNumber);
     p.f64(doc.as_number());
   } else if (doc.is_string()) {
-    p.u8(kString);
+    pack_tag(p, JsonTag::kString);
     p.str(doc.as_string());
   } else if (doc.is_array()) {
-    p.u8(kArray);
+    pack_tag(p, JsonTag::kArray);
     const auto& arr = doc.as_array();
     p.u32(static_cast<std::uint32_t>(arr.size()));
     for (const auto& v : arr) pack_json(p, v);
   } else {
-    p.u8(kObject);
+    pack_tag(p, JsonTag::kObject);
     const auto& obj = doc.as_object();
     p.u32(static_cast<std::uint32_t>(obj.size()));
     for (const auto& [key, value] : obj) {

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -56,7 +57,7 @@ class Packer {
 
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     append(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }

@@ -187,14 +187,14 @@ void Agent::notify_capacity_event() {
 
 void Agent::poll_store() {
   if (!active_) return;
-  const auto ids = store_.queue_pop_all("agent." + pilot_id_);
-  for (const auto& id : ids) {
-    auto doc = store_.get("unit", id);
-    if (!doc.has_value()) continue;
+  auto ids = store_.queue_pop_all("agent." + pilot_id_);
+  for (auto& id : ids) {
+    auto desc = store_.unit_description(id);
+    if (!desc.has_value()) continue;
     auto unit = std::allocate_shared<UnitRec>(
         common::PoolAllocator<UnitRec>(unit_arena_));
-    unit->id = id;
-    unit->desc = unit_from_json(doc->at("description"));
+    unit->id = std::move(id);
+    unit->desc = std::move(*desc);
     set_unit_state(*unit, UnitState::kAgentScheduling);
     queue_.push_back(std::move(unit));
   }
@@ -208,8 +208,7 @@ void Agent::poll_store() {
 void Agent::set_unit_state(UnitRec& unit, UnitState state) {
   if (is_final(unit.state)) return;
   unit.state = state;
-  store_.update("unit", unit.id,
-                {{"state", common::Json(to_string(state))}});
+  store_.set_unit_state(unit.id, state);
   saga_.trace().record(saga_.engine().now(), "unit", to_string(state),
                        {{"unit", unit.id}, {"pilot", pilot_id_}});
   if (is_final(state)) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/units.h"
 #include "saga/url.h"
 
@@ -77,9 +76,5 @@ struct ComputeUnitDescription {
   /// if any dependency fails or is canceled, the unit is canceled.
   std::vector<std::string> depends_on;
 };
-
-/// Serialization of unit documents for the state store.
-common::Json unit_to_json(const ComputeUnitDescription& desc);
-ComputeUnitDescription unit_from_json(const common::Json& doc);
 
 }  // namespace hoh::pilot

@@ -1,16 +1,35 @@
 #include "pilot/state_store.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 #include "common/error.h"
-#include "net/json_codec.h"
+#include "net/message.h"
 #include "pilot/transitions.h"
 
 namespace hoh::pilot {
 
+namespace {
+
+/// The record \p id of \p units; throws NotFoundError when absent.
+template <typename Units>
+auto& unit_in(Units& units, const std::string& id) {
+  const auto it = units.find(id);
+  if (it == units.end()) {
+    throw common::NotFoundError("StateStore: no unit " + id);
+  }
+  return it->second;
+}
+
+}  // namespace
+
 void StateStore::put(const std::string& collection, const std::string& id,
                      common::Json document) {
+  if (collection == kUnitCollection) {
+    throw common::ConfigError(
+        "StateStore: \"unit\" holds typed records; use put_unit");
+  }
   {
     common::MutexLock lock(mu_);
     ++ops_;
@@ -26,26 +45,16 @@ std::optional<common::Json> StateStore::get(const std::string& collection,
                                             const std::string& id) const {
   common::MutexLock lock(mu_);
   ++ops_;
+  if (collection == kUnitCollection) {
+    const auto it = units_.find(id);
+    if (it == units_.end()) return std::nullopt;
+    return unit_document_json(it->second);
+  }
   auto cit = collections_.find(collection);
   if (cit == collections_.end()) return std::nullopt;
   auto dit = cit->second.find(id);
   if (dit == cit->second.end()) return std::nullopt;
   return dit->second;
-}
-
-std::optional<common::Json> StateStore::get_field(
-    const std::string& collection, const std::string& id,
-    const std::string& field) const {
-  common::MutexLock lock(mu_);
-  ++ops_;
-  auto cit = collections_.find(collection);
-  if (cit == collections_.end()) return std::nullopt;
-  auto dit = cit->second.find(id);
-  if (dit == cit->second.end()) return std::nullopt;
-  if (!dit->second.is_object() || !dit->second.contains(field)) {
-    return std::nullopt;
-  }
-  return dit->second.at(field);
 }
 
 void StateStore::update(const std::string& collection, const std::string& id,
@@ -59,28 +68,6 @@ void StateStore::update(const std::string& collection, const std::string& id,
                                   "/" + id);
     }
     common::Json& doc = cit->second.at(id);
-    // Lifecycle gate: the store is the single path every unit state write
-    // takes (agent write-back, Unit-Manager cancellation), so an illegal
-    // edge is stopped here no matter which component attempts it. Watchers
-    // are notified only after the gate passed — they never observe an
-    // illegal write.
-    if (collection == "unit") {
-      auto state_field = fields.find("state");
-      if (state_field != fields.end()) {
-        const std::string& state = state_field->second.as_string();
-        if (doc.contains("state")) {
-          validate_transition(
-              unit_state_from_string(doc.at("state").as_string()),
-              unit_state_from_string(state), id);
-        }
-        const auto bits = std::bit_cast<std::uint64_t>(engine_.now());
-        char time_bytes[sizeof bits];
-        for (std::size_t i = 0; i < sizeof bits; ++i) {
-          time_bytes[i] = static_cast<char>(bits >> (8 * i));
-        }
-        fold_schedule({std::string_view(time_bytes, sizeof bits), id, state});
-      }
-    }
     for (const auto& [k, v] : fields) doc[k] = v;
     ++muts_;
     ++collection_muts_[collection];
@@ -94,10 +81,75 @@ std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
   common::MutexLock lock(mu_);
   ++ops_;
   std::vector<std::pair<std::string, common::Json>> out;
+  if (collection == kUnitCollection) {
+    out.reserve(units_.size());
+    for (const auto& [id, unit] : units_) {
+      out.emplace_back(id, unit_document_json(unit));
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    return out;
+  }
   auto cit = collections_.find(collection);
   if (cit == collections_.end()) return out;
   out.assign(cit->second.begin(), cit->second.end());
   return out;
+}
+
+void StateStore::put_unit(const std::string& id, UnitRecord unit) {
+  {
+    common::MutexLock lock(mu_);
+    ++ops_;
+    ++muts_;
+    ++unit_muts_;
+    record_write(kUnitCollection, id);
+    units_.insert_or_assign(id, std::move(unit));
+  }
+  notify(WatchEventType::kPut, std::string(kUnitCollection), id);
+}
+
+UnitState StateStore::unit_state(const std::string& id) const {
+  common::MutexLock lock(mu_);
+  ++ops_;
+  return unit_in(units_, id).state;
+}
+
+std::optional<ComputeUnitDescription> StateStore::unit_description(
+    const std::string& id) const {
+  common::MutexLock lock(mu_);
+  ++ops_;
+  const auto it = units_.find(id);
+  if (it == units_.end()) return std::nullopt;
+  return it->second.description;
+}
+
+void StateStore::set_unit_state(const std::string& id, UnitState state,
+                                const std::string& pilot) {
+  {
+    common::MutexLock lock(mu_);
+    ++ops_;
+    UnitRecord& unit = unit_in(units_, id);
+    // Lifecycle gate: the store is the single path every unit state write
+    // takes (agent write-back, Unit-Manager cancellation and requeue), so
+    // an illegal edge is stopped here no matter which component attempts
+    // it. Watchers are notified only after the gate passed — they never
+    // observe an illegal write.
+    validate_transition(unit.state, state, id);
+    const auto bits = std::bit_cast<std::uint64_t>(engine_.now());
+    char time_bytes[sizeof bits];
+    for (std::size_t i = 0; i < sizeof bits; ++i) {
+      time_bytes[i] = static_cast<char>(bits >> (8 * i));
+    }
+    fold_schedule(
+        {std::string_view(time_bytes, sizeof bits), id, to_string(state)});
+    unit.state = state;
+    if (!pilot.empty()) unit.pilot = pilot;
+    ++muts_;
+    ++unit_muts_;
+    record_write(kUnitCollection, id);
+  }
+  notify(WatchEventType::kUpdate, std::string(kUnitCollection), id);
 }
 
 void StateStore::queue_push(const std::string& queue, const std::string& id) {
@@ -114,12 +166,9 @@ std::vector<std::string> StateStore::queue_pop_all(const std::string& queue) {
   common::MutexLock lock(mu_);
   ++ops_;
   ++muts_;
-  std::vector<std::string> out;
   auto it = queues_.find(queue);
-  if (it == queues_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  it->second.clear();
-  return out;
+  if (it == queues_.end()) return {};
+  return std::exchange(it->second, {});
 }
 
 std::size_t StateStore::queue_depth(const std::string& queue) const {
@@ -140,6 +189,7 @@ std::uint64_t StateStore::mutation_count() const {
 
 std::uint64_t StateStore::mutation_count(const std::string& collection) const {
   common::MutexLock lock(mu_);
+  if (collection == kUnitCollection) return unit_muts_;
   auto it = collection_muts_.find(collection);
   return it == collection_muts_.end() ? 0 : it->second;
 }
@@ -182,7 +232,7 @@ void StateStore::close_feed(std::uint64_t feed) {
   feeds_.erase(feed);
 }
 
-void StateStore::record_write(const std::string& collection,
+void StateStore::record_write(std::string_view collection,
                               const std::string& id) {
   for (auto& [feed_id, feed] : feeds_) {
     if (feed.collection == collection) feed.ids.push_back(id);
@@ -194,19 +244,34 @@ WatchHandle StateStore::watch(const std::string& bucket,
                               WatchCallback callback) {
   common::MutexLock lock(mu_);
   const std::uint64_t id = next_watch_id_++;
-  watchers_.emplace(id, Watcher{bucket, key_prefix, std::move(callback)});
+  watchers_.emplace(id, Watcher{bucket, std::move(callback)});
+  by_bucket_[bucket].push_back(BucketWatcher{id, key_prefix});
   return WatchHandle(id);
 }
 
 bool StateStore::unwatch(WatchHandle handle) {
   if (!handle.valid()) return false;
   common::MutexLock lock(mu_);
-  return watchers_.erase(handle.id_) > 0;
+  const auto it = watchers_.find(handle.id_);
+  if (it == watchers_.end() || it->second.retired) return false;
+  const auto bucket = by_bucket_.find(it->second.bucket);
+  std::erase_if(bucket->second, [&handle](const BucketWatcher& w) {
+    return w.id == handle.id_;
+  });
+  if (bucket->second.empty()) by_bucket_.erase(bucket);
+  if (it->second.running > 0) {
+    it->second.retired = true;  // deliver_one() erases it when done
+  } else {
+    watchers_.erase(it);
+  }
+  return true;
 }
 
 std::size_t StateStore::watcher_count() const {
   common::MutexLock lock(mu_);
-  return watchers_.size();
+  return static_cast<std::size_t>(std::count_if(
+      watchers_.begin(), watchers_.end(),
+      [](const auto& entry) { return !entry.second.retired; }));
 }
 
 void StateStore::notify(WatchEventType type, const std::string& bucket,
@@ -220,11 +285,11 @@ void StateStore::notify(WatchEventType type, const std::string& bucket,
   bool need_schedule = false;
   {
     common::MutexLock lock(mu_);
+    const auto watching = by_bucket_.find(bucket);
+    if (watching == by_bucket_.end()) return;
     std::vector<std::uint64_t> targets;
-    for (const auto& [id, w] : watchers_) {
-      if (w.bucket == bucket && key.rfind(w.prefix, 0) == 0) {
-        targets.push_back(id);
-      }
+    for (const BucketWatcher& w : watching->second) {
+      if (key.starts_with(w.prefix)) targets.push_back(w.id);
     }
     if (targets.empty()) return;
     pending_deliveries_.push_back(
@@ -268,14 +333,29 @@ void StateStore::deliver_pending() {
 
 void StateStore::deliver_one(std::uint64_t watcher_id,
                              const WatchEvent& event) {
-  WatchCallback fn;
+  // The callback runs unlocked, in place: the std::map node stays put
+  // while it runs, and an unwatch meanwhile (by this callback or a
+  // sibling's) only retires the watcher; the last delivery out erases
+  // it.
+  Watcher* watcher = nullptr;
   {
     common::MutexLock lock(mu_);
-    auto it = watchers_.find(watcher_id);
-    if (it == watchers_.end()) return;
-    fn = it->second.fn;
+    const auto it = watchers_.find(watcher_id);
+    if (it == watchers_.end() || it->second.retired) return;
+    watcher = &it->second;
+    ++watcher->running;
   }
-  fn(event);
+  struct Leave {
+    StateStore& store;
+    std::uint64_t id;
+    Watcher& watcher;
+    ~Leave() {
+      common::MutexLock lock(store.mu_);
+      --watcher.running;
+      if (watcher.running == 0 && watcher.retired) store.watchers_.erase(id);
+    }
+  } leave{*this, watcher_id, *watcher};
+  watcher->fn(event);
 }
 
 void StateStore::set_transport(net::Transport* transport) {
@@ -296,8 +376,11 @@ void StateStore::set_transport(net::Transport* transport) {
   transport_->register_endpoint(
       "store.ingest", [this](const net::Envelope& env) {
         const auto msg = net::open_envelope<net::StoreIngest>(env);
-        net::Unpacker u(msg.document);
-        put(msg.collection, msg.unit_id, net::unpack_json(u));
+        if (msg.collection != kUnitCollection) {
+          throw net::CodecError("store.ingest: not a unit document: " +
+                                msg.collection);
+        }
+        put_unit(msg.unit_id, unpack_unit_document(msg.document));
         if (!msg.queue.empty()) queue_push(msg.queue, msg.unit_id);
         return net::make_envelope(net::Ack{});
       });

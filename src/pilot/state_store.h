@@ -1,19 +1,20 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
 #include "common/string_util.h"
 #include "common/thread_annotations.h"
 #include "net/transport.h"
+#include "pilot/unit_record.h"
 #include "sim/engine.h"
 
 /// \file state_store.h
@@ -21,31 +22,38 @@
 /// through — the paper's MongoDB instance ("The Unit-Manager queues new
 /// Compute-Units using a shared MongoDB instance (step U.2). The
 /// RADICAL-Pilot-Agent periodically checks for new Compute-Units (U.3)").
-/// Documents are JSON; named queues provide the U.2/U.3 handoff. Store
-/// operations take no simulated time: the store enters the simulation
-/// only through its zero-delay watch-delivery ticks.
+/// The "unit" collection holds typed records (pilot/unit_record.h):
+/// a unit's state is an enum and its description a struct, read and
+/// written through put_unit/unit_state/unit_description/set_unit_state.
+/// Every other collection (heartbeats, tests' own buckets) holds Json
+/// documents; get/find_all also answer for "unit", building the Json
+/// document from the record. Named queues provide the U.2/U.3 handoff.
+/// Store operations take no simulated time: the store enters the
+/// simulation only through its zero-delay watch-delivery ticks.
 ///
 /// Thread-safety: the store is one lock domain. Every operation takes
 /// the single annotated mu_, like the real store's server-side
 /// concurrency control. The store is also the single chokepoint every
-/// unit state write goes through, so update() enforces the Fig. 3
-/// lifecycle-transition table (see pilot/transitions.h): merging an
-/// illegal "state" value into a "unit" document throws StateError
-/// instead of corrupting the lifecycle.
+/// unit state write goes through, so set_unit_state() enforces the
+/// Fig. 3 lifecycle-transition table (see pilot/transitions.h): an
+/// illegal edge throws StateError instead of corrupting the lifecycle.
 ///
 /// Watch/notify (etcd/ZooKeeper-style, DESIGN.md §10): watch() registers
 /// a callback on a bucket and key prefix; every put/update/queue_push
-/// under that bucket fires the matching watchers. Delivery goes through
-/// the sim engine as a coalesced zero-delay tick: mutations enqueue onto
-/// one FIFO and a single drain event delivers every mutation pending at
-/// that instant, so (a) callbacks never run under the store mutex,
-/// (b) delivery is deterministic — mutations in FIFO order, watchers in
-/// registration order — and (c) the transition gate in update() has
-/// already validated the write by the time any watcher sees it.
-/// Mutations performed *by* a watch callback go to a fresh tick at the
-/// same timestamp.
+/// under that bucket (put_unit/set_unit_state under "unit") fires the
+/// matching watchers. Delivery goes through the sim engine as a
+/// coalesced zero-delay tick: mutations enqueue onto one FIFO and a
+/// single drain event delivers every mutation pending at that instant,
+/// so (a) callbacks never run under the store mutex, (b) delivery is
+/// deterministic — mutations in FIFO order, watchers in registration
+/// order — and (c) the transition gate has already validated the write
+/// by the time any watcher sees it. Mutations performed *by* a watch
+/// callback go to a fresh tick at the same timestamp.
 
 namespace hoh::pilot {
+
+/// The collection of typed unit records.
+inline constexpr std::string_view kUnitCollection = "unit";
 
 /// What kind of store mutation fired a watch.
 enum class WatchEventType { kPut, kUpdate, kQueuePush };
@@ -85,38 +93,52 @@ class StateStore {
   /// the perfbench/ caller that still calls it.
   void set_shard_count(std::size_t /*count*/) {}
 
-  /// Inserts or replaces a document.
+  /// Inserts or replaces a Json document. The "unit" collection is
+  /// typed: putting a Json document there throws ConfigError.
   void put(const std::string& collection, const std::string& id,
            common::Json document);
 
-  /// Reads a document; nullopt when absent.
+  /// Reads a document; nullopt when absent. A unit's document is built
+  /// from its record (introspection, not a hot path).
   std::optional<common::Json> get(const std::string& collection,
                                   const std::string& id) const;
 
-  /// Reads one top-level field of a document; nullopt when the document
-  /// or the field is absent. Same op accounting as get(), but copies one
-  /// value instead of the whole document — the hot path for the
-  /// Unit-Manager's barrier polls, which read only "state" out of a
-  /// million unit documents (DESIGN.md §13).
-  std::optional<common::Json> get_field(const std::string& collection,
-                                        const std::string& id,
-                                        const std::string& field) const;
-
-  /// Merges \p fields into an existing document (top-level keys). A
-  /// "state" merge into the "unit" collection is validated against the
-  /// unit lifecycle-transition table and throws StateError on an illegal
-  /// edge (e.g. Done -> Executing after a stale requeue).
+  /// Merges \p fields into an existing Json document (top-level keys);
+  /// throws NotFoundError when it is absent. Unit states change only
+  /// through set_unit_state().
   void update(const std::string& collection, const std::string& id,
               const common::JsonObject& fields);
 
-  /// All documents of a collection (id order).
+  /// All documents of a collection (id order); units as built by get().
   std::vector<std::pair<std::string, common::Json>> find_all(
       const std::string& collection) const;
+
+  /// Inserts or replaces a unit record (the U.2 hand-over, and the
+  /// held-unit insert). Like any put it is neither gated nor folded into
+  /// the schedule digest: re-ingesting a held unit replaces its kNew
+  /// record with a kPendingAgent one.
+  void put_unit(const std::string& id, UnitRecord unit);
+
+  /// A unit's state; throws NotFoundError when the unit is absent.
+  UnitState unit_state(const std::string& id) const;
+
+  /// A copy of a unit's description; nullopt when the unit is absent.
+  std::optional<ComputeUnitDescription> unit_description(
+      const std::string& id) const;
+
+  /// Moves a unit to \p state and, when \p pilot is non-empty, binds it
+  /// to that pilot. The edge is validated against the unit
+  /// lifecycle-transition table: an illegal one (e.g. Done -> Executing
+  /// after a stale requeue) throws StateError, changes nothing and
+  /// notifies nobody. A legal one is folded into the schedule digest.
+  /// Throws NotFoundError when the unit is absent.
+  void set_unit_state(const std::string& id, UnitState state,
+                      const std::string& pilot = {});
 
   /// Appends an id to a named queue.
   void queue_push(const std::string& queue, const std::string& id);
 
-  /// Drains the queue (agent poll). Returns ids in FIFO order.
+  /// Drains the queue (agent poll): hands its ids over, in FIFO order.
   std::vector<std::string> queue_pop_all(const std::string& queue);
 
   std::size_t queue_depth(const std::string& queue) const;
@@ -135,9 +157,9 @@ class StateStore {
   std::uint64_t mutation_count(const std::string& collection) const;
 
   /// The schedule digest: FNV-1a folded, in event order, over every unit
-  /// state write that passes the transition gate in update() — as (sim
-  /// time bits, unit id, new state) — and every placement an agent
-  /// records. The run digest pins which units finished; this one also
+  /// state write that passes the transition gate in set_unit_state() —
+  /// as (sim time bits, unit id, new state) — and every placement an
+  /// agent records. The run digest pins which units finished; this one also
   /// moves when a unit runs on another node or at another time.
   std::uint64_t schedule_digest() const;
 
@@ -169,8 +191,9 @@ class StateStore {
                     WatchCallback callback);
 
   /// Removes a watch. Pending deliveries for it are dropped (the watcher
-  /// set is re-checked at delivery time). Returns false if the handle was
-  /// invalid or already unwatched.
+  /// set is re-checked at delivery time). Safe from any watch callback,
+  /// the watcher's own included. Returns false if the handle was invalid
+  /// or already unwatched.
   bool unwatch(WatchHandle handle);
 
   /// Number of registered watchers (teardown hygiene checks).
@@ -194,7 +217,7 @@ class StateStore {
   };
 
   /// Appends \p id to every feed on \p collection (under mu_).
-  void record_write(const std::string& collection, const std::string& id)
+  void record_write(std::string_view collection, const std::string& id)
       HOH_REQUIRES(mu_);
 
   /// Folds each of \p parts, newline-terminated, into the schedule
@@ -204,8 +227,18 @@ class StateStore {
 
   struct Watcher {
     std::string bucket;
-    std::string prefix;
     WatchCallback fn;
+    /// Deliveries to this watcher running right now: an unwatch while
+    /// one runs retires the watcher and leaves the erase to the last of
+    /// them, so a callback never outlives its own std::function.
+    int running = 0;
+    bool retired = false;
+  };
+
+  /// One watcher of a bucket, as notify() matches it.
+  struct BucketWatcher {
+    std::uint64_t id;
+    std::string prefix;
   };
 
   /// One mutation awaiting watch delivery; targets were matched at
@@ -224,8 +257,9 @@ class StateStore {
   /// The drain tick: delivers every mutation queued at this instant.
   void deliver_pending();
 
-  /// Resolves one watcher id and runs its callback (the delivery step
-  /// shared by the transport endpoint and the standalone path).
+  /// Resolves one watcher id and runs its callback in place (the
+  /// delivery step shared by the transport endpoint and the standalone
+  /// path).
   void deliver_one(std::uint64_t watcher_id, const WatchEvent& event);
 
   sim::Engine& engine_;
@@ -237,13 +271,20 @@ class StateStore {
   std::map<std::string, std::uint64_t> collection_muts_ HOH_GUARDED_BY(mu_);
   std::map<std::string, std::map<std::string, common::Json>> collections_
       HOH_GUARDED_BY(mu_);
-  std::map<std::string, std::deque<std::string>> queues_ HOH_GUARDED_BY(mu_);
+  std::unordered_map<std::string, UnitRecord> units_ HOH_GUARDED_BY(mu_);
+  std::uint64_t unit_muts_ HOH_GUARDED_BY(mu_) = 0;
+  std::map<std::string, std::vector<std::string>> queues_
+      HOH_GUARDED_BY(mu_);
   std::map<std::uint64_t, Feed> feeds_ HOH_GUARDED_BY(mu_);
   std::uint64_t schedule_digest_ HOH_GUARDED_BY(mu_) = common::kFnv1aBasis;
   std::uint64_t next_feed_id_ HOH_GUARDED_BY(mu_) = 1;
-  /// Keyed by watch id; ids count up, so std::map iteration is
-  /// registration-order delivery.
+  /// Keyed by watch id. A node's address is stable while it exists,
+  /// which deliver_one() relies on while a callback runs unlocked.
   std::map<std::uint64_t, Watcher> watchers_ HOH_GUARDED_BY(mu_);
+  /// The live watchers of each bucket in registration order (ids count
+  /// up), so notify() looks only at the mutated bucket's watchers.
+  std::unordered_map<std::string, std::vector<BucketWatcher>> by_bucket_
+      HOH_GUARDED_BY(mu_);
   std::uint64_t next_watch_id_ HOH_GUARDED_BY(mu_) = 1;
   std::vector<PendingDelivery> pending_deliveries_ HOH_GUARDED_BY(mu_);
   bool delivery_scheduled_ HOH_GUARDED_BY(mu_) = false;

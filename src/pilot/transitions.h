@@ -13,7 +13,7 @@
 /// an Executing unit back to AgentScheduling). The tables are constexpr
 /// adjacency matrices with static_assert-checked structural properties:
 /// final states are sinks and every state is reachable from kNew. The
-/// validate_transition() gate is wired into StateStore::update (every
+/// validate_transition() gate is wired into StateStore::set_unit_state (every
 /// unit state write the agents and the Unit-Manager make) and
 /// Pilot::set_state, so an illegal jump — e.g. kDone -> kExecuting after
 /// a drain-timeout requeue races a completion — throws StateError loudly

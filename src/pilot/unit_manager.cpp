@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "net/json_codec.h"
 #include "net/message.h"
 #include "net/transport.h"
 #include "pilot/agent/agent.h"
@@ -27,23 +26,13 @@ void UnitManager::register_submit_endpoint() {
   session_.transport().register_endpoint(
       submit_endpoint_, [this](const net::Envelope& env) {
         const auto msg = net::open_envelope<net::SubmitRequest>(env);
-        net::Unpacker u(msg.description);
-        const ComputeUnitDescription desc = unit_from_json(net::unpack_json(u));
-        u.expect_done();
-        return net::make_envelope(net::SubmitReply{submit(desc)->id()});
+        return net::make_envelope(net::SubmitReply{
+            submit(unpack_unit_description(msg.description))->id()});
       });
 }
 
 UnitState ComputeUnit::state() const {
-  const StateStore& store = manager_->session().store();
-  const std::uint64_t unit_muts = store.mutation_count("unit");
-  if (unit_muts == cached_at_) return cached_state_;
-  const auto state = store.get_field("unit", id_, "state");
-  cached_state_ = state.has_value()
-                      ? unit_state_from_string(state->as_string())
-                      : UnitState::kNew;
-  cached_at_ = unit_muts;
-  return cached_state_;
+  return manager_->session().store().unit_state(id_);
 }
 
 UnitManager::~UnitManager() {
@@ -264,10 +253,7 @@ std::string UnitManager::rebind_failed(ComputeUnit& unit,
 
   // kFailed -> kPendingAgent is the one legal edge out of a final state
   // (see transitions.h); then back onto a live agent queue (U.2 again).
-  session_.store().update(
-      "unit", unit.id(),
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
+  session_.store().set_unit_state(unit.id(), UnitState::kPendingAgent, to);
   session_.store().queue_push("agent." + to, unit.id());
   return from;
 }
@@ -296,7 +282,9 @@ void UnitManager::drain_pending_requeues() {
   for (const auto& unit_id : waiting) try_requeue(unit_id);
 }
 
-void UnitManager::reconcile() {
+void UnitManager::reconcile() { poll(/*settle=*/false); }
+
+void UnitManager::poll(bool settle) {
   // Fold the trace increment into the per-unit time maps: the trace is
   // append-only, so every event is visited once per run, not once per
   // finished unit. (With trace rollup enabled, unit events are not
@@ -320,13 +308,26 @@ void UnitManager::reconcile() {
   // those, folding in open order (the estimator and the backlog sums
   // are order-sensitive).
   absorb_unit_writes();
+  // Only units whose outcome is not locked in are settle-checked, and of
+  // those only the ones written or submitted since the last poll —
+  // unless a recovery input moved, which can unsettle any kFailed unit.
+  // kDone and kCanceled are sinks and leave the working set for good;
+  // kFailed stays (requeue/redispatch may cross its one legal out-edge).
+  if (settle && recovery_dirty_) {
+    for (const auto& [seq, u] : unsettled_) list_for_settle(u);
+  }
   std::sort(open_recheck_.begin(), open_recheck_.end(),
             [](const ComputeUnit* a, const ComputeUnit* b) {
               return a->open_seq_ < b->open_seq_;
             });
+  // Each listed unit is read once per poll: a unit listed twice sorts
+  // next to itself, and one both lists name is settled here.
+  const ComputeUnit* previous = nullptr;
   for (ComputeUnit* unit : open_recheck_) {
-    if (unit->open_seq_ == 0) continue;  // folded (listed twice)
+    if (unit == previous) continue;
+    previous = unit;
     const UnitState state = unit->state();
+    if (settle && unit->settle_listed_) settle_unit(unit, state);
     if (!is_final(state)) continue;
     unit->open_seq_ = 0;
     auto pred = unit_predictions_.find(unit->id());
@@ -346,11 +347,23 @@ void UnitManager::reconcile() {
     if (done_at != done_time_.end()) done_time_.erase(done_at);
   }
   open_recheck_.clear();
+  if (!settle) return;
+  for (ComputeUnit* unit : settle_recheck_) {
+    if (unit->settle_listed_) settle_unit(unit, unit->state());
+  }
+  settle_recheck_.clear();
+  recovery_dirty_ = false;
 }
 
 void UnitManager::open_unit(ComputeUnit* unit) {
   unit->open_seq_ = next_open_seq_++;
   open_recheck_.push_back(unit);
+}
+
+void UnitManager::list_for_settle(ComputeUnit* unit) {
+  if (unit->settle_listed_) return;
+  unit->settle_listed_ = true;
+  settle_recheck_.push_back(unit);
 }
 
 void UnitManager::absorb_unit_writes() {
@@ -366,7 +379,7 @@ void UnitManager::absorb_unit_writes() {
     if (it == by_id_.end()) continue;  // another manager's unit
     ComputeUnit* unit = it->second.get();
     if (unit->open_seq_ != 0) open_recheck_.push_back(unit);
-    settle_recheck_.push_back(unit);
+    list_for_settle(unit);
   }
 }
 
@@ -394,12 +407,9 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     if (desc.depends_on.empty()) {
       dispatch_to_agent(unit_id, pilot_id, desc);
     } else {
-      // Held back: document exists (state New) so handles can query it.
-      common::Json doc;
-      doc["description"] = unit_to_json(desc);
-      doc["state"] = to_string(UnitState::kNew);
-      doc["pilot"] = pilot_id;
-      session_.store().put("unit", unit_id, std::move(doc));
+      // Held back: the record exists (state New) so handles can query it.
+      session_.store().put_unit(unit_id,
+                                UnitRecord{UnitState::kNew, pilot_id, desc});
       held_.push_back(HeldUnit{unit_id, pilot_id, desc});
       held_any = true;
       // Any unit-document state write (agent write-back, cancellation)
@@ -424,7 +434,7 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     unit->submit_seq_ = seq++;
     open_unit(unit.get());
     unsettled_.emplace(unit->submit_seq_, unit.get());
-    settle_recheck_.push_back(unit.get());
+    list_for_settle(unit.get());
   }
   // A dependency that is already settled (Done, Failed, Canceled) or
   // unknown never produces another unit update, so the watch alone would
@@ -437,18 +447,15 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
 void UnitManager::dispatch_to_agent(const std::string& unit_id,
                                     const std::string& pilot_id,
                                     const ComputeUnitDescription& desc) {
-  common::Json doc;
-  doc["description"] = unit_to_json(desc);
-  doc["state"] = to_string(UnitState::kPendingAgent);
-  doc["pilot"] = pilot_id;
   // U.2 over the message boundary: document put + agent queue push as
   // one StoreIngest through the session transport (DESIGN.md §14). The
-  // document crosses as packed binary Json, bit-exact.
-  net::Packer packer;
-  net::pack_json(packer, doc);
+  // unit document crosses in its binary Json form, bit-exact.
   net::call<net::Ack>(
       session_.transport(), "store.ingest",
-      net::StoreIngest{"unit", unit_id, "agent." + pilot_id, packer.take()});
+      net::StoreIngest{
+          std::string(kUnitCollection), unit_id, "agent." + pilot_id,
+          pack_unit_document(
+              UnitRecord{UnitState::kPendingAgent, pilot_id, desc})});
 }
 
 void UnitManager::check_dependencies() {
@@ -471,9 +478,7 @@ void UnitManager::check_dependencies() {
       if (dep_state != UnitState::kDone) ready = false;
     }
     if (doomed) {
-      session_.store().update(
-          "unit", held.unit_id,
-          {{"state", common::Json(to_string(UnitState::kCanceled))}});
+      session_.store().set_unit_state(held.unit_id, UnitState::kCanceled);
       session_.trace().record(session_.engine().now(), "unit", "Canceled",
                               {{"unit", held.unit_id},
                                {"reason", "dependency-failed"}});
@@ -504,57 +509,48 @@ bool UnitManager::all_done() {
   // triage, a pilot crash) moved. Long-running waves poll every few
   // simulated seconds while few units change; a poll costs
   // O(units written since the last one), not O(in-flight units).
-  reconcile();
-  const auto settled_now = [this](const ComputeUnit* u, UnitState state) {
-    if (state == UnitState::kFailed && recovery_enabled_) {
-      if (limbo_.count(u->id()) > 0) {
-        return false;  // requeue in flight: not settled yet
-      }
-      // A unit that died with its pilot but has not been triaged yet
-      // (the zero-delay handle_pilot_failure event is still queued) is
-      // equally in flight: without this, a barrier polling at the exact
-      // crash instant concludes the run finished. Abandoned units
-      // (budget gone, marked -1) are settled.
-      const auto budget = requeue_counts_.find(u->id());
-      const bool abandoned =
-          budget != requeue_counts_.end() && budget->second < 0;
-      if (!abandoned) {
-        for (const auto& pilot : pilots_) {
-          if (pilot->id() == u->pilot_id() &&
-              pilot->state() == PilotState::kFailed) {
-            return false;
-          }
+  poll(/*settle=*/true);
+  return blocking_.empty();
+}
+
+bool UnitManager::settled_now(const ComputeUnit* u, UnitState state) const {
+  if (state == UnitState::kFailed && recovery_enabled_) {
+    if (limbo_.count(u->id()) > 0) {
+      return false;  // requeue in flight: not settled yet
+    }
+    // A unit that died with its pilot but has not been triaged yet
+    // (the zero-delay handle_pilot_failure event is still queued) is
+    // equally in flight: without this, a barrier polling at the exact
+    // crash instant concludes the run finished. Abandoned units
+    // (budget gone, marked -1) are settled.
+    const auto budget = requeue_counts_.find(u->id());
+    const bool abandoned =
+        budget != requeue_counts_.end() && budget->second < 0;
+    if (!abandoned) {
+      for (const auto& pilot : pilots_) {
+        if (pilot->id() == u->pilot_id() &&
+            pilot->state() == PilotState::kFailed) {
+          return false;
         }
       }
     }
-    return is_final(state);
-  };
-  // Only units whose outcome is not locked in are re-read, and of those
-  // only the ones written or submitted since the last poll — unless a
-  // recovery input moved, which can unsettle any kFailed unit. kDone and
-  // kCanceled are sinks and leave the working set for good; kFailed
-  // stays (requeue/redispatch may cross its one legal out-edge).
-  if (recovery_dirty_) {
-    settle_recheck_.clear();
-    for (const auto& [seq, u] : unsettled_) settle_recheck_.push_back(u);
   }
-  for (ComputeUnit* u : settle_recheck_) {
-    const auto it = unsettled_.find(u->submit_seq_);
-    if (it == unsettled_.end()) continue;  // settled (listed twice)
-    const UnitState state = u->state();
-    if (state == UnitState::kDone || state == UnitState::kCanceled) {
-      if (state == UnitState::kDone) ++settled_done_;
-      unsettled_.erase(it);
-      blocking_.erase(u);
-    } else if (settled_now(u, state)) {
-      blocking_.erase(u);
-    } else {
-      blocking_.insert(u);
-    }
+  return is_final(state);
+}
+
+void UnitManager::settle_unit(ComputeUnit* u, UnitState state) {
+  u->settle_listed_ = false;
+  const auto it = unsettled_.find(u->submit_seq_);
+  if (it == unsettled_.end()) return;  // settled already
+  if (state == UnitState::kDone || state == UnitState::kCanceled) {
+    if (state == UnitState::kDone) ++settled_done_;
+    unsettled_.erase(it);
+    blocking_.erase(u);
+  } else if (settled_now(u, state)) {
+    blocking_.erase(u);
+  } else {
+    blocking_.insert(u);
   }
-  settle_recheck_.clear();
-  recovery_dirty_ = false;
-  return blocking_.empty();
 }
 
 std::size_t UnitManager::done_count() const {

@@ -33,11 +33,7 @@ class ComputeUnit {
   const std::string& id() const { return id_; }
   const ComputeUnitDescription& description() const { return description_; }
 
-  /// Current state, read from the shared store document. Memoised
-  /// against the store's "unit" write count: while no unit document was
-  /// written since the last read, the last answer still holds, so a
-  /// barrier poll reads each unit at most once. The memo is
-  /// engine-thread-confined (DESIGN.md §7).
+  /// Current state, read from the unit's record in the shared store.
   UnitState state() const;
 
   /// Pilot this unit was bound to.
@@ -56,15 +52,13 @@ class ComputeUnit {
   std::string id_;
   std::string pilot_id_;
   ComputeUnitDescription description_;
-  // state() read memo: the last document state and the "unit" write
-  // count it was read at.
-  mutable std::uint64_t cached_at_ = UINT64_MAX;
-  mutable UnitState cached_state_ = UnitState::kNew;
   // Position in the manager's submission order.
   std::uint64_t submit_seq_ = 0;
   // The manager's fold order while the unit is open (not yet folded
   // back by reconcile()); 0 once folded.
   std::uint64_t open_seq_ = 0;
+  // On the manager's settle recheck list, not yet read by a poll.
+  bool settle_listed_ = false;
 };
 
 /// Unit scheduling policy across pilots.
@@ -187,8 +181,18 @@ class UnitManager {
   /// Marks \p unit open (to be folded back by reconcile()) and queues
   /// it for reconcile()'s next pass.
   void open_unit(ComputeUnit* unit);
+  /// Queues \p unit for the next barrier poll's settle check (once).
+  void list_for_settle(ComputeUnit* unit);
   /// Drains the "unit" write feed into the recheck lists.
   void absorb_unit_writes();
+  /// reconcile() and, with \p settle, the rest of all_done(): reads
+  /// each listed unit once, folds the final open ones and records which
+  /// unsettled units block the barrier.
+  void poll(bool settle);
+  /// The all_done() verdict for one unsettled unit read at \p state.
+  void settle_unit(ComputeUnit* u, UnitState state);
+  /// Whether \p u, read at \p state, no longer holds the barrier.
+  bool settled_now(const ComputeUnit* u, UnitState state) const;
 
   // --- fault recovery (requeue units off a dead pilot) ---
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);

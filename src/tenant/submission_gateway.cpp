@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "net/json_codec.h"
 #include "net/message.h"
 #include "net/transport.h"
 #include "pilot/agent/agent.h"
 #include "pilot/transitions.h"
+#include "pilot/unit_record.h"
 
 namespace hoh::tenant {
 
@@ -199,13 +199,12 @@ void SubmissionGateway::dispatch_head(TenantIndex t) {
     // First dispatch: the unit enters the StateStore here (U.1/U.2) —
     // and only here, which is the admission-before-insert invariant.
     // The submission crosses the message boundary (DESIGN.md §14): the
-    // description travels as packed binary Json in a SubmitRequest and
-    // the Unit-Manager answers with the assigned unit id.
-    net::Packer packer;
-    net::pack_json(packer, pilot::unit_to_json(unit.desc));
+    // description travels in its binary Json form in a SubmitRequest
+    // and the Unit-Manager answers with the assigned unit id.
     const auto reply = net::call<net::SubmitReply>(
         um_.session().transport(), um_.submit_endpoint(),
-        net::SubmitRequest{tenant.spec.id, packer.take()});
+        net::SubmitRequest{tenant.spec.id,
+                           pilot::pack_unit_description(unit.desc)});
     unit.unit_id = reply.unit_id;
     flight.handle = um_.find_unit(unit.unit_id);
   } else {

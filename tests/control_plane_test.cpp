@@ -28,10 +28,11 @@ namespace {
 
 class StoreWatchTest : public ::testing::Test {
  protected:
-  common::Json doc(const std::string& state = "PendingAgent") {
-    common::Json d;
-    d["state"] = state;
-    return d;
+  pilot::UnitRecord unit(
+      pilot::UnitState state = pilot::UnitState::kPendingAgent) {
+    pilot::UnitRecord u;
+    u.state = state;
+    return u;
   }
 
   sim::Engine engine_;
@@ -43,7 +44,7 @@ TEST_F(StoreWatchTest, WatchBeforePutDelivers) {
   store_.watch("unit", "", [&](const pilot::WatchEvent& e) {
     events.push_back(e);
   });
-  store_.put("unit", "unit.0", doc());
+  store_.put_unit("unit.0", unit());
   EXPECT_TRUE(events.empty());  // delivery is an engine event, not inline
   engine_.run();
   ASSERT_EQ(events.size(), 1u);
@@ -53,7 +54,7 @@ TEST_F(StoreWatchTest, WatchBeforePutDelivers) {
 }
 
 TEST_F(StoreWatchTest, MutationBeforeWatchIsNotDelivered) {
-  store_.put("unit", "unit.0", doc());
+  store_.put_unit("unit.0", unit());
   engine_.run();
   int events = 0;
   store_.watch("unit", "", [&](const pilot::WatchEvent&) { ++events; });
@@ -66,10 +67,10 @@ TEST_F(StoreWatchTest, BucketAndPrefixFilterDelivery) {
   store_.watch("unit", "unit.1", [&](const pilot::WatchEvent& e) {
     keys.push_back(e.key);
   });
-  store_.put("unit", "unit.0", doc());
-  store_.put("unit", "unit.1", doc());
-  store_.put("unit", "unit.10", doc());  // prefix match, also delivered
-  store_.put("pilot", "unit.1", doc());  // wrong bucket
+  store_.put_unit("unit.0", unit());
+  store_.put_unit("unit.1", unit());
+  store_.put_unit("unit.10", unit());  // prefix match, also delivered
+  store_.put("pilot", "unit.1", common::Json());  // wrong bucket
   engine_.run();
   EXPECT_EQ(keys, (std::vector<std::string>{"unit.1", "unit.10"}));
 }
@@ -83,8 +84,8 @@ TEST_F(StoreWatchTest, UpdateAndQueuePushCarryTheirEventTypes) {
   };
   store_.watch("unit", "", record);
   store_.watch("agent.p1", "", record);
-  store_.put("unit", "u", doc());
-  store_.update("unit", "u", {{"state", common::Json("AgentScheduling")}});
+  store_.put_unit("u", unit());
+  store_.set_unit_state("u", pilot::UnitState::kAgentScheduling);
   store_.queue_push("agent.p1", "unit.0");
   engine_.run();
   ASSERT_EQ(types.size(), 3u);
@@ -95,15 +96,14 @@ TEST_F(StoreWatchTest, UpdateAndQueuePushCarryTheirEventTypes) {
 }
 
 TEST_F(StoreWatchTest, GateRejectedUpdateDoesNotNotify) {
-  store_.put("unit", "u", doc("PendingAgent"));
+  store_.put_unit("u", unit(pilot::UnitState::kPendingAgent));
   engine_.run();
   int events = 0;
   store_.watch("unit", "", [&](const pilot::WatchEvent&) { ++events; });
   // PendingAgent -> Executing is not a Fig. 3 edge: the write is rejected
   // and watchers must not hear about it.
-  EXPECT_THROW(
-      store_.update("unit", "u", {{"state", common::Json("Executing")}}),
-      common::StateError);
+  EXPECT_THROW(store_.set_unit_state("u", pilot::UnitState::kExecuting),
+               common::StateError);
   engine_.run();
   EXPECT_EQ(events, 0);
 }
@@ -116,7 +116,7 @@ TEST_F(StoreWatchTest, UnwatchStopsDeliveryAndCountsWatchers) {
   EXPECT_TRUE(store_.unwatch(h));
   EXPECT_FALSE(store_.unwatch(h));  // already gone
   EXPECT_EQ(store_.watcher_count(), 0u);
-  store_.put("unit", "u", doc());
+  store_.put_unit("u", unit());
   engine_.run();
   EXPECT_EQ(events, 0);
 }
@@ -131,10 +131,45 @@ TEST_F(StoreWatchTest, UnwatchDuringDeliveryIsSafe) {
   });
   second = store_.watch("unit", "",
                         [&](const pilot::WatchEvent&) { ++second_fired; });
-  store_.put("unit", "u", doc());
+  store_.put_unit("u", unit());
   engine_.run();
   EXPECT_EQ(second_fired, 0);
   EXPECT_EQ(store_.watcher_count(), 1u);
+}
+
+TEST_F(StoreWatchTest, CallbackMayUnwatchItselfAndASibling) {
+  // Callbacks run in place, not on a copy of their std::function: a
+  // callback retiring itself must not destroy the closure it is running
+  // in. The captured string is big enough to live on the heap, so a
+  // closure freed early shows up as a use-after-free under ASan.
+  const std::string tag(64, 'x');
+  std::vector<std::string> fired;
+  pilot::WatchHandle self;
+  pilot::WatchHandle sibling;
+  self = store_.watch("unit", "", [&, tag](const pilot::WatchEvent& e) {
+    store_.unwatch(self);
+    store_.unwatch(sibling);
+    fired.push_back(tag.substr(0, 1) + e.key);  // reads the closure
+  });
+  sibling = store_.watch("unit", "", [&, tag](const pilot::WatchEvent& e) {
+    fired.push_back(tag.substr(0, 2) + e.key);
+  });
+  int later = 0;
+  store_.watch("unit", "", [&](const pilot::WatchEvent&) { ++later; });
+  // Two mutations in one tick: both watchers are gone before the second
+  // is delivered, and the third watcher hears both.
+  store_.put_unit("u", unit());
+  store_.put_unit("v", unit());
+  engine_.run();
+  EXPECT_EQ(fired, std::vector<std::string>{"xu"});
+  EXPECT_EQ(later, 2);
+  EXPECT_EQ(store_.watcher_count(), 1u);
+  EXPECT_FALSE(store_.unwatch(self));
+  EXPECT_FALSE(store_.unwatch(sibling));
+  // The store keeps delivering after the retirements.
+  store_.put_unit("w", unit());
+  engine_.run();
+  EXPECT_EQ(later, 3);
 }
 
 TEST_F(StoreWatchTest, MultipleWatchersFireInRegistrationOrder) {
@@ -148,8 +183,8 @@ TEST_F(StoreWatchTest, MultipleWatchersFireInRegistrationOrder) {
   store_.watch("unit", "", [&](const pilot::WatchEvent&) {
     order.push_back(3);
   });
-  store_.put("unit", "u", doc());
-  store_.put("unit", "v", doc());
+  store_.put_unit("u", unit());
+  store_.put_unit("v", unit());
   engine_.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 2, 3}));
 }
@@ -161,15 +196,15 @@ TEST_F(StoreWatchTest, CallbackMayMutateTheStore) {
     if (e.type == pilot::WatchEventType::kPut) {
       // Notification chain: a watcher reacting with its own write must
       // not deadlock (callbacks never run under the store mutex).
-      store_.update("unit", e.key,
-                    {{"state", common::Json("AgentScheduling")}});
+      store_.set_unit_state(e.key, pilot::UnitState::kAgentScheduling);
     }
   });
-  store_.put("unit", "u", doc());
+  store_.put_unit("u", unit());
   engine_.run();
   EXPECT_EQ(unit_events, 2);  // the put and the chained update
   EXPECT_EQ(store_.get("unit", "u")->at("state").as_string(),
             "AgentScheduling");
+  EXPECT_EQ(store_.unit_state("u"), pilot::UnitState::kAgentScheduling);
 }
 
 // --------------------------------------------------------- pilot stack ---
@@ -336,9 +371,9 @@ TEST_F(WatchStackTest, UnitManagerDestructionRetiresDependencySweep) {
   // exactly the manager's own dependency watch must have retired (the
   // agent's queue watch and the heartbeat lease remain).
   run_for(120.0);
-  common::Json d;
-  d["state"] = "PendingAgent";
-  session_.store().put("unit", "poke", d);
+  pilot::UnitRecord poke;
+  poke.state = pilot::UnitState::kPendingAgent;
+  session_.store().put_unit("poke", poke);
   run_for(5.0);
   EXPECT_EQ(session_.store().watcher_count(), watchers_with_um - 1);
 }

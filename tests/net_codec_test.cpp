@@ -3,7 +3,9 @@
 // its recorded wire image, and a hostile stream — truncated at every
 // byte, corrupted length, wrong magic/version, random garbage — makes
 // pop_frame wait or throw CodecError, never UB, a silent partial read,
-// or an allocation driven by a corrupt length.
+// or an allocation driven by a corrupt length. The unit document codec
+// writes the bytes pack_json writes for the Json document and refuses
+// the same hostile input.
 
 #include <cstdint>
 #include <limits>
@@ -17,6 +19,10 @@
 #include "net/json_codec.h"
 #include "net/message.h"
 #include "net/ring_buffer.h"
+#include "net/transport.h"
+#include "pilot/state_store.h"
+#include "pilot/unit_record.h"
+#include "sim/engine.h"
 
 namespace hoh::net {
 namespace {
@@ -425,6 +431,251 @@ TEST(NetCodecHostile, RandomGarbageNeverCrashes) {
     } catch (const CodecError&) {
     }
   }
+}
+
+// --- unit document codec -------------------------------------------
+
+/// The description document as the Unit-Manager built it in Json before
+/// the typed codec existed: the reference the codec's bytes must equal.
+common::Json reference_description(const pilot::ComputeUnitDescription& d) {
+  common::Json j;
+  auto put_list = [&j](const char* key, common::JsonArray arr) {
+    if (!arr.empty()) j[key] = std::move(arr);
+  };
+  auto strings = [](const std::vector<std::string>& values) {
+    return common::JsonArray(values.begin(), values.end());
+  };
+  auto stage_list = [](const std::vector<pilot::StagedFile>& files) {
+    common::JsonArray arr;
+    for (const auto& f : files) {
+      common::Json entry;
+      entry["url"] = f.url.str();
+      entry["size"] = f.size;
+      arr.push_back(std::move(entry));
+    }
+    return arr;
+  };
+  j["name"] = d.name;
+  j["executable"] = d.executable;
+  put_list("arguments", strings(d.arguments));
+  j["cores"] = static_cast<std::int64_t>(d.cores);
+  j["memory_mb"] = d.memory_mb;
+  j["duration"] = d.duration;
+  j["exit_code"] = static_cast<std::int64_t>(d.exit_code);
+  j["is_mpi"] = d.is_mpi;
+  put_list("input_staging", stage_list(d.input_staging));
+  put_list("output_staging", stage_list(d.output_staging));
+  put_list("preferred_nodes", strings(d.preferred_nodes));
+  put_list("depends_on", strings(d.depends_on));
+  return j;
+}
+
+common::Json reference_document(const pilot::UnitRecord& unit) {
+  common::Json doc;
+  doc["description"] = reference_description(unit.description);
+  doc["state"] = pilot::to_string(unit.state);
+  doc["pilot"] = unit.pilot;
+  return doc;
+}
+
+std::vector<std::uint8_t> packed_json(const common::Json& doc) {
+  Packer p;
+  pack_json(p, doc);
+  return p.take();
+}
+
+/// Description shapes the store sees: defaults (every list empty),
+/// every list filled, staging with sizes, MPI, a negative exit code and
+/// a large memory ask.
+std::vector<pilot::UnitRecord> unit_shapes() {
+  std::vector<pilot::UnitRecord> shapes;
+  pilot::UnitRecord base;
+  base.state = pilot::UnitState::kPendingAgent;
+  base.pilot = "pilot.0000";
+  shapes.push_back(base);  // all lists empty
+
+  pilot::UnitRecord full = base;
+  full.state = pilot::UnitState::kNew;
+  full.description.name = "kmeans-map-3";
+  full.description.executable = "/bin/python";
+  full.description.arguments = {"kmeans.py", "--iter", "2"};
+  full.description.input_staging = {
+      {saga::Url("file://stampede/points.csv"), 1024}};
+  full.description.output_staging = {
+      {saga::Url("file://stampede/out.csv"), 64}};
+  full.description.preferred_nodes = {"c401-001", "c401-002"};
+  full.description.depends_on = {"unit.000001", "unit.000002"};
+  shapes.push_back(full);
+
+  pilot::UnitRecord staged = base;
+  staged.description.input_staging = {
+      {saga::Url("hdfs://wrangler/data/part-0"), 5 * common::kGiB},
+      {saga::Url("file://wrangler/scratch/tiny.bin"), 0}};
+  staged.description.output_staging = {
+      {saga::Url("file://wrangler/results/"), 123456789}};
+  shapes.push_back(staged);
+
+  pilot::UnitRecord mpi = base;
+  mpi.state = pilot::UnitState::kFailed;
+  mpi.description.is_mpi = true;
+  mpi.description.cores = 256;
+  mpi.description.executable = "/usr/bin/mpiexec";
+  shapes.push_back(mpi);
+
+  pilot::UnitRecord failing = base;
+  failing.state = pilot::UnitState::kDone;
+  failing.description.exit_code = -11;
+  failing.description.duration = 0.1 + 0.2;
+  shapes.push_back(failing);
+
+  pilot::UnitRecord big = base;
+  big.description.memory_mb = std::int64_t{1} << 40;
+  big.description.duration = 1.7976931348623157e308;
+  big.description.name = "quoted \"name\" with\nnewline";
+  big.pilot = "";
+  shapes.push_back(big);
+  return shapes;
+}
+
+TEST(UnitDocumentCodec, BytesEqualPackJson) {
+  for (const pilot::UnitRecord& unit : unit_shapes()) {
+    const auto bytes = pilot::pack_unit_document(unit);
+    EXPECT_EQ(bytes, packed_json(reference_document(unit)))
+        << unit.description.name;
+    EXPECT_EQ(pilot::pack_unit_description(unit.description),
+              packed_json(reference_description(unit.description)));
+    // The Json form is the reference document too.
+    EXPECT_EQ(pilot::unit_document_json(unit), reference_document(unit));
+
+    // Unpacking recovers the record: it packs to the same bytes.
+    const pilot::UnitRecord back = pilot::unpack_unit_document(bytes);
+    EXPECT_EQ(back.state, unit.state);
+    EXPECT_EQ(back.pilot, unit.pilot);
+    EXPECT_EQ(back.description.input_staging.size(),
+              unit.description.input_staging.size());
+    EXPECT_EQ(back.description.exit_code, unit.description.exit_code);
+    EXPECT_EQ(back.description.memory_mb, unit.description.memory_mb);
+    EXPECT_EQ(pilot::pack_unit_document(back), bytes);
+    const pilot::ComputeUnitDescription desc =
+        pilot::unpack_unit_description(
+            pilot::pack_unit_description(unit.description));
+    EXPECT_EQ(pilot::pack_unit_description(desc),
+              pilot::pack_unit_description(unit.description));
+  }
+}
+
+TEST(UnitDocumentCodecHostile, TruncatedAtEveryByteThrows) {
+  for (const pilot::UnitRecord& unit : unit_shapes()) {
+    const auto bytes = pilot::pack_unit_document(unit);
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      const std::vector<std::uint8_t> cut(bytes.begin(),
+                                          bytes.begin() + n);
+      EXPECT_THROW(pilot::unpack_unit_document(cut), CodecError) << n;
+    }
+    auto longer = bytes;
+    longer.push_back(0);
+    EXPECT_THROW(pilot::unpack_unit_document(longer), CodecError);
+  }
+}
+
+TEST(UnitDocumentCodecHostile, WrongTagThrows) {
+  auto bytes = pilot::pack_unit_document(unit_shapes()[1]);
+  bytes[0] = 7;  // no such tag
+  EXPECT_THROW(pilot::unpack_unit_document(bytes), CodecError);
+  bytes[0] = static_cast<std::uint8_t>(JsonTag::kArray);
+  EXPECT_THROW(pilot::unpack_unit_document(bytes), CodecError);
+  // A document that is a valid Json value but not an object.
+  EXPECT_THROW(pilot::unpack_unit_document(packed_json(common::Json(1.0))),
+               CodecError);
+}
+
+TEST(UnitDocumentCodecHostile, MissingRequiredKeyThrows) {
+  const common::Json doc = reference_document(unit_shapes()[1]);
+  for (const char* key : {"description", "pilot", "state"}) {
+    common::JsonObject top = doc.as_object();
+    top.erase(key);
+    EXPECT_THROW(pilot::unpack_unit_document(packed_json(common::Json(top))),
+                 CodecError)
+        << key;
+  }
+  for (const char* key : {"name", "executable", "cores", "memory_mb",
+                          "duration", "exit_code", "is_mpi"}) {
+    common::JsonObject desc = doc.at("description").as_object();
+    desc.erase(key);
+    common::Json broken = doc;
+    broken["description"] = common::Json(desc);
+    EXPECT_THROW(pilot::unpack_unit_document(packed_json(broken)), CodecError)
+        << key;
+    EXPECT_THROW(
+        pilot::unpack_unit_description(packed_json(common::Json(desc))),
+        CodecError)
+        << key;
+  }
+  // An unknown key is refused too, rather than skipped.
+  common::Json extra = doc;
+  extra["zzz"] = 1.0;
+  EXPECT_THROW(pilot::unpack_unit_document(packed_json(extra)), CodecError);
+  // And a staged file missing its url.
+  common::Json no_url = doc;
+  no_url["description"]["input_staging"] =
+      common::JsonArray{common::Json(common::JsonObject{{"size", 1.0}})};
+  EXPECT_THROW(pilot::unpack_unit_document(packed_json(no_url)), CodecError);
+}
+
+TEST(UnitDocumentCodecHostile, WrongValueTypeThrows) {
+  const common::Json doc = reference_document(unit_shapes()[1]);
+  const std::vector<std::pair<std::string, common::Json>> wrong = {
+      {"name", common::Json(3.0)},
+      {"cores", common::Json("four")},
+      {"is_mpi", common::Json(1.0)},
+      {"arguments", common::Json("kmeans.py")},
+      {"depends_on", common::JsonArray{common::Json(1.0)}},
+      {"memory_mb", common::Json(1e300)},  // no int64 holds it
+      {"duration", common::Json()},
+  };
+  for (const auto& [key, value] : wrong) {
+    common::Json broken = doc;
+    broken["description"][key] = value;
+    EXPECT_THROW(pilot::unpack_unit_document(packed_json(broken)), CodecError)
+        << key;
+  }
+  common::Json bad_state = doc;
+  bad_state["state"] = "Sleeping";  // no such state
+  EXPECT_THROW(pilot::unpack_unit_document(packed_json(bad_state)),
+               CodecError);
+  common::Json bad_url = doc;
+  bad_url["description"]["input_staging"].as_array()[0]["url"] = "no-scheme";
+  EXPECT_THROW(pilot::unpack_unit_document(packed_json(bad_url)), CodecError);
+}
+
+TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
+  // store.ingest decodes the whole document before it puts anything: a
+  // refused document leaves neither a record nor a queued id.
+  sim::Engine engine;
+  InProcessTransport transport;
+  pilot::StateStore store(engine);
+  store.set_transport(&transport);
+  auto bytes = pilot::pack_unit_document(unit_shapes()[1]);
+  bytes.pop_back();
+  EXPECT_THROW(call<Ack>(transport, "store.ingest",
+                         StoreIngest{"unit", "unit.000009", "agent.p1",
+                                     bytes}),
+               CodecError);
+  EXPECT_THROW(call<Ack>(transport, "store.ingest",
+                         StoreIngest{"heartbeat", "unit.000009", "agent.p1",
+                                     pilot::pack_unit_document(
+                                         unit_shapes()[1])}),
+               CodecError);
+  EXPECT_FALSE(store.get("unit", "unit.000009").has_value());
+  EXPECT_EQ(store.queue_depth("agent.p1"), 0u);
+  EXPECT_EQ(store.mutation_count(), 0u);
+
+  call<Ack>(transport, "store.ingest",
+            StoreIngest{"unit", "unit.000009", "agent.p1",
+                        pilot::pack_unit_document(unit_shapes()[1])});
+  EXPECT_EQ(store.unit_state("unit.000009"), pilot::UnitState::kNew);
+  EXPECT_EQ(store.queue_depth("agent.p1"), 1u);
+  store.set_transport(nullptr);
 }
 
 TEST(NetCodecHostile, JsonDeepNestingBounded) {

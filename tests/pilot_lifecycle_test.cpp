@@ -219,16 +219,14 @@ TEST_F(PilotLifecycleTest, UnitWriteSettlingTheLastUnitFlipsTheBarrier) {
   um_.add_pilot(pilot);
   auto units = um_.submit(
       std::vector<ComputeUnitDescription>(2, simple_unit()));
-  const common::JsonObject cancel{
-      {"state", common::Json(to_string(UnitState::kCanceled))}};
   StateStore& store = session_.store();
-  store.update("unit", units[0]->id(), cancel);
+  store.set_unit_state(units[0]->id(), UnitState::kCanceled);
   EXPECT_FALSE(um_.all_done());
   const auto ops = store.op_count();
   EXPECT_FALSE(um_.all_done());  // nothing written: nothing read
   EXPECT_EQ(store.op_count(), ops);
 
-  store.update("unit", units[1]->id(), cancel);
+  store.set_unit_state(units[1]->id(), UnitState::kCanceled);
   EXPECT_TRUE(um_.all_done());
   EXPECT_EQ(units[1]->state(), UnitState::kCanceled);
 }
@@ -245,8 +243,7 @@ TEST_F(PilotLifecycleTest, BarrierPollRereadsOnlyWrittenUnits) {
   // One unit written since the last poll: the next poll reads that one
   // document once, not all eight.
   StateStore& store = session_.store();
-  store.update("unit", units[3]->id(),
-               {{"state", common::Json(to_string(UnitState::kCanceled))}});
+  store.set_unit_state(units[3]->id(), UnitState::kCanceled);
   const auto ops = store.op_count();
   EXPECT_FALSE(um_.all_done());
   EXPECT_EQ(store.op_count() - ops, 1u);

@@ -9,19 +9,26 @@
 #include "common/error.h"
 #include "pilot/agent/agent.h"
 #include "pilot/descriptions.h"
+#include "pilot/unit_record.h"
 
 namespace hoh::pilot {
 namespace {
 
+UnitRecord pending(const std::string& pilot = "pilot.0") {
+  UnitRecord unit;
+  unit.state = UnitState::kPendingAgent;
+  unit.pilot = pilot;
+  return unit;
+}
+
 TEST(StateStoreTest, PutGetRoundTrip) {
   sim::Engine engine;
   StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "PendingAgent";
-  store.put("unit", "unit.0", doc);
+  store.put_unit("unit.0", pending());
   auto got = store.get("unit", "unit.0");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->at("state").as_string(), "PendingAgent");
+  EXPECT_EQ(store.unit_state("unit.0"), UnitState::kPendingAgent);
   EXPECT_FALSE(store.get("unit", "missing").has_value());
   EXPECT_FALSE(store.get("nope", "unit.0").has_value());
 }
@@ -29,27 +36,70 @@ TEST(StateStoreTest, PutGetRoundTrip) {
 TEST(StateStoreTest, UpdateMergesFields) {
   sim::Engine engine;
   StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "PendingAgent";
-  doc["pilot"] = "pilot.0";
-  store.put("unit", "u", doc);
-  store.update("unit", "u", {{"state", common::Json("AgentScheduling")}});
+  store.put_unit("u", pending("pilot.0"));
+  store.set_unit_state("u", UnitState::kAgentScheduling);
   auto got = store.get("unit", "u");
   EXPECT_EQ(got->at("state").as_string(), "AgentScheduling");
   EXPECT_EQ(got->at("pilot").as_string(), "pilot.0");  // untouched
+  // A rebind moves the pilot with the state.
+  store.set_unit_state("u", UnitState::kFailed);
+  store.set_unit_state("u", UnitState::kPendingAgent, "pilot.1");
+  EXPECT_EQ(store.get("unit", "u")->at("pilot").as_string(), "pilot.1");
 }
 
 TEST(StateStoreTest, UpdateRejectsIllegalUnitTransition) {
   sim::Engine engine;
   StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "PendingAgent";
-  store.put("unit", "u", doc);
+  store.put_unit("u", pending());
+  const auto digest = store.schedule_digest();
   // PendingAgent -> Executing skips AgentScheduling: not a Fig. 3 edge.
-  EXPECT_THROW(store.update("unit", "u", {{"state", common::Json("Executing")}}),
+  EXPECT_THROW(store.set_unit_state("u", UnitState::kExecuting),
                common::StateError);
   // The rejected write must not have leaked into the document.
   EXPECT_EQ(store.get("unit", "u")->at("state").as_string(), "PendingAgent");
+  EXPECT_EQ(store.unit_state("u"), UnitState::kPendingAgent);
+  EXPECT_EQ(store.schedule_digest(), digest);
+}
+
+TEST(StateStoreTest, PutUnitReingestIsUngatedAndUnfolded) {
+  // A held unit enters as kNew and is put again as kPendingAgent when
+  // its dependencies resolve: a put, neither gated nor folded into the
+  // schedule digest.
+  sim::Engine engine;
+  StateStore store(engine);
+  UnitRecord held = pending();
+  held.state = UnitState::kNew;
+  store.put_unit("u", held);
+  const auto digest = store.schedule_digest();
+  store.put_unit("u", pending());
+  EXPECT_EQ(store.unit_state("u"), UnitState::kPendingAgent);
+  EXPECT_EQ(store.schedule_digest(), digest);
+  // A gated write is folded.
+  store.set_unit_state("u", UnitState::kAgentScheduling);
+  EXPECT_NE(store.schedule_digest(), digest);
+}
+
+TEST(StateStoreTest, TypedUnitReads) {
+  sim::Engine engine;
+  StateStore store(engine);
+  UnitRecord unit = pending();
+  unit.description.name = "map-7";
+  unit.description.depends_on = {"unit.1"};
+  store.put_unit("u", unit);
+  const auto desc = store.unit_description("u");
+  ASSERT_TRUE(desc.has_value());
+  EXPECT_EQ(desc->name, "map-7");
+  EXPECT_EQ(desc->depends_on, std::vector<std::string>{"unit.1"});
+  EXPECT_FALSE(store.unit_description("missing").has_value());
+  EXPECT_THROW(store.unit_state("missing"), common::NotFoundError);
+  // Each typed read is one op.
+  const auto ops = store.op_count();
+  store.unit_state("u");
+  store.unit_description("u");
+  EXPECT_EQ(store.op_count() - ops, 2u);
+  // The unit collection takes no Json document.
+  EXPECT_THROW(store.put("unit", "v", common::Json(1)), common::ConfigError);
+  EXPECT_FALSE(store.get("unit", "v").has_value());
 }
 
 TEST(StateStoreTest, UpdateOnlyGatesUnitCollection) {
@@ -66,6 +116,8 @@ TEST(StateStoreTest, UpdateMissingThrows) {
   sim::Engine engine;
   StateStore store(engine);
   EXPECT_THROW(store.update("unit", "nope", {}), common::NotFoundError);
+  EXPECT_THROW(store.set_unit_state("nope", UnitState::kCanceled),
+               common::NotFoundError);
 }
 
 TEST(StateStoreTest, QueueFifoAndDrain) {
@@ -84,11 +136,12 @@ TEST(StateStoreTest, QueueFifoAndDrain) {
 TEST(StateStoreTest, FindAllSorted) {
   sim::Engine engine;
   StateStore store(engine);
-  store.put("unit", "b", common::Json(1));
-  store.put("unit", "a", common::Json(2));
+  store.put_unit("b", pending());
+  store.put_unit("a", pending());
   auto all = store.find_all("unit");
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].first, "a");
+  EXPECT_EQ(all[1].second, *store.get("unit", "b"));
 }
 
 TEST(StateStoreTest, OpCounting) {
@@ -105,13 +158,11 @@ TEST(StateStoreTest, OpCounting) {
 TEST(StateStoreTest, CollectionMutationCountMovesOnlyOnItsWrites) {
   sim::Engine engine;
   StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "PendingAgent";
   EXPECT_EQ(store.mutation_count("unit"), 0u);
 
-  store.put("unit", "u", doc);
+  store.put_unit("u", pending());
   EXPECT_EQ(store.mutation_count("unit"), 1u);
-  store.update("unit", "u", {{"state", common::Json("AgentScheduling")}});
+  store.set_unit_state("u", UnitState::kAgentScheduling);
   EXPECT_EQ(store.mutation_count("unit"), 2u);
 
   // Heartbeat leases and queue traffic leave the unit count alone but
@@ -126,7 +177,7 @@ TEST(StateStoreTest, CollectionMutationCountMovesOnlyOnItsWrites) {
 
   // A write the transition gate rejects is no mutation.
   total = store.mutation_count();
-  EXPECT_THROW(store.update("unit", "u", {{"state", common::Json("New")}}),
+  EXPECT_THROW(store.set_unit_state("u", UnitState::kNew),
                common::StateError);
   EXPECT_EQ(store.mutation_count("unit"), 2u);
   EXPECT_EQ(store.mutation_count(), total);
@@ -140,37 +191,35 @@ TEST(StateStoreTest, CollectionMutationCountMovesOnlyOnItsWrites) {
 TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
   sim::Engine engine;
   StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "PendingAgent";
-  store.put("unit", "before", doc);  // predates the feed
+  store.put_unit("before", pending());  // predates the feed
 
   const auto ops = store.op_count();
   const auto feed = store.open_feed("unit");
   const auto other = store.open_feed("unit");
   EXPECT_NE(feed, 0u);
   EXPECT_NE(feed, other);
-  store.put("unit", "a", doc);
-  store.update("unit", "a", {{"state", common::Json("AgentScheduling")}});
-  store.put("unit", "b", doc);
+  store.put_unit("a", pending());
+  store.set_unit_state("a", UnitState::kAgentScheduling);
+  store.put_unit("b", pending());
   // Other collections and queue traffic are not unit writes.
   store.put("heartbeat", "pilot.0", common::Json(1));
   store.queue_push("agent.pilot.0", "a");
   store.queue_pop_all("agent.pilot.0");
   // A write the transition gate rejects never happened.
-  EXPECT_THROW(store.update("unit", "b", {{"state", common::Json("New")}}),
+  EXPECT_THROW(store.set_unit_state("b", UnitState::kNew),
                common::StateError);
 
   const std::vector<std::string> written{"a", "a", "b"};
   EXPECT_EQ(store.drain_feed(feed), written);
   EXPECT_TRUE(store.drain_feed(feed).empty());
-  store.update("unit", "b", {{"state", common::Json("AgentScheduling")}});
+  store.set_unit_state("b", UnitState::kAgentScheduling);
   EXPECT_EQ(store.drain_feed(feed), std::vector<std::string>{"b"});
   // Feeds are independent: the second still holds everything.
   EXPECT_EQ(store.drain_feed(other),
             (std::vector<std::string>{"a", "a", "b", "b"}));
 
   store.close_feed(feed);
-  store.put("unit", "c", doc);
+  store.put_unit("c", pending());
   EXPECT_TRUE(store.drain_feed(feed).empty());
   EXPECT_EQ(store.drain_feed(other), std::vector<std::string>{"c"});
   // Opening, draining and closing feeds are not ops: the 9 counted are
