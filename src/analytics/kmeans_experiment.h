@@ -98,7 +98,8 @@ struct KmeansExperimentConfig {
 
   /// Plan "transport": "inprocess" (default) | "socket" (DESIGN.md §14).
   /// socket swaps the session's message boundary onto a loopback-TCP
-  /// SocketTransport (epoll reactor) before any endpoint registers.
+  /// SocketTransport (caller-driven, no I/O thread) before any endpoint
+  /// registers.
   /// Digests must be byte-identical across the two modes — the CI
   /// socket-parity job's gate.
   std::string transport = "inprocess";

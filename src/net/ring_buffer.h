@@ -5,7 +5,7 @@
 #include <vector>
 
 /// \file ring_buffer.h
-/// Growable circular byte buffer for frame reassembly: the reactor
+/// Growable circular byte buffer for frame reassembly: the reader
 /// appends whatever recv() returned and the frame parser peeks at the
 /// front until a complete frame is present, so partial reads cost no
 /// shifting and no per-read allocation once the buffer is warm.

@@ -3,40 +3,38 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <arpa/inet.h>
-
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <thread>
 #include <utility>
 
 #include "common/error.h"
+#include "net/socket_util.h"
 
 namespace hoh::net {
 
 namespace {
 
-/// epoll_event user tags.
-constexpr std::uint32_t kTagListen = 0;
-constexpr std::uint32_t kTagWake = 1;
-constexpr std::uint32_t kTagPeer0 = 2;
-constexpr std::uint32_t kTagPeer1 = 3;
+/// recv() chunk; large frames arrive in several.
+constexpr std::size_t kRecvChunk = 64 * 1024;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-void close_quietly(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// True when a failed send()/recv() only means "not now".
+bool transient(int err) {
+  return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
 }
 
 }  // namespace
@@ -44,117 +42,29 @@ void close_quietly(int& fd) {
 SocketTransport::SocketTransport(SocketTransportConfig config)
     : config_(std::move(config)), reconnect_rng_(config_.reconnect_seed) {
   config_.reconnect.validate();
-  open_listener();
-  start_reactor();
-  connect_with_backoff();
+  listen_fd_ = tcp_listen(config_.host, config_.port, &port_);
+  set_nonblocking(listen_fd_);
+  common::MutexLock lock(mu_);
+  try {
+    connect_with_backoff();
+  } catch (...) {
+    close_socket(listen_fd_);
+    throw;
+  }
 }
 
 SocketTransport::~SocketTransport() {
-  {
-    common::MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  wake_reactor();
-  if (reactor_.joinable()) reactor_.join();
-  {
-    common::MutexLock lock(mu_);
-    close_quietly(peers_[0].fd);
-    close_quietly(peers_[1].fd);
-    close_quietly(pending_client_fd_);
-  }
-  close_quietly(listen_fd_);
-  close_quietly(epoll_fd_);
-  close_quietly(wake_fd_);
+  common::MutexLock lock(mu_);
+  drop_connection();
+  close_socket(listen_fd_);
 }
 
-void SocketTransport::open_listener() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw common::ResourceError("SocketTransport: socket() failed: " +
-                                std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    throw common::ConfigError("SocketTransport: bad host " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    throw common::ResourceError("SocketTransport: bind(" + config_.host + ":" +
-                                std::to_string(config_.port) +
-                                ") failed: " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 8) != 0) {
-    throw common::ResourceError(std::string("SocketTransport: listen failed: ") +
-                                std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
-}
-
-void SocketTransport::start_reactor() {
-  epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    throw common::ResourceError("SocketTransport: epoll/eventfd setup failed");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u32 = kTagListen;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u32 = kTagWake;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  reactor_ = std::thread([this] { reactor_main(); });
-}
-
-void SocketTransport::wake_reactor() {
-  const std::uint64_t one = 1;
-  // A full eventfd counter still wakes the reactor; ignore the result.
-  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
-}
+// --- connection ------------------------------------------------------
 
 void SocketTransport::connect_with_backoff() {
   const common::RetryPolicy& policy = config_.reconnect;
   for (int attempt = 1;; ++attempt) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(port_);
-      ::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) == 0) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        {
-          common::MutexLock lock(mu_);
-          conn_error_ = false;  // only this (engine) thread reads it
-          pending_client_fd_ = fd;
-        }
-        wake_reactor();
-        // Wait until the reactor adopted the dialed side and accepted
-        // the server side (or the fresh connection died instantly).
-        common::MutexLock lock(mu_);
-        while (!connected_ && !conn_error_ && !stopping_) {
-          cv_.wait(mu_);
-        }
-        if (stopping_) {
-          throw common::StateError("SocketTransport: shutting down");
-        }
-        if (connected_) return;
-        // conn_error_: the connection died during the handshake; retry.
-      } else {
-        ::close(fd);
-      }
-    }
+    if (dial()) return;
     if (!policy.allows(attempt + 1)) {
       throw common::ResourceError(
           "SocketTransport: could not establish loopback connection to " +
@@ -164,6 +74,57 @@ void SocketTransport::connect_with_backoff() {
     const double backoff = policy.backoff_for(attempt, reconnect_rng_);
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
+}
+
+bool SocketTransport::dial() {
+  try {
+    peers_[0] = tcp_connect(config_.host, port_);
+  } catch (const common::ResourceError&) {
+    return false;
+  }
+  // On loopback the handshake completes into the listener's backlog, so
+  // our connection is there to accept at once. Anything else in the
+  // backlog is a stray dialer and is turned away.
+  sockaddr_in ours{};
+  socklen_t len = sizeof(ours);
+  ::getsockname(peers_[0], reinterpret_cast<sockaddr*>(&ours), &len);
+  for (;;) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) {
+      pollfd listener{listen_fd_, POLLIN, 0};
+      if (transient(errno) && ::poll(&listener, 1, /*timeout_ms=*/1000) > 0) {
+        continue;
+      }
+      break;  // nothing arrived: this attempt failed
+    }
+    sockaddr_in theirs{};
+    len = sizeof(theirs);
+    ::getpeername(fd, reinterpret_cast<sockaddr*>(&theirs), &len);
+    if (theirs.sin_port != ours.sin_port ||
+        theirs.sin_addr.s_addr != ours.sin_addr.s_addr) {
+      ::close(fd);
+      continue;
+    }
+    peers_[1] = fd;
+    for (const int peer : peers_) {
+      set_nodelay(peer);
+      set_nonblocking(peer);
+    }
+    return true;
+  }
+  drop_connection();
+  return false;
+}
+
+void SocketTransport::drop_connection() {
+  close_socket(peers_[0]);
+  close_socket(peers_[1]);
+  rx_.clear();
+}
+
+void SocketTransport::kill_connection() {
+  common::MutexLock lock(mu_);
+  if (peers_[0] >= 0) ::shutdown(peers_[0], SHUT_RDWR);
 }
 
 // --- registry --------------------------------------------------------
@@ -221,289 +182,104 @@ SocketTransport::WireMessage SocketTransport::decode_wire(
   return msg;
 }
 
-SocketTransport::WireMessage SocketTransport::wire_transfer(
-    int peer_slot, const WireMessage& msg) {
-  const std::vector<std::uint8_t> bytes = encode_wire(msg);
-  for (;;) {
-    bool need_reconnect = false;
-    {
-      common::MutexLock lock(mu_);
-      if (stopping_) {
-        throw common::StateError("SocketTransport: shutting down");
-      }
-      if (!connected_ || conn_error_) {
-        need_reconnect = true;
-      } else {
-        peers_[peer_slot].out.push_back(bytes);
-        stats_.bytes_sent += bytes.size();
-      }
-    }
-    if (need_reconnect) {
-      {
-        common::MutexLock lock(mu_);
-        ++stats_.reconnects;
-      }
-      connect_with_backoff();
-      continue;  // retransmit on the fresh connection
-    }
-    wake_reactor();
-    common::MutexLock lock(mu_);
+SocketTransport::WireMessage SocketTransport::wire_transfer(int peer_slot,
+                                                            WireMessage msg) {
+  common::MutexLock lock(mu_);
+  msg.seq = next_seq_++;
+  if (msg.kind == kRequest) ++stats_.calls;
+  if (msg.kind == kOneWay) ++stats_.sends;
+  const std::vector<std::uint8_t> frame = encode_wire(msg);
+  try {
     for (;;) {
-      while (inbound_.empty() && !conn_error_ && !stopping_) {
-        cv_.wait(mu_);
+      if (peers_[0] < 0) {
+        ++stats_.reconnects;
+        connect_with_backoff();
       }
-      if (stopping_) {
-        throw common::StateError("SocketTransport: shutting down");
+      WireMessage got;
+      bool delivered = false;
+      try {
+        delivered = attempt_crossing(peer_slot, frame, msg.seq, &got);
+      } catch (const CodecError&) {
+        // corrupt stream: repair the connection like any other tear
       }
-      if (conn_error_) break;  // outer loop: reconnect + retransmit
-      Envelope frame = std::move(inbound_.front());
-      inbound_.pop_front();
-      WireMessage got = decode_wire(frame);
-      // A frame from before a reconnect could in principle slip
-      // through; drop it and keep waiting for ours.
-      if (got.seq != msg.seq) continue;
-      return got;
+      if (delivered) return got;
+      drop_connection();  // the next pass redials and retransmits
+    }
+  } catch (...) {
+    // Leave no half-crossed frame on the wire for the next caller.
+    drop_connection();
+    throw;
+  }
+}
+
+bool SocketTransport::attempt_crossing(int peer_slot,
+                                       const std::vector<std::uint8_t>& frame,
+                                       std::uint64_t seq, WireMessage* out) {
+  const int tx = peers_[peer_slot];
+  const int rx = peers_[1 - peer_slot];
+  std::size_t sent = 0;
+  std::uint8_t buf[kRecvChunk];
+  Envelope env;
+  for (;;) {
+    // Send and receive in turn, so a frame larger than the kernel's
+    // socket buffers drains on the far side while it is still going out.
+    bool progress = false;
+    if (sent < frame.size()) {
+      const ssize_t n = ::send(tx, frame.data() + sent, frame.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0 && !transient(errno)) return false;
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+        stats_.bytes_sent += static_cast<std::uint64_t>(n);
+        progress = true;
+      }
+    }
+    const ssize_t n = ::recv(rx, buf, sizeof(buf), 0);
+    if (n == 0) return false;  // orderly close
+    if (n < 0 && !transient(errno)) return false;
+    if (n > 0) {
+      rx_.append(buf, static_cast<std::size_t>(n));
+      stats_.bytes_received += static_cast<std::uint64_t>(n);
+      progress = true;
+      while (pop_frame(rx_, &env)) {
+        WireMessage got = decode_wire(env);
+        if (got.seq == seq) {
+          *out = std::move(got);
+          return true;
+        }
+      }
+    }
+    if (progress) continue;
+    pollfd fds[2] = {
+        {rx, POLLIN, 0},
+        {tx, static_cast<short>(sent < frame.size() ? POLLOUT : 0), 0},
+    };
+    if (::poll(fds, 2, /*timeout_ms=*/-1) < 0 && errno != EINTR) return false;
+    // A hung-up or failed socket with nothing left to read is dead.
+    if (!(fds[0].revents & POLLIN) &&
+        ((fds[0].revents | fds[1].revents) & (POLLERR | POLLHUP | POLLNVAL))) {
+      return false;
     }
   }
 }
 
 Envelope SocketTransport::call(const std::string& endpoint,
                                const Envelope& request) {
-  WireMessage req;
-  {
-    common::MutexLock lock(mu_);
-    req.seq = next_seq_++;
-    ++stats_.calls;
-  }
-  req.kind = kRequest;
-  req.endpoint = endpoint;
-  req.envelope = request;
   // Request crosses the wire client -> server...
-  const WireMessage delivered = wire_transfer(0, req);
+  const WireMessage delivered =
+      wire_transfer(0, WireMessage{0, kRequest, endpoint, request});
   // ...the handler runs here, on the caller's thread...
   Envelope reply = dispatch(delivered.endpoint, delivered.envelope);
   // ...and the reply crosses back server -> client.
-  WireMessage rep;
-  {
-    common::MutexLock lock(mu_);
-    rep.seq = next_seq_++;
-  }
-  rep.kind = kReply;
-  rep.endpoint = endpoint;
-  rep.envelope = std::move(reply);
-  return wire_transfer(1, rep).envelope;
+  return wire_transfer(1, WireMessage{0, kReply, endpoint, std::move(reply)})
+      .envelope;
 }
 
 void SocketTransport::send(const std::string& endpoint,
                            const Envelope& message) {
-  WireMessage msg;
-  {
-    common::MutexLock lock(mu_);
-    msg.seq = next_seq_++;
-    ++stats_.sends;
-  }
-  msg.kind = kOneWay;
-  msg.endpoint = endpoint;
-  msg.envelope = message;
-  const WireMessage delivered = wire_transfer(0, msg);
+  const WireMessage delivered =
+      wire_transfer(0, WireMessage{0, kOneWay, endpoint, message});
   dispatch(delivered.endpoint, delivered.envelope);
-}
-
-void SocketTransport::kill_connection() {
-  common::MutexLock lock(mu_);
-  if (peers_[0].fd >= 0) ::shutdown(peers_[0].fd, SHUT_RDWR);
-}
-
-// --- reactor ---------------------------------------------------------
-
-void SocketTransport::reactor_main() {
-  epoll_event events[16];
-  for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events, 16, /*timeout_ms=*/200);
-    {
-      common::MutexLock lock(mu_);
-      if (stopping_) return;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // epoll fd gone: shutting down
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::uint32_t tag = events[i].data.u32;
-      const std::uint32_t ev = events[i].events;
-      if (tag == kTagWake) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const auto r =
-            ::read(wake_fd_, &drained, sizeof(drained));
-      } else if (tag == kTagListen) {
-        reactor_accept();
-      } else {
-        const int slot = (tag == kTagPeer0) ? 0 : 1;
-        bool alive = true;
-        if (ev & (EPOLLHUP | EPOLLERR)) alive = false;
-        if (alive && (ev & EPOLLIN)) alive = reactor_read(slot);
-        if (alive && (ev & EPOLLOUT)) alive = reactor_write(slot);
-        if (!alive) {
-          reactor_drop_connection();
-          continue;
-        }
-      }
-    }
-    // The wake path also covers "new bytes queued": drain every peer
-    // with pending output.
-    bool dead = false;
-    {
-      common::MutexLock lock(mu_);
-      // Adopt a freshly dialed client side.
-      if (pending_client_fd_ >= 0 && peers_[0].fd < 0) {
-        peers_[0].fd = pending_client_fd_;
-        pending_client_fd_ = -1;
-        set_nonblocking(peers_[0].fd);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u32 = kTagPeer0;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, peers_[0].fd, &ev);
-      }
-      if (peers_[0].fd >= 0 && peers_[1].fd >= 0 && !connected_) {
-        connected_ = true;
-        cv_.notify_all();
-      }
-    }
-    for (int slot = 0; slot < 2 && !dead; ++slot) {
-      bool has_out;
-      {
-        common::MutexLock lock(mu_);
-        has_out = peers_[slot].fd >= 0 && !peers_[slot].out.empty();
-      }
-      if (has_out) dead = !reactor_write(slot);
-    }
-    if (dead) reactor_drop_connection();
-  }
-}
-
-void SocketTransport::reactor_accept() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or error: nothing (more) to accept
-    common::MutexLock lock(mu_);
-    if (peers_[1].fd >= 0) {
-      // Only one loopback connection is served; late strays are closed.
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    set_nonblocking(fd);
-    peers_[1].fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u32 = kTagPeer1;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    if (peers_[0].fd >= 0 && !connected_) {
-      connected_ = true;
-    }
-    cv_.notify_all();
-  }
-}
-
-bool SocketTransport::reactor_read(int slot) {
-  int fd;
-  {
-    common::MutexLock lock(mu_);
-    fd = peers_[slot].fd;
-  }
-  if (fd < 0) return true;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) return false;  // orderly close
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    common::MutexLock lock(mu_);
-    Peer& peer = peers_[slot];
-    peer.in.append(buf, static_cast<std::size_t>(n));
-    stats_.bytes_received += static_cast<std::uint64_t>(n);
-    // Reassemble complete frames off the ring.
-    try {
-      Envelope env;
-      while (pop_frame(peer.in, &env)) {
-        inbound_.push_back(std::move(env));
-        cv_.notify_all();
-      }
-    } catch (const CodecError&) {
-      return false;  // corrupt stream: drop the connection
-    }
-  }
-  return true;
-}
-
-bool SocketTransport::reactor_write(int slot) {
-  for (;;) {
-    int fd;
-    const std::uint8_t* data = nullptr;
-    std::size_t len = 0;
-    {
-      common::MutexLock lock(mu_);
-      Peer& peer = peers_[slot];
-      fd = peer.fd;
-      if (fd < 0) return true;
-      if (peer.out.empty()) {
-        arm_writer(slot, false);
-        return true;
-      }
-      data = peer.out.front().data() + peer.out_offset;
-      len = peer.out.front().size() - peer.out_offset;
-    }
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        common::MutexLock lock(mu_);
-        arm_writer(slot, true);
-        return true;
-      }
-      if (errno == EINTR) continue;
-      return false;
-    }
-    common::MutexLock lock(mu_);
-    Peer& peer = peers_[slot];
-    peer.out_offset += static_cast<std::size_t>(n);
-    if (!peer.out.empty() && peer.out_offset >= peer.out.front().size()) {
-      peer.out.pop_front();
-      peer.out_offset = 0;
-    }
-  }
-}
-
-void SocketTransport::arm_writer(int slot, bool on) {
-  Peer& peer = peers_[slot];
-  if (peer.fd < 0 || peer.want_write == on) return;
-  peer.want_write = on;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (on ? EPOLLOUT : 0u);
-  ev.data.u32 = (slot == 0) ? kTagPeer0 : kTagPeer1;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
-}
-
-void SocketTransport::reactor_drop_connection() {
-  common::MutexLock lock(mu_);
-  for (Peer& peer : peers_) {
-    if (peer.fd >= 0) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, peer.fd, nullptr);
-      ::close(peer.fd);
-      peer.fd = -1;
-    }
-    peer.in.clear();
-    peer.out.clear();
-    peer.out_offset = 0;
-    peer.want_write = false;
-  }
-  inbound_.clear();
-  connected_ = false;
-  conn_error_ = true;
-  cv_.notify_all();
 }
 
 }  // namespace hoh::net

@@ -8,12 +8,13 @@
 
 /// \file socket_util.h
 /// Blocking TCP helpers for the hohnode multi-process roles
-/// (tools/hohnode.cpp). SocketTransport owns the in-simulator epoll
-/// path; these cover the simpler case of a real peer process on the
-/// other end of the connection: plain blocking sockets, one frame at a
-/// time. They also keep every sockaddr/byte-order call inside src/net/,
-/// where the wire-encoding analyzer rule allows them — tools and the
-/// rest of src/ speak Envelope, never htons.
+/// (tools/hohnode.cpp), where a real peer process sits on the other end
+/// of the connection: plain blocking sockets, one frame at a time.
+/// SocketTransport also listens and dials through them before it
+/// drives its own non-blocking wire loop. They keep every
+/// sockaddr/byte-order call inside src/net/, where the wire-encoding
+/// analyzer rule allows them — tools and the rest of src/ speak
+/// Envelope, never htons.
 
 namespace hoh::net {
 

@@ -24,8 +24,8 @@
 ///     behavior the stack had when these were plain method calls.
 ///   SocketTransport     — packs each envelope into a versioned frame
 ///     and round-trips the bytes through a real loopback TCP
-///     connection serviced by an epoll reactor thread before (and
-///     after) dispatching the same handler. Same semantics, real wire.
+///     connection, driven on the caller's thread, before (and after)
+///     dispatching the same handler. Same semantics, real wire.
 ///
 /// Handlers run on the caller's thread in both modes, so they may touch
 /// the simulation engine exactly as the direct calls they replaced did.

@@ -57,25 +57,6 @@ std::optional<common::Json> StateStore::get(const std::string& collection,
   return dit->second;
 }
 
-void StateStore::update(const std::string& collection, const std::string& id,
-                        const common::JsonObject& fields) {
-  {
-    common::MutexLock lock(mu_);
-    ++ops_;
-    auto cit = collections_.find(collection);
-    if (cit == collections_.end() || cit->second.count(id) == 0) {
-      throw common::NotFoundError("StateStore: no document " + collection +
-                                  "/" + id);
-    }
-    common::Json& doc = cit->second.at(id);
-    for (const auto& [k, v] : fields) doc[k] = v;
-    ++muts_;
-    ++collection_muts_[collection];
-    record_write(collection, id);
-  }
-  notify(WatchEventType::kUpdate, collection, id);
-}
-
 std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
     const std::string& collection) const {
   common::MutexLock lock(mu_);

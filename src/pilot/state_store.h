@@ -39,8 +39,8 @@
 /// illegal edge throws StateError instead of corrupting the lifecycle.
 ///
 /// Watch/notify (etcd/ZooKeeper-style, DESIGN.md §10): watch() registers
-/// a callback on a bucket and key prefix; every put/update/queue_push
-/// under that bucket (put_unit/set_unit_state under "unit") fires the
+/// a callback on a bucket and key prefix; every put/queue_push under
+/// that bucket (put_unit/set_unit_state under "unit") fires the
 /// matching watchers. Delivery goes through the sim engine as a
 /// coalesced zero-delay tick: mutations enqueue onto one FIFO and a
 /// single drain event delivers every mutation pending at that instant,
@@ -103,12 +103,6 @@ class StateStore {
   std::optional<common::Json> get(const std::string& collection,
                                   const std::string& id) const;
 
-  /// Merges \p fields into an existing Json document (top-level keys);
-  /// throws NotFoundError when it is absent. Unit states change only
-  /// through set_unit_state().
-  void update(const std::string& collection, const std::string& id,
-              const common::JsonObject& fields);
-
   /// All documents of a collection (id order); units as built by get().
   std::vector<std::pair<std::string, common::Json>> find_all(
       const std::string& collection) const;
@@ -146,14 +140,15 @@ class StateStore {
   /// Total simulated operations performed (for overhead accounting).
   std::uint64_t op_count() const;
 
-  /// Total *mutations* (put/update/queue push/pop) — reads excluded.
+  /// Total *mutations* (puts, unit state writes, queue push/pop) —
+  /// reads excluded.
   std::uint64_t mutation_count() const;
 
-  /// Document writes (put/update) to one \p collection; queue traffic
-  /// and other collections leave it unchanged. Not an op. A poller keyed
-  /// on mutation_count("unit") skips its rescan across writes that
-  /// cannot change a unit state, such as heartbeat leases (DESIGN.md
-  /// §13).
+  /// Document writes (puts, unit state writes) to one \p collection;
+  /// queue traffic and other collections leave it unchanged. Not an op.
+  /// A poller keyed on mutation_count("unit") skips its rescan across
+  /// writes that cannot change a unit state, such as heartbeat leases
+  /// (DESIGN.md §13).
   std::uint64_t mutation_count(const std::string& collection) const;
 
   /// The schedule digest: FNV-1a folded, in event order, over every unit
@@ -168,7 +163,7 @@ class StateStore {
   void record_placement(const std::string& unit, const std::string& nodes);
 
   /// Opens a write feed on \p collection: from now on the id of every
-  /// document put/updated there is appended to the feed (once per
+  /// document written there is appended to the feed (once per
   /// write, in write order) until drain_feed() hands the ids over. A
   /// poller that drains its feed re-reads only the documents written
   /// since its last poll (DESIGN.md §13). Feeds are not ops and fire no

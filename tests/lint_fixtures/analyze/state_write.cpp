@@ -29,7 +29,7 @@ struct Rogue {
 
 struct Agent {
   // Byte-identical body to Rogue::flip, but this is a designated gate
-  // (Agent::set_unit_state routes through StateStore::update).
+  // (Agent::set_unit_state routes through StateStore::set_unit_state).
   void set_unit_state(UnitRec& unit, UnitState state) {
     unit.state = state;  // gate function: clean
   }

@@ -120,6 +120,62 @@ TEST(SocketTransport, CountsTrafficAndRoundTripsBytes) {
   t.unregister_endpoint("test.echo");
 }
 
+TEST(SocketTransport, FrameLargerThanSocketBuffers) {
+  // A frame far larger than the kernel's loopback socket buffers: a
+  // blocking write of the whole frame before reading the far side would
+  // never return, so the wire must interleave sends and receives.
+  SocketTransport t;
+  t.register_endpoint("test.echo", [](const Envelope& env) {
+    return make_envelope(open_envelope<StoreIngest>(env));
+  });
+  StoreIngest ingest;
+  ingest.collection = "unit";
+  ingest.unit_id = "unit-000001";
+  ingest.queue = "agent.p1";
+  ingest.document.resize(8u << 20);
+  for (std::size_t i = 0; i < ingest.document.size(); ++i) {
+    ingest.document[i] = static_cast<std::uint8_t>(i * 31 + (i >> 12));
+  }
+  ASSERT_LT(ingest.document.size() + 4096, kMaxFrameBytes);
+  const auto back = call<StoreIngest>(t, "test.echo", ingest);
+  EXPECT_EQ(back.document, ingest.document);
+  const TransportStats stats = t.stats();
+  EXPECT_GT(stats.bytes_sent, 2 * ingest.document.size());
+  EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+  EXPECT_EQ(stats.reconnects, 0u);
+  t.unregister_endpoint("test.echo");
+}
+
+TEST(SocketTransport, ConcurrentCallersEachGetTheirReply) {
+  // Two threads share one wire; each crossing is atomic, so neither can
+  // consume the other's frame.
+  SocketTransport t;
+  t.register_endpoint("test.echo", [](const Envelope& env) {
+    return make_envelope(open_envelope<NodeProbe>(env));
+  });
+  constexpr int kCalls = 500;
+  int mismatches[2] = {0, 0};
+  std::vector<std::thread> callers;
+  for (int id = 0; id < 2; ++id) {
+    callers.emplace_back([&t, &mismatches, id] {
+      for (int i = 0; i < kCalls; ++i) {
+        const std::string node =
+            "caller" + std::to_string(id) + "-" + std::to_string(i);
+        if (call<NodeProbe>(t, "test.echo", NodeProbe{node}).node != node) {
+          ++mismatches[id];
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+  const TransportStats stats = t.stats();
+  EXPECT_EQ(stats.calls, 2u * kCalls);
+  EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+  t.unregister_endpoint("test.echo");
+}
+
 TEST(SocketTransport, ReconnectsAfterTornConnection) {
   SocketTransportConfig config;
   config.reconnect.base_backoff = 0.001;

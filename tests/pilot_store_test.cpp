@@ -92,6 +92,8 @@ TEST(StateStoreTest, TypedUnitReads) {
   EXPECT_EQ(desc->depends_on, std::vector<std::string>{"unit.1"});
   EXPECT_FALSE(store.unit_description("missing").has_value());
   EXPECT_THROW(store.unit_state("missing"), common::NotFoundError);
+  EXPECT_THROW(store.set_unit_state("missing", UnitState::kCanceled),
+               common::NotFoundError);
   // Each typed read is one op.
   const auto ops = store.op_count();
   store.unit_state("u");
@@ -100,24 +102,6 @@ TEST(StateStoreTest, TypedUnitReads) {
   // The unit collection takes no Json document.
   EXPECT_THROW(store.put("unit", "v", common::Json(1)), common::ConfigError);
   EXPECT_FALSE(store.get("unit", "v").has_value());
-}
-
-TEST(StateStoreTest, UpdateOnlyGatesUnitCollection) {
-  sim::Engine engine;
-  StateStore store(engine);
-  common::Json doc;
-  doc["state"] = "whatever";  // pilot docs carry their own state strings
-  store.put("pilot", "p", doc);
-  store.update("pilot", "p", {{"state", common::Json("anything")}});
-  EXPECT_EQ(store.get("pilot", "p")->at("state").as_string(), "anything");
-}
-
-TEST(StateStoreTest, UpdateMissingThrows) {
-  sim::Engine engine;
-  StateStore store(engine);
-  EXPECT_THROW(store.update("unit", "nope", {}), common::NotFoundError);
-  EXPECT_THROW(store.set_unit_state("nope", UnitState::kCanceled),
-               common::NotFoundError);
 }
 
 TEST(StateStoreTest, QueueFifoAndDrain) {
@@ -290,8 +274,13 @@ TEST(StateStoreTest, ConcurrentMutationStress) {
         common::Json doc;
         doc["n"] = static_cast<std::int64_t>(i);
         store.put(coll, id, doc);
-        store.update(coll, id, {{"m", common::Json("y")}});
+        doc["m"] = "y";
+        store.put(coll, id, doc);
         ASSERT_TRUE(store.get(coll, id).has_value());
+        const std::string unit = coll + "." + id;
+        store.put_unit(unit, pending());
+        store.set_unit_state(unit, UnitState::kAgentScheduling);
+        ASSERT_EQ(store.unit_state(unit), UnitState::kAgentScheduling);
         store.queue_push(queue, id);
       }
       EXPECT_EQ(store.queue_pop_all(queue).size(),
@@ -303,6 +292,8 @@ TEST(StateStoreTest, ConcurrentMutationStress) {
     EXPECT_EQ(store.find_all("stress." + std::to_string(t)).size(),
               static_cast<std::size_t>(kOps));
   }
+  EXPECT_EQ(store.find_all("unit").size(),
+            static_cast<std::size_t>(kThreads * kOps));
 }
 
 TEST(UnitJsonTest, RoundTrip) {

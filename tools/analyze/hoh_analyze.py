@@ -19,8 +19,8 @@ structurally, over the same translation units the tier-1 preset compiles
                           locking goes through the annotated common::Mutex /
                           MutexLock / CondVar so -Wthread-safety sees it.
     conc-raw-thread       std::thread / std::jthread outside the thread pool
-                          and the socket transport's reactor (THREAD_ALLOWLIST);
-                          std::thread::hardware_concurrency is fine.
+                          (THREAD_ALLOWLIST); std::thread::hardware_concurrency
+                          is fine.
     conc-detach           .detach(): a detached thread escapes join/shutdown
                           and TSan's happens-before graph.
     conc-this-capture     a lambda capturing raw `this` as the first argument
@@ -153,13 +153,10 @@ RULES = (
 
 # Files allowed to touch the naked primitives: the wrapper itself.
 PRIMITIVE_ALLOWLIST = {"src/common/thread_annotations.h"}
-# Files allowed to construct std::thread: the pool, and the socket
-# transport's epoll reactor (one long-lived I/O thread, joined in stop).
+# Files allowed to construct std::thread: the pool.
 THREAD_ALLOWLIST = {
     "src/common/thread_pool.h",
     "src/common/thread_pool.cpp",
-    "src/net/socket_transport.h",
-    "src/net/socket_transport.cpp",
 }
 # Per-file budget of schedule_periodic call sites (conc-periodic-budget).
 # These are the engine's own declaration/definition, the elastic sampler

@@ -116,8 +116,9 @@ invocation) they abort the run instead. Each experiment supports:
   transport (DESIGN.md s14) - data-plane message boundary:
     transport  "inprocess" | "socket"                  (default inprocess)
                socket routes every RM<->NM / agent / store / submit
-               message over loopback TCP (epoll reactor); digests are
-               byte-identical to inprocess (CI socket-parity gate)
+               message over loopback TCP, driven on the caller's
+               thread; digests are byte-identical to inprocess (CI
+               socket-parity gate)
     net        socket knobs, ignored for inprocess:
                {"host": "127.0.0.1", "port": 0,        0 = ephemeral
                 "reconnect_attempts": 8, "reconnect_backoff": 0.01,
