@@ -59,7 +59,7 @@ double now_seconds() {
 }
 
 /// One call() round trip per sample: NodeProbe out, NodeStatus back
-/// (small), or StoreIngest echoed (payload case).
+/// (small), or a one-unit StoreIngest echoed (payload case).
 RunResult measure(net::Transport& transport, const BenchConfig& cfg,
                   std::size_t payload_bytes) {
   transport.register_endpoint("bench.echo", [](const net::Envelope& env) {
@@ -72,9 +72,8 @@ RunResult measure(net::Transport& transport, const BenchConfig& cfg,
   net::StoreIngest ingest;
   if (payload_bytes > 0) {
     ingest.collection = "unit";
-    ingest.unit_id = "unit-000001";
-    ingest.queue = "agent.p1";
-    ingest.document.assign(payload_bytes, 0x5a);
+    ingest.units.push_back({"unit-000001", "agent.p1",
+                            std::vector<std::uint8_t>(payload_bytes, 0x5a)});
   }
   auto exchange = [&] {
     if (payload_bytes > 0) {

@@ -30,11 +30,18 @@
 namespace hoh::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x484F4831;  // "HOH1"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on one payload; a length field above this is corruption,
-/// not a big message (the largest real payload is a unit document).
+/// not a big message. The largest real payloads are the list messages
+/// (StoreIngest, WatchNotify), which kBatchBytes keeps far below it.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
+/// Byte bound on the list of one StoreIngest or WatchNotify: a sender
+/// starts a new message rather than let the list bytes of the one it is
+/// filling reach this (one element larger than the bound travels
+/// alone). A large batch is thus never held in memory whole, and never
+/// approaches kMaxFrameBytes.
+inline constexpr std::size_t kBatchBytes = 16u << 10;
 
 enum class MsgType : std::uint16_t {
   kAck = 1,
@@ -178,33 +185,42 @@ struct NodeStatus {
   }
 };
 
-/// Store -> watcher: one watch delivery (event_type is a
-/// pilot::WatchEventType).
+/// Store -> watcher: a run of watch deliveries to one watcher that
+/// share an event type (a pilot::WatchEventType) and a bucket, one per
+/// key, in delivery order. The receiver delivers the keys one at a
+/// time. The first three fields are the run's routing prefix: readers
+/// may decode just those.
 struct WatchNotify {
   static constexpr MsgType kType = MsgType::kWatchNotify;
   std::uint64_t watcher_id = 0;
   std::uint8_t event_type = 0;
   std::string bucket;
-  std::string key;
+  std::vector<std::string> keys;
 
   static auto fields(auto& m) {
-    return std::tie(m.watcher_id, m.event_type, m.bucket, m.key);
+    return std::tie(m.watcher_id, m.event_type, m.bucket, m.keys);
   }
 };
 
-/// UnitManager -> store: the U.2 handoff (unit document put + agent
-/// queue push) as one message. The document travels as packed binary
-/// Json (json_codec.h) so its numbers cross the wire bit-exactly.
+/// UnitManager -> store: the U.2 handoff of a batch of units. Each unit
+/// is a document put plus an agent queue push, applied in list order.
+/// The document travels as packed binary Json (json_codec.h) so its
+/// numbers cross the wire bit-exactly.
 struct StoreIngest {
   static constexpr MsgType kType = MsgType::kStoreIngest;
-  std::string collection;
-  std::string unit_id;
-  std::string queue;  // empty = no queue push
-  std::vector<std::uint8_t> document;
+  struct Unit {
+    std::string unit_id;
+    std::string queue;  // empty = no queue push
+    std::vector<std::uint8_t> document;
 
-  static auto fields(auto& m) {
-    return std::tie(m.collection, m.unit_id, m.queue, m.document);
-  }
+    static auto fields(auto& m) {
+      return std::tie(m.unit_id, m.queue, m.document);
+    }
+  };
+  std::string collection;
+  std::vector<Unit> units;
+
+  static auto fields(auto& m) { return std::tie(m.collection, m.units); }
 };
 
 /// PilotManager -> Agent lifecycle command.

@@ -5,6 +5,8 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -17,12 +19,40 @@
 /// this directory). Strings carry a u32 length prefix; doubles travel
 /// as their IEEE-754 bit pattern in a u64.
 ///
+/// Lists (of strings, or of structs with a fields() list) carry a u32
+/// element count followed by the elements in order.
+///
 /// Unpacker is bounds-checked: reading past the buffer, or a length
 /// prefix larger than the remaining bytes, throws CodecError instead of
 /// touching out-of-range memory — the property the codec fuzz tests
-/// drive with truncated and corrupted frames.
+/// drive with truncated and corrupted frames. A list count is checked
+/// against the remaining bytes before any element is allocated.
 
 namespace hoh::net {
+
+/// A struct that lists its wire fields (see message.h).
+template <typename T>
+concept HasFields = requires(T& t) { T::fields(t); };
+
+/// The fewest bytes one value of \p T can encode to: a list count above
+/// (remaining bytes / this) cannot be honest.
+template <typename T>
+constexpr std::size_t min_wire_bytes() {
+  if constexpr (std::is_same_v<T, std::uint8_t> || std::is_same_v<T, bool>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return 8;  // u64, i64, f64
+  } else if constexpr (HasFields<T>) {
+    using Fields = decltype(T::fields(std::declval<T&>()));
+    return []<std::size_t... I>(std::index_sequence<I...>) {
+      return (std::size_t{0} + ... +
+              min_wire_bytes<std::remove_cvref_t<
+                  std::tuple_element_t<I, Fields>>>());
+    }(std::make_index_sequence<std::tuple_size_v<Fields>>{});
+  } else {
+    return 4;  // strings, byte strings and lists: a u32 prefix
+  }
+}
 
 /// Malformed wire data (truncation, bad length prefix, bad magic or
 /// version, type mismatch). Deliberately distinct from ConfigError:
@@ -72,6 +102,19 @@ class Packer {
   void put(const std::vector<std::uint8_t>& b) {
     u32(static_cast<std::uint32_t>(b.size()));
     append(b.data(), b.size());
+  }
+  void put(const std::vector<std::string>& list) {
+    u32(static_cast<std::uint32_t>(list.size()));
+    for (const std::string& s : list) str(s);
+  }
+  /// A list of fields() structs, each packed field by field.
+  template <HasFields T>
+  void put(const std::vector<T>& list) {
+    u32(static_cast<std::uint32_t>(list.size()));
+    for (const T& item : list) {
+      std::apply([this](const auto&... f) { (put(f), ...); },
+                 T::fields(item));
+    }
   }
 
   std::size_t size() const { return buf_.size(); }
@@ -148,6 +191,22 @@ class Unpacker {
     b.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
   }
+  void get(std::vector<std::string>& list) {
+    const std::uint32_t n = list_count(min_wire_bytes<std::string>());
+    list.clear();
+    list.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) list.push_back(str());
+  }
+  template <HasFields T>
+  void get(std::vector<T>& list) {
+    const std::uint32_t n = list_count(min_wire_bytes<T>());
+    list.clear();
+    list.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::apply([this](auto&... f) { (get(f), ...); },
+                 T::fields(list.emplace_back()));
+    }
+  }
 
   /// Call at the end of a message unpack: trailing bytes mean the frame
   /// length and the payload disagree.
@@ -159,6 +218,18 @@ class Unpacker {
   }
 
  private:
+  /// A list's element count, refused when the remaining bytes cannot
+  /// hold that many elements of at least \p min_element_bytes each.
+  std::uint32_t list_count(std::size_t min_element_bytes) {
+    const std::uint32_t n = u32();
+    if (min_element_bytes > 0 && n > (size_ - pos_) / min_element_bytes) {
+      throw CodecError("unpack: list of " + std::to_string(n) +
+                       " elements cannot fit in " +
+                       std::to_string(size_ - pos_) + " bytes");
+    }
+    return n;
+  }
+
   void need(std::size_t n) const {
     if (size_ - pos_ < n) {
       throw CodecError("unpack: truncated buffer (need " + std::to_string(n) +

@@ -294,22 +294,45 @@ void StateStore::deliver_pending() {
     batch.swap(pending_deliveries_);
     delivery_scheduled_ = false;
   }
-  for (const PendingDelivery& delivery : batch) {
-    for (const std::uint64_t id : delivery.targets) {
-      if (transport_ != nullptr) {
-        // Message boundary (DESIGN.md §14): the fan-out crosses the
-        // transport as one WatchNotify per target; the store.notify
-        // endpoint re-resolves the watcher and runs the callback, so
-        // delivery semantics are identical in both modes.
-        net::send(*transport_, "store.notify",
-                  net::WatchNotify{
-                      id, static_cast<std::uint8_t>(delivery.event.type),
-                      delivery.event.bucket, delivery.event.key});
-      } else {
+  if (transport_ == nullptr) {
+    for (const PendingDelivery& delivery : batch) {
+      for (const std::uint64_t id : delivery.targets) {
         deliver_one(id, delivery.event);
       }
     }
+    return;
   }
+  // Message boundary (DESIGN.md §14): the fan-out crosses the transport
+  // as one WatchNotify per run of consecutive (mutation, target) pairs
+  // with the same watcher, event type and bucket, its keys kept under
+  // kBatchBytes. The store.notify endpoint delivers the keys one at a
+  // time in list order, so the callbacks run in exactly the per-pair
+  // order.
+  net::WatchNotify run;
+  std::size_t run_bytes = 0;
+  const auto send_run = [this, &run, &run_bytes] {
+    if (run.keys.empty()) return;
+    net::send(*transport_, "store.notify", run);
+    run.keys.clear();
+    run_bytes = 0;
+  };
+  for (const PendingDelivery& delivery : batch) {
+    const auto type = static_cast<std::uint8_t>(delivery.event.type);
+    const std::size_t key_bytes = 4 + delivery.event.key.size();  // u32 prefix
+    for (const std::uint64_t id : delivery.targets) {
+      if (run.watcher_id != id || run.event_type != type ||
+          run.bucket != delivery.event.bucket ||
+          run_bytes + key_bytes >= net::kBatchBytes) {
+        send_run();
+        run.watcher_id = id;
+        run.event_type = type;
+        run.bucket = delivery.event.bucket;
+      }
+      run.keys.push_back(delivery.event.key);
+      run_bytes += key_bytes;
+    }
+  }
+  send_run();
 }
 
 void StateStore::deliver_one(std::uint64_t watcher_id,
@@ -349,9 +372,14 @@ void StateStore::set_transport(net::Transport* transport) {
   transport_->register_endpoint(
       "store.notify", [this](const net::Envelope& env) {
         const auto msg = net::open_envelope<net::WatchNotify>(env);
-        deliver_one(msg.watcher_id,
-                    WatchEvent{static_cast<WatchEventType>(msg.event_type),
-                               msg.bucket, msg.key});
+        WatchEvent event{static_cast<WatchEventType>(msg.event_type),
+                         msg.bucket, {}};
+        // One delivery per key: the watcher is re-resolved for each, so
+        // an unwatch by an earlier key's callback stops the rest.
+        for (const std::string& key : msg.keys) {
+          event.key = key;
+          deliver_one(msg.watcher_id, event);
+        }
         return net::make_envelope(net::Ack{});
       });
   transport_->register_endpoint(
@@ -361,8 +389,18 @@ void StateStore::set_transport(net::Transport* transport) {
           throw net::CodecError("store.ingest: not a unit document: " +
                                 msg.collection);
         }
-        put_unit(msg.unit_id, unpack_unit_document(msg.document));
-        if (!msg.queue.empty()) queue_push(msg.queue, msg.unit_id);
+        // Every document is decoded before anything is put: a malformed
+        // one refuses the whole message and leaves no record.
+        std::vector<UnitRecord> records;
+        records.reserve(msg.units.size());
+        for (const auto& unit : msg.units) {
+          records.push_back(unpack_unit_document(unit.document));
+        }
+        for (std::size_t i = 0; i < msg.units.size(); ++i) {
+          const auto& unit = msg.units[i];
+          put_unit(unit.unit_id, std::move(records[i]));
+          if (!unit.queue.empty()) queue_push(unit.queue, unit.unit_id);
+        }
         return net::make_envelope(net::Ack{});
       });
 }

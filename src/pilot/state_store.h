@@ -48,7 +48,10 @@
 /// deterministic — mutations in FIFO order, watchers in registration
 /// order — and (c) the transition gate has already validated the write
 /// by the time any watcher sees it. Mutations performed *by* a watch
-/// callback go to a fresh tick at the same timestamp.
+/// callback go to a fresh tick at the same timestamp. Over a transport
+/// the tick sends one WatchNotify per run of consecutive deliveries to
+/// one watcher (same event type and bucket); the receiver still
+/// delivers, and re-resolves the watcher, key by key.
 
 namespace hoh::pilot {
 
@@ -195,12 +198,16 @@ class StateStore {
   std::size_t watcher_count() const;
 
   /// Attaches the store to the session's message boundary (DESIGN.md
-  /// §14): registers the "store.notify" endpoint (watch fan-out) and
-  /// the "store.ingest" endpoint (the U.2 document put + queue push as
-  /// one message), and routes every watch delivery through
-  /// transport->send as a WatchNotify. A Session always wires this; a
-  /// store constructed standalone (unit tests) keeps the direct
-  /// delivery path. Passing nullptr detaches.
+  /// §14): registers the "store.notify" endpoint (watch fan-out: one
+  /// delivery per key of a WatchNotify, the watcher re-resolved for
+  /// each) and the "store.ingest" endpoint (a batch of U.2 hand-overs,
+  /// each a document put + queue push, applied in list order once every
+  /// document decoded), and routes watch deliveries through
+  /// transport->send, one WatchNotify per run of consecutive deliveries
+  /// to one watcher with one event type and bucket, its keys under
+  /// net::kBatchBytes. A Session always wires this; a store constructed
+  /// standalone (unit tests) keeps the direct delivery path. Passing
+  /// nullptr detaches.
   void set_transport(net::Transport* transport);
 
   net::Transport* transport() const { return transport_; }

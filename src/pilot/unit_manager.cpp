@@ -1,6 +1,7 @@
 #include "pilot/unit_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -388,10 +389,13 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
   std::vector<std::shared_ptr<ComputeUnit>> out;
   out.reserve(descriptions.size());
   bool held_any = false;
+  // Validated up front, so no unit of a refused batch is dispatched.
   for (const auto& desc : descriptions) {
     if (desc.cores < 1) {
       throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
     }
+  }
+  for (const auto& desc : descriptions) {
     const std::string unit_id = session_.next_unit_id();
     const std::string pilot_id = pick_pilot(desc);  // U.1
     bound_counts_[pilot_id] += 1;
@@ -408,6 +412,8 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
       dispatch_to_agent(unit_id, pilot_id, desc);
     } else {
       // Held back: the record exists (state New) so handles can query it.
+      // The units dispatched before it land first, in submit order.
+      flush_dispatch();
       session_.store().put_unit(unit_id,
                                 UnitRecord{UnitState::kNew, pilot_id, desc});
       held_.push_back(HeldUnit{unit_id, pilot_id, desc});
@@ -428,6 +434,9 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     by_id_[unit_id] = handle;
     out.push_back(std::move(handle));
   }
+  // Before anything reads the store: a held unit may depend on a unit
+  // dispatched after it in this batch.
+  flush_dispatch();
   units_.insert(units_.end(), out.begin(), out.end());
   std::uint64_t seq = units_.size() - out.size();  // out's place in units_
   for (const auto& unit : out) {
@@ -447,15 +456,28 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
 void UnitManager::dispatch_to_agent(const std::string& unit_id,
                                     const std::string& pilot_id,
                                     const ComputeUnitDescription& desc) {
-  // U.2 over the message boundary: document put + agent queue push as
-  // one StoreIngest through the session transport (DESIGN.md §14). The
-  // unit document crosses in its binary Json form, bit-exact.
-  net::call<net::Ack>(
-      session_.transport(), "store.ingest",
-      net::StoreIngest{
-          std::string(kUnitCollection), unit_id, "agent." + pilot_id,
-          pack_unit_document(
-              UnitRecord{UnitState::kPendingAgent, pilot_id, desc})});
+  // U.2 over the message boundary: document put + agent queue push,
+  // batched into one StoreIngest through the session transport
+  // (DESIGN.md §14). The unit document crosses in its binary Json form,
+  // bit-exact.
+  net::StoreIngest::Unit unit{
+      unit_id, "agent." + pilot_id,
+      pack_unit_document(
+          UnitRecord{UnitState::kPendingAgent, pilot_id, desc})};
+  const std::size_t bytes = net::min_wire_bytes<net::StoreIngest::Unit>() +
+                            unit.unit_id.size() + unit.queue.size() +
+                            unit.document.size();
+  if (pending_ingest_bytes_ + bytes >= net::kBatchBytes) flush_dispatch();
+  pending_ingest_.push_back(std::move(unit));
+  pending_ingest_bytes_ += bytes;
+}
+
+void UnitManager::flush_dispatch() {
+  if (pending_ingest_.empty()) return;
+  net::StoreIngest batch{std::string(kUnitCollection),
+                         std::exchange(pending_ingest_, {})};
+  pending_ingest_bytes_ = 0;
+  net::call<net::Ack>(session_.transport(), "store.ingest", batch);
 }
 
 void UnitManager::check_dependencies() {
@@ -478,6 +500,7 @@ void UnitManager::check_dependencies() {
       if (dep_state != UnitState::kDone) ready = false;
     }
     if (doomed) {
+      flush_dispatch();  // the units released before it land first
       session_.store().set_unit_state(held.unit_id, UnitState::kCanceled);
       session_.trace().record(session_.engine().now(), "unit", "Canceled",
                               {{"unit", held.unit_id},
@@ -490,6 +513,7 @@ void UnitManager::check_dependencies() {
     }
     dispatch_to_agent(held.unit_id, held.pilot_id, held.desc);
   }
+  flush_dispatch();
   held_ = std::move(still_held);
   if (held_.empty() && dep_watch_.valid()) {
     session_.store().unwatch(dep_watch_);

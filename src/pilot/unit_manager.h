@@ -11,6 +11,7 @@
 
 #include "common/control_plane.h"
 #include "common/retry.h"
+#include "net/message.h"
 #include "pilot/descriptions.h"
 #include "pilot/estimator.h"
 #include "pilot/pilot_manager.h"
@@ -174,9 +175,17 @@ class UnitManager {
   /// Registers submit_endpoint_ ("um<N>.submit") on the session
   /// transport; its handler unpacks the description and runs submit().
   void register_submit_endpoint();
+  /// Appends a unit's U.2 hand-over to the pending StoreIngest batch,
+  /// flushing the batch first when the unit would take its list bytes
+  /// to net::kBatchBytes.
   void dispatch_to_agent(const std::string& unit_id,
                          const std::string& pilot_id,
                          const ComputeUnitDescription& desc);
+  /// Sends the pending batch, if any. Called before any other store
+  /// write of submit()/check_dependencies() and at their end, so store
+  /// writes, the "unit" write feed and agent queues keep the per-unit
+  /// order.
+  void flush_dispatch();
   void check_dependencies();
   /// Marks \p unit open (to be folded back by reconcile()) and queues
   /// it for reconcile()'s next pass.
@@ -252,6 +261,9 @@ class UnitManager {
     ComputeUnitDescription desc;
   };
   std::vector<HeldUnit> held_;
+  /// Dispatched units not yet sent (see flush_dispatch()).
+  std::vector<net::StoreIngest::Unit> pending_ingest_;
+  std::size_t pending_ingest_bytes_ = 0;  // their StoreIngest list bytes
   std::map<std::string, std::shared_ptr<ComputeUnit>> by_id_;
   WatchHandle dep_watch_;  // armed while held_ is non-empty
   std::vector<std::shared_ptr<Pilot>> pilots_;

@@ -172,6 +172,45 @@ TEST_F(StoreWatchTest, CallbackMayUnwatchItselfAndASibling) {
   EXPECT_EQ(later, 3);
 }
 
+TEST_F(StoreWatchTest, UnwatchInsideABatchedRunStopsTheRestOfIt) {
+  // Over a transport, consecutive deliveries to one watcher cross as one
+  // WatchNotify run. The store.notify endpoint re-resolves the watcher
+  // for every key, so a callback that retires itself and a sibling on
+  // the first key of its run hears no further key, and the sibling's
+  // own run delivers nothing.
+  net::InProcessTransport transport;
+  store_.set_transport(&transport);
+  std::vector<std::string> fired;
+  pilot::WatchHandle self;
+  pilot::WatchHandle sibling;
+  self = store_.watch("unit", "a", [&](const pilot::WatchEvent& e) {
+    store_.unwatch(self);
+    store_.unwatch(sibling);
+    fired.push_back("self:" + e.key);
+  });
+  sibling = store_.watch("unit", "b", [&](const pilot::WatchEvent& e) {
+    fired.push_back("sibling:" + e.key);
+  });
+  for (const char* id : {"a1", "a2", "a3", "b1", "b2"}) {
+    store_.put_unit(id, unit());
+  }
+  engine_.run();
+  EXPECT_EQ(fired, std::vector<std::string>{"self:a1"});
+  EXPECT_EQ(transport.stats().sends, 2u);  // one run per watcher
+  EXPECT_EQ(store_.watcher_count(), 0u);
+
+  // A later watcher still hears a run in full.
+  std::vector<std::string> later;
+  store_.watch("unit", "", [&](const pilot::WatchEvent& e) {
+    later.push_back(e.key);
+  });
+  for (const char* id : {"c1", "c2", "c3"}) store_.put_unit(id, unit());
+  engine_.run();
+  EXPECT_EQ(later, (std::vector<std::string>{"c1", "c2", "c3"}));
+  EXPECT_EQ(transport.stats().sends, 3u);
+  store_.set_transport(nullptr);
+}
+
 TEST_F(StoreWatchTest, MultipleWatchersFireInRegistrationOrder) {
   std::vector<int> order;
   store_.watch("unit", "", [&](const pilot::WatchEvent&) {

@@ -97,23 +97,26 @@ TEST(NetCodecRoundTrip, AllocatePlane) {
 }
 
 TEST(NetCodecRoundTrip, StorePlane) {
-  const auto notify =
-      wire_round_trip(WatchNotify{99, 2, "unit", "unit-000017"});
+  const auto notify = wire_round_trip(
+      WatchNotify{99, 2, "unit", {"unit-000017", "", "unit-000018"}});
   EXPECT_EQ(notify.watcher_id, 99u);
   EXPECT_EQ(notify.event_type, 2);
   EXPECT_EQ(notify.bucket, "unit");
-  EXPECT_EQ(notify.key, "unit-000017");
+  EXPECT_EQ(notify.keys,
+            (std::vector<std::string>{"unit-000017", "", "unit-000018"}));
 
   StoreIngest ingest;
   ingest.collection = "unit";
-  ingest.unit_id = "unit-000017";
-  ingest.queue = "agent.pilot-1";
-  ingest.document = {0x00, 0xff, 0x7f, 0x80, 0x01};
+  ingest.units = {{"unit-000017", "agent.pilot-1", {0x00, 0xff, 0x7f}},
+                  {"unit-000018", "", {0x80, 0x01}}};
   const auto ingest2 = wire_round_trip(ingest);
   EXPECT_EQ(ingest2.collection, ingest.collection);
-  EXPECT_EQ(ingest2.unit_id, ingest.unit_id);
-  EXPECT_EQ(ingest2.queue, ingest.queue);
-  EXPECT_EQ(ingest2.document, ingest.document);
+  ASSERT_EQ(ingest2.units.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(ingest2.units[i].unit_id, ingest.units[i].unit_id);
+    EXPECT_EQ(ingest2.units[i].queue, ingest.units[i].queue);
+    EXPECT_EQ(ingest2.units[i].document, ingest.units[i].document);
+  }
 }
 
 TEST(NetCodecRoundTrip, ControlAndSubmitPlanes) {
@@ -256,13 +259,16 @@ TEST(NetCodecGolden, EveryMessageEncodesAsRecorded) {
   expect_golden(NodeProbe{"n"}, "000000016e");
   expect_golden(NodeStatus{"node-7", 12.5, true},
                 "000000066e6f64652d37402900000000000001");
-  expect_golden(WatchNotify{7, 2, "unit", "unit.000001"},
-                "00000000000000070200000004756e69740000000b756e69742e"
-                "303030303031");
-  expect_golden(StoreIngest{"unit", "unit.000001", "agent.p1",
-                            {0x00, 0xff, 0x10}},
-                "00000004756e69740000000b756e69742e303030303031000000"
-                "086167656e742e70310000000300ff10");
+  // Wire version 2: WatchNotify and StoreIngest carry lists.
+  expect_golden(WatchNotify{7, 2, "unit", {"unit.000001", "u2"}},
+                "00000000000000070200000004756e697400000002"
+                "0000000b756e69742e303030303031000000027532");
+  expect_golden(StoreIngest{"unit", {{"unit.000001", "agent.p1",
+                                      {0x00, 0xff, 0x10}}}},
+                "00000004756e697400000001"
+                "0000000b756e69742e303030303031"
+                "000000086167656e742e7031"
+                "0000000300ff10");
   expect_golden(AgentCommand{"pilot.0", AgentCommand::kStopFailUnits},
                 "0000000770696c6f742e3002");
   expect_golden(AgentEvent{"pilot.0", AgentEvent::kActive},
@@ -282,7 +288,7 @@ TEST(NetCodecGolden, EveryMessageEncodesAsRecorded) {
 
 TEST(NetCodecGolden, FrameEncodesAsRecorded) {
   EXPECT_EQ(encode_frame(make_envelope(NodeProbe{"n"})),
-            from_hex("484f48310001000f00000005000000016e"));
+            from_hex("484f48310002000f00000005000000016e"));
 }
 
 // --- hostile input ---------------------------------------------------
@@ -395,6 +401,92 @@ TEST(NetCodecHostile, StringLengthPastBufferThrows) {
   p.u32(std::numeric_limits<std::uint32_t>::max());
   const Envelope env{MsgType::kNodeProbe, p.take()};
   EXPECT_THROW(open_envelope<NodeProbe>(env), CodecError);
+}
+
+/// A WatchNotify payload up to its key count, which is left to the
+/// caller.
+Packer notify_prefix() {
+  Packer p;
+  p.u64(7);
+  p.u8(2);
+  p.str("unit");
+  return p;
+}
+
+TEST(NetCodecHostile, ListCountPastRemainingBytesRefusedBeforeAllocating) {
+  // Every list element encodes to at least 4 bytes, so a count above
+  // (remaining bytes / 4) is refused outright. A count of ~4 billion
+  // would otherwise size a multi-gigabyte reserve before the first
+  // element fails to decode.
+  for (const std::uint32_t count : {0xffffffffu, 0x40000000u, 3u}) {
+    Packer p = notify_prefix();
+    p.u32(count);
+    p.u32(0);  // two empty keys: 8 bytes
+    p.u32(0);
+    const Envelope env{MsgType::kWatchNotify, p.take()};
+    EXPECT_THROW(open_envelope<WatchNotify>(env), CodecError) << count;
+  }
+  Packer exact = notify_prefix();
+  exact.u32(2);
+  exact.u32(0);
+  exact.u32(0);
+  EXPECT_EQ(open_envelope<WatchNotify>(
+                Envelope{MsgType::kWatchNotify, exact.take()})
+                .keys,
+            (std::vector<std::string>{"", ""}));
+
+  // The same for a list of fields() structs, whose elements are at
+  // least 12 bytes (three length prefixes).
+  static_assert(min_wire_bytes<StoreIngest::Unit>() == 12);
+  Packer ingest;
+  ingest.str("unit");
+  ingest.u32(0x20000000);
+  for (int i = 0; i < 3; ++i) ingest.u32(0);
+  EXPECT_THROW(open_envelope<StoreIngest>(
+                   Envelope{MsgType::kStoreIngest, ingest.take()}),
+               CodecError);
+}
+
+TEST(NetCodecHostile, TruncatedListElementThrows) {
+  // Cut anywhere inside a list (the count, a nested element's prefix or
+  // its bytes) and the unpack throws; nothing is read past the end.
+  const Envelope ingest = make_envelope(StoreIngest{
+      "unit", {{"unit.000001", "agent.p1", {1, 2, 3}},
+               {"unit.000002", "agent.p1", {4, 5, 6, 7}}}});
+  const Envelope notify =
+      make_envelope(WatchNotify{7, 2, "unit", {"unit.000001", "u2"}});
+  for (const Envelope* env : {&ingest, &notify}) {
+    for (std::size_t cut = 0; cut < env->payload.size(); ++cut) {
+      Envelope shorter = *env;
+      shorter.payload.resize(cut);
+      if (env->type == MsgType::kStoreIngest) {
+        EXPECT_THROW(open_envelope<StoreIngest>(shorter), CodecError) << cut;
+      } else {
+        EXPECT_THROW(open_envelope<WatchNotify>(shorter), CodecError) << cut;
+      }
+    }
+  }
+}
+
+TEST(NetCodecRoundTrip, ListOfFieldStructs) {
+  // Empty, one and many elements; each element's fields keep their
+  // order and bytes.
+  for (const std::size_t n : {0u, 1u, 40u}) {
+    StoreIngest ingest{"unit", {}};
+    for (std::size_t i = 0; i < n; ++i) {
+      ingest.units.push_back(
+          {"unit." + std::to_string(i), i % 2 == 0 ? "agent.p1" : "",
+           std::vector<std::uint8_t>(i, static_cast<std::uint8_t>(i))});
+    }
+    const auto back = wire_round_trip(ingest);
+    ASSERT_EQ(back.units.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(back.units[i].unit_id, ingest.units[i].unit_id);
+      EXPECT_EQ(back.units[i].queue, ingest.units[i].queue);
+      EXPECT_EQ(back.units[i].document, ingest.units[i].document);
+    }
+    EXPECT_EQ(make_envelope(back).payload, make_envelope(ingest).payload);
+  }
 }
 
 TEST(NetCodecHostile, TypeMismatchThrows) {
@@ -649,32 +741,43 @@ TEST(UnitDocumentCodecHostile, WrongValueTypeThrows) {
 }
 
 TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
-  // store.ingest decodes the whole document before it puts anything: a
-  // refused document leaves neither a record nor a queued id.
+  // store.ingest decodes every document of the batch before it puts
+  // anything: a refused document leaves neither a record nor a queued
+  // id, not even for the well-formed units listed before it.
   sim::Engine engine;
   InProcessTransport transport;
   pilot::StateStore store(engine);
   store.set_transport(&transport);
-  auto bytes = pilot::pack_unit_document(unit_shapes()[1]);
+  const auto good = pilot::pack_unit_document(unit_shapes()[1]);
+  auto bytes = good;
   bytes.pop_back();
   EXPECT_THROW(call<Ack>(transport, "store.ingest",
-                         StoreIngest{"unit", "unit.000009", "agent.p1",
-                                     bytes}),
+                         StoreIngest{"unit", {{"unit.000009", "agent.p1",
+                                               bytes}}}),
                CodecError);
   EXPECT_THROW(call<Ack>(transport, "store.ingest",
-                         StoreIngest{"heartbeat", "unit.000009", "agent.p1",
-                                     pilot::pack_unit_document(
-                                         unit_shapes()[1])}),
+                         StoreIngest{"unit", {{"unit.000007", "agent.p1", good},
+                                              {"unit.000008", "agent.p1", good},
+                                              {"unit.000009", "agent.p1",
+                                               bytes}}}),
                CodecError);
-  EXPECT_FALSE(store.get("unit", "unit.000009").has_value());
+  EXPECT_THROW(call<Ack>(transport, "store.ingest",
+                         StoreIngest{"heartbeat", {{"unit.000009", "agent.p1",
+                                                    good}}}),
+               CodecError);
+  for (const char* id : {"unit.000007", "unit.000008", "unit.000009"}) {
+    EXPECT_FALSE(store.get("unit", id).has_value()) << id;
+  }
   EXPECT_EQ(store.queue_depth("agent.p1"), 0u);
   EXPECT_EQ(store.mutation_count(), 0u);
 
   call<Ack>(transport, "store.ingest",
-            StoreIngest{"unit", "unit.000009", "agent.p1",
-                        pilot::pack_unit_document(unit_shapes()[1])});
+            StoreIngest{"unit", {{"unit.000009", "agent.p1", good},
+                                 {"unit.000007", "", good}}});
   EXPECT_EQ(store.unit_state("unit.000009"), pilot::UnitState::kNew);
-  EXPECT_EQ(store.queue_depth("agent.p1"), 1u);
+  EXPECT_EQ(store.unit_state("unit.000007"), pilot::UnitState::kNew);
+  EXPECT_EQ(store.queue_pop_all("agent.p1"),
+            std::vector<std::string>{"unit.000009"});
   store.set_transport(nullptr);
 }
 

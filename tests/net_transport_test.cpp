@@ -40,7 +40,7 @@ std::vector<std::vector<std::uint8_t>> scripted_exchange(Transport& t) {
     replies.push_back(encode_frame(reply));
     send(t, "test.sink",
          WatchNotify{static_cast<std::uint64_t>(i), 1, "unit",
-                     "key-" + std::to_string(i)});
+                     {"key-" + std::to_string(i)}});
   }
   EXPECT_EQ(sends_seen, 20);
   t.unregister_endpoint("test.echo");
@@ -105,17 +105,16 @@ TEST(SocketTransport, CountsTrafficAndRoundTripsBytes) {
   t.register_endpoint("test.echo", [](const Envelope& env) {
     return make_envelope(open_envelope<StoreIngest>(env));
   });
-  StoreIngest ingest;
-  ingest.collection = "unit";
-  ingest.unit_id = "unit-000001";
-  ingest.queue = "agent.p1";
-  ingest.document.assign(4096, 0xab);
+  StoreIngest ingest{"unit", {{"unit-000001", "agent.p1", {}}}};
+  auto& document = ingest.units[0].document;
+  document.assign(4096, 0xab);
   const auto back = call<StoreIngest>(t, "test.echo", ingest);
-  EXPECT_EQ(back.document, ingest.document);
+  ASSERT_EQ(back.units.size(), 1u);
+  EXPECT_EQ(back.units[0].document, document);
   const TransportStats stats = t.stats();
   EXPECT_EQ(stats.calls, 1u);
   // Request and reply each cross the wire: > 2 documents' worth.
-  EXPECT_GT(stats.bytes_sent, 2 * ingest.document.size());
+  EXPECT_GT(stats.bytes_sent, 2 * document.size());
   EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
   t.unregister_endpoint("test.echo");
 }
@@ -128,19 +127,18 @@ TEST(SocketTransport, FrameLargerThanSocketBuffers) {
   t.register_endpoint("test.echo", [](const Envelope& env) {
     return make_envelope(open_envelope<StoreIngest>(env));
   });
-  StoreIngest ingest;
-  ingest.collection = "unit";
-  ingest.unit_id = "unit-000001";
-  ingest.queue = "agent.p1";
-  ingest.document.resize(8u << 20);
-  for (std::size_t i = 0; i < ingest.document.size(); ++i) {
-    ingest.document[i] = static_cast<std::uint8_t>(i * 31 + (i >> 12));
+  StoreIngest ingest{"unit", {{"unit-000001", "agent.p1", {}}}};
+  auto& document = ingest.units[0].document;
+  document.resize(8u << 20);
+  for (std::size_t i = 0; i < document.size(); ++i) {
+    document[i] = static_cast<std::uint8_t>(i * 31 + (i >> 12));
   }
-  ASSERT_LT(ingest.document.size() + 4096, kMaxFrameBytes);
+  ASSERT_LT(document.size() + 4096, kMaxFrameBytes);
   const auto back = call<StoreIngest>(t, "test.echo", ingest);
-  EXPECT_EQ(back.document, ingest.document);
+  ASSERT_EQ(back.units.size(), 1u);
+  EXPECT_EQ(back.units[0].document, document);
   const TransportStats stats = t.stats();
-  EXPECT_GT(stats.bytes_sent, 2 * ingest.document.size());
+  EXPECT_GT(stats.bytes_sent, 2 * document.size());
   EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
   EXPECT_EQ(stats.reconnects, 0u);
   t.unregister_endpoint("test.echo");

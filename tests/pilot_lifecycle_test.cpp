@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "net/message.h"
+#include "net/transport.h"
 #include "pilot/pilot_manager.h"
 #include "pilot/unit_manager.h"
+#include "pilot/unit_record.h"
 
 namespace hoh::pilot {
 namespace {
@@ -260,6 +267,104 @@ TEST_F(PilotLifecycleTest, InvalidUnitRejected) {
   ComputeUnitDescription bad;
   bad.cores = 0;
   EXPECT_THROW(um_.submit(bad), common::ConfigError);
+  // A batch with one bad unit is refused whole: nothing is dispatched.
+  EXPECT_THROW(um_.submit(std::vector<ComputeUnitDescription>{simple_unit(),
+                                                              bad}),
+               common::ConfigError);
+  EXPECT_EQ(session_.store().queue_depth("agent." + pilot->id()), 0u);
+  EXPECT_EQ(um_.submitted(), 0u);
+}
+
+TEST_F(PilotLifecycleTest, BatchedDispatchKeepsSubmitOrder) {
+  // Free units cross as one StoreIngest batch while a held unit is put
+  // directly. The batch is flushed before that put, so the unit write
+  // feed and the agent queue see the units in submit order.
+  auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
+  um_.add_pilot(pilot);
+  StateStore& store = session_.store();
+  const std::uint64_t feed = store.open_feed("unit");
+  ComputeUnitDescription held = simple_unit();
+  held.depends_on = {"unit.0000"};  // the first unit of this batch
+  const auto units = um_.submit(
+      std::vector<ComputeUnitDescription>{simple_unit(), held, simple_unit()});
+  ASSERT_EQ(units[0]->id(), "unit.0000");
+  const std::vector<std::string> order = {units[0]->id(), units[1]->id(),
+                                          units[2]->id()};
+  EXPECT_EQ(store.drain_feed(feed), order);
+  EXPECT_EQ(store.queue_pop_all("agent." + pilot->id()),
+            (std::vector<std::string>{order[0], order[2]}));
+  EXPECT_EQ(units[1]->state(), UnitState::kNew);
+  store.close_feed(feed);
+}
+
+/// Keeps every StoreIngest that crosses it.
+class IngestRecorder : public net::InProcessTransport {
+ public:
+  net::Envelope call(const std::string& endpoint,
+                     const net::Envelope& request) override {
+    if (endpoint == "store.ingest") {
+      ingests.push_back(net::open_envelope<net::StoreIngest>(request));
+    }
+    return InProcessTransport::call(endpoint, request);
+  }
+
+  std::vector<net::StoreIngest> ingests;
+};
+
+TEST(BatchedDispatch, LargeSubmitCrossesInBatchesUnderTheByteBound) {
+  Session session;
+  auto owned = std::make_unique<IngestRecorder>();
+  IngestRecorder& transport = *owned;
+  session.set_transport(std::move(owned));
+  session.register_machine(cluster::stampede_profile(),
+                           hpc::SchedulerKind::kSlurm, 8);
+  PilotManager pm(session);
+  UnitManager um(session);
+  PilotDescription pd;
+  pd.resource = "slurm://stampede/";
+  pd.nodes = 1;
+  pd.runtime = 7200.0;
+  const auto pilot = pm.submit_pilot(pd);
+  um.add_pilot(pilot);
+
+  ComputeUnitDescription desc;
+  desc.name = "map";
+  desc.duration = 5.0;
+  desc.memory_mb = 1024;
+  const std::size_t n = 400;
+  const std::uint64_t calls_before = transport.stats().calls;
+  const auto units =
+      um.submit(std::vector<ComputeUnitDescription>(n, desc));
+
+  // Every unit has the same list bytes: equal id lengths, one pilot and
+  // one description. A batch takes units while its list stays under
+  // kBatchBytes.
+  const auto list_bytes = [](const net::StoreIngest::Unit& u) {
+    return 12 + u.unit_id.size() + u.queue.size() + u.document.size();
+  };
+  const std::size_t unit_bytes = list_bytes(net::StoreIngest::Unit{
+      units[0]->id(), "agent." + pilot->id(),
+      pack_unit_document(
+          UnitRecord{UnitState::kPendingAgent, pilot->id(), desc})});
+  ASSERT_GE(n * unit_bytes, 4 * net::kBatchBytes);  // several bounds' worth
+  const std::size_t per_batch = (net::kBatchBytes - 1) / unit_bytes;
+  const std::size_t batches = (n + per_batch - 1) / per_batch;
+  EXPECT_EQ(transport.stats().calls - calls_before, batches);
+  ASSERT_EQ(transport.ingests.size(), batches);
+  std::size_t next = 0;
+  for (const net::StoreIngest& ingest : transport.ingests) {
+    EXPECT_EQ(ingest.collection, "unit");
+    std::size_t bytes = 0;
+    for (const auto& unit : ingest.units) {
+      ASSERT_LT(next, n);
+      EXPECT_EQ(unit.unit_id, units[next++]->id());  // submit order
+      bytes += list_bytes(unit);
+    }
+    EXPECT_LT(bytes, net::kBatchBytes);
+    // The frame is the list plus the collection and the element count.
+    EXPECT_EQ(net::make_envelope(ingest).payload.size(), 8 + 4 + bytes);
+  }
+  EXPECT_EQ(next, n);
 }
 
 }  // namespace

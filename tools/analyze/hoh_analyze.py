@@ -53,7 +53,14 @@ structurally, over the same translation units the tier-1 preset compiles
                         translation units (including acquisitions made by
                         callees while a lock is held), contains a cycle —
                         a potential deadlock. The full graph is emitted as
-                        DOT + JSON artifacts (--dot / --graph-json).
+                        DOT + JSON artifacts (--dot / --graph-json). A
+                        std::- or ::-qualified call enters none of the
+                        project's functions; `obj.f()` / `obj->f()` enters
+                        only a member `f` of a class, and of obj's class
+                        (or one it derives from or that derives from it)
+                        when obj's type is known; a bare `f()` in a member
+                        function enters the class's own `f` when it has
+                        one.
     lock-order-self     a mutex is re-acquired while already held on the
                         same path; common::Mutex is non-recursive.
 
@@ -334,6 +341,9 @@ class CallSite:
     receiver: tuple        # receiver chain idents, e.g. ("saga_", "trace")
     line: int
     held: tuple            # mutex ids held when the call is made
+    kind: str = "plain"    # "plain" f() / a::f(), "member" x.f() / x->f(),
+                           # "external" std::f() / ::f()
+    recv_type: str = None  # a member call's receiver class, when known
 
 
 @dataclass
@@ -563,16 +573,60 @@ def _guard_target(toks, i, hi):
 
 
 class Registry:
-    """Whole-program knowledge shared between passes: class members and
-    their (string) types, and per-simple-name function index."""
+    """Whole-program knowledge shared between passes: the classes and
+    their bases, class members and their (string) types, and
+    per-simple-name function index."""
 
     def __init__(self):
+        self.classes = set()               # every class/struct with a body
+        self.bases = defaultdict(set)      # class -> direct base names
         self.members = defaultdict(dict)   # class -> {member: type_str}
         self.functions_by_simple = defaultdict(list)  # simple -> [FunctionIR]
         self.functions_by_qname = {}
 
     def member_type(self, cls: str, name: str):
         return self.members.get(cls, {}).get(name)
+
+    def add_class(self, name: str, toks, lo: int, hi: int) -> None:
+        """Records class `name`; toks[lo:hi] is its head between the name
+        and the body's '{' (`final : public a::Base, Other<T>`)."""
+        self.classes.add(name)
+        depth = 0
+        group: list = []
+        in_bases = False
+        for tok in toks[lo:hi] + [Tok(",", 0, False)]:
+            if tok.text == ":" and depth == 0:
+                in_bases = True
+            elif tok.text == "<":
+                depth += 1
+            elif tok.text == ">":
+                depth -= 1
+            elif tok.text == "," and depth == 0:
+                if in_bases and group:
+                    self.bases[name].add(group[-1])
+                group = []
+            elif in_bases and depth == 0 and tok.is_ident and tok.text \
+                    not in ("public", "protected", "private", "virtual"):
+                group.append(tok.text)
+
+    def family(self, cls: str) -> set:
+        """`cls`, its bases and the classes derived from it (transitively):
+        a virtual call through a `cls` lands on any of them. Empty when
+        `cls` is not one of the analyzed classes (e.g. a std:: type)."""
+        if cls not in self.classes:
+            return set()
+        return ({cls} | self._ancestors(cls)
+                | {d for d in self.bases if cls in self._ancestors(d)})
+
+    def _ancestors(self, cls: str) -> set:
+        out: set = set()
+        work = [cls]
+        while work:
+            for base in self.bases.get(work.pop(), ()):
+                if base not in out:
+                    out.add(base)
+                    work.append(base)
+        return out
 
 
 class InternalFrontend:
@@ -641,6 +695,7 @@ class InternalFrontend:
                 while j < n and toks[j].text not in ("{", ";", "(", "="):
                     j += 1
                 if j < n and toks[j].text == "{":
+                    self.registry.add_class(name, toks, i + 2, j)
                     end = _match_brace(toks, j)
                     self._class_body(toks, rel, ir, j + 1, end - 1,
                                      scope + (name,))
@@ -698,6 +753,7 @@ class InternalFrontend:
                 if j < hi and toks[j].text == "{" \
                         and t.text in ("class", "struct") \
                         and toks[i + 1].is_ident:
+                    self.registry.add_class(toks[i + 1].text, toks, i + 2, j)
                     end = _match_brace(toks, j)
                     self._class_body(toks, rel, ir, j + 1, end - 1,
                                      scope + (toks[i + 1].text,))
@@ -879,6 +935,7 @@ class InternalFrontend:
                 while j < hi and toks[j].text not in ("{", ";", "(", "="):
                     j += 1
                 if j < hi and toks[j].text == "{":
+                    self.registry.add_class(toks[i + 1].text, toks, i + 2, j)
                     end = _match_brace(toks, j)
                     self._class_body(toks, fn.file, ir, j + 1, end - 1,
                                      (fn.qname, toks[i + 1].text))
@@ -958,11 +1015,9 @@ class InternalFrontend:
             # Generic call site.
             if t.is_ident and i + 1 < hi and toks[i + 1].text == "(" \
                     and t.text not in CPP_KEYWORDS and t.text != "MutexLock":
-                chain, _ = _ident_chain_before(toks, i)
                 held = tuple(m for (_, m) in live_locks)
-                fn.calls.append(CallSite(callee=chain[-1],
-                                         receiver=tuple(chain[:-1]),
-                                         line=t.line, held=held))
+                fn.calls.append(self._call_site(toks, i, held, locals_types,
+                                                scope))
                 # Track declared locals of known unordered types:
                 # `std::unordered_map<...> name;` handled below via decl
                 # scan; calls just recorded, walk continues inside parens.
@@ -985,6 +1040,12 @@ class InternalFrontend:
                         and toks[j + 1].text in (";", "=", "(", "{") \
                         and toks[j].text not in CPP_KEYWORDS:
                     locals_types.setdefault(toks[j].text, t.text)
+            # Local `std::type name ...`: calls on it are std:: calls.
+            if t.is_ident and i >= 2 and toks[i - 1].text == "::" \
+                    and toks[i - 2].text == "std" and i + 2 < hi \
+                    and toks[i + 1].is_ident \
+                    and toks[i + 2].text in (";", "=", "(", "{"):
+                locals_types.setdefault(toks[i + 1].text, "std::" + t.text)
             # Local declaration of an unordered container (for loop rule).
             if t.is_ident and t.text in ("unordered_map", "unordered_set"):
                 # find the declared name: skip template args, then ident.
@@ -1012,6 +1073,27 @@ class InternalFrontend:
                 i += 1
                 continue
             i += 1
+
+    def _call_site(self, toks, i, held, locals_types, scope) -> CallSite:
+        """The call whose callee name is toks[i], classified by how it is
+        qualified (see CallSite.kind)."""
+        chain, j = _ident_chain_before(toks, i)
+        # A separator before the chain's first ident: `::f()`, `g().f()`.
+        lead = toks[j + 1].text if j < 0 or not toks[j].is_ident else ""
+        sep = toks[i - 1].text if len(chain) > 1 else lead
+        site = CallSite(callee=chain[-1], receiver=tuple(chain[:-1]),
+                        line=toks[i].line, held=held)
+        if lead == "::" or (len(chain) > 1 and chain[0] == "std"):
+            site.kind = "external"
+        elif sep in (".", "->"):
+            site.kind = "member"
+            if len(chain) == 2 and chain[0] != "this":
+                ty = locals_types.get(chain[0])
+                if ty is None and scope:
+                    ty = self.registry.member_type(scope[-1], chain[0])
+                if ty is not None:
+                    site.recv_type = self._strip_type(ty)
+        return site
 
     @staticmethod
     def _stmt_end(toks, i, hi):
@@ -1362,18 +1444,45 @@ def _unordered_emit_rules(files: list, registry: Registry):
     return out
 
 
+def _class_of(fn: FunctionIR):
+    """The class a function is a member of; None for a free function."""
+    parts = fn.qname.split("::")
+    return parts[-2] if len(parts) > 1 else None
+
+
+def _callees(call: CallSite, caller: FunctionIR, registry: Registry) -> set:
+    """The qualified names of the analyzed functions `call`, made in
+    `caller`, may enter."""
+    if call.kind == "external" or call.callee in GENERIC_CALLEES:
+        return set()
+    fns = registry.functions_by_simple.get(call.callee, [])
+    if call.kind == "plain" and not call.receiver:
+        # A bare f() in a member function finds the class's own f first.
+        family = registry.family(_class_of(caller) or "")
+        own = [f for f in fns if _class_of(f) in family]
+        fns = own or fns
+    elif call.kind == "member":
+        family = registry.family(call.recv_type) \
+            if call.recv_type is not None else None
+        fns = [f for f in fns if _class_of(f) is not None
+               and (family is None or _class_of(f) in family)]
+    return {f.qname for f in fns}
+
+
 def _lock_order(files: list, registry: Registry):
     """Build the cross-TU MutexLock nesting graph and report cycles."""
-    # may_acquire fixpoint: simple fn name -> set of mutex ids acquired
+    # may_acquire fixpoint: qualified fn name -> set of mutex ids acquired
     # by the function or anything it calls.
     direct = defaultdict(set)
     calls = defaultdict(set)
+    resolved = {}   # id(CallSite) -> callee qnames
     for ir in files:
         for fn in ir.functions:
             for a in fn.acquires:
-                direct[fn.simple].add(a.mutex_id)
+                direct[fn.qname].add(a.mutex_id)
             for c in fn.calls:
-                calls[fn.simple].add(c.callee)
+                resolved[id(c)] = _callees(c, fn, registry)
+                calls[fn.qname] |= resolved[id(c)]
     may = {k: set(v) for k, v in direct.items()}
     changed = True
     while changed:
@@ -1382,8 +1491,6 @@ def _lock_order(files: list, registry: Registry):
             cur = may.setdefault(f, set())
             before = len(cur)
             for c in callees:
-                if c in GENERIC_CALLEES:
-                    continue
                 cur |= may.get(c, set())
             if len(cur) != before:
                 changed = True
@@ -1397,9 +1504,12 @@ def _lock_order(files: list, registry: Registry):
                         edges[(h, a.mutex_id)].append(
                             f"{ir.path}:{a.line}")
             for c in fn.calls:
-                if not c.held or c.callee in GENERIC_CALLEES:
+                if not c.held:
                     continue
-                for target in may.get(c.callee, ()):
+                targets = set()
+                for callee in resolved[id(c)]:
+                    targets |= may.get(callee, set())
+                for target in targets:
                     for h in c.held:
                         if h != target:
                             edges[(h, target)].append(

@@ -119,6 +119,14 @@ class AnalyzerFixtures(unittest.TestCase):
             self.assertIn(("Pair::b_", "Pair::a_"), edges)
             self.assertIn(("IpcLeft::mu_", "IpcRight::mu_"), edges,
                           "interprocedural edge missing")
+            # Calls resolve by qualification and receiver: the fixtures'
+            # real nestings are edges, their false reverses are not.
+            self.assertIn(("Wire::mu_", "Store::mu_"), edges)
+            self.assertNotIn(("Store::mu_", "Wire::mu_"), edges,
+                             "std::/::-qualified call resolved by name")
+            self.assertIn(("Journal::mu_", "Ledger::mu_"), edges)
+            self.assertNotIn(("Ledger::mu_", "Journal::mu_"), edges,
+                             "member call resolved outside its class")
             cycles = {frozenset(c) for c in data["cycles"]}
             self.assertIn(frozenset({"Pair::a_", "Pair::b_"}), cycles)
             self.assertIn(frozenset({"IpcLeft::mu_", "IpcRight::mu_"}),
