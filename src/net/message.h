@@ -30,7 +30,7 @@
 namespace hoh::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x484F4831;  // "HOH1"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on one payload; a length field above this is corruption,
 /// not a big message. The largest real payloads are the list messages
@@ -204,8 +204,8 @@ struct WatchNotify {
 
 /// UnitManager -> store: the U.2 handoff of a batch of units. Each unit
 /// is a document put plus an agent queue push, applied in list order.
-/// The document travels as packed binary Json (json_codec.h) so its
-/// numbers cross the wire bit-exactly.
+/// The document is a packed pilot::UnitRecord (pilot/unit_record.h),
+/// opaque bytes here; its numbers cross the wire bit-exactly.
 struct StoreIngest {
   static constexpr MsgType kType = MsgType::kStoreIngest;
   struct Unit {
@@ -243,8 +243,8 @@ struct AgentEvent {
   static auto fields(auto& m) { return std::tie(m.pilot_id, m.kind); }
 };
 
-/// Gateway -> UnitManager: submit one unit description (packed binary
-/// Json of the same document form the store holds).
+/// Gateway -> UnitManager: submit one unit description, packed as in
+/// the unit document (pilot/unit_record.h).
 struct SubmitRequest {
   static constexpr MsgType kType = MsgType::kSubmitRequest;
   std::string tenant_id;

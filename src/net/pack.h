@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -19,8 +20,10 @@
 /// this directory). Strings carry a u32 length prefix; doubles travel
 /// as their IEEE-754 bit pattern in a u64.
 ///
-/// Lists (of strings, or of structs with a fields() list) carry a u32
-/// element count followed by the elements in order.
+/// A struct with a fields() list packs as its fields in list order (a
+/// message, or a struct nested in one); lists carry a u32 element count
+/// followed by the elements in order. A type that declares a wire form
+/// (HasWireForm) packs as that form.
 ///
 /// Unpacker is bounds-checked: reading past the buffer, or a length
 /// prefix larger than the remaining bytes, throws CodecError instead of
@@ -34,14 +37,30 @@ namespace hoh::net {
 template <typename T>
 concept HasFields = requires(T& t) { T::fields(t); };
 
+/// A type that crosses the wire as another one. to_wire(v), found by
+/// argument-dependent lookup next to the type, gives the wire value;
+/// from_wire(w, v) sets v from one and throws a common::Error on a value
+/// the type cannot hold, which the Unpacker reports as a CodecError.
+template <typename T>
+concept HasWireForm = requires(const T& c, T& v) {
+  from_wire(to_wire(c), v);
+};
+
+template <HasWireForm T>
+using WireForm =
+    std::remove_cvref_t<decltype(to_wire(std::declval<const T&>()))>;
+
 /// The fewest bytes one value of \p T can encode to: a list count above
 /// (remaining bytes / this) cannot be honest.
 template <typename T>
 constexpr std::size_t min_wire_bytes() {
-  if constexpr (std::is_same_v<T, std::uint8_t> || std::is_same_v<T, bool>) {
+  if constexpr (HasWireForm<T>) {
+    return min_wire_bytes<WireForm<T>>();
+  } else if constexpr (std::is_same_v<T, std::uint8_t> ||
+                       std::is_same_v<T, bool>) {
     return 1;
   } else if constexpr (std::is_arithmetic_v<T>) {
-    return 8;  // u64, i64, f64
+    return 8;  // u64, i64 (and int), f64
   } else if constexpr (HasFields<T>) {
     using Fields = decltype(T::fields(std::declval<T&>()));
     return []<std::size_t... I>(std::index_sequence<I...>) {
@@ -96,6 +115,8 @@ class Packer {
   void put(bool v) { u8(v ? 1 : 0); }
   void put(std::uint64_t v) { u64(v); }
   void put(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  /// An int travels as an i64.
+  void put(int v) { put(static_cast<std::int64_t>(v)); }
   void put(double v) { f64(v); }
   void put(const std::string& s) { str(s); }
   /// Raw bytes with a u32 length prefix (nested payloads).
@@ -103,18 +124,18 @@ class Packer {
     u32(static_cast<std::uint32_t>(b.size()));
     append(b.data(), b.size());
   }
-  void put(const std::vector<std::string>& list) {
-    u32(static_cast<std::uint32_t>(list.size()));
-    for (const std::string& s : list) str(s);
-  }
-  /// A list of fields() structs, each packed field by field.
-  template <HasFields T>
+  template <typename T>
   void put(const std::vector<T>& list) {
     u32(static_cast<std::uint32_t>(list.size()));
-    for (const T& item : list) {
-      std::apply([this](const auto&... f) { (put(f), ...); },
-                 T::fields(item));
-    }
+    for (const T& item : list) put(item);
+  }
+  template <HasFields T>
+  void put(const T& m) {
+    std::apply([this](const auto&... f) { (put(f), ...); }, T::fields(m));
+  }
+  template <HasWireForm T>
+  void put(const T& v) {
+    put(to_wire(v));
   }
 
   std::size_t size() const { return buf_.size(); }
@@ -180,9 +201,28 @@ class Unpacker {
 
   /// The mirror of Packer::put, one overload per field type.
   void get(std::uint8_t& v) { v = u8(); }
-  void get(bool& v) { v = u8() != 0; }
+  /// A bool is one byte, 0 or 1: any other byte is refused, so every
+  /// accepted message re-encodes to the bytes it came from.
+  void get(bool& v) {
+    const std::uint8_t b = u8();
+    if (b > 1) {
+      throw CodecError("unpack: bool byte " + std::to_string(b));
+    }
+    v = b == 1;
+  }
   void get(std::uint64_t& v) { v = u64(); }
   void get(std::int64_t& v) { v = static_cast<std::int64_t>(u64()); }
+  /// An i64 that no int holds is refused.
+  void get(int& v) {
+    std::int64_t wide = 0;
+    get(wide);
+    if (wide < std::numeric_limits<int>::min() ||
+        wide > std::numeric_limits<int>::max()) {
+      throw CodecError("unpack: " + std::to_string(wide) +
+                       " is out of int range");
+    }
+    v = static_cast<int>(wide);
+  }
   void get(double& v) { v = f64(); }
   void get(std::string& s) { s = str(); }
   void get(std::vector<std::uint8_t>& b) {
@@ -191,20 +231,25 @@ class Unpacker {
     b.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
   }
-  void get(std::vector<std::string>& list) {
-    const std::uint32_t n = list_count(min_wire_bytes<std::string>());
-    list.clear();
-    list.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) list.push_back(str());
-  }
-  template <HasFields T>
+  template <typename T>
   void get(std::vector<T>& list) {
     const std::uint32_t n = list_count(min_wire_bytes<T>());
     list.clear();
     list.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::apply([this](auto&... f) { (get(f), ...); },
-                 T::fields(list.emplace_back()));
+    for (std::uint32_t i = 0; i < n; ++i) get(list.emplace_back());
+  }
+  template <HasFields T>
+  void get(T& m) {
+    std::apply([this](auto&... f) { (get(f), ...); }, T::fields(m));
+  }
+  template <HasWireForm T>
+  void get(T& v) {
+    WireForm<T> wire{};
+    get(wire);
+    try {
+      from_wire(wire, v);
+    } catch (const common::Error& e) {
+      throw CodecError(std::string("unpack: ") + e.what());
     }
   }
 
@@ -243,17 +288,17 @@ class Unpacker {
 };
 
 /// Packs \p m's fields() in list order.
-template <typename M>
+template <HasFields M>
 void pack_fields(Packer& p, const M& m) {
-  std::apply([&p](const auto&... f) { (p.put(f), ...); }, M::fields(m));
+  p.put(m);
 }
 
 /// Unpacks \p m's fields() in list order and requires the buffer to end
 /// there, so a length/payload disagreement is a CodecError, never a
 /// silent partial read.
-template <typename M>
+template <HasFields M>
 void unpack_fields(Unpacker& u, M& m) {
-  std::apply([&u](auto&... f) { (u.get(f), ...); }, M::fields(m));
+  u.get(m);
   u.expect_done();
 }
 

@@ -156,14 +156,9 @@ void Agent::stop(bool fail_units) {
 }
 
 void Agent::write_heartbeat() {
-  common::Json doc;
-  doc["pilot"] = pilot_id_;
-  doc["alive"] = !stopped_;
-  doc["last_heartbeat"] = saga_.engine().now();
-  doc["units_completed"] = static_cast<std::int64_t>(units_completed_);
-  doc["units_failed"] = static_cast<std::int64_t>(units_failed_);
-  doc["units_running"] = static_cast<std::int64_t>(running_);
-  store_.put("heartbeat", pilot_id_, std::move(doc));
+  store_.put_heartbeat(
+      pilot_id_, HeartbeatRecord{!stopped_, saga_.engine().now(),
+                                 units_completed_, units_failed_, running_});
   last_heartbeat_at_ = saga_.engine().now();
   if (!stopped_) heartbeat_lease_.arm(config_.heartbeat_interval);
 }

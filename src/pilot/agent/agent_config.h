@@ -31,7 +31,7 @@ struct AgentConfig {
   /// components run concurrently (additional transfers queue).
   int max_concurrent_staging = 4;
 
-  /// Heartbeat Monitor cadence: the agent writes a liveness document to
+  /// Heartbeat Monitor cadence: the agent writes a liveness record to
   /// the shared store so client-side components can detect dead agents.
   common::Seconds heartbeat_interval = 10.0;
 

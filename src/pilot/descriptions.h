@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/units.h"
@@ -39,6 +40,9 @@ struct PilotDescription {
 struct StagedFile {
   saga::Url url;          // source (stage-in) or destination (stage-out)
   common::Bytes size = 0;
+
+  /// Wire layout within the unit document (pilot/unit_record.h).
+  static auto fields(auto& m) { return std::tie(m.url, m.size); }
 };
 
 /// What a Compute-Unit runs. In this reproduction the payload's work is a
@@ -75,6 +79,14 @@ struct ComputeUnitDescription {
   /// Unit-Manager holds the unit back until every dependency is Done;
   /// if any dependency fails or is canceled, the unit is canceled.
   std::vector<std::string> depends_on;
+
+  /// Wire layout within the unit document (pilot/unit_record.h).
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.executable, m.arguments, m.cores, m.memory_mb,
+                    m.duration, m.exit_code, m.input_staging,
+                    m.output_staging, m.preferred_nodes, m.is_mpi,
+                    m.depends_on);
+  }
 };
 
 }  // namespace hoh::pilot

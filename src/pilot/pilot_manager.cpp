@@ -23,8 +23,8 @@ void Pilot::set_state(PilotState state) {
   for (const auto& cb : callbacks_) cb(state);
 }
 
-std::optional<common::Json> Pilot::heartbeat() const {
-  return manager_->session().store().get("heartbeat", id_);
+std::optional<HeartbeatRecord> Pilot::heartbeat() const {
+  return manager_->session().store().heartbeat(id_);
 }
 
 int Pilot::live_nodes() const {
@@ -93,12 +93,13 @@ void PilotManager::observe_heartbeat_lease(const std::string& pilot_id,
                                 {{"pilot", pilot_id}});
       });
   lease.watch = session_.store().watch(
-      "heartbeat", pilot_id, [this, pilot_id](const WatchEvent&) {
+      std::string(kHeartbeatBucket), pilot_id,
+      [this, pilot_id](const WatchEvent&) {
         auto it = heartbeat_leases_.find(pilot_id);
         if (it == heartbeat_leases_.end()) return;
-        const auto doc = session_.store().get("heartbeat", pilot_id);
-        if (!doc.has_value()) return;
-        if (!doc->at("alive").as_bool()) {
+        const auto heartbeat = session_.store().heartbeat(pilot_id);
+        if (!heartbeat.has_value()) return;
+        if (!heartbeat->alive) {
           // Tombstone: a deliberate stop retires the lease, it does not
           // expire it.
           it->second.timer->cancel();

@@ -55,10 +55,9 @@ class Pilot {
     return grow_segments_;
   }
 
-  /// Latest heartbeat document the agent wrote to the shared store
-  /// (fields: alive, last_heartbeat, units_*), or nullopt before the
-  /// first heartbeat. Clients use this to detect dead agents.
-  std::optional<common::Json> heartbeat() const;
+  /// Latest heartbeat the agent wrote to the shared store, or nullopt
+  /// before the first. Clients use this to detect dead agents.
+  std::optional<HeartbeatRecord> heartbeat() const;
 
   void cancel();
 
@@ -172,8 +171,8 @@ class PilotManager {
   /// submission (or abandons the chain) per the recovery policy.
   void maybe_resubmit(const std::shared_ptr<Pilot>& failed);
 
-  /// Subscribes to the pilot's heartbeat documents and keeps a
-  /// lease timer pushed out by each one. A tombstone (alive=false)
+  /// Subscribes to the pilot's heartbeat writes and keeps a lease timer
+  /// pushed out by each one. A tombstone (alive=false)
   /// retires the lease; silence past the grace window records a
   /// heartbeat_lease_expired trace event.
   void observe_heartbeat_lease(const std::string& pilot_id,

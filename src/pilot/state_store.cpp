@@ -12,6 +12,44 @@ namespace hoh::pilot {
 
 namespace {
 
+/// A unit document as Json, under the keys of its fields; an empty list
+/// is left out.
+common::Json unit_json(const UnitRecord& unit) {
+  const ComputeUnitDescription& d = unit.description;
+  common::Json desc;
+  const auto put_list = [&desc](const char* key, const auto& values,
+                                const auto& to_json) {
+    if (values.empty()) return;
+    common::JsonArray list;
+    for (const auto& value : values) list.push_back(to_json(value));
+    desc[key] = common::Json(std::move(list));
+  };
+  const auto text = [](const std::string& s) { return common::Json(s); };
+  const auto staged = [](const StagedFile& f) {
+    common::Json file;
+    file["size"] = f.size;
+    file["url"] = f.url.str();
+    return file;
+  };
+  put_list("arguments", d.arguments, text);
+  desc["cores"] = d.cores;
+  put_list("depends_on", d.depends_on, text);
+  desc["duration"] = d.duration;
+  desc["executable"] = d.executable;
+  desc["exit_code"] = d.exit_code;
+  put_list("input_staging", d.input_staging, staged);
+  desc["is_mpi"] = d.is_mpi;
+  desc["memory_mb"] = d.memory_mb;
+  desc["name"] = d.name;
+  put_list("output_staging", d.output_staging, staged);
+  put_list("preferred_nodes", d.preferred_nodes, text);
+  common::Json doc;
+  doc["description"] = std::move(desc);
+  doc["pilot"] = unit.pilot;
+  doc["state"] = to_string(unit.state);
+  return doc;
+}
+
 /// The record \p id of \p units; throws NotFoundError when absent.
 template <typename Units>
 auto& unit_in(Units& units, const std::string& id) {
@@ -24,57 +62,23 @@ auto& unit_in(Units& units, const std::string& id) {
 
 }  // namespace
 
-void StateStore::put(const std::string& collection, const std::string& id,
-                     common::Json document) {
-  if (collection == kUnitCollection) {
-    throw common::ConfigError(
-        "StateStore: \"unit\" holds typed records; use put_unit");
-  }
-  {
-    common::MutexLock lock(mu_);
-    ++ops_;
-    ++muts_;
-    ++collection_muts_[collection];
-    record_write(collection, id);
-    collections_[collection][id] = std::move(document);
-  }
-  notify(WatchEventType::kPut, collection, id);
-}
-
-std::optional<common::Json> StateStore::get(const std::string& collection,
-                                            const std::string& id) const {
-  common::MutexLock lock(mu_);
-  ++ops_;
-  if (collection == kUnitCollection) {
-    const auto it = units_.find(id);
-    if (it == units_.end()) return std::nullopt;
-    return unit_document_json(it->second);
-  }
-  auto cit = collections_.find(collection);
-  if (cit == collections_.end()) return std::nullopt;
-  auto dit = cit->second.find(id);
-  if (dit == cit->second.end()) return std::nullopt;
-  return dit->second;
-}
-
 std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
     const std::string& collection) const {
+  if (collection != kUnitCollection) {
+    throw common::ConfigError("StateStore: no Json collection " +
+                              collection);
+  }
   common::MutexLock lock(mu_);
   ++ops_;
   std::vector<std::pair<std::string, common::Json>> out;
-  if (collection == kUnitCollection) {
-    out.reserve(units_.size());
-    for (const auto& [id, unit] : units_) {
-      out.emplace_back(id, unit_document_json(unit));
-    }
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    });
-    return out;
+  out.reserve(units_.size());
+  // hoh-analyze: allow-next-line(det-unordered-emit) -- sorted by id below
+  for (const auto& [id, unit] : units_) {
+    out.emplace_back(id, unit_json(unit));
   }
-  auto cit = collections_.find(collection);
-  if (cit == collections_.end()) return out;
-  out.assign(cit->second.begin(), cit->second.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
   return out;
 }
 
@@ -83,11 +87,30 @@ void StateStore::put_unit(const std::string& id, UnitRecord unit) {
     common::MutexLock lock(mu_);
     ++ops_;
     ++muts_;
-    ++unit_muts_;
-    record_write(kUnitCollection, id);
+    record_write(id);
     units_.insert_or_assign(id, std::move(unit));
   }
   notify(WatchEventType::kPut, std::string(kUnitCollection), id);
+}
+
+void StateStore::put_heartbeat(const std::string& pilot,
+                               HeartbeatRecord heartbeat) {
+  {
+    common::MutexLock lock(mu_);
+    ++ops_;
+    ++muts_;
+    heartbeats_.insert_or_assign(pilot, heartbeat);
+  }
+  notify(WatchEventType::kPut, std::string(kHeartbeatBucket), pilot);
+}
+
+std::optional<HeartbeatRecord> StateStore::heartbeat(
+    const std::string& pilot) const {
+  common::MutexLock lock(mu_);
+  ++ops_;
+  const auto it = heartbeats_.find(pilot);
+  if (it == heartbeats_.end()) return std::nullopt;
+  return it->second;
 }
 
 UnitState StateStore::unit_state(const std::string& id) const {
@@ -127,8 +150,7 @@ void StateStore::set_unit_state(const std::string& id, UnitState state,
     unit.state = state;
     if (!pilot.empty()) unit.pilot = pilot;
     ++muts_;
-    ++unit_muts_;
-    record_write(kUnitCollection, id);
+    record_write(id);
   }
   notify(WatchEventType::kUpdate, std::string(kUnitCollection), id);
 }
@@ -168,13 +190,6 @@ std::uint64_t StateStore::mutation_count() const {
   return muts_;
 }
 
-std::uint64_t StateStore::mutation_count(const std::string& collection) const {
-  common::MutexLock lock(mu_);
-  if (collection == kUnitCollection) return unit_muts_;
-  auto it = collection_muts_.find(collection);
-  return it == collection_muts_.end() ? 0 : it->second;
-}
-
 std::uint64_t StateStore::schedule_digest() const {
   common::MutexLock lock(mu_);
   return schedule_digest_;
@@ -194,10 +209,10 @@ void StateStore::fold_schedule(
   }
 }
 
-std::uint64_t StateStore::open_feed(const std::string& collection) {
+std::uint64_t StateStore::open_feed() {
   common::MutexLock lock(mu_);
   const std::uint64_t id = next_feed_id_++;
-  feeds_.emplace(id, Feed{collection, {}});
+  feeds_.emplace(id, std::vector<std::string>{});
   return id;
 }
 
@@ -205,7 +220,7 @@ std::vector<std::string> StateStore::drain_feed(std::uint64_t feed) {
   common::MutexLock lock(mu_);
   auto it = feeds_.find(feed);
   if (it == feeds_.end()) return {};
-  return std::exchange(it->second.ids, {});
+  return std::exchange(it->second, {});
 }
 
 void StateStore::close_feed(std::uint64_t feed) {
@@ -213,11 +228,8 @@ void StateStore::close_feed(std::uint64_t feed) {
   feeds_.erase(feed);
 }
 
-void StateStore::record_write(std::string_view collection,
-                              const std::string& id) {
-  for (auto& [feed_id, feed] : feeds_) {
-    if (feed.collection == collection) feed.ids.push_back(id);
-  }
+void StateStore::record_write(const std::string& id) {
+  for (auto& [feed_id, ids] : feeds_) ids.push_back(id);
 }
 
 WatchHandle StateStore::watch(const std::string& bucket,

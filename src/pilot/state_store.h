@@ -13,6 +13,7 @@
 #include "common/json.h"
 #include "common/string_util.h"
 #include "common/thread_annotations.h"
+#include "common/units.h"
 #include "net/transport.h"
 #include "pilot/unit_record.h"
 #include "sim/engine.h"
@@ -22,12 +23,11 @@
 /// through — the paper's MongoDB instance ("The Unit-Manager queues new
 /// Compute-Units using a shared MongoDB instance (step U.2). The
 /// RADICAL-Pilot-Agent periodically checks for new Compute-Units (U.3)").
-/// The "unit" collection holds typed records (pilot/unit_record.h):
-/// a unit's state is an enum and its description a struct, read and
-/// written through put_unit/unit_state/unit_description/set_unit_state.
-/// Every other collection (heartbeats, tests' own buckets) holds Json
-/// documents; get/find_all also answer for "unit", building the Json
-/// document from the record. Named queues provide the U.2/U.3 handoff.
+/// It holds two typed collections: unit records (pilot/unit_record.h),
+/// read and written through put_unit/unit_state/unit_description/
+/// set_unit_state, and each pilot's latest heartbeat (HeartbeatRecord),
+/// through put_heartbeat/heartbeat. Named queues provide the U.2/U.3
+/// handoff.
 /// Store operations take no simulated time: the store enters the
 /// simulation only through its zero-delay watch-delivery ticks.
 ///
@@ -39,9 +39,10 @@
 /// illegal edge throws StateError instead of corrupting the lifecycle.
 ///
 /// Watch/notify (etcd/ZooKeeper-style, DESIGN.md §10): watch() registers
-/// a callback on a bucket and key prefix; every put/queue_push under
-/// that bucket (put_unit/set_unit_state under "unit") fires the
-/// matching watchers. Delivery goes through the sim engine as a
+/// a callback on a bucket and key prefix; every write under that bucket
+/// (put_unit/set_unit_state under "unit", put_heartbeat under
+/// "heartbeat", queue_push under the queue's name) fires the matching
+/// watchers. Delivery goes through the sim engine as a
 /// coalesced zero-delay tick: mutations enqueue onto one FIFO and a
 /// single drain event delivers every mutation pending at that instant,
 /// so (a) callbacks never run under the store mutex, (b) delivery is
@@ -57,6 +58,19 @@ namespace hoh::pilot {
 
 /// The collection of typed unit records.
 inline constexpr std::string_view kUnitCollection = "unit";
+
+/// The watch bucket of heartbeat writes, keyed by pilot id.
+inline constexpr std::string_view kHeartbeatBucket = "heartbeat";
+
+/// A pilot's liveness lease as its agent last wrote it. A stopped agent
+/// writes a final tombstone with alive = false.
+struct HeartbeatRecord {
+  bool alive = false;
+  common::Seconds last_heartbeat = 0.0;
+  std::size_t units_completed = 0;
+  std::size_t units_failed = 0;
+  std::size_t units_running = 0;
+};
 
 /// What kind of store mutation fired a watch.
 enum class WatchEventType { kPut, kUpdate, kQueuePush };
@@ -96,17 +110,12 @@ class StateStore {
   /// the perfbench/ caller that still calls it.
   void set_shard_count(std::size_t /*count*/) {}
 
-  /// Inserts or replaces a Json document. The "unit" collection is
-  /// typed: putting a Json document there throws ConfigError.
-  void put(const std::string& collection, const std::string& id,
-           common::Json document);
-
-  /// Reads a document; nullopt when absent. A unit's document is built
-  /// from its record (introspection, not a hot path).
-  std::optional<common::Json> get(const std::string& collection,
-                                  const std::string& id) const;
-
-  /// All documents of a collection (id order); units as built by get().
+  /// Every unit as a Json document, in id order: {"description": {...},
+  /// "pilot", "state"}, with the description's fields under their names
+  /// and its empty lists left out. Kept for the benchmark program's
+  /// cross-check of completed units, which reads the store's units this
+  /// way; not on any hot path. Any other \p collection throws
+  /// ConfigError.
   std::vector<std::pair<std::string, common::Json>> find_all(
       const std::string& collection) const;
 
@@ -115,6 +124,13 @@ class StateStore {
   /// the schedule digest: re-ingesting a held unit replaces its kNew
   /// record with a kPendingAgent one.
   void put_unit(const std::string& id, UnitRecord unit);
+
+  /// Inserts or replaces \p pilot's heartbeat and fires a kPut watch on
+  /// the "heartbeat" bucket, keyed by the pilot id.
+  void put_heartbeat(const std::string& pilot, HeartbeatRecord heartbeat);
+
+  /// \p pilot's latest heartbeat; nullopt before its first.
+  std::optional<HeartbeatRecord> heartbeat(const std::string& pilot) const;
 
   /// A unit's state; throws NotFoundError when the unit is absent.
   UnitState unit_state(const std::string& id) const;
@@ -147,13 +163,6 @@ class StateStore {
   /// reads excluded.
   std::uint64_t mutation_count() const;
 
-  /// Document writes (puts, unit state writes) to one \p collection;
-  /// queue traffic and other collections leave it unchanged. Not an op.
-  /// A poller keyed on mutation_count("unit") skips its rescan across
-  /// writes that cannot change a unit state, such as heartbeat leases
-  /// (DESIGN.md §13).
-  std::uint64_t mutation_count(const std::string& collection) const;
-
   /// The schedule digest: FNV-1a folded, in event order, over every unit
   /// state write that passes the transition gate in set_unit_state() —
   /// as (sim time bits, unit id, new state) — and every placement an
@@ -165,13 +174,13 @@ class StateStore {
   /// \p nodes (a comma-joined node list, or a YARN container's node).
   void record_placement(const std::string& unit, const std::string& nodes);
 
-  /// Opens a write feed on \p collection: from now on the id of every
-  /// document written there is appended to the feed (once per
-  /// write, in write order) until drain_feed() hands the ids over. A
-  /// poller that drains its feed re-reads only the documents written
-  /// since its last poll (DESIGN.md §13). Feeds are not ops and fire no
-  /// watch. Returns a non-zero feed id.
-  std::uint64_t open_feed(const std::string& collection);
+  /// Opens a unit write feed: from now on the id of every unit written
+  /// (put_unit, set_unit_state) is appended to the feed (once per write,
+  /// in write order) until drain_feed() hands the ids over. A poller
+  /// that drains its feed re-reads only the units written since its
+  /// last poll (DESIGN.md §13). Feeds are not ops and fire no watch.
+  /// Returns a non-zero feed id.
+  std::uint64_t open_feed();
 
   /// The ids written since the feed opened or was last drained; empties
   /// the feed. An unknown (closed) feed yields nothing.
@@ -213,14 +222,8 @@ class StateStore {
   net::Transport* transport() const { return transport_; }
 
  private:
-  struct Feed {
-    std::string collection;
-    std::vector<std::string> ids;
-  };
-
-  /// Appends \p id to every feed on \p collection (under mu_).
-  void record_write(std::string_view collection, const std::string& id)
-      HOH_REQUIRES(mu_);
+  /// Appends unit \p id to every feed (under mu_).
+  void record_write(const std::string& id) HOH_REQUIRES(mu_);
 
   /// Folds each of \p parts, newline-terminated, into the schedule
   /// digest.
@@ -270,14 +273,13 @@ class StateStore {
   mutable common::Mutex mu_;
   mutable std::uint64_t ops_ HOH_GUARDED_BY(mu_) = 0;
   std::uint64_t muts_ HOH_GUARDED_BY(mu_) = 0;
-  std::map<std::string, std::uint64_t> collection_muts_ HOH_GUARDED_BY(mu_);
-  std::map<std::string, std::map<std::string, common::Json>> collections_
-      HOH_GUARDED_BY(mu_);
   std::unordered_map<std::string, UnitRecord> units_ HOH_GUARDED_BY(mu_);
-  std::uint64_t unit_muts_ HOH_GUARDED_BY(mu_) = 0;
+  std::map<std::string, HeartbeatRecord> heartbeats_ HOH_GUARDED_BY(mu_);
   std::map<std::string, std::vector<std::string>> queues_
       HOH_GUARDED_BY(mu_);
-  std::map<std::uint64_t, Feed> feeds_ HOH_GUARDED_BY(mu_);
+  /// Unit write feeds: the ids each holds, keyed by feed id.
+  std::map<std::uint64_t, std::vector<std::string>> feeds_
+      HOH_GUARDED_BY(mu_);
   std::uint64_t schedule_digest_ HOH_GUARDED_BY(mu_) = common::kFnv1aBasis;
   std::uint64_t next_feed_id_ HOH_GUARDED_BY(mu_) = 1;
   /// Keyed by watch id. A node's address is stable while it exists,

@@ -56,4 +56,12 @@ UnitState unit_state_from_string(const std::string& name) {
   return from_name<UnitState>(kUnitStateNames, name, "unit");
 }
 
+void from_wire(std::uint8_t wire, UnitState& state) {
+  if (wire >= kUnitStateCount) {
+    throw common::StateError("unknown unit state: " + std::to_string(wire));
+  }
+  // hoh-analyze: allow-next-line(state-write) -- wire decode, not an edge
+  state = static_cast<UnitState>(wire);
+}
+
 }  // namespace hoh::pilot

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 /// \file states.h
@@ -47,6 +48,14 @@ std::string to_string(UnitState state);
 
 /// Inverse of to_string; throws common::StateError on unknown names.
 UnitState unit_state_from_string(const std::string& name);
+
+/// A unit state's wire form (net/pack.h): its enumerator, one byte.
+constexpr std::uint8_t to_wire(UnitState state) {
+  return static_cast<std::uint8_t>(state);
+}
+
+/// Inverse of to_wire; throws common::StateError on a byte no state has.
+void from_wire(std::uint8_t wire, UnitState& state);
 
 constexpr bool is_final(UnitState s) {
   return s == UnitState::kDone || s == UnitState::kCanceled ||

@@ -372,7 +372,7 @@ void UnitManager::absorb_unit_writes() {
   if (unit_feed_ == 0) {
     // Every unit submitted so far waits in both recheck lists already;
     // from here on the feed names the ones written.
-    unit_feed_ = store.open_feed("unit");
+    unit_feed_ = store.open_feed();
     return;
   }
   for (const std::string& id : store.drain_feed(unit_feed_)) {
@@ -458,7 +458,7 @@ void UnitManager::dispatch_to_agent(const std::string& unit_id,
                                     const ComputeUnitDescription& desc) {
   // U.2 over the message boundary: document put + agent queue push,
   // batched into one StoreIngest through the session transport
-  // (DESIGN.md §14). The unit document crosses in its binary Json form,
+  // (DESIGN.md §14). The unit document crosses packed from its record,
   // bit-exact.
   net::StoreIngest::Unit unit{
       unit_id, "agent." + pilot_id,

@@ -2,26 +2,20 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "common/json.h"
 #include "pilot/descriptions.h"
 #include "pilot/states.h"
 
 /// \file unit_record.h
-/// One Compute-Unit as the StateStore keeps it, and the one codec of the
-/// unit document — the paper's MongoDB document the Unit-Manager and the
-/// agents hand units over through (U.2/U.3):
-///
-///   {"description": {...}, "pilot": "<pilot id>", "state": "<state>"}
-///
-/// The document's fields are listed once (unit_record.cpp); the binary
-/// codec walks that list. The binary form is byte for byte what
-/// net::pack_json writes for the Json document: keys in std::map order,
-/// numbers as f64, empty lists left out. So the StoreIngest and
-/// SubmitRequest wire images are those of the Json document, while no
-/// Json value is built on the way, and the Json forms below are those
-/// bytes read by the generic Json codec.
+/// One Compute-Unit as the StateStore keeps it, and the unit document —
+/// the paper's MongoDB document the Unit-Manager and the agents hand
+/// units over through (U.2/U.3). The document is the record's fields()
+/// list packed by net::Packer like any message (DESIGN.md §13): the
+/// state as one byte, the pilot id, then the description's fields in
+/// declaration order. Numbers keep their bits, so a duration crosses
+/// the wire bit-exactly.
 
 namespace hoh::pilot {
 
@@ -30,14 +24,18 @@ struct UnitRecord {
   UnitState state = UnitState::kNew;
   std::string pilot;
   ComputeUnitDescription description;
+
+  static auto fields(auto& m) {
+    return std::tie(m.state, m.pilot, m.description);
+  }
 };
 
 /// The binary unit document (StoreIngest payload).
 std::vector<std::uint8_t> pack_unit_document(const UnitRecord& unit);
 
 /// Decodes exactly one binary unit document. Throws net::CodecError on
-/// truncation, trailing bytes, a wrong tag or value type, a missing or
-/// unexpected key, or an unknown state name.
+/// truncation, trailing bytes, a bool byte other than 0 or 1, an int
+/// out of range, a byte no state has, or a malformed URL.
 UnitRecord unpack_unit_document(const std::vector<std::uint8_t>& bytes);
 
 /// The binary description alone (SubmitRequest payload); same rules.
@@ -45,12 +43,5 @@ std::vector<std::uint8_t> pack_unit_description(
     const ComputeUnitDescription& desc);
 ComputeUnitDescription unpack_unit_description(
     const std::vector<std::uint8_t>& bytes);
-
-/// Json forms, for introspection (StateStore::get/find_all on "unit")
-/// and the text round trip; not on any hot path. unit_from_json
-/// applies the unpacker's rules (throws net::CodecError).
-common::Json unit_to_json(const ComputeUnitDescription& desc);
-ComputeUnitDescription unit_from_json(const common::Json& doc);
-common::Json unit_document_json(const UnitRecord& unit);
 
 }  // namespace hoh::pilot

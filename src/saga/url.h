@@ -27,6 +27,13 @@ class Url {
 
   friend bool operator==(const Url&, const Url&) = default;
 
+  /// Wire form (net/pack.h): the URL's text, parsed back on arrival, so
+  /// a malformed one throws ConfigError like the constructor.
+  friend std::string to_wire(const Url& url) { return url.str(); }
+  friend void from_wire(const std::string& text, Url& url) {
+    url = Url(text);
+  }
+
  private:
   std::string scheme_;
   std::string host_;

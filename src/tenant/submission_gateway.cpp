@@ -199,7 +199,7 @@ void SubmissionGateway::dispatch_head(TenantIndex t) {
     // First dispatch: the unit enters the StateStore here (U.1/U.2) —
     // and only here, which is the admission-before-insert invariant.
     // The submission crosses the message boundary (DESIGN.md §14): the
-    // description travels in its binary Json form in a SubmitRequest
+    // description travels packed from its fields in a SubmitRequest
     // and the Unit-Manager answers with the assigned unit id.
     const auto reply = net::call<net::SubmitReply>(
         um_.session().transport(), um_.submit_endpoint(),

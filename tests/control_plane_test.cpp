@@ -70,7 +70,7 @@ TEST_F(StoreWatchTest, BucketAndPrefixFilterDelivery) {
   store_.put_unit("unit.0", unit());
   store_.put_unit("unit.1", unit());
   store_.put_unit("unit.10", unit());  // prefix match, also delivered
-  store_.put("pilot", "unit.1", common::Json());  // wrong bucket
+  store_.put_heartbeat("unit.1", pilot::HeartbeatRecord{});  // wrong bucket
   engine_.run();
   EXPECT_EQ(keys, (std::vector<std::string>{"unit.1", "unit.10"}));
 }
@@ -241,8 +241,6 @@ TEST_F(StoreWatchTest, CallbackMayMutateTheStore) {
   store_.put_unit("u", unit());
   engine_.run();
   EXPECT_EQ(unit_events, 2);  // the put and the chained update
-  EXPECT_EQ(store_.get("unit", "u")->at("state").as_string(),
-            "AgentScheduling");
   EXPECT_EQ(store_.unit_state("u"), pilot::UnitState::kAgentScheduling);
 }
 
@@ -335,9 +333,9 @@ TEST_F(WatchStackTest, HeartbeatLeaseExpiresForSilentPilot) {
   ASSERT_NE(queued->state(), pilot::PilotState::kActive);
   // A heartbeat appears (say, a half-started bootstrap) and then goes
   // silent: the observer's lease must expire after the grace window.
-  common::Json hb;
-  hb["alive"] = true;
-  session_.store().put("heartbeat", queued->id(), hb);
+  pilot::HeartbeatRecord hb;
+  hb.alive = true;
+  session_.store().put_heartbeat(queued->id(), hb);
   EXPECT_EQ(pm.heartbeat_lease_expirations(), 0u);
   run_for(40.0);  // grace = 3 x 10 s
   EXPECT_EQ(pm.heartbeat_lease_expirations(), 1u);

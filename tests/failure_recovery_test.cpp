@@ -495,10 +495,11 @@ TEST_F(PilotRecoveryTest, PilotCrashBetweenPollsRechecksTheBarrier) {
 
   // The crash writes no unit document, yet recovery will revive the
   // unit: the next poll must recheck it rather than keep its answer.
-  const auto unit_muts = session_.store().mutation_count("unit");
+  const std::uint64_t feed = session_.store().open_feed();
   scheduler().fail_node(pilot_node(pilot));
   ASSERT_EQ(pilot->state(), pilot::PilotState::kFailed);
-  ASSERT_EQ(session_.store().mutation_count("unit"), unit_muts);
+  ASSERT_TRUE(session_.store().drain_feed(feed).empty());
+  session_.store().close_feed(feed);
   EXPECT_FALSE(um.all_done());
 }
 

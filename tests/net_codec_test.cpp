@@ -3,10 +3,14 @@
 // its recorded wire image, and a hostile stream — truncated at every
 // byte, corrupted length, wrong magic/version, random garbage — makes
 // pop_frame wait or throw CodecError, never UB, a silent partial read,
-// or an allocation driven by a corrupt length. The unit document codec
-// writes the bytes pack_json writes for the Json document and refuses
-// the same hostile input.
+// or an allocation driven by a corrupt length. The unit document, a
+// fields() record packed like a message, is pinned the same way and
+// refuses the same hostile input.
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <climits>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -14,9 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/random.h"
-#include "net/json_codec.h"
 #include "net/message.h"
 #include "net/ring_buffer.h"
 #include "net/transport.h"
@@ -178,46 +180,6 @@ TEST(NetCodecRoundTrip, EmptyAndAwkwardStrings) {
   EXPECT_EQ(rt.node, req.node);
 }
 
-TEST(NetCodecRoundTrip, JsonDocumentsBitExact) {
-  common::Json doc;
-  doc["name"] = "unit-000001";
-  doc["duration"] = 0.1 + 0.2;  // not representable; must survive bit-exact
-  doc["cores"] = std::int64_t{3};
-  doc["negative_zero"] = -0.0;
-  doc["huge"] = 1.7976931348623157e308;
-  doc["tiny"] = 5e-324;
-  doc["flag"] = true;
-  doc["nothing"] = common::Json();
-  common::JsonArray samples;
-  for (int i = 0; i < 5; ++i) {
-    samples.emplace_back(static_cast<double>(i) / 3.0);
-  }
-  doc["samples"] = common::Json(std::move(samples));
-
-  Packer p;
-  pack_json(p, doc);
-  const auto bytes = p.take();
-  Unpacker u(bytes);
-  const common::Json back = unpack_json(u);
-  u.expect_done();
-
-  EXPECT_EQ(back.at("name").as_string(), "unit-000001");
-  EXPECT_EQ(back.at("duration").as_number(), 0.1 + 0.2);
-  EXPECT_EQ(back.at("huge").as_number(), 1.7976931348623157e308);
-  EXPECT_EQ(back.at("tiny").as_number(), 5e-324);
-  EXPECT_TRUE(back.at("flag").as_bool());
-  EXPECT_TRUE(back.at("nothing").is_null());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(back.at("samples").as_array()[i].as_number(),
-              static_cast<double>(i) / 3.0);
-  }
-
-  // Equal documents encode identically (object keys in sorted order).
-  Packer p2;
-  pack_json(p2, back);
-  EXPECT_EQ(p2.data(), bytes);
-}
-
 // --- golden wire images ---------------------------------------------
 // Round trips cannot see a field reordered on both sides; these byte
 // images, recorded before the codec moved to per-struct field lists,
@@ -288,7 +250,7 @@ TEST(NetCodecGolden, EveryMessageEncodesAsRecorded) {
 
 TEST(NetCodecGolden, FrameEncodesAsRecorded) {
   EXPECT_EQ(encode_frame(make_envelope(NodeProbe{"n"})),
-            from_hex("484f48310002000f00000005000000016e"));
+            from_hex("484f48310003000f00000005000000016e"));
 }
 
 // --- hostile input ---------------------------------------------------
@@ -489,6 +451,19 @@ TEST(NetCodecRoundTrip, ListOfFieldStructs) {
   }
 }
 
+TEST(NetCodecHostile, NonCanonicalBoolThrows) {
+  // A bool is one byte, 0 or 1. Read as "non-zero", a 2 would decode
+  // and then re-encode as 1: the message would have two encodings.
+  for (const std::uint8_t b : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+    Envelope reply = make_envelope(AllocateReply{true, "node-7"});
+    reply.payload.front() = b;  // ok leads the reply
+    EXPECT_THROW(open_envelope<AllocateReply>(reply), CodecError) << +b;
+    Envelope status = make_envelope(NodeStatus{"node-7", 12.5, true});
+    status.payload.back() = b;  // alive ends the status
+    EXPECT_THROW(open_envelope<NodeStatus>(status), CodecError) << +b;
+  }
+}
+
 TEST(NetCodecHostile, TypeMismatchThrows) {
   const Envelope env = make_envelope(NodeProbe{"c401-001"});
   EXPECT_THROW(open_envelope<NodeStatus>(env), CodecError);
@@ -517,64 +492,14 @@ TEST(NetCodecHostile, RandomGarbageNeverCrashes) {
       (void)open_envelope<AllocateRequest>(env);
     } catch (const CodecError&) {
     }
-    Unpacker u(junk);
     try {
-      (void)unpack_json(u);
+      (void)pilot::unpack_unit_document(junk);
     } catch (const CodecError&) {
     }
   }
 }
 
 // --- unit document codec -------------------------------------------
-
-/// The description document as the Unit-Manager built it in Json before
-/// the typed codec existed: the reference the codec's bytes must equal.
-common::Json reference_description(const pilot::ComputeUnitDescription& d) {
-  common::Json j;
-  auto put_list = [&j](const char* key, common::JsonArray arr) {
-    if (!arr.empty()) j[key] = std::move(arr);
-  };
-  auto strings = [](const std::vector<std::string>& values) {
-    return common::JsonArray(values.begin(), values.end());
-  };
-  auto stage_list = [](const std::vector<pilot::StagedFile>& files) {
-    common::JsonArray arr;
-    for (const auto& f : files) {
-      common::Json entry;
-      entry["url"] = f.url.str();
-      entry["size"] = f.size;
-      arr.push_back(std::move(entry));
-    }
-    return arr;
-  };
-  j["name"] = d.name;
-  j["executable"] = d.executable;
-  put_list("arguments", strings(d.arguments));
-  j["cores"] = static_cast<std::int64_t>(d.cores);
-  j["memory_mb"] = d.memory_mb;
-  j["duration"] = d.duration;
-  j["exit_code"] = static_cast<std::int64_t>(d.exit_code);
-  j["is_mpi"] = d.is_mpi;
-  put_list("input_staging", stage_list(d.input_staging));
-  put_list("output_staging", stage_list(d.output_staging));
-  put_list("preferred_nodes", strings(d.preferred_nodes));
-  put_list("depends_on", strings(d.depends_on));
-  return j;
-}
-
-common::Json reference_document(const pilot::UnitRecord& unit) {
-  common::Json doc;
-  doc["description"] = reference_description(unit.description);
-  doc["state"] = pilot::to_string(unit.state);
-  doc["pilot"] = unit.pilot;
-  return doc;
-}
-
-std::vector<std::uint8_t> packed_json(const common::Json& doc) {
-  Packer p;
-  pack_json(p, doc);
-  return p.take();
-}
 
 /// Description shapes the store sees: defaults (every list empty),
 /// every list filled, staging with sizes, MPI, a negative exit code and
@@ -629,31 +554,108 @@ std::vector<pilot::UnitRecord> unit_shapes() {
   return shapes;
 }
 
-TEST(UnitDocumentCodec, BytesEqualPackJson) {
-  for (const pilot::UnitRecord& unit : unit_shapes()) {
-    const auto bytes = pilot::pack_unit_document(unit);
-    EXPECT_EQ(bytes, packed_json(reference_document(unit)))
-        << unit.description.name;
-    EXPECT_EQ(pilot::pack_unit_description(unit.description),
-              packed_json(reference_description(unit.description)));
-    // The Json form is the reference document too.
-    EXPECT_EQ(pilot::unit_document_json(unit), reference_document(unit));
-
-    // Unpacking recovers the record: it packs to the same bytes.
-    const pilot::UnitRecord back = pilot::unpack_unit_document(bytes);
-    EXPECT_EQ(back.state, unit.state);
-    EXPECT_EQ(back.pilot, unit.pilot);
-    EXPECT_EQ(back.description.input_staging.size(),
-              unit.description.input_staging.size());
-    EXPECT_EQ(back.description.exit_code, unit.description.exit_code);
-    EXPECT_EQ(back.description.memory_mb, unit.description.memory_mb);
-    EXPECT_EQ(pilot::pack_unit_document(back), bytes);
-    const pilot::ComputeUnitDescription desc =
-        pilot::unpack_unit_description(
-            pilot::pack_unit_description(unit.description));
-    EXPECT_EQ(pilot::pack_unit_description(desc),
-              pilot::pack_unit_description(unit.description));
+/// Lower-case hex of \p bytes, the inverse of from_hex.
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
   }
+  return out;
+}
+
+TEST(UnitDocumentCodecGolden, EveryShapeEncodesAsRecorded) {
+  // The state byte, the pilot id, then the description's fields in
+  // declaration order: ints as i64, a list as a u32 count and its
+  // elements, a staged file as its URL text and size.
+  const std::vector<std::string> recorded = {
+      "020000000a70696c6f742e3030303000000004756e6974000000092f62696e2f"
+      "7461736b00000000000000000000000100000000000008003ff0000000000000"
+      "00000000000000000000000000000000000000000000000000",
+      "000000000a70696c6f742e303030300000000c6b6d65616e732d6d61702d3300"
+      "00000b2f62696e2f707974686f6e00000003000000096b6d65616e732e707900"
+      "0000062d2d697465720000000132000000000000000100000000000008003ff0"
+      "0000000000000000000000000000000000010000001a66696c653a2f2f737461"
+      "6d706564652f706f696e74732e63737600000000000004000000000100000017"
+      "66696c653a2f2f7374616d706564652f6f75742e637376000000000000004000"
+      "00000200000008633430312d30303100000008633430312d3030320000000002"
+      "0000000b756e69742e3030303030310000000b756e69742e303030303032",
+      "020000000a70696c6f742e3030303000000004756e6974000000092f62696e2f"
+      "7461736b00000000000000000000000100000000000008003ff0000000000000"
+      "0000000000000000000000020000001b686466733a2f2f7772616e676c65722f"
+      "646174612f706172742d3000000001400000000000002066696c653a2f2f7772"
+      "616e676c65722f736372617463682f74696e792e62696e000000000000000000"
+      "0000010000001866696c653a2f2f7772616e676c65722f726573756c74732f00"
+      "000000075bcd15000000000000000000",
+      "090000000a70696c6f742e3030303000000004756e6974000000102f7573722f"
+      "62696e2f6d70696578656300000000000000000000010000000000000008003f"
+      "f000000000000000000000000000000000000000000000000000000100000000",
+      "070000000a70696c6f742e3030303000000004756e6974000000092f62696e2f"
+      "7461736b00000000000000000000000100000000000008003fd3333333333334"
+      "fffffffffffffff50000000000000000000000000000000000",
+      "02000000000000001a71756f74656420226e616d652220776974680a6e65776c"
+      "696e65000000092f62696e2f7461736b00000000000000000000000100000100"
+      "000000007fefffffffffffff0000000000000000000000000000000000000000"
+      "0000000000",
+  };
+  const auto shapes = unit_shapes();
+  ASSERT_EQ(shapes.size(), recorded.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto bytes = pilot::pack_unit_document(shapes[i]);
+    EXPECT_EQ(to_hex(bytes), recorded[i]) << i;
+    // The recorded image decodes to the record and packs back to itself.
+    const pilot::UnitRecord back =
+        pilot::unpack_unit_document(from_hex(recorded[i]));
+    EXPECT_EQ(back.state, shapes[i].state) << i;
+    EXPECT_EQ(back.pilot, shapes[i].pilot) << i;
+    EXPECT_EQ(back.description.name, shapes[i].description.name) << i;
+    EXPECT_EQ(pilot::pack_unit_document(back), bytes) << i;
+    // The description alone (a SubmitRequest's) is the document's tail.
+    const auto desc = pilot::pack_unit_description(shapes[i].description);
+    ASSERT_LE(desc.size(), bytes.size());
+    EXPECT_TRUE(std::equal(desc.begin(), desc.end(),
+                           bytes.end() - static_cast<std::ptrdiff_t>(
+                                             desc.size())))
+        << i;
+    EXPECT_EQ(pilot::pack_unit_description(
+                  pilot::unpack_unit_description(desc)),
+              desc)
+        << i;
+  }
+}
+
+TEST(UnitDocumentCodecGolden, DurationsCrossBitExact) {
+  // A computed duration crosses unrounded: the simulation's event times
+  // depend on its last bit.
+  for (const double duration : {0.1 + 0.2, -0.0, DBL_MAX, 5e-324}) {
+    pilot::UnitRecord unit = unit_shapes()[0];
+    unit.description.duration = duration;
+    const auto bytes = pilot::pack_unit_document(unit);
+    Packer bits;
+    bits.f64(duration);
+    EXPECT_NE(std::search(bytes.begin(), bytes.end(), bits.data().begin(),
+                          bits.data().end()),
+              bytes.end())
+        << duration;
+    const double back =
+        pilot::unpack_unit_document(bytes).description.duration;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(duration))
+        << duration;
+  }
+}
+
+TEST(UnitDocumentCodecGolden, SmallestDocumentIsMinWireBytes) {
+  // Every string and list empty: the document is exactly the bound a
+  // list count of records would be checked against.
+  static_assert(min_wire_bytes<pilot::UnitRecord>() == 66);
+  static_assert(min_wire_bytes<pilot::StagedFile>() == 12);
+  pilot::UnitRecord empty;
+  empty.description.name.clear();
+  empty.description.executable.clear();
+  EXPECT_EQ(pilot::pack_unit_document(empty).size(),
+            min_wire_bytes<pilot::UnitRecord>());
 }
 
 TEST(UnitDocumentCodecHostile, TruncatedAtEveryByteThrows) {
@@ -670,74 +672,67 @@ TEST(UnitDocumentCodecHostile, TruncatedAtEveryByteThrows) {
   }
 }
 
-TEST(UnitDocumentCodecHostile, WrongTagThrows) {
-  auto bytes = pilot::pack_unit_document(unit_shapes()[1]);
-  bytes[0] = 7;  // no such tag
-  EXPECT_THROW(pilot::unpack_unit_document(bytes), CodecError);
-  bytes[0] = static_cast<std::uint8_t>(JsonTag::kArray);
-  EXPECT_THROW(pilot::unpack_unit_document(bytes), CodecError);
-  // A document that is a valid Json value but not an object.
-  EXPECT_THROW(pilot::unpack_unit_document(packed_json(common::Json(1.0))),
-               CodecError);
-}
-
-TEST(UnitDocumentCodecHostile, MissingRequiredKeyThrows) {
-  const common::Json doc = reference_document(unit_shapes()[1]);
-  for (const char* key : {"description", "pilot", "state"}) {
-    common::JsonObject top = doc.as_object();
-    top.erase(key);
-    EXPECT_THROW(pilot::unpack_unit_document(packed_json(common::Json(top))),
-                 CodecError)
-        << key;
-  }
-  for (const char* key : {"name", "executable", "cores", "memory_mb",
-                          "duration", "exit_code", "is_mpi"}) {
-    common::JsonObject desc = doc.at("description").as_object();
-    desc.erase(key);
-    common::Json broken = doc;
-    broken["description"] = common::Json(desc);
-    EXPECT_THROW(pilot::unpack_unit_document(packed_json(broken)), CodecError)
-        << key;
-    EXPECT_THROW(
-        pilot::unpack_unit_description(packed_json(common::Json(desc))),
-        CodecError)
-        << key;
-  }
-  // An unknown key is refused too, rather than skipped.
-  common::Json extra = doc;
-  extra["zzz"] = 1.0;
-  EXPECT_THROW(pilot::unpack_unit_document(packed_json(extra)), CodecError);
-  // And a staged file missing its url.
-  common::Json no_url = doc;
-  no_url["description"]["input_staging"] =
-      common::JsonArray{common::Json(common::JsonObject{{"size", 1.0}})};
-  EXPECT_THROW(pilot::unpack_unit_document(packed_json(no_url)), CodecError);
+/// The offset of \p pattern's first occurrence in \p bytes.
+std::size_t offset_of(const std::vector<std::uint8_t>& bytes,
+                      const std::vector<std::uint8_t>& pattern) {
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), pattern.begin(), pattern.end());
+  EXPECT_NE(it, bytes.end());
+  return static_cast<std::size_t>(it - bytes.begin());
 }
 
 TEST(UnitDocumentCodecHostile, WrongValueTypeThrows) {
-  const common::Json doc = reference_document(unit_shapes()[1]);
-  const std::vector<std::pair<std::string, common::Json>> wrong = {
-      {"name", common::Json(3.0)},
-      {"cores", common::Json("four")},
-      {"is_mpi", common::Json(1.0)},
-      {"arguments", common::Json("kmeans.py")},
-      {"depends_on", common::JsonArray{common::Json(1.0)}},
-      {"memory_mb", common::Json(1e300)},  // no int64 holds it
-      {"duration", common::Json()},
-  };
-  for (const auto& [key, value] : wrong) {
-    common::Json broken = doc;
-    broken["description"][key] = value;
-    EXPECT_THROW(pilot::unpack_unit_document(packed_json(broken)), CodecError)
-        << key;
+  // The document carries no keys or type tags: a value is wrong when
+  // its bytes hold nothing its field's type can.
+  const pilot::UnitRecord unit = unit_shapes()[1];
+  const auto good = pilot::pack_unit_document(unit);
+  ASSERT_NO_THROW(pilot::unpack_unit_document(good));
+
+  // A state byte past the last state (the state leads the document).
+  for (const std::uint8_t state : {std::uint8_t{10}, std::uint8_t{0xff}}) {
+    auto bad = good;
+    bad[0] = state;
+    EXPECT_THROW(pilot::unpack_unit_document(bad), CodecError) << +state;
   }
-  common::Json bad_state = doc;
-  bad_state["state"] = "Sleeping";  // no such state
-  EXPECT_THROW(pilot::unpack_unit_document(packed_json(bad_state)),
-               CodecError);
-  common::Json bad_url = doc;
-  bad_url["description"]["input_staging"].as_array()[0]["url"] = "no-scheme";
-  EXPECT_THROW(pilot::unpack_unit_document(packed_json(bad_url)), CodecError);
+
+  // A URL without "://".
+  const std::string url = "file://stampede/points.csv";
+  auto bad_url = good;
+  bad_url[offset_of(good, {url.begin(), url.end()}) + 5] = 'x';
+  EXPECT_THROW(pilot::unpack_unit_document(bad_url), CodecError);
+
+  // An i64 no int holds, in place of the cores count.
+  pilot::UnitRecord marked = unit;
+  marked.description.cores = 0x5a5a5a5a;
+  const auto marked_bytes = pilot::pack_unit_document(marked);
+  Packer marker;
+  marker.put(std::int64_t{0x5a5a5a5a});
+  const std::size_t cores_at = offset_of(marked_bytes, marker.data());
+  for (const std::int64_t wide :
+       {std::int64_t{INT_MAX} + 1, std::int64_t{INT_MIN} - 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    Packer p;
+    p.put(wide);
+    auto bad = marked_bytes;
+    std::copy(p.data().begin(), p.data().end(),
+              bad.begin() + static_cast<std::ptrdiff_t>(cores_at));
+    EXPECT_THROW(pilot::unpack_unit_document(bad), CodecError) << wide;
+  }
+  // The ends of the int range cross.
+  marked.description.cores = INT_MAX;
+  marked.description.exit_code = INT_MIN;
+  const pilot::UnitRecord ends =
+      pilot::unpack_unit_document(pilot::pack_unit_document(marked));
+  EXPECT_EQ(ends.description.cores, INT_MAX);
+  EXPECT_EQ(ends.description.exit_code, INT_MIN);
+
+  // A bool byte other than 0 or 1: the MPI shape has no dependencies,
+  // so is_mpi sits just before their empty list's count.
+  auto mpi = pilot::pack_unit_document(unit_shapes()[3]);
+  const std::size_t is_mpi_at = mpi.size() - 5;
+  ASSERT_EQ(mpi[is_mpi_at], 1);
+  mpi[is_mpi_at] = 2;
+  EXPECT_THROW(pilot::unpack_unit_document(mpi), CodecError);
 }
 
 TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
@@ -766,7 +761,7 @@ TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
                                                     good}}}),
                CodecError);
   for (const char* id : {"unit.000007", "unit.000008", "unit.000009"}) {
-    EXPECT_FALSE(store.get("unit", id).has_value()) << id;
+    EXPECT_FALSE(store.unit_description(id).has_value()) << id;
   }
   EXPECT_EQ(store.queue_depth("agent.p1"), 0u);
   EXPECT_EQ(store.mutation_count(), 0u);
@@ -779,20 +774,6 @@ TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
   EXPECT_EQ(store.queue_pop_all("agent.p1"),
             std::vector<std::string>{"unit.000009"});
   store.set_transport(nullptr);
-}
-
-TEST(NetCodecHostile, JsonDeepNestingBounded) {
-  // 100 nested array headers (count 1 each): the decoder must refuse at
-  // its depth bound instead of recursing to a stack overflow.
-  Packer p;
-  for (int i = 0; i < 100; ++i) {
-    p.u8(5);  // array tag
-    p.u32(1);
-  }
-  p.u8(0);  // innermost null
-  const auto bytes = p.take();
-  Unpacker u(bytes);
-  EXPECT_THROW(unpack_json(u), CodecError);
 }
 
 }  // namespace

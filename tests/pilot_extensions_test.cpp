@@ -27,10 +27,10 @@ TEST_F(HeartbeatTest, AgentWritesPeriodicHeartbeats) {
   session_.engine().run_until(60.0);
   auto hb1 = pilot->heartbeat();
   ASSERT_TRUE(hb1.has_value());
-  EXPECT_TRUE(hb1->at("alive").as_bool());
-  const double t1 = hb1->at("last_heartbeat").as_number();
+  EXPECT_TRUE(hb1->alive);
+  const double t1 = hb1->last_heartbeat;
   session_.engine().run_until(120.0);
-  const double t2 = pilot->heartbeat()->at("last_heartbeat").as_number();
+  const double t2 = pilot->heartbeat()->last_heartbeat;
   EXPECT_GT(t2, t1);  // heartbeats keep coming
 }
 
@@ -47,7 +47,7 @@ TEST_F(HeartbeatTest, HeartbeatCountsUnits) {
   session_.engine().run_until(120.0);
   ASSERT_TRUE(um.all_done());
   session_.engine().run_until(160.0);  // next heartbeat tick
-  EXPECT_EQ(pilot->heartbeat()->at("units_completed").as_int(), 3);
+  EXPECT_EQ(pilot->heartbeat()->units_completed, 3u);
 }
 
 TEST_F(HeartbeatTest, TombstoneOnCancel) {
@@ -55,14 +55,13 @@ TEST_F(HeartbeatTest, TombstoneOnCancel) {
   pd.resource = "slurm://beowulf/";
   auto pilot = pm_.submit_pilot(pd);
   session_.engine().run_until(60.0);
-  ASSERT_TRUE(pilot->heartbeat()->at("alive").as_bool());
+  ASSERT_TRUE(pilot->heartbeat()->alive);
   pilot->cancel();
-  EXPECT_FALSE(pilot->heartbeat()->at("alive").as_bool());
-  const double tomb = pilot->heartbeat()->at("last_heartbeat").as_number();
+  EXPECT_FALSE(pilot->heartbeat()->alive);
+  const double tomb = pilot->heartbeat()->last_heartbeat;
   session_.engine().run_until(200.0);
   // No further heartbeats after the tombstone.
-  EXPECT_DOUBLE_EQ(pilot->heartbeat()->at("last_heartbeat").as_number(),
-                   tomb);
+  EXPECT_DOUBLE_EQ(pilot->heartbeat()->last_heartbeat, tomb);
 }
 
 // ----------------------------------------------------------- estimator ---

@@ -282,7 +282,7 @@ TEST_F(PilotLifecycleTest, BatchedDispatchKeepsSubmitOrder) {
   auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
   um_.add_pilot(pilot);
   StateStore& store = session_.store();
-  const std::uint64_t feed = store.open_feed("unit");
+  const std::uint64_t feed = store.open_feed();
   ComputeUnitDescription held = simple_unit();
   held.depends_on = {"unit.0000"};  // the first unit of this batch
   const auto units = um_.submit(
@@ -331,7 +331,7 @@ TEST(BatchedDispatch, LargeSubmitCrossesInBatchesUnderTheByteBound) {
   desc.name = "map";
   desc.duration = 5.0;
   desc.memory_mb = 1024;
-  const std::size_t n = 400;
+  const std::size_t n = 600;
   const std::uint64_t calls_before = transport.stats().calls;
   const auto units =
       um.submit(std::vector<ComputeUnitDescription>(n, desc));

@@ -21,16 +21,29 @@ UnitRecord pending(const std::string& pilot = "pilot.0") {
   return unit;
 }
 
+/// Unit \p id's Json document as find_all("unit") builds it.
+common::Json document(const StateStore& store, const std::string& id) {
+  for (auto& [key, doc] : store.find_all("unit")) {
+    if (key == id) return doc;
+  }
+  ADD_FAILURE() << "no unit " << id;
+  return {};
+}
+
 TEST(StateStoreTest, PutGetRoundTrip) {
   sim::Engine engine;
   StateStore store(engine);
-  store.put_unit("unit.0", pending());
-  auto got = store.get("unit", "unit.0");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->at("state").as_string(), "PendingAgent");
+  UnitRecord unit = pending();
+  unit.description.name = "map-0";
+  store.put_unit("unit.0", unit);
   EXPECT_EQ(store.unit_state("unit.0"), UnitState::kPendingAgent);
-  EXPECT_FALSE(store.get("unit", "missing").has_value());
-  EXPECT_FALSE(store.get("nope", "unit.0").has_value());
+  ASSERT_TRUE(store.unit_description("unit.0").has_value());
+  EXPECT_EQ(store.unit_description("unit.0")->name, "map-0");
+  const common::Json doc = document(store, "unit.0");
+  EXPECT_EQ(doc.at("state").as_string(), "PendingAgent");
+  EXPECT_EQ(doc.at("pilot").as_string(), "pilot.0");
+  EXPECT_EQ(doc.at("description").at("name").as_string(), "map-0");
+  EXPECT_FALSE(store.unit_description("missing").has_value());
 }
 
 TEST(StateStoreTest, UpdateMergesFields) {
@@ -38,13 +51,13 @@ TEST(StateStoreTest, UpdateMergesFields) {
   StateStore store(engine);
   store.put_unit("u", pending("pilot.0"));
   store.set_unit_state("u", UnitState::kAgentScheduling);
-  auto got = store.get("unit", "u");
-  EXPECT_EQ(got->at("state").as_string(), "AgentScheduling");
-  EXPECT_EQ(got->at("pilot").as_string(), "pilot.0");  // untouched
+  const common::Json got = document(store, "u");
+  EXPECT_EQ(got.at("state").as_string(), "AgentScheduling");
+  EXPECT_EQ(got.at("pilot").as_string(), "pilot.0");  // untouched
   // A rebind moves the pilot with the state.
   store.set_unit_state("u", UnitState::kFailed);
   store.set_unit_state("u", UnitState::kPendingAgent, "pilot.1");
-  EXPECT_EQ(store.get("unit", "u")->at("pilot").as_string(), "pilot.1");
+  EXPECT_EQ(document(store, "u").at("pilot").as_string(), "pilot.1");
 }
 
 TEST(StateStoreTest, UpdateRejectsIllegalUnitTransition) {
@@ -56,7 +69,7 @@ TEST(StateStoreTest, UpdateRejectsIllegalUnitTransition) {
   EXPECT_THROW(store.set_unit_state("u", UnitState::kExecuting),
                common::StateError);
   // The rejected write must not have leaked into the document.
-  EXPECT_EQ(store.get("unit", "u")->at("state").as_string(), "PendingAgent");
+  EXPECT_EQ(document(store, "u").at("state").as_string(), "PendingAgent");
   EXPECT_EQ(store.unit_state("u"), UnitState::kPendingAgent);
   EXPECT_EQ(store.schedule_digest(), digest);
 }
@@ -99,9 +112,32 @@ TEST(StateStoreTest, TypedUnitReads) {
   store.unit_state("u");
   store.unit_description("u");
   EXPECT_EQ(store.op_count() - ops, 2u);
-  // The unit collection takes no Json document.
-  EXPECT_THROW(store.put("unit", "v", common::Json(1)), common::ConfigError);
-  EXPECT_FALSE(store.get("unit", "v").has_value());
+}
+
+TEST(StateStoreTest, HeartbeatsAreTypedAndWatched) {
+  sim::Engine engine;
+  StateStore store(engine);
+  std::vector<std::string> keys;
+  store.watch("heartbeat", "pilot.1",
+              [&keys](const WatchEvent& e) { keys.push_back(e.key); });
+  EXPECT_FALSE(store.heartbeat("pilot.1").has_value());
+  const auto ops = store.op_count();
+  const auto muts = store.mutation_count();
+  store.put_heartbeat("pilot.1", HeartbeatRecord{true, 12.5, 3, 1, 2});
+  store.put_heartbeat("pilot.2", HeartbeatRecord{true, 13.0, 0, 0, 0});
+  store.put_heartbeat("pilot.1", HeartbeatRecord{false, 20.0, 4, 1, 0});
+  // A write is one op and one mutation, a read one op.
+  EXPECT_EQ(store.mutation_count() - muts, 3u);
+  const auto latest = store.heartbeat("pilot.1");
+  EXPECT_EQ(store.op_count() - ops, 4u);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_FALSE(latest->alive);
+  EXPECT_EQ(latest->last_heartbeat, 20.0);
+  EXPECT_EQ(latest->units_completed, 4u);
+  EXPECT_EQ(latest->units_failed, 1u);
+  EXPECT_EQ(latest->units_running, 0u);
+  engine.run_until(1.0);
+  EXPECT_EQ(keys, (std::vector<std::string>{"pilot.1", "pilot.1"}));
 }
 
 TEST(StateStoreTest, QueueFifoAndDrain) {
@@ -122,54 +158,37 @@ TEST(StateStoreTest, FindAllSorted) {
   StateStore store(engine);
   store.put_unit("b", pending());
   store.put_unit("a", pending());
+  UnitRecord staged = pending();
+  staged.description.cores = 4;
+  staged.description.input_staging = {
+      {saga::Url("file://stampede/points.csv"), 1024}};
+  staged.description.depends_on = {"a"};
+  store.put_unit("c", staged);
   auto all = store.find_all("unit");
-  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].first, "a");
-  EXPECT_EQ(all[1].second, *store.get("unit", "b"));
+  EXPECT_EQ(all[1].first, "b");
+  // The document's keys; empty lists are left out.
+  const auto parsed = common::Json::parse(
+      R"({"description": {"cores": 4, "depends_on": ["a"], "duration": 1,)"
+      R"( "executable": "/bin/task", "exit_code": 0, "input_staging":)"
+      R"( [{"size": 1024, "url": "file://stampede/points.csv"}],)"
+      R"( "is_mpi": false, "memory_mb": 2048, "name": "unit"},)"
+      R"( "pilot": "pilot.0", "state": "PendingAgent"})");
+  EXPECT_EQ(all[2].second, parsed);
+  // Units are the one collection it reads.
+  EXPECT_THROW(store.find_all("heartbeat"), common::ConfigError);
 }
 
 TEST(StateStoreTest, OpCounting) {
   sim::Engine engine;
   StateStore store(engine);
   const auto before = store.op_count();
-  store.put("c", "x", common::Json(1));
-  store.get("c", "x");
+  store.put_heartbeat("pilot.0", HeartbeatRecord{});
+  store.heartbeat("pilot.0");
   store.queue_push("q", "x");
   store.queue_pop_all("q");
   EXPECT_EQ(store.op_count(), before + 4);
-}
-
-TEST(StateStoreTest, CollectionMutationCountMovesOnlyOnItsWrites) {
-  sim::Engine engine;
-  StateStore store(engine);
-  EXPECT_EQ(store.mutation_count("unit"), 0u);
-
-  store.put_unit("u", pending());
-  EXPECT_EQ(store.mutation_count("unit"), 1u);
-  store.set_unit_state("u", UnitState::kAgentScheduling);
-  EXPECT_EQ(store.mutation_count("unit"), 2u);
-
-  // Heartbeat leases and queue traffic leave the unit count alone but
-  // still move the store-wide count.
-  auto total = store.mutation_count();
-  store.put("heartbeat", "pilot.0", common::Json(1));
-  EXPECT_EQ(store.mutation_count("heartbeat"), 1u);
-  store.queue_push("agent.pilot.0", "u");
-  store.queue_pop_all("agent.pilot.0");
-  EXPECT_EQ(store.mutation_count("unit"), 2u);
-  EXPECT_EQ(store.mutation_count(), total + 3);
-
-  // A write the transition gate rejects is no mutation.
-  total = store.mutation_count();
-  EXPECT_THROW(store.set_unit_state("u", UnitState::kNew),
-               common::StateError);
-  EXPECT_EQ(store.mutation_count("unit"), 2u);
-  EXPECT_EQ(store.mutation_count(), total);
-
-  // Reading the counter is not an op.
-  const auto ops = store.op_count();
-  store.mutation_count("unit");
-  EXPECT_EQ(store.op_count(), ops);
 }
 
 TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
@@ -178,15 +197,15 @@ TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
   store.put_unit("before", pending());  // predates the feed
 
   const auto ops = store.op_count();
-  const auto feed = store.open_feed("unit");
-  const auto other = store.open_feed("unit");
+  const auto feed = store.open_feed();
+  const auto other = store.open_feed();
   EXPECT_NE(feed, 0u);
   EXPECT_NE(feed, other);
   store.put_unit("a", pending());
   store.set_unit_state("a", UnitState::kAgentScheduling);
   store.put_unit("b", pending());
-  // Other collections and queue traffic are not unit writes.
-  store.put("heartbeat", "pilot.0", common::Json(1));
+  // Heartbeats and queue traffic are not unit writes.
+  store.put_heartbeat("pilot.0", HeartbeatRecord{});
   store.queue_push("agent.pilot.0", "a");
   store.queue_pop_all("agent.pilot.0");
   // A write the transition gate rejects never happened.
@@ -214,22 +233,29 @@ TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
 TEST(StateStoreTest, WatchDeliveryIsFifoAcrossBuckets) {
   sim::Engine engine;
   StateStore store(engine);
-  // One watcher per bucket: delivery must follow mutation order, not
-  // bucket or registration order.
+  // One watcher per bucket (the unit and heartbeat collections and ten
+  // queues): delivery must follow mutation order, not bucket or
+  // registration order.
+  std::vector<std::string> buckets = {"unit", "heartbeat"};
+  for (int i = 0; i < 10; ++i) buckets.push_back("q." + std::to_string(i));
   std::vector<std::string> delivered;
-  const int kBuckets = 12;
-  for (int i = 0; i < kBuckets; ++i) {
-    store.watch("b." + std::to_string(i), "",
-                [&delivered](const WatchEvent& e) {
-                  delivered.push_back(e.bucket + "/" + e.key);
-                });
+  for (const std::string& bucket : buckets) {
+    store.watch(bucket, "", [&delivered](const WatchEvent& e) {
+      delivered.push_back(e.bucket + "/" + e.key);
+    });
   }
   std::vector<std::string> expected;
   for (int round = 0; round < 3; ++round) {
-    for (int i = kBuckets - 1; i >= 0; --i) {  // deliberately non-sorted
-      const std::string bucket = "b." + std::to_string(i);
+    for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
+      const std::string& bucket = *it;  // deliberately non-sorted
       const std::string key = "k" + std::to_string(round);
-      store.put(bucket, key, common::Json());
+      if (bucket == "unit") {
+        store.put_unit(key, pending());
+      } else if (bucket == "heartbeat") {
+        store.put_heartbeat(key, HeartbeatRecord{});
+      } else {
+        store.queue_push(bucket, key);
+      }
       expected.push_back(bucket + "/" + key);
     }
   }
@@ -241,22 +267,23 @@ TEST(StateStoreTest, UnwatchIsIdempotent) {
   sim::Engine engine;
   StateStore store(engine);
   int fired = 0;
-  auto h1 = store.watch("alpha", "", [&fired](const WatchEvent&) { ++fired; });
-  auto h2 = store.watch("beta", "", [&fired](const WatchEvent&) { ++fired; });
+  auto h1 = store.watch("unit", "", [&fired](const WatchEvent&) { ++fired; });
+  auto h2 =
+      store.watch("heartbeat", "", [&fired](const WatchEvent&) { ++fired; });
   EXPECT_EQ(store.watcher_count(), 2u);
   EXPECT_TRUE(store.unwatch(h1));
   EXPECT_FALSE(store.unwatch(h1));  // double-unwatch is a no-op
   EXPECT_EQ(store.watcher_count(), 1u);
-  store.put("alpha", "x", common::Json());
-  store.put("beta", "y", common::Json());
+  store.put_unit("x", pending());
+  store.put_heartbeat("y", HeartbeatRecord{});
   engine.run_until(1.0);
-  EXPECT_EQ(fired, 1);  // only the surviving beta watcher
+  EXPECT_EQ(fired, 1);  // only the surviving heartbeat watcher
   EXPECT_TRUE(store.unwatch(h2));
   EXPECT_EQ(store.watcher_count(), 0u);
 }
 
 /// TSan target: hammer the store from several threads, each on its own
-/// buckets (watcher-free, so no engine events are scheduled — the engine
+/// keys (watcher-free, so no engine events are scheduled — the engine
 /// itself is single-threaded by contract). Any missing locking shows up
 /// as a data race under -fsanitize=thread.
 TEST(StateStoreTest, ConcurrentMutationStress) {
@@ -267,17 +294,17 @@ TEST(StateStoreTest, ConcurrentMutationStress) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, t] {
-      const std::string coll = "stress." + std::to_string(t);
+      const std::string prefix = "stress." + std::to_string(t);
       const std::string queue = "q." + std::to_string(t);
       for (int i = 0; i < kOps; ++i) {
         const std::string id = "d" + std::to_string(i);
-        common::Json doc;
-        doc["n"] = static_cast<std::int64_t>(i);
-        store.put(coll, id, doc);
-        doc["m"] = "y";
-        store.put(coll, id, doc);
-        ASSERT_TRUE(store.get(coll, id).has_value());
-        const std::string unit = coll + "." + id;
+        const std::string pilot = prefix + ".pilot." + id;
+        HeartbeatRecord beat{true, 0.0, static_cast<std::size_t>(i), 0, 0};
+        store.put_heartbeat(pilot, beat);
+        beat.alive = false;
+        store.put_heartbeat(pilot, beat);
+        ASSERT_TRUE(store.heartbeat(pilot).has_value());
+        const std::string unit = prefix + "." + id;
         store.put_unit(unit, pending());
         store.set_unit_state(unit, UnitState::kAgentScheduling);
         ASSERT_EQ(store.unit_state(unit), UnitState::kAgentScheduling);
@@ -289,53 +316,16 @@ TEST(StateStoreTest, ConcurrentMutationStress) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(store.find_all("stress." + std::to_string(t)).size(),
-              static_cast<std::size_t>(kOps));
+    for (int i = 0; i < kOps; ++i) {
+      const auto beat = store.heartbeat("stress." + std::to_string(t) +
+                                        ".pilot.d" + std::to_string(i));
+      ASSERT_TRUE(beat.has_value());
+      EXPECT_FALSE(beat->alive);
+      EXPECT_EQ(beat->units_completed, static_cast<std::size_t>(i));
+    }
   }
   EXPECT_EQ(store.find_all("unit").size(),
             static_cast<std::size_t>(kThreads * kOps));
-}
-
-TEST(UnitJsonTest, RoundTrip) {
-  ComputeUnitDescription desc;
-  desc.name = "kmeans-map-3";
-  desc.executable = "/bin/python";
-  desc.arguments = {"kmeans.py", "--iter", "2"};
-  desc.cores = 4;
-  desc.memory_mb = 3072;
-  desc.duration = 123.5;
-  desc.is_mpi = true;
-  desc.input_staging = {
-      StagedFile{saga::Url("file://stampede/points.csv"), 1024}};
-  desc.output_staging = {
-      StagedFile{saga::Url("file://stampede/out.csv"), 64}};
-  desc.preferred_nodes = {"n1", "n2"};
-
-  const ComputeUnitDescription back = unit_from_json(unit_to_json(desc));
-  EXPECT_EQ(back.name, desc.name);
-  EXPECT_EQ(back.executable, desc.executable);
-  EXPECT_EQ(back.arguments, desc.arguments);
-  EXPECT_EQ(back.cores, desc.cores);
-  EXPECT_EQ(back.memory_mb, desc.memory_mb);
-  EXPECT_DOUBLE_EQ(back.duration, desc.duration);
-  EXPECT_EQ(back.is_mpi, desc.is_mpi);
-  ASSERT_EQ(back.input_staging.size(), 1u);
-  EXPECT_EQ(back.input_staging[0].url.str(), "file://stampede/points.csv");
-  EXPECT_EQ(back.input_staging[0].size, 1024);
-  ASSERT_EQ(back.output_staging.size(), 1u);
-  EXPECT_EQ(back.preferred_nodes, desc.preferred_nodes);
-}
-
-TEST(UnitJsonTest, SerializedThroughTextParser) {
-  // The document survives an actual JSON text round trip (what a real
-  // MongoDB wire encoding would do).
-  ComputeUnitDescription desc;
-  desc.name = "quoted \"name\" with\nnewline";
-  desc.duration = 0.25;
-  const auto text = unit_to_json(desc).dump();
-  const auto back = unit_from_json(common::Json::parse(text));
-  EXPECT_EQ(back.name, desc.name);
-  EXPECT_DOUBLE_EQ(back.duration, 0.25);
 }
 
 }  // namespace

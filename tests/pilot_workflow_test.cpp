@@ -129,11 +129,14 @@ TEST_F(WorkflowTest, IndependentUnitsUnaffectedByHeldOnes) {
 TEST_F(WorkflowTest, DependsOnSerializedInStoreDocument) {
   auto a = um_.submit(unit("a", 5.0));
   auto b = um_.submit(unit("b", 5.0, {a->id()}));
-  const auto doc = session_.store().get("unit", b->id());
-  ASSERT_TRUE(doc.has_value());
-  const auto deps = doc->at("description").at("depends_on").as_array();
-  ASSERT_EQ(deps.size(), 1u);
-  EXPECT_EQ(deps[0].as_string(), a->id());
+  for (const auto& [id, doc] : session_.store().find_all("unit")) {
+    if (id != b->id()) continue;
+    const auto deps = doc.at("description").at("depends_on").as_array();
+    ASSERT_EQ(deps.size(), 1u);
+    EXPECT_EQ(deps[0].as_string(), a->id());
+    return;
+  }
+  FAIL() << "no document for " << b->id();
 }
 
 }  // namespace

@@ -766,6 +766,9 @@ class InternalFrontend:
                 continue
             if t.text in GUARD_MACROS and i + 1 < hi \
                     and toks[i + 1].text == "(":
+                # `Type name HOH_GUARDED_BY(mu);` declares a member too.
+                if i > lo and toks[i - 1].is_ident:
+                    self._record_member(toks, lo, i - 1, cls)
                 end, target = _guard_target(toks, i, hi)
                 if target and ir is not None:
                     ir.guarded.add(self._resolve_mutex_name(target, scope))
@@ -793,26 +796,31 @@ class InternalFrontend:
                 continue
             if t.is_ident and i + 1 < hi and toks[i + 1].is_ident is False \
                     and toks[i + 1].text in (";", "=") and i > lo:
-                # Plain member declaration `Type name;` — record its type.
-                chain, start = _ident_chain_before(toks, i)
-                if start >= lo and chain:
-                    name = chain[-1]
-                    type_toks = []
-                    k = start - 1
-                    while k >= lo and (toks[k].is_ident or toks[k].text in
-                                       ("::", "<", ">", "&", "*", ",", "mutable",
-                                        "const")):
-                        type_toks.append(toks[k].text)
-                        k -= 1
-                    type_toks.reverse()
-                    if type_toks:
-                        # Raw type string: unordered-container detection
-                        # needs the full spelling; lock resolution strips
-                        # it down at the point of use.
-                        self.registry.members[cls][name] = "".join(type_toks)
+                # Plain member declaration `Type name;`.
+                self._record_member(toks, lo, i, cls)
                 i += 2
                 continue
             i += 1
+
+    def _record_member(self, toks, lo, name_i, cls):
+        """Records the type of the member declared as `Type name`, where
+        toks[name_i] is the name and toks[lo:] the class body."""
+        chain, start = _ident_chain_before(toks, name_i)
+        if start < lo or not chain:
+            return
+        type_toks = []
+        k = start - 1
+        while k >= lo and (toks[k].is_ident or toks[k].text in
+                           ("::", "<", ">", "&", "*", ",", "mutable",
+                            "const")):
+            type_toks.append(toks[k].text)
+            k -= 1
+        type_toks.reverse()
+        if type_toks:
+            # Raw type string: unordered-container detection needs the
+            # full spelling; lock resolution strips it down at the point
+            # of use.
+            self.registry.members[cls][chain[-1]] = "".join(type_toks)
 
     @staticmethod
     def _strip_type(type_str: str) -> str:

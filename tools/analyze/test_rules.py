@@ -14,7 +14,8 @@ rule) findings equals the set of expectations EXACTLY — a rule that fails
 to fire is as much a failure as a spurious finding, so both false
 negatives and false positives regress loudly.
 
-Also covered: the lock-order DOT/JSON artifacts and a clean src/ tree.
+Also covered: the lock-order DOT/JSON artifacts, a clean src/ tree and
+an edgeless src/ lock-order graph.
 
 Run directly (`python3 tools/analyze/test_rules.py`) or through ctest
 (`lint_selftest`, part of the tier-1 suite).
@@ -127,6 +128,9 @@ class AnalyzerFixtures(unittest.TestCase):
             self.assertIn(("Journal::mu_", "Ledger::mu_"), edges)
             self.assertNotIn(("Ledger::mu_", "Journal::mu_"), edges,
                              "member call resolved outside its class")
+            self.assertIn(("Index::mu_", "Catalog::mu_"), edges)
+            self.assertNotIn(("Catalog::mu_", "Index::mu_"), edges,
+                             "HOH_GUARDED_BY member's type not recorded")
             cycles = {frozenset(c) for c in data["cycles"]}
             self.assertIn(frozenset({"Pair::a_", "Pair::b_"}), cycles)
             self.assertIn(frozenset({"IpcLeft::mu_", "IpcRight::mu_"}),
@@ -143,6 +147,17 @@ class AnalyzerFixtures(unittest.TestCase):
         self.assertEqual(
             proc.returncode, 0,
             f"hoh_analyze found findings in src/:\n{proc.stdout}")
+
+    def test_src_lock_graph_has_no_edges(self):
+        """No src/ function takes a second lock while holding one, so the
+        graph has no edges: a new one, real or a mis-resolved call, fails
+        here instead of passing unseen in --graph-json."""
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = pathlib.Path(tmp) / "lock_order.json"
+            run_analyzer("--paths", "src", "--graph-json", str(graph))
+            data = json.loads(graph.read_text())
+            self.assertEqual(data["edges"], [],
+                             "src/ lock-order graph has edges")
 
 
 if __name__ == "__main__":
