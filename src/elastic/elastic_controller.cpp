@@ -165,11 +165,11 @@ PilotSample ElasticController::collect_sample(pilot::Agent& agent) const {
 
   for (const auto& desc : agent.queued_descriptions()) {
     sample.queued_units += 1;
-    sample.queued_cores += std::max(1, desc.cores);
+    sample.queued_cores += std::max(1, desc->cores);
     const double predicted = estimator_ != nullptr
-                                 ? estimator_->predict(desc)
-                                 : desc.duration;
-    sample.predicted_backlog_seconds += predicted * std::max(1, desc.cores);
+                                 ? estimator_->predict(*desc)
+                                 : desc->duration;
+    sample.predicted_backlog_seconds += predicted * std::max(1, desc->cores);
   }
   return sample;
 }

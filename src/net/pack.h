@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -37,6 +38,12 @@ namespace hoh::net {
 template <typename T>
 concept HasFields = requires(T& t) { T::fields(t); };
 
+/// A value held read-only behind a std::shared_ptr<const T> crosses the
+/// wire as the T it points to; decoding makes a fresh one.
+template <typename T>
+concept SharedConst =
+    std::is_same_v<T, std::shared_ptr<const typename T::element_type>>;
+
 /// A type that crosses the wire as another one. to_wire(v), found by
 /// argument-dependent lookup next to the type, gives the wire value;
 /// from_wire(w, v) sets v from one and throws a common::Error on a value
@@ -56,6 +63,8 @@ template <typename T>
 constexpr std::size_t min_wire_bytes() {
   if constexpr (HasWireForm<T>) {
     return min_wire_bytes<WireForm<T>>();
+  } else if constexpr (SharedConst<T>) {
+    return min_wire_bytes<std::remove_const_t<typename T::element_type>>();
   } else if constexpr (std::is_same_v<T, std::uint8_t> ||
                        std::is_same_v<T, bool>) {
     return 1;
@@ -136,6 +145,10 @@ class Packer {
   template <HasWireForm T>
   void put(const T& v) {
     put(to_wire(v));
+  }
+  template <SharedConst T>
+  void put(const T& v) {
+    put(*v);
   }
 
   std::size_t size() const { return buf_.size(); }
@@ -253,6 +266,13 @@ class Unpacker {
     }
   }
 
+  template <SharedConst T>
+  void get(T& v) {
+    auto value =
+        std::make_shared<std::remove_const_t<typename T::element_type>>();
+    get(*value);
+    v = std::move(value);
+  }
   /// Call at the end of a message unpack: trailing bytes mean the frame
   /// length and the payload disagree.
   void expect_done() const {

@@ -143,8 +143,7 @@ void Agent::stop(bool fail_units) {
   queue_.clear();
   // Running units end with the backlog, withdrawn wherever they run, so
   // nothing they hold outlives the agent.
-  auto running = running_units_;
-  for (auto& [id, unit] : running) {
+  for (const auto& unit : running_by_id()) {
     withdraw_unit(*unit);
     set_unit_state(*unit, backlog_final);
     if (fail_units) ++units_failed_;
@@ -182,19 +181,20 @@ void Agent::notify_capacity_event() {
 
 void Agent::poll_store() {
   if (!active_) return;
-  auto ids = store_.queue_pop_all("agent." + pilot_id_);
-  for (auto& id : ids) {
-    auto desc = store_.unit_description(id);
-    if (!desc.has_value()) continue;
+  const auto indices = store_.queue_pop_all("agent." + pilot_id_);
+  for (const UnitIndex index : indices) {
+    auto desc = store_.unit_description(index);
+    if (desc == nullptr) continue;
     auto unit = std::allocate_shared<UnitRec>(
         common::PoolAllocator<UnitRec>(unit_arena_));
-    unit->id = std::move(id);
-    unit->desc = std::move(*desc);
+    unit->index = index;
+    unit->id = store_.unit_id(index);
+    unit->desc = std::move(desc);
     set_unit_state(*unit, UnitState::kAgentScheduling);
     queue_.push_back(std::move(unit));
   }
   schedule_queued();
-  if (!ids.empty()) {
+  if (!indices.empty()) {
     renew_heartbeat_lease();
     notify_capacity_event();  // backlog grew
   }
@@ -203,7 +203,7 @@ void Agent::poll_store() {
 void Agent::set_unit_state(UnitRec& unit, UnitState state) {
   if (is_final(unit.state)) return;
   unit.state = state;
-  store_.set_unit_state(unit.id, state);
+  store_.set_unit_state(unit.index, state);
   saga_.trace().record(saga_.engine().now(), "unit", to_string(state),
                        {{"unit", unit.id}, {"pilot", pilot_id_}});
   if (is_final(state)) {
@@ -237,19 +237,19 @@ void Agent::schedule_queued() {
   while (!queue_.empty()) {
     auto unit = queue_.front();
     queue_.pop_front();
-    const bool dominated = failed_cores >= 0 && !unit->desc.is_mpi &&
-                           unit->desc.cores >= failed_cores &&
-                           unit->desc.memory_mb >= failed_mb;
+    const bool dominated = failed_cores >= 0 && !unit->desc->is_mpi &&
+                           unit->desc->cores >= failed_cores &&
+                           unit->desc->memory_mb >= failed_mb;
     if (dominated) {
       still_waiting.push_back(std::move(unit));
       continue;
     }
     if (dispatch(unit)) continue;
-    if (!unit->desc.is_mpi &&
-        (failed_cores < 0 || (unit->desc.cores <= failed_cores &&
-                              unit->desc.memory_mb <= failed_mb))) {
-      failed_cores = unit->desc.cores;
-      failed_mb = unit->desc.memory_mb;
+    if (!unit->desc->is_mpi &&
+        (failed_cores < 0 || (unit->desc->cores <= failed_cores &&
+                              unit->desc->memory_mb <= failed_mb))) {
+      failed_cores = unit->desc->cores;
+      failed_mb = unit->desc->memory_mb;
     }
     still_waiting.push_back(std::move(unit));
   }
@@ -259,7 +259,8 @@ void Agent::schedule_queued() {
 bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
   if (!launch_->admit(*unit)) return false;  // stays queued
   running_ += 1;
-  running_units_[unit->id] = unit;
+  unit->running_pos = running_units_.size();
+  running_units_.push_back(unit);
   launch_->launch(unit);
   return true;
 }
@@ -300,7 +301,7 @@ void Agent::stage_in(std::shared_ptr<UnitRec> unit,
                      std::function<void()> next) {
   // Inputs already resident in this pilot's HDFS need no movement.
   std::vector<StagedFile> to_move;
-  for (const auto& f : unit->desc.input_staging) {
+  for (const auto& f : unit->desc->input_staging) {
     if (f.url.scheme() == "hdfs" && yarn_cluster() != nullptr &&
         yarn_cluster()->hdfs().exists(f.url.path())) {
       continue;
@@ -323,14 +324,14 @@ void Agent::stage_in(std::shared_ptr<UnitRec> unit,
 
 void Agent::stage_out(std::shared_ptr<UnitRec> unit,
                       std::function<void()> next) {
-  if (unit->desc.output_staging.empty()) {
+  if (unit->desc->output_staging.empty()) {
     next();
     return;
   }
   set_unit_state(*unit, UnitState::kStagingOutput);
   auto remaining =
-      std::make_shared<std::size_t>(unit->desc.output_staging.size());
-  for (const auto& f : unit->desc.output_staging) {
+      std::make_shared<std::size_t>(unit->desc->output_staging.size());
+  for (const auto& f : unit->desc->output_staging) {
     const saga::Url src("local://" + machine_.name + "/tmp/" + unit->id);
     enqueue_transfer(src, f.url, f.size, [unit, remaining, next] {
       if (--(*remaining) == 0) next();
@@ -341,7 +342,13 @@ void Agent::stage_out(std::shared_ptr<UnitRec> unit,
 void Agent::release_unit(UnitRec& unit) {
   launch_->release(unit);
   unit.exec_event = sim::EventHandle{};
-  running_units_.erase(unit.id);
+  // Swap-remove from the running set (a unit not in it is left alone).
+  const std::size_t pos = unit.running_pos;
+  if (pos < running_units_.size() && running_units_[pos].get() == &unit) {
+    std::swap(running_units_[pos], running_units_.back());
+    running_units_[pos]->running_pos = pos;
+    running_units_.pop_back();
+  }
   running_ = running_ > 0 ? running_ - 1 : 0;
 }
 
@@ -377,7 +384,7 @@ common::Seconds Agent::spawn_delay(common::Seconds latency) {
 
 void Agent::payload_done(const std::shared_ptr<UnitRec>& unit) {
   // The Task Spawner "collects the exit code" (paper SS-III-B).
-  if (unit->desc.exit_code != 0) {
+  if (unit->desc->exit_code != 0) {
     finish_unit(unit, UnitState::kFailed);
     return;
   }
@@ -403,8 +410,15 @@ AgentCapacity Agent::capacity() {
   return cap;
 }
 
-std::vector<ComputeUnitDescription> Agent::queued_descriptions() const {
-  std::vector<ComputeUnitDescription> out;
+std::vector<std::shared_ptr<UnitRec>> Agent::running_by_id() const {
+  auto running = running_units_;
+  std::sort(running.begin(), running.end(),
+            [](const auto& a, const auto& b) { return a->id < b->id; });
+  return running;
+}
+
+std::vector<SharedDescription> Agent::queued_descriptions() const {
+  std::vector<SharedDescription> out;
   out.reserve(queue_.size());
   for (const auto& unit : queue_) out.push_back(unit->desc);
   return out;
@@ -520,7 +534,7 @@ void Agent::drain_escalate() {
   // back on the agent queue, so they re-run elsewhere — escalation costs
   // wasted work, never lost units.
   std::vector<std::shared_ptr<UnitRec>> victims;
-  for (const auto& [id, unit] : running_units_) {
+  for (const auto& unit : running_by_id()) {
     if (launch_->on_draining_node(*unit)) victims.push_back(unit);
   }
   for (const auto& unit : victims) requeue_unit(unit);
@@ -564,9 +578,11 @@ bool Agent::preempt_unit(const std::string& unit_id) {
     notify_capacity_event();
     return true;
   }
-  auto it = running_units_.find(unit_id);
+  const auto it = std::find_if(
+      running_units_.begin(), running_units_.end(),
+      [&unit_id](const auto& unit) { return unit->id == unit_id; });
   if (it == running_units_.end()) return false;
-  auto unit = it->second;
+  auto unit = *it;
   // Only a unit whose payload is actually running is preemptible here:
   // one mid-staging or waiting on the serialized Task Spawner holds
   // continuations that must run out, and a Spark stage has no payload

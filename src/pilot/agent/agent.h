@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -117,9 +116,9 @@ class Agent {
   bool draining() const { return !drain_names_.empty(); }
   std::size_t drain_timeouts() const { return drain_timeouts_; }
 
-  /// Copies of the queued (not yet dispatched) unit descriptions — the
+  /// The queued (not yet dispatched) unit descriptions, shared — the
   /// backlog an elastic policy sizes against.
-  std::vector<ComputeUnitDescription> queued_descriptions() const;
+  std::vector<SharedDescription> queued_descriptions() const;
 
   /// Priority preemption (tenant gateway): withdraws one unit from this
   /// agent and parks it at kFailed — the one final state with a legal
@@ -190,6 +189,9 @@ class Agent {
   void drain_escalate();
   void drain_finish();
   void requeue_unit(const std::shared_ptr<UnitRec>& unit);
+  /// The running units in id order, the order a stop or a drain
+  /// timeout withdraws them in.
+  std::vector<std::shared_ptr<UnitRec>> running_by_id() const;
   bool node_draining(const std::string& name) const {
     return draining_.count(name) > 0;
   }
@@ -210,7 +212,9 @@ class Agent {
   std::unique_ptr<LaunchMethod> launch_;
 
   std::deque<std::shared_ptr<UnitRec>> queue_;  // agent scheduler queue
-  std::map<std::string, std::shared_ptr<UnitRec>> running_units_;
+  /// Dispatched units, unordered (UnitRec::running_pos is each one's
+  /// slot).
+  std::vector<std::shared_ptr<UnitRec>> running_units_;
   /// Unit records churn once per Compute-Unit; at web scale (1M units)
   /// they come from a slab arena instead of the general-purpose heap.
   /// The shared_ptr keeps the arena alive past the agent for records

@@ -9,6 +9,7 @@
 #include "cluster/node.h"
 #include "pilot/descriptions.h"
 #include "pilot/states.h"
+#include "pilot/unit_record.h"
 #include "sim/engine.h"
 #include "spark/standalone.h"
 #include "yarn/application_master.h"
@@ -30,9 +31,12 @@ struct AgentCapacity;
 /// state. Only the launch method that admitted the unit writes the
 /// fields below exec_event.
 struct UnitRec {
-  std::string id;
-  ComputeUnitDescription desc;
+  UnitIndex index = 0;  // the unit's key in the store
+  std::string id;       // for traces and the schedule digest
+  SharedDescription desc;  // the store record's, shared
   UnitState state = UnitState::kPendingAgent;
+  /// Its slot in the agent's running set while dispatched.
+  std::size_t running_pos = 0;
   sim::EventHandle exec_event;  // the running payload; cancel to stop it
 
   /// Plain: the (node, cores and memory) pieces held — one for a

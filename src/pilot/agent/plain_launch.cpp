@@ -57,14 +57,14 @@ class PlainLaunch final : public LaunchMethod {
 bool PlainLaunch::admit(UnitRec& unit) {
   // Continuous scheduler: first node with enough free cores+memory. The
   // cursor first advances past exhausted nodes.
-  const cluster::ResourceRequest req{unit.desc.cores, unit.desc.memory_mb};
+  const cluster::ResourceRequest req{unit.desc->cores, unit.desc->memory_mb};
   const auto& nodes = agent_.allocation_.nodes();
   if (cursor_ > nodes.size()) cursor_ = 0;
   while (cursor_ < nodes.size() && nodes[cursor_]->free_cores() == 0 &&
          !agent_.node_draining(nodes[cursor_]->name())) {
     ++cursor_;
   }
-  const std::size_t start = unit.desc.cores > 0 ? cursor_ : 0;
+  const std::size_t start = unit.desc->cores > 0 ? cursor_ : 0;
   for (std::size_t i = start; i < nodes.size(); ++i) {
     const auto& node = nodes[i];
     if (agent_.node_draining(node->name())) continue;
@@ -76,7 +76,7 @@ bool PlainLaunch::admit(UnitRec& unit) {
   }
   // MPI units gang-schedule across nodes when no single node can host
   // them (mpiexec spans the allocation).
-  if (!unit.desc.is_mpi || !try_gang_allocate(unit)) return false;
+  if (!unit.desc->is_mpi || !try_gang_allocate(unit)) return false;
   std::string names;
   for (const auto& [node, piece] : unit.pieces) {
     if (!names.empty()) names += ",";
@@ -91,7 +91,7 @@ bool PlainLaunch::try_gang_allocate(UnitRec& unit) {
   // proportionally to the cores taken. All-or-nothing. A gang always
   // spans two or more nodes: one node able to take every core would
   // have taken the whole unit in the first-fit scan.
-  int remaining = unit.desc.cores;
+  int remaining = unit.desc->cores;
   std::vector<std::pair<cluster::Node*, cluster::ResourceRequest>> taken;
   for (const auto& node : agent_.allocation_.nodes()) {
     if (remaining <= 0) break;
@@ -99,7 +99,7 @@ bool PlainLaunch::try_gang_allocate(UnitRec& unit) {
     const int cores = std::min(remaining, node->free_cores());
     if (cores <= 0) continue;
     const common::MemoryMb memory =
-        unit.desc.memory_mb * cores / unit.desc.cores;
+        unit.desc->memory_mb * cores / unit.desc->cores;
     const cluster::ResourceRequest piece{cores, memory};
     if (!node->allocate(piece)) continue;
     taken.emplace_back(node.get(), piece);
@@ -117,7 +117,7 @@ void PlainLaunch::launch(const std::shared_ptr<UnitRec>& unit) {
   agent_.stage_in(unit, [this, unit] {
     const AgentConfig& config = agent_.config_;
     const common::Seconds launch_latency =
-        unit->desc.is_mpi ? config.mpiexec_latency : config.spawn_latency;
+        unit->desc->is_mpi ? config.mpiexec_latency : config.spawn_latency;
     // After the spawn, each unit loads its runtime environment in
     // parallel.
     const common::Seconds delay =
@@ -128,7 +128,7 @@ void PlainLaunch::launch(const std::shared_ptr<UnitRec>& unit) {
       agent_.set_unit_state(*unit, UnitState::kExecuting);
       // A degraded node (FailureInjector slow-node episode) stretches the
       // payload wall time by its current speed factor.
-      common::Seconds duration = unit->desc.duration;
+      common::Seconds duration = unit->desc->duration;
       if (unit->pieces.size() == 1) {
         duration *= unit->pieces.front().first->speed_factor();
       }

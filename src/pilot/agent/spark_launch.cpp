@@ -80,8 +80,8 @@ void SparkLaunch::launch(const std::shared_ptr<UnitRec>& unit) {
   agent_.stage_in(unit, [this, unit] {
     agent_.set_unit_state(*unit, UnitState::kExecuting);
     cluster_->run_stage(
-        app_id_, unit->desc.cores,
-        [unit](int) { return unit->desc.duration; },
+        app_id_, unit->desc->cores,
+        [unit](int) { return unit->desc->duration; },
         [this, unit] {
           if (agent_.stopped_) return;
           agent_.payload_done(unit);

@@ -175,19 +175,25 @@ bool YarnLaunch::admit(UnitRec& unit) {
   const AgentConfig& config = agent_.config_;
   const yarn::YarnConfig& ycfg = rm().config();
   common::MemoryMb need =
-      ycfg.normalize({unit.desc.memory_mb, unit.desc.cores}).memory_mb;
+      ycfg.normalize({unit.desc->memory_mb, unit.desc->cores}).memory_mb;
   if (!config.reuse_yarn_app || shared_am_ == nullptr) {
     need += ycfg.normalize(config.yarn.yarn.am_resource).memory_mb;
   }
   if (rm().available().memory_mb - inflight_mb_ < need) return false;
   // Data-aware extension: steer the unit towards the node holding most
   // HDFS blocks of its first resident input.
-  if (config.data_aware_scheduling && unit.desc.preferred_nodes.empty()) {
+  if (config.data_aware_scheduling && unit.desc->preferred_nodes.empty()) {
     hdfs::HdfsCluster& fs = cluster()->hdfs();
-    for (const auto& f : unit.desc.input_staging) {
+    for (const auto& f : unit.desc->input_staging) {
       if (f.url.scheme() == "hdfs" && fs.exists(f.url.path())) {
         const auto best = fs.best_node(f.url.path());
-        if (!best.empty()) unit.desc.preferred_nodes.push_back(best);
+        if (!best.empty()) {
+          // The shared description is read-only: the steered unit gets
+          // its own copy.
+          auto steered = std::make_shared<ComputeUnitDescription>(*unit.desc);
+          steered->preferred_nodes.push_back(best);
+          unit.desc = std::move(steered);
+        }
         break;
       }
     }
@@ -231,7 +237,7 @@ void YarnLaunch::submit(const std::shared_ptr<UnitRec>& unit) {
     return;
   }
   // Paper default: one YARN application (own AM) per Compute-Unit.
-  app.name = unit->desc.name;
+  app.name = unit->desc->name;
   app.on_am_start = [this, unit](yarn::ApplicationMaster& am) {
     if (!agent_.stopped_) run_in_container(unit, am, true);
   };
@@ -242,8 +248,8 @@ void YarnLaunch::run_in_container(const std::shared_ptr<UnitRec>& unit,
                                   yarn::ApplicationMaster& am,
                                   bool dedicated_app) {
   yarn::ContainerRequest req;
-  req.resource = {unit->desc.memory_mb, unit->desc.cores};
-  req.preferred_nodes = unit->desc.preferred_nodes;
+  req.resource = {unit->desc->memory_mb, unit->desc->cores};
+  req.preferred_nodes = unit->desc->preferred_nodes;
   am.request_containers(1, req, [this, unit, &am,
                                  dedicated_app](const yarn::Container& c) {
     unit->am = &am;
@@ -264,12 +270,12 @@ void YarnLaunch::run_in_container(const std::shared_ptr<UnitRec>& unit,
         agent_.set_unit_state(*unit, UnitState::kExecuting);
         agent_.saga_.trace().end_span(engine.now(), "unit", "yarn_submit",
                                       unit->id);
-        unit->exec_event = engine.schedule(unit->desc.duration, [this, unit,
+        unit->exec_event = engine.schedule(unit->desc->duration, [this, unit,
                                                                  id] {
           if (agent_.stopped_) return;
           yarn::ApplicationMaster& am = *std::exchange(unit->am, nullptr);
           unit->exec_event = sim::EventHandle{};
-          const bool ok = unit->desc.exit_code == 0;
+          const bool ok = unit->desc->exit_code == 0;
           if (ok) {
             am.complete_container(id);
           } else {

@@ -15,7 +15,7 @@ namespace {
 /// A unit document as Json, under the keys of its fields; an empty list
 /// is left out.
 common::Json unit_json(const UnitRecord& unit) {
-  const ComputeUnitDescription& d = unit.description;
+  const ComputeUnitDescription& d = *unit.description;
   common::Json desc;
   const auto put_list = [&desc](const char* key, const auto& values,
                                 const auto& to_json) {
@@ -50,14 +50,17 @@ common::Json unit_json(const UnitRecord& unit) {
   return doc;
 }
 
-/// The record \p id of \p units; throws NotFoundError when absent.
+/// The bucket of unit writes, as a watch key's bucket.
+const std::string kUnitBucket(kUnitCollection);
+
+/// The row \p index of \p units; throws NotFoundError when absent.
 template <typename Units>
-auto& unit_in(Units& units, const std::string& id) {
-  const auto it = units.find(id);
-  if (it == units.end()) {
-    throw common::NotFoundError("StateStore: no unit " + id);
+auto& unit_in(Units& units, UnitIndex index) {
+  if (index >= units.size()) {
+    throw common::NotFoundError("StateStore: no unit #" +
+                                std::to_string(index));
   }
-  return it->second;
+  return units[index];
 }
 
 }  // namespace
@@ -72,36 +75,66 @@ std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
   ++ops_;
   std::vector<std::pair<std::string, common::Json>> out;
   out.reserve(units_.size());
-  // hoh-analyze: allow-next-line(det-unordered-emit) -- sorted by id below
-  for (const auto& [id, unit] : units_) {
-    out.emplace_back(id, unit_json(unit));
+  for (const Unit& unit : units_) {
+    out.emplace_back(unit.id, unit_json(unit.record));
   }
+  // Index order is put order, which id order leaves past unit.9999.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
   return out;
 }
 
-void StateStore::put_unit(const std::string& id, UnitRecord unit) {
+UnitIndex StateStore::put_unit(const std::string& id, UnitRecord unit) {
+  UnitIndex index = 0;
+  bool wake = false;
   {
     common::MutexLock lock(mu_);
     ++ops_;
     ++muts_;
-    record_write(id);
-    units_.insert_or_assign(id, std::move(unit));
+    const auto [it, added] =
+        unit_index_.try_emplace(id, static_cast<UnitIndex>(units_.size()));
+    index = it->second;
+    if (added) {
+      units_.push_back(Unit{id, std::move(unit)});
+    } else {
+      units_[index].record = std::move(unit);
+    }
+    record_write(index);
+    wake = notify(WatchEventType::kPut, kUnitBucket, id);
   }
-  notify(WatchEventType::kPut, std::string(kUnitCollection), id);
+  if (wake) schedule_delivery();
+  return index;
+}
+
+std::optional<UnitIndex> StateStore::unit_index(const std::string& id) const {
+  common::MutexLock lock(mu_);
+  const auto it = unit_index_.find(id);
+  if (it == unit_index_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::string StateStore::unit_id(UnitIndex index) const {
+  common::MutexLock lock(mu_);
+  return unit_in(units_, index).id;
+}
+
+std::size_t StateStore::unit_count() const {
+  common::MutexLock lock(mu_);
+  return units_.size();
 }
 
 void StateStore::put_heartbeat(const std::string& pilot,
                                HeartbeatRecord heartbeat) {
+  bool wake = false;
   {
     common::MutexLock lock(mu_);
     ++ops_;
     ++muts_;
     heartbeats_.insert_or_assign(pilot, heartbeat);
+    wake = notify(WatchEventType::kPut, std::string(kHeartbeatBucket), pilot);
   }
-  notify(WatchEventType::kPut, std::string(kHeartbeatBucket), pilot);
+  if (wake) schedule_delivery();
 }
 
 std::optional<HeartbeatRecord> StateStore::heartbeat(
@@ -113,59 +146,62 @@ std::optional<HeartbeatRecord> StateStore::heartbeat(
   return it->second;
 }
 
-UnitState StateStore::unit_state(const std::string& id) const {
+UnitState StateStore::unit_state(UnitIndex index) const {
   common::MutexLock lock(mu_);
   ++ops_;
-  return unit_in(units_, id).state;
+  return unit_in(units_, index).record.state;
 }
 
-std::optional<ComputeUnitDescription> StateStore::unit_description(
-    const std::string& id) const {
+SharedDescription StateStore::unit_description(UnitIndex index) const {
   common::MutexLock lock(mu_);
   ++ops_;
-  const auto it = units_.find(id);
-  if (it == units_.end()) return std::nullopt;
-  return it->second.description;
+  if (index >= units_.size()) return nullptr;
+  return units_[index].record.description;
 }
 
-void StateStore::set_unit_state(const std::string& id, UnitState state,
+void StateStore::set_unit_state(UnitIndex index, UnitState state,
                                 const std::string& pilot) {
+  bool wake = false;
   {
     common::MutexLock lock(mu_);
     ++ops_;
-    UnitRecord& unit = unit_in(units_, id);
+    Unit& unit = unit_in(units_, index);
     // Lifecycle gate: the store is the single path every unit state write
     // takes (agent write-back, Unit-Manager cancellation and requeue), so
     // an illegal edge is stopped here no matter which component attempts
     // it. Watchers are notified only after the gate passed — they never
     // observe an illegal write.
-    validate_transition(unit.state, state, id);
+    validate_transition(unit.record.state, state, unit.id);
     const auto bits = std::bit_cast<std::uint64_t>(engine_.now());
     char time_bytes[sizeof bits];
     for (std::size_t i = 0; i < sizeof bits; ++i) {
       time_bytes[i] = static_cast<char>(bits >> (8 * i));
     }
-    fold_schedule(
-        {std::string_view(time_bytes, sizeof bits), id, to_string(state)});
-    unit.state = state;
-    if (!pilot.empty()) unit.pilot = pilot;
+    fold_schedule({std::string_view(time_bytes, sizeof bits), unit.id,
+                   to_string(state)});
+    unit.record.state = state;
+    if (!pilot.empty()) unit.record.pilot = pilot;
     ++muts_;
-    record_write(id);
+    record_write(index);
+    wake = notify(WatchEventType::kUpdate, kUnitBucket, unit.id);
   }
-  notify(WatchEventType::kUpdate, std::string(kUnitCollection), id);
+  if (wake) schedule_delivery();
 }
 
-void StateStore::queue_push(const std::string& queue, const std::string& id) {
+void StateStore::queue_push(const std::string& queue, UnitIndex index) {
+  bool wake = false;
   {
     common::MutexLock lock(mu_);
     ++ops_;
+    const std::string& id = unit_in(units_, index).id;
     ++muts_;
-    queues_[queue].push_back(id);
+    queues_[queue].push_back(index);
+    wake = notify(WatchEventType::kQueuePush, queue, id);
   }
-  notify(WatchEventType::kQueuePush, queue, id);
+  if (wake) schedule_delivery();
 }
 
-std::vector<std::string> StateStore::queue_pop_all(const std::string& queue) {
+std::vector<UnitIndex> StateStore::queue_pop_all(const std::string& queue) {
   common::MutexLock lock(mu_);
   ++ops_;
   ++muts_;
@@ -212,11 +248,11 @@ void StateStore::fold_schedule(
 std::uint64_t StateStore::open_feed() {
   common::MutexLock lock(mu_);
   const std::uint64_t id = next_feed_id_++;
-  feeds_.emplace(id, std::vector<std::string>{});
+  feeds_.emplace(id, std::vector<UnitIndex>{});
   return id;
 }
 
-std::vector<std::string> StateStore::drain_feed(std::uint64_t feed) {
+std::vector<UnitIndex> StateStore::drain_feed(std::uint64_t feed) {
   common::MutexLock lock(mu_);
   auto it = feeds_.find(feed);
   if (it == feeds_.end()) return {};
@@ -228,8 +264,8 @@ void StateStore::close_feed(std::uint64_t feed) {
   feeds_.erase(feed);
 }
 
-void StateStore::record_write(const std::string& id) {
-  for (auto& [feed_id, ids] : feeds_) ids.push_back(id);
+void StateStore::record_write(UnitIndex index) {
+  for (auto& [feed_id, units] : feeds_) units.push_back(index);
 }
 
 WatchHandle StateStore::watch(const std::string& bucket,
@@ -267,7 +303,7 @@ std::size_t StateStore::watcher_count() const {
       [](const auto& entry) { return !entry.second.retired; }));
 }
 
-void StateStore::notify(WatchEventType type, const std::string& bucket,
+bool StateStore::notify(WatchEventType type, const std::string& bucket,
                         const std::string& key) {
   // Snapshot the ids of matching watchers; resolve them again at delivery
   // time so an unwatch between mutation and delivery (or during delivery
@@ -275,26 +311,20 @@ void StateStore::notify(WatchEventType type, const std::string& bucket,
   // Coalesced delivery: mutations join one FIFO, and only the first one
   // pending schedules the zero-delay drain tick. A burst of k mutations
   // at one instant costs one engine event instead of k.
-  bool need_schedule = false;
-  {
-    common::MutexLock lock(mu_);
-    const auto watching = by_bucket_.find(bucket);
-    if (watching == by_bucket_.end()) return;
-    std::vector<std::uint64_t> targets;
-    for (const BucketWatcher& w : watching->second) {
-      if (key.starts_with(w.prefix)) targets.push_back(w.id);
-    }
-    if (targets.empty()) return;
-    pending_deliveries_.push_back(
-        PendingDelivery{std::move(targets), WatchEvent{type, bucket, key}});
-    if (!delivery_scheduled_) {
-      delivery_scheduled_ = true;
-      need_schedule = true;
-    }
+  const auto watching = by_bucket_.find(bucket);
+  if (watching == by_bucket_.end()) return false;
+  std::vector<std::uint64_t> targets;
+  for (const BucketWatcher& w : watching->second) {
+    if (key.starts_with(w.prefix)) targets.push_back(w.id);
   }
-  if (need_schedule) {
-    engine_.schedule(0.0, [this] { deliver_pending(); });
-  }
+  if (targets.empty()) return false;
+  pending_deliveries_.push_back(
+      PendingDelivery{std::move(targets), WatchEvent{type, bucket, key}});
+  return !std::exchange(delivery_scheduled_, true);
+}
+
+void StateStore::schedule_delivery() {
+  engine_.schedule(0.0, [this] { deliver_pending(); });
 }
 
 void StateStore::deliver_pending() {
@@ -410,8 +440,8 @@ void StateStore::set_transport(net::Transport* transport) {
         }
         for (std::size_t i = 0; i < msg.units.size(); ++i) {
           const auto& unit = msg.units[i];
-          put_unit(unit.unit_id, std::move(records[i]));
-          if (!unit.queue.empty()) queue_push(unit.queue, unit.unit_id);
+          const UnitIndex index = put_unit(unit.unit_id, std::move(records[i]));
+          if (!unit.queue.empty()) queue_push(unit.queue, index);
         }
         return net::make_envelope(net::Ack{});
       });

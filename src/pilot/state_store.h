@@ -23,13 +23,20 @@
 /// through — the paper's MongoDB instance ("The Unit-Manager queues new
 /// Compute-Units using a shared MongoDB instance (step U.2). The
 /// RADICAL-Pilot-Agent periodically checks for new Compute-Units (U.3)").
-/// It holds two typed collections: unit records (pilot/unit_record.h),
-/// read and written through put_unit/unit_state/unit_description/
-/// set_unit_state, and each pilot's latest heartbeat (HeartbeatRecord),
-/// through put_heartbeat/heartbeat. Named queues provide the U.2/U.3
-/// handoff.
+/// It holds two typed collections: unit records (pilot/unit_record.h)
+/// and each pilot's latest heartbeat (HeartbeatRecord), through
+/// put_heartbeat/heartbeat. Named queues provide the U.2/U.3 handoff.
 /// Store operations take no simulated time: the store enters the
 /// simulation only through its zero-delay watch-delivery ticks.
+///
+/// Unit table (DESIGN.md §13): a unit's first put appends it to a
+/// vector and gives it a dense, session-wide UnitIndex; every later
+/// read and write (unit_state, unit_description, set_unit_state), the
+/// agent queues and the write feeds go by that index. One id -> index
+/// map serves the edges that only have the string id: put_unit and the
+/// store.ingest endpoint (the wire), and unit_index (a handle lookup or
+/// a depends_on entry). The string id stays on the wire, in watch keys
+/// and in the schedule digest; resolving an id or an index is not an op.
 ///
 /// Thread-safety: the store is one lock domain. Every operation takes
 /// the single annotated mu_, like the real store's server-side
@@ -42,7 +49,8 @@
 /// a callback on a bucket and key prefix; every write under that bucket
 /// (put_unit/set_unit_state under "unit", put_heartbeat under
 /// "heartbeat", queue_push under the queue's name) fires the matching
-/// watchers. Delivery goes through the sim engine as a
+/// watchers, keyed by the unit's (resp. pilot's) string id. Delivery
+/// goes through the sim engine as a
 /// coalesced zero-delay tick: mutations enqueue onto one FIFO and a
 /// single drain event delivers every mutation pending at that instant,
 /// so (a) callbacks never run under the store mutex, (b) delivery is
@@ -119,11 +127,21 @@ class StateStore {
   std::vector<std::pair<std::string, common::Json>> find_all(
       const std::string& collection) const;
 
-  /// Inserts or replaces a unit record (the U.2 hand-over, and the
-  /// held-unit insert). Like any put it is neither gated nor folded into
-  /// the schedule digest: re-ingesting a held unit replaces its kNew
-  /// record with a kPendingAgent one.
-  void put_unit(const std::string& id, UnitRecord unit);
+  /// Inserts or replaces unit \p id's record (the U.2 hand-over, and the
+  /// held-unit insert) and returns its index: the first put of an id
+  /// appends it to the unit table. Like any put it is neither gated nor
+  /// folded into the schedule digest: re-ingesting a held unit replaces
+  /// its kNew record with a kPendingAgent one.
+  UnitIndex put_unit(const std::string& id, UnitRecord unit);
+
+  /// The index unit \p id was put under; nullopt when never put.
+  std::optional<UnitIndex> unit_index(const std::string& id) const;
+
+  /// The string id of unit \p index; throws NotFoundError when absent.
+  std::string unit_id(UnitIndex index) const;
+
+  /// The rows of the unit table: the index the next new unit gets.
+  std::size_t unit_count() const;
 
   /// Inserts or replaces \p pilot's heartbeat and fires a kPut watch on
   /// the "heartbeat" bucket, keyed by the pilot id.
@@ -133,11 +151,11 @@ class StateStore {
   std::optional<HeartbeatRecord> heartbeat(const std::string& pilot) const;
 
   /// A unit's state; throws NotFoundError when the unit is absent.
-  UnitState unit_state(const std::string& id) const;
+  UnitState unit_state(UnitIndex index) const;
 
-  /// A copy of a unit's description; nullopt when the unit is absent.
-  std::optional<ComputeUnitDescription> unit_description(
-      const std::string& id) const;
+  /// A unit's description, shared with the record (not copied); nullptr
+  /// when the unit is absent.
+  SharedDescription unit_description(UnitIndex index) const;
 
   /// Moves a unit to \p state and, when \p pilot is non-empty, binds it
   /// to that pilot. The edge is validated against the unit
@@ -145,14 +163,15 @@ class StateStore {
   /// after a stale requeue) throws StateError, changes nothing and
   /// notifies nobody. A legal one is folded into the schedule digest.
   /// Throws NotFoundError when the unit is absent.
-  void set_unit_state(const std::string& id, UnitState state,
+  void set_unit_state(UnitIndex index, UnitState state,
                       const std::string& pilot = {});
 
-  /// Appends an id to a named queue.
-  void queue_push(const std::string& queue, const std::string& id);
+  /// Appends unit \p index to a named queue; its watchers hear the
+  /// unit's id. Throws NotFoundError when the unit is absent.
+  void queue_push(const std::string& queue, UnitIndex index);
 
-  /// Drains the queue (agent poll): hands its ids over, in FIFO order.
-  std::vector<std::string> queue_pop_all(const std::string& queue);
+  /// Drains the queue (agent poll): hands its units over, in FIFO order.
+  std::vector<UnitIndex> queue_pop_all(const std::string& queue);
 
   std::size_t queue_depth(const std::string& queue) const;
 
@@ -174,17 +193,17 @@ class StateStore {
   /// \p nodes (a comma-joined node list, or a YARN container's node).
   void record_placement(const std::string& unit, const std::string& nodes);
 
-  /// Opens a unit write feed: from now on the id of every unit written
-  /// (put_unit, set_unit_state) is appended to the feed (once per write,
-  /// in write order) until drain_feed() hands the ids over. A poller
-  /// that drains its feed re-reads only the units written since its
-  /// last poll (DESIGN.md §13). Feeds are not ops and fire no watch.
+  /// Opens a unit write feed: from now on the index of every unit
+  /// written (put_unit, set_unit_state) is appended to the feed (once
+  /// per write, in write order) until drain_feed() hands them over. A
+  /// poller that drains its feed re-reads only the units written since
+  /// its last poll (DESIGN.md §13). Feeds are not ops and fire no watch.
   /// Returns a non-zero feed id.
   std::uint64_t open_feed();
 
-  /// The ids written since the feed opened or was last drained; empties
-  /// the feed. An unknown (closed) feed yields nothing.
-  std::vector<std::string> drain_feed(std::uint64_t feed);
+  /// The units written since the feed opened or was last drained;
+  /// empties the feed. An unknown (closed) feed yields nothing.
+  std::vector<UnitIndex> drain_feed(std::uint64_t feed);
 
   /// Stops recording into \p feed and drops what it holds.
   void close_feed(std::uint64_t feed);
@@ -222,8 +241,14 @@ class StateStore {
   net::Transport* transport() const { return transport_; }
 
  private:
-  /// Appends unit \p id to every feed (under mu_).
-  void record_write(const std::string& id) HOH_REQUIRES(mu_);
+  /// One row of the unit table.
+  struct Unit {
+    std::string id;
+    UnitRecord record;
+  };
+
+  /// Appends unit \p index to every feed (under mu_).
+  void record_write(UnitIndex index) HOH_REQUIRES(mu_);
 
   /// Folds each of \p parts, newline-terminated, into the schedule
   /// digest.
@@ -253,11 +278,12 @@ class StateStore {
     WatchEvent event;
   };
 
-  /// Enqueues one mutation onto the delivery FIFO and schedules the
-  /// coalesced drain tick if none is pending. Called after the mutating
-  /// critical section released mu_.
-  void notify(WatchEventType type, const std::string& bucket,
-              const std::string& key);
+  /// Enqueues one mutation onto the delivery FIFO when any watcher of
+  /// \p bucket matches \p key; true when the coalesced drain tick must
+  /// be scheduled (by schedule_delivery(), once mu_ is released).
+  bool notify(WatchEventType type, const std::string& bucket,
+              const std::string& key) HOH_REQUIRES(mu_);
+  void schedule_delivery();
 
   /// The drain tick: delivers every mutation queued at this instant.
   void deliver_pending();
@@ -273,13 +299,13 @@ class StateStore {
   mutable common::Mutex mu_;
   mutable std::uint64_t ops_ HOH_GUARDED_BY(mu_) = 0;
   std::uint64_t muts_ HOH_GUARDED_BY(mu_) = 0;
-  std::unordered_map<std::string, UnitRecord> units_ HOH_GUARDED_BY(mu_);
+  /// The unit table, by UnitIndex, and the id -> index map of the edges.
+  std::vector<Unit> units_ HOH_GUARDED_BY(mu_);
+  std::unordered_map<std::string, UnitIndex> unit_index_ HOH_GUARDED_BY(mu_);
   std::map<std::string, HeartbeatRecord> heartbeats_ HOH_GUARDED_BY(mu_);
-  std::map<std::string, std::vector<std::string>> queues_
-      HOH_GUARDED_BY(mu_);
-  /// Unit write feeds: the ids each holds, keyed by feed id.
-  std::map<std::uint64_t, std::vector<std::string>> feeds_
-      HOH_GUARDED_BY(mu_);
+  std::map<std::string, std::vector<UnitIndex>> queues_ HOH_GUARDED_BY(mu_);
+  /// Unit write feeds: the units each holds, keyed by feed id.
+  std::map<std::uint64_t, std::vector<UnitIndex>> feeds_ HOH_GUARDED_BY(mu_);
   std::uint64_t schedule_digest_ HOH_GUARDED_BY(mu_) = common::kFnv1aBasis;
   std::uint64_t next_feed_id_ HOH_GUARDED_BY(mu_) = 1;
   /// Keyed by watch id. A node's address is stable while it exists,

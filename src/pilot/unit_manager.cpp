@@ -20,6 +20,24 @@ std::string next_um_prefix() {
   return "um" + std::to_string(counter++);
 }
 
+/// Refuses a description submit() must not queue: no cores, or a staged
+/// file whose URL names no scheme or host (it could not cross the unit
+/// document).
+void validate(const ComputeUnitDescription& desc) {
+  if (desc.cores < 1) {
+    throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
+  }
+  for (const auto* files : {&desc.input_staging, &desc.output_staging}) {
+    for (const StagedFile& file : *files) {
+      if (file.url.scheme().empty() || file.url.host().empty()) {
+        throw common::ConfigError(
+            "ComputeUnitDescription: staged file URL needs a scheme and a "
+            "host: " + file.url.str());
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void UnitManager::register_submit_endpoint() {
@@ -33,7 +51,7 @@ void UnitManager::register_submit_endpoint() {
 }
 
 UnitState ComputeUnit::state() const {
-  return manager_->session().store().unit_state(id_);
+  return manager_->session().store().unit_state(index_);
 }
 
 UnitManager::~UnitManager() {
@@ -147,31 +165,30 @@ void UnitManager::watch_pilot_for_recovery(
 void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
   recovery_dirty_ = true;
   if (!recovery_enabled_) return;
-  for (const auto& unit : units_) {
+  for (const auto& handle : units_) {
+    ComputeUnit* unit = handle.get();
     if (unit->pilot_id() != pilot_id) continue;
     if (unit->state() != UnitState::kFailed) continue;
-    const std::string unit_id = unit->id();
-    const int requeues = requeue_counts_[unit_id];
+    const int requeues = unit->requeues_;
     if (requeues < 0) continue;  // already abandoned
     // Total executions = 1 original + requeues; one more must fit the
     // budget.
     if (!recovery_policy_.allows(requeues + 2)) {
       ++units_abandoned_;
-      requeue_counts_[unit_id] = -1;  // mark: budget gone, stop counting
+      unit->requeues_ = -1;  // mark: budget gone, stop counting
       session_.trace().record(session_.engine().now(), "recovery",
                               "unit_abandoned",
-                              {{"unit", unit_id},
+                              {{"unit", unit->id()},
                                {"pilot", pilot_id},
                                {"requeues", std::to_string(requeues)}});
       continue;
     }
     session_.trace().begin_span(session_.engine().now(), "recovery",
-                                "unit_outage", unit_id);
-    limbo_.insert(unit_id);
+                                "unit_outage", unit->id());
+    unit->in_limbo_ = true;
     const common::Seconds backoff =
         recovery_policy_.backoff_for(requeues + 1, recovery_rng_);
-    session_.engine().schedule(backoff,
-                               [this, unit_id] { try_requeue(unit_id); });
+    session_.engine().schedule(backoff, [this, unit] { try_requeue(unit); });
   }
 }
 
@@ -182,44 +199,42 @@ Pilot* UnitManager::find_live_pilot() {
   return nullptr;
 }
 
-void UnitManager::try_requeue(const std::string& unit_id) {
+void UnitManager::try_requeue(ComputeUnit* unit) {
   recovery_dirty_ = true;
-  auto it = by_id_.find(unit_id);
-  if (it == by_id_.end()) {
-    limbo_.erase(unit_id);
-    return;
-  }
-  auto& unit = it->second;
   if (unit->state() != UnitState::kFailed) {  // raced with something
-    limbo_.erase(unit_id);
+    unit->in_limbo_ = false;
     return;
   }
   Pilot* target = find_live_pilot();
   if (target == nullptr) {
     // No live pilot yet: park until add_pilot delivers a replacement.
-    pending_requeue_.push_back(unit_id);
+    pending_requeue_.push_back(unit);
     return;
   }
   const std::string to = target->id();
   const std::string from = rebind_failed(*unit, to);
-  requeue_counts_[unit_id] += 1;
+  unit->requeues_ += 1;
   ++units_requeued_;
   session_.trace().record(session_.engine().now(), "recovery",
                           "unit_requeued",
-                          {{"unit", unit_id},
+                          {{"unit", unit->id()},
                            {"from", from},
                            {"to", to},
-                           {"attempt",
-                            std::to_string(requeue_counts_[unit_id] + 1)}});
+                           {"attempt", std::to_string(unit->requeues_ + 1)}});
   session_.trace().end_span(session_.engine().now(), "recovery",
-                            "unit_outage", unit_id);
-  limbo_.erase(unit_id);
+                            "unit_outage", unit->id());
+  unit->in_limbo_ = false;
+}
+
+ComputeUnit* UnitManager::unit_at(UnitIndex index) const {
+  return index < by_index_.size() ? by_index_[index] : nullptr;
 }
 
 std::shared_ptr<ComputeUnit> UnitManager::find_unit(
     const std::string& unit_id) const {
-  auto it = by_id_.find(unit_id);
-  return it == by_id_.end() ? nullptr : it->second;
+  const auto index = session_.store().unit_index(unit_id);
+  const ComputeUnit* unit = index ? unit_at(*index) : nullptr;
+  return unit != nullptr ? units_[unit->submit_seq_] : nullptr;
 }
 
 std::shared_ptr<Pilot> UnitManager::pilot_by_id(
@@ -238,9 +253,7 @@ std::string UnitManager::rebind_failed(ComputeUnit& unit,
     bound_counts_[from] -= 1;
   }
   bound_counts_[to] += 1;
-  auto pred = unit_predictions_.find(unit.id());
-  const double predicted =
-      pred != unit_predictions_.end() ? pred->second : 0.0;
+  const double predicted = unit.predicted_;
   if (unit.open_seq_ != 0) {
     // Not folded back yet: the old pilot's backlog still carries it.
     backlog_seconds_[from] -= predicted;
@@ -254,17 +267,15 @@ std::string UnitManager::rebind_failed(ComputeUnit& unit,
 
   // kFailed -> kPendingAgent is the one legal edge out of a final state
   // (see transitions.h); then back onto a live agent queue (U.2 again).
-  session_.store().set_unit_state(unit.id(), UnitState::kPendingAgent, to);
-  session_.store().queue_push("agent." + to, unit.id());
+  session_.store().set_unit_state(unit.index_, UnitState::kPendingAgent, to);
+  session_.store().queue_push("agent." + to, unit.index_);
   return from;
 }
 
 bool UnitManager::redispatch_failed(const std::string& unit_id) {
   recovery_dirty_ = true;
-  auto it = by_id_.find(unit_id);
-  if (it == by_id_.end()) return false;
-  auto& unit = it->second;
-  if (unit->state() != UnitState::kFailed) return false;
+  const auto unit = find_unit(unit_id);
+  if (unit == nullptr || unit->state() != UnitState::kFailed) return false;
   Pilot* target = find_live_pilot();
   if (target == nullptr) return false;
   const std::string to = target->id();
@@ -278,17 +289,17 @@ bool UnitManager::redispatch_failed(const std::string& unit_id) {
 void UnitManager::drain_pending_requeues() {
   recovery_dirty_ = true;
   if (pending_requeue_.empty()) return;
-  std::vector<std::string> waiting;
+  std::vector<ComputeUnit*> waiting;
   waiting.swap(pending_requeue_);
-  for (const auto& unit_id : waiting) try_requeue(unit_id);
+  for (ComputeUnit* unit : waiting) try_requeue(unit);
 }
 
 void UnitManager::reconcile() { poll(/*settle=*/false); }
 
 void UnitManager::poll(bool settle) {
-  // Fold the trace increment into the per-unit time maps: the trace is
-  // append-only, so every event is visited once per run, not once per
-  // finished unit. (With trace rollup enabled, unit events are not
+  // Fold the trace increment into the handles' Executing/Done times: the
+  // trace is append-only, so every event is visited once per run, not
+  // once per finished unit. (With trace rollup enabled, unit events are not
   // stored and the estimator simply never observes — scale runs use
   // known durations, not predictions.)
   const auto& events = session_.trace().events();
@@ -298,11 +309,10 @@ void UnitManager::poll(bool settle) {
     if (e.name != "Executing" && e.name != "Done") continue;
     const auto unit_attr = e.attrs.find("unit");
     if (unit_attr == e.attrs.end()) continue;
-    if (e.name == "Executing") {
-      exec_time_[unit_attr->second] = e.time;
-    } else {
-      done_time_[unit_attr->second] = e.time;
-    }
+    const auto index = session_.store().unit_index(unit_attr->second);
+    ComputeUnit* unit = index ? unit_at(*index) : nullptr;
+    if (unit == nullptr) continue;  // another manager's unit
+    (e.name == "Executing" ? unit->executing_at_ : unit->done_at_) = e.time;
   }
   // An open unit's state can only have turned final through a write
   // since the last pass, or it was (re)opened since: recheck exactly
@@ -315,7 +325,9 @@ void UnitManager::poll(bool settle) {
   // kDone and kCanceled are sinks and leave the working set for good;
   // kFailed stays (requeue/redispatch may cross its one legal out-edge).
   if (settle && recovery_dirty_) {
-    for (const auto& [seq, u] : unsettled_) list_for_settle(u);
+    for (const auto& u : units_) {
+      if (u->unsettled_) list_for_settle(u.get());
+    }
   }
   std::sort(open_recheck_.begin(), open_recheck_.end(),
             [](const ComputeUnit* a, const ComputeUnit* b) {
@@ -331,21 +343,16 @@ void UnitManager::poll(bool settle) {
     if (settle && unit->settle_listed_) settle_unit(unit, state);
     if (!is_final(state)) continue;
     unit->open_seq_ = 0;
-    auto pred = unit_predictions_.find(unit->id());
-    if (pred != unit_predictions_.end()) {
-      backlog_seconds_[unit->pilot_id()] -= pred->second;
-    }
-    // Observed runtime: Executing -> Done. Entries are dropped once
+    backlog_seconds_[unit->pilot_id()] -= unit->predicted_;
+    // Observed runtime: Executing -> Done (a NaN, a time the trace did
+    // not show, fails the comparison). The times are dropped once
     // consumed; a later requeue re-records them.
-    const auto exec_at = exec_time_.find(unit->id());
-    const auto done_at = done_time_.find(unit->id());
-    if (state == UnitState::kDone && exec_at != exec_time_.end() &&
-        done_at != done_time_.end() && done_at->second >= exec_at->second) {
+    if (state == UnitState::kDone && unit->done_at_ >= unit->executing_at_) {
       estimator_->observe(unit->description(),
-                          done_at->second - exec_at->second);
+                          unit->done_at_ - unit->executing_at_);
     }
-    if (exec_at != exec_time_.end()) exec_time_.erase(exec_at);
-    if (done_at != done_time_.end()) done_time_.erase(done_at);
+    unit->executing_at_ = unit->done_at_ =
+        std::numeric_limits<double>::quiet_NaN();
   }
   open_recheck_.clear();
   if (!settle) return;
@@ -375,10 +382,9 @@ void UnitManager::absorb_unit_writes() {
     unit_feed_ = store.open_feed();
     return;
   }
-  for (const std::string& id : store.drain_feed(unit_feed_)) {
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end()) continue;  // another manager's unit
-    ComputeUnit* unit = it->second.get();
+  for (const UnitIndex index : store.drain_feed(unit_feed_)) {
+    ComputeUnit* unit = unit_at(index);
+    if (unit == nullptr) continue;  // another manager's unit
     if (unit->open_seq_ != 0) open_recheck_.push_back(unit);
     list_for_settle(unit);
   }
@@ -386,64 +392,72 @@ void UnitManager::absorb_unit_writes() {
 
 std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     const std::vector<ComputeUnitDescription>& descriptions) {
+  // Validated up front, so no unit of a refused batch is dispatched.
+  for (const auto& desc : descriptions) validate(desc);
   std::vector<std::shared_ptr<ComputeUnit>> out;
   out.reserve(descriptions.size());
   bool held_any = false;
-  // Validated up front, so no unit of a refused batch is dispatched.
+  StateStore& store = session_.store();
+  // Every unit of the batch is new, and a unit's first put appends its
+  // row, in submit order: the batch's indices follow the rows there are.
+  const std::size_t first = store.unit_count();
   for (const auto& desc : descriptions) {
-    if (desc.cores < 1) {
-      throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
-    }
-  }
-  for (const auto& desc : descriptions) {
-    const std::string unit_id = session_.next_unit_id();
-    const std::string pilot_id = pick_pilot(desc);  // U.1
+    std::string unit_id = session_.next_unit_id();
+    std::string pilot_id = pick_pilot(desc);  // U.1
     bound_counts_[pilot_id] += 1;
     const double predicted = estimator_->predict(desc);
     backlog_seconds_[pilot_id] += predicted;
-    unit_predictions_[unit_id] = predicted;
 
     session_.trace().record(session_.engine().now(), "unit", "Submitted",
                             {{"unit", unit_id}, {"pilot", pilot_id}});
     session_.trace().begin_span(session_.engine().now(), "unit", "startup",
                                 unit_id);
 
+    // The one copy of the description: the handle, a held unit's record
+    // and the U.2 hand-over share it.
+    auto unit = std::shared_ptr<ComputeUnit>(new ComputeUnit(
+        this, std::move(unit_id), std::move(pilot_id),
+        std::make_shared<const ComputeUnitDescription>(desc)));
+    unit->predicted_ = predicted;
     if (desc.depends_on.empty()) {
-      dispatch_to_agent(unit_id, pilot_id, desc);
+      dispatch_to_agent(*unit);
     } else {
       // Held back: the record exists (state New) so handles can query it.
       // The units dispatched before it land first, in submit order.
       flush_dispatch();
-      session_.store().put_unit(unit_id,
-                                UnitRecord{UnitState::kNew, pilot_id, desc});
-      held_.push_back(HeldUnit{unit_id, pilot_id, desc});
+      store.put_unit(unit->id(), UnitRecord{UnitState::kNew, unit->pilot_id(),
+                                            unit->description_});
       held_any = true;
       // Any unit-document state write (agent write-back, cancellation)
       // may resolve a dependency, so re-check on those.
       if (!dep_watch_.valid()) {
-        dep_watch_ = session_.store().watch(
+        dep_watch_ = store.watch(
             "unit", "", [this](const WatchEvent& event) {
               if (event.type != WatchEventType::kUpdate) return;
               if (!held_.empty()) check_dependencies();
             });
       }
     }
-
-    auto handle = std::shared_ptr<ComputeUnit>(
-        new ComputeUnit(this, unit_id, pilot_id, desc));
-    by_id_[unit_id] = handle;
-    out.push_back(std::move(handle));
+    out.push_back(std::move(unit));
   }
   // Before anything reads the store: a held unit may depend on a unit
   // dispatched after it in this batch.
   flush_dispatch();
+  if (store.unit_count() != first + out.size()) {
+    throw common::StateError(
+        "UnitManager::submit: the store gained units it did not submit");
+  }
   units_.insert(units_.end(), out.begin(), out.end());
   std::uint64_t seq = units_.size() - out.size();  // out's place in units_
-  for (const auto& unit : out) {
+  by_index_.resize(first + out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ComputeUnit* unit = out[i].get();
+    unit->index_ = static_cast<UnitIndex>(first + i);
+    by_index_[unit->index_] = unit;
     unit->submit_seq_ = seq++;
-    open_unit(unit.get());
-    unsettled_.emplace(unit->submit_seq_, unit.get());
-    list_for_settle(unit.get());
+    open_unit(unit);
+    list_for_settle(unit);
+    if (!unit->description().depends_on.empty()) held_.push_back(unit);
   }
   // A dependency that is already settled (Done, Failed, Canceled) or
   // unknown never produces another unit update, so the watch alone would
@@ -453,22 +467,20 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
   return out;
 }
 
-void UnitManager::dispatch_to_agent(const std::string& unit_id,
-                                    const std::string& pilot_id,
-                                    const ComputeUnitDescription& desc) {
+void UnitManager::dispatch_to_agent(const ComputeUnit& unit) {
   // U.2 over the message boundary: document put + agent queue push,
   // batched into one StoreIngest through the session transport
-  // (DESIGN.md §14). The unit document crosses packed from its record,
-  // bit-exact.
-  net::StoreIngest::Unit unit{
-      unit_id, "agent." + pilot_id,
-      pack_unit_document(
-          UnitRecord{UnitState::kPendingAgent, pilot_id, desc})};
+  // (DESIGN.md §14). The unit document crosses packed from the shared
+  // description, bit-exact.
+  net::StoreIngest::Unit ingest{
+      unit.id(), "agent." + unit.pilot_id(),
+      pack_unit_document(UnitRecord{UnitState::kPendingAgent,
+                                    unit.pilot_id(), unit.description_})};
   const std::size_t bytes = net::min_wire_bytes<net::StoreIngest::Unit>() +
-                            unit.unit_id.size() + unit.queue.size() +
-                            unit.document.size();
+                            ingest.unit_id.size() + ingest.queue.size() +
+                            ingest.document.size();
   if (pending_ingest_bytes_ + bytes >= net::kBatchBytes) flush_dispatch();
-  pending_ingest_.push_back(std::move(unit));
+  pending_ingest_.push_back(std::move(ingest));
   pending_ingest_bytes_ += bytes;
 }
 
@@ -481,17 +493,19 @@ void UnitManager::flush_dispatch() {
 }
 
 void UnitManager::check_dependencies() {
-  std::vector<HeldUnit> still_held;
-  for (auto& held : held_) {
+  StateStore& store = session_.store();
+  std::vector<ComputeUnit*> still_held;
+  for (ComputeUnit* held : held_) {
     bool ready = true;
     bool doomed = false;
-    for (const auto& dep_id : held.desc.depends_on) {
-      auto dep = by_id_.find(dep_id);
-      if (dep == by_id_.end()) {
+    for (const auto& dep_id : held->description().depends_on) {
+      const auto index = store.unit_index(dep_id);
+      const ComputeUnit* dep = index ? unit_at(*index) : nullptr;
+      if (dep == nullptr) {
         doomed = true;  // unknown dependency can never resolve
         break;
       }
-      const UnitState dep_state = dep->second->state();
+      const UnitState dep_state = dep->state();
       if (dep_state == UnitState::kFailed ||
           dep_state == UnitState::kCanceled) {
         doomed = true;
@@ -501,22 +515,22 @@ void UnitManager::check_dependencies() {
     }
     if (doomed) {
       flush_dispatch();  // the units released before it land first
-      session_.store().set_unit_state(held.unit_id, UnitState::kCanceled);
+      store.set_unit_state(held->index_, UnitState::kCanceled);
       session_.trace().record(session_.engine().now(), "unit", "Canceled",
-                              {{"unit", held.unit_id},
+                              {{"unit", held->id()},
                                {"reason", "dependency-failed"}});
       continue;
     }
     if (!ready) {
-      still_held.push_back(std::move(held));
+      still_held.push_back(held);
       continue;
     }
-    dispatch_to_agent(held.unit_id, held.pilot_id, held.desc);
+    dispatch_to_agent(*held);
   }
   flush_dispatch();
   held_ = std::move(still_held);
   if (held_.empty() && dep_watch_.valid()) {
-    session_.store().unwatch(dep_watch_);
+    store.unwatch(dep_watch_);
     dep_watch_ = WatchHandle{};
   }
 }
@@ -534,23 +548,18 @@ bool UnitManager::all_done() {
   // simulated seconds while few units change; a poll costs
   // O(units written since the last one), not O(in-flight units).
   poll(/*settle=*/true);
-  return blocking_.empty();
+  return blocking_count_ == 0;
 }
 
 bool UnitManager::settled_now(const ComputeUnit* u, UnitState state) const {
   if (state == UnitState::kFailed && recovery_enabled_) {
-    if (limbo_.count(u->id()) > 0) {
-      return false;  // requeue in flight: not settled yet
-    }
+    if (u->in_limbo_) return false;  // requeue in flight: not settled yet
     // A unit that died with its pilot but has not been triaged yet
     // (the zero-delay handle_pilot_failure event is still queued) is
     // equally in flight: without this, a barrier polling at the exact
     // crash instant concludes the run finished. Abandoned units
     // (budget gone, marked -1) are settled.
-    const auto budget = requeue_counts_.find(u->id());
-    const bool abandoned =
-        budget != requeue_counts_.end() && budget->second < 0;
-    if (!abandoned) {
+    if (u->requeues_ >= 0) {  // not abandoned
       for (const auto& pilot : pilots_) {
         if (pilot->id() == u->pilot_id() &&
             pilot->state() == PilotState::kFailed) {
@@ -564,23 +573,25 @@ bool UnitManager::settled_now(const ComputeUnit* u, UnitState state) const {
 
 void UnitManager::settle_unit(ComputeUnit* u, UnitState state) {
   u->settle_listed_ = false;
-  const auto it = unsettled_.find(u->submit_seq_);
-  if (it == unsettled_.end()) return;  // settled already
-  if (state == UnitState::kDone || state == UnitState::kCanceled) {
+  if (!u->unsettled_) return;  // settled already
+  // kDone and kCanceled are sinks: the unit settles for good.
+  const bool sink =
+      state == UnitState::kDone || state == UnitState::kCanceled;
+  if (sink) {
     if (state == UnitState::kDone) ++settled_done_;
-    unsettled_.erase(it);
-    blocking_.erase(u);
-  } else if (settled_now(u, state)) {
-    blocking_.erase(u);
-  } else {
-    blocking_.insert(u);
+    u->unsettled_ = false;
+  }
+  const bool blocking = !sink && !settled_now(u, state);
+  if (blocking != u->blocking_) {
+    blocking_count_ = blocking ? blocking_count_ + 1 : blocking_count_ - 1;
+    u->blocking_ = blocking;
   }
 }
 
 std::size_t UnitManager::done_count() const {
   std::size_t n = settled_done_;
-  for (const auto& [seq, u] : unsettled_) {
-    if (u->state() == UnitState::kDone) ++n;
+  for (const auto& u : units_) {
+    if (u->unsettled_ && u->state() == UnitState::kDone) ++n;
   }
   return n;
 }

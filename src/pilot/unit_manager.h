@@ -3,10 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <limits>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/control_plane.h"
@@ -23,6 +22,15 @@
 /// pilots (U.1), and queues them in the shared state store for the
 /// agents to pull (U.2). State queries read the unit documents the
 /// agents write back.
+///
+/// A handle knows its unit by the store's UnitIndex (DESIGN.md §13):
+/// state reads, writes, requeues and the write feed go by index, and the
+/// per-unit bookkeeping (prediction, requeues, barrier status) lives on
+/// the handle. The string id is used only where it arrives from outside:
+/// find_unit(), redispatch_failed() and depends_on entries, each
+/// resolved through the store's one id -> index map. The description is
+/// copied once at submit and shared by the handle, a held unit's store
+/// record and the U.2 hand-over packed from it.
 
 namespace hoh::pilot {
 
@@ -32,7 +40,9 @@ class UnitManager;
 class ComputeUnit {
  public:
   const std::string& id() const { return id_; }
-  const ComputeUnitDescription& description() const { return description_; }
+  const ComputeUnitDescription& description() const { return *description_; }
+  /// The unit's index in the session's store.
+  UnitIndex index() const { return index_; }
 
   /// Current state, read from the unit's record in the shared store.
   UnitState state() const;
@@ -43,7 +53,7 @@ class ComputeUnit {
  private:
   friend class UnitManager;
   ComputeUnit(UnitManager* manager, std::string id, std::string pilot_id,
-              ComputeUnitDescription description)
+              SharedDescription description)
       : manager_(manager),
         id_(std::move(id)),
         pilot_id_(std::move(pilot_id)),
@@ -52,12 +62,28 @@ class ComputeUnit {
   UnitManager* manager_;
   std::string id_;
   std::string pilot_id_;
-  ComputeUnitDescription description_;
+  SharedDescription description_;
+  UnitIndex index_ = 0;
   // Position in the manager's submission order.
   std::uint64_t submit_seq_ = 0;
   // The manager's fold order while the unit is open (not yet folded
   // back by reconcile()); 0 once folded.
   std::uint64_t open_seq_ = 0;
+  // Predicted runtime, carried by the pilot's backlog while open.
+  double predicted_ = 0.0;
+  // When the trace last showed it Executing and Done, until folded; NaN
+  // when it has not.
+  double executing_at_ = std::numeric_limits<double>::quiet_NaN();
+  double done_at_ = std::numeric_limits<double>::quiet_NaN();
+  // Recovery requeues done; -1 once the retry budget is gone.
+  int requeues_ = 0;
+  // kFailed, with a recovery requeue in flight.
+  bool in_limbo_ = false;
+  // Terminal outcome not locked in yet (kDone and kCanceled are sinks;
+  // kFailed is not, since requeue/redispatch may revive it).
+  bool unsettled_ = true;
+  // Unsettled and not settled at its last read: holds the barrier.
+  bool blocking_ = false;
   // On the manager's settle recheck list, not yet read by a poll.
   bool settle_listed_ = false;
 };
@@ -153,7 +179,8 @@ class UnitManager {
   /// several managers can share one session transport.
   const std::string& submit_endpoint() const { return submit_endpoint_; }
 
-  /// Handle of a submitted unit; nullptr when unknown.
+  /// Handle of a unit this manager submitted; nullptr when unknown (or
+  /// another manager's).
   std::shared_ptr<ComputeUnit> find_unit(const std::string& unit_id) const;
 
   /// Registered pilot by id; nullptr when unknown.
@@ -178,9 +205,7 @@ class UnitManager {
   /// Appends a unit's U.2 hand-over to the pending StoreIngest batch,
   /// flushing the batch first when the unit would take its list bytes
   /// to net::kBatchBytes.
-  void dispatch_to_agent(const std::string& unit_id,
-                         const std::string& pilot_id,
-                         const ComputeUnitDescription& desc);
+  void dispatch_to_agent(const ComputeUnit& unit);
   /// Sends the pending batch, if any. Called before any other store
   /// write of submit()/check_dependencies() and at their end, so store
   /// writes, the "unit" write feed and agent queues keep the per-unit
@@ -200,13 +225,15 @@ class UnitManager {
   void poll(bool settle);
   /// The all_done() verdict for one unsettled unit read at \p state.
   void settle_unit(ComputeUnit* u, UnitState state);
+  /// This manager's handle of store unit \p index; nullptr when none.
+  ComputeUnit* unit_at(UnitIndex index) const;
   /// Whether \p u, read at \p state, no longer holds the barrier.
   bool settled_now(const ComputeUnit* u, UnitState state) const;
 
   // --- fault recovery (requeue units off a dead pilot) ---
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);
   void handle_pilot_failure(const std::string& pilot_id);
-  void try_requeue(const std::string& unit_id);
+  void try_requeue(ComputeUnit* unit);
   /// Moves a kFailed unit onto pilot \p to: bound counts and predicted
   /// backlog follow it, the store sees kFailed -> kPendingAgent and the
   /// unit joins that agent's queue. Returns the pilot it left. Shared by
@@ -221,50 +248,41 @@ class UnitManager {
   std::string submit_endpoint_;
   std::shared_ptr<RuntimeEstimator> estimator_;
   std::map<std::string, double> backlog_seconds_;    // pilot -> predicted
-  std::map<std::string, double> unit_predictions_;   // unit -> predicted
 
   /// Incremental reconcile/all_done bookkeeping (DESIGN.md §13). The
   /// trace is append-only, so reconcile() scans it once past
-  /// trace_scan_pos_ into per-unit Executing/Done time maps instead of
+  /// trace_scan_pos_ into the handles' Executing/Done times instead of
   /// re-walking the whole trace per finished unit. Unit states change
   /// only through "unit" document writes, which the store's write feed
   /// (unit_feed_) names, so a poll re-reads only the units written or
   /// (re)opened since the last one: open_recheck_ for reconcile() (open
   /// units, folded in open_seq_ order), settle_recheck_ for all_done().
-  /// unsettled_ holds units whose terminal outcome is not yet locked in
-  /// (kDone/kCanceled are sinks and leave it; kFailed stays, since
-  /// requeue/redispatch may revive it), blocking_ those of them not
-  /// settled at their last read — the barrier holds while it is
-  /// non-empty. A recovery input (recovery_dirty_) rechecks all of
-  /// unsettled_.
+  /// Unsettled units not settled at their last read are flagged blocking
+  /// and counted in blocking_count_ — the barrier holds while it is
+  /// non-zero. A recovery input (recovery_dirty_) rechecks every
+  /// unsettled unit.
   std::size_t trace_scan_pos_ = 0;
-  std::map<std::string, double> exec_time_;          // unit -> Executing at
-  std::map<std::string, double> done_time_;          // unit -> Done at
   std::uint64_t unit_feed_ = 0;  // opened by the first reconcile()
   std::uint64_t next_open_seq_ = 1;
   /// The handles are owned by units_ for the manager's lifetime.
   std::vector<ComputeUnit*> open_recheck_;
   std::vector<ComputeUnit*> settle_recheck_;
-  std::map<std::uint64_t, ComputeUnit*> unsettled_;  // by submit_seq_
-  std::unordered_set<const ComputeUnit*> blocking_;
-  std::size_t settled_done_ = 0;  // kDone units dropped from unsettled_
+  std::size_t blocking_count_ = 0;
+  std::size_t settled_done_ = 0;  // kDone units settled for good
 
   /// Set by every recovery input that can unsettle a unit without a
   /// unit write (limbo/abandon triage, a pilot reaching kFailed):
   /// the next all_done() rechecks every unsettled unit.
   bool recovery_dirty_ = false;
 
-  /// Units held back by dependencies: (unit id, pilot id, description).
-  struct HeldUnit {
-    std::string unit_id;
-    std::string pilot_id;
-    ComputeUnitDescription desc;
-  };
-  std::vector<HeldUnit> held_;
+  /// Units held back by dependencies, in submit order.
+  std::vector<ComputeUnit*> held_;
   /// Dispatched units not yet sent (see flush_dispatch()).
   std::vector<net::StoreIngest::Unit> pending_ingest_;
   std::size_t pending_ingest_bytes_ = 0;  // their StoreIngest list bytes
-  std::map<std::string, std::shared_ptr<ComputeUnit>> by_id_;
+  /// This manager's handles by store UnitIndex; nullptr for the units of
+  /// another manager of the session.
+  std::vector<ComputeUnit*> by_index_;
   WatchHandle dep_watch_;  // armed while held_ is non-empty
   std::vector<std::shared_ptr<Pilot>> pilots_;
   std::map<std::string, std::size_t> bound_counts_;  // pilot -> units
@@ -275,9 +293,7 @@ class UnitManager {
   bool recovery_enabled_ = false;
   common::RetryPolicy recovery_policy_;
   common::Rng recovery_rng_{42};
-  std::map<std::string, int> requeue_counts_;   // unit -> requeues done
-  std::vector<std::string> pending_requeue_;    // waiting for a live pilot
-  std::set<std::string> limbo_;  // kFailed but a requeue is in flight
+  std::vector<ComputeUnit*> pending_requeue_;  // waiting for a live pilot
   std::size_t units_requeued_ = 0;
   std::size_t units_abandoned_ = 0;
 };

@@ -23,6 +23,12 @@ T unpack(const std::vector<std::uint8_t>& bytes) {
 
 }  // namespace
 
+const SharedDescription& default_description() {
+  static const SharedDescription description =
+      std::make_shared<const ComputeUnitDescription>();
+  return description;
+}
+
 std::vector<std::uint8_t> pack_unit_document(const UnitRecord& unit) {
   return pack(unit);
 }

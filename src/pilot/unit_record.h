@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,14 +17,30 @@
 /// state as one byte, the pilot id, then the description's fields in
 /// declaration order. Numbers keep their bits, so a duration crosses
 /// the wire bit-exactly.
+///
+/// A description does not change after submit, so it is held read-only
+/// and shared: one copy per side of the wire, decoded once.
 
 namespace hoh::pilot {
+
+/// A unit's dense session-wide index: the store appends a unit at its
+/// first put (pilot/state_store.h). Inside the process the index is the
+/// unit's key; its string id stays at the edges (the wire, traces, the
+/// schedule digest).
+using UnitIndex = std::uint32_t;
+
+/// A shared, immutable description.
+using SharedDescription = std::shared_ptr<const ComputeUnitDescription>;
+
+/// The description of a record nobody gave one (a default description,
+/// allocated once).
+const SharedDescription& default_description();
 
 /// A unit document, typed.
 struct UnitRecord {
   UnitState state = UnitState::kNew;
   std::string pilot;
-  ComputeUnitDescription description;
+  SharedDescription description = default_description();
 
   static auto fields(auto& m) {
     return std::tie(m.state, m.pilot, m.description);

@@ -84,9 +84,9 @@ TEST_F(StoreWatchTest, UpdateAndQueuePushCarryTheirEventTypes) {
   };
   store_.watch("unit", "", record);
   store_.watch("agent.p1", "", record);
-  store_.put_unit("u", unit());
-  store_.set_unit_state("u", pilot::UnitState::kAgentScheduling);
-  store_.queue_push("agent.p1", "unit.0");
+  const pilot::UnitIndex u = store_.put_unit("u", unit());
+  store_.set_unit_state(u, pilot::UnitState::kAgentScheduling);
+  store_.queue_push("agent.p1", u);
   engine_.run();
   ASSERT_EQ(types.size(), 3u);
   EXPECT_EQ(types[0], pilot::WatchEventType::kPut);
@@ -96,13 +96,14 @@ TEST_F(StoreWatchTest, UpdateAndQueuePushCarryTheirEventTypes) {
 }
 
 TEST_F(StoreWatchTest, GateRejectedUpdateDoesNotNotify) {
-  store_.put_unit("u", unit(pilot::UnitState::kPendingAgent));
+  const pilot::UnitIndex u =
+      store_.put_unit("u", unit(pilot::UnitState::kPendingAgent));
   engine_.run();
   int events = 0;
   store_.watch("unit", "", [&](const pilot::WatchEvent&) { ++events; });
   // PendingAgent -> Executing is not a Fig. 3 edge: the write is rejected
   // and watchers must not hear about it.
-  EXPECT_THROW(store_.set_unit_state("u", pilot::UnitState::kExecuting),
+  EXPECT_THROW(store_.set_unit_state(u, pilot::UnitState::kExecuting),
                common::StateError);
   engine_.run();
   EXPECT_EQ(events, 0);
@@ -235,13 +236,14 @@ TEST_F(StoreWatchTest, CallbackMayMutateTheStore) {
     if (e.type == pilot::WatchEventType::kPut) {
       // Notification chain: a watcher reacting with its own write must
       // not deadlock (callbacks never run under the store mutex).
-      store_.set_unit_state(e.key, pilot::UnitState::kAgentScheduling);
+      store_.set_unit_state(*store_.unit_index(e.key),
+                            pilot::UnitState::kAgentScheduling);
     }
   });
-  store_.put_unit("u", unit());
+  const pilot::UnitIndex u = store_.put_unit("u", unit());
   engine_.run();
   EXPECT_EQ(unit_events, 2);  // the put and the chained update
-  EXPECT_EQ(store_.unit_state("u"), pilot::UnitState::kAgentScheduling);
+  EXPECT_EQ(store_.unit_state(u), pilot::UnitState::kAgentScheduling);
 }
 
 // --------------------------------------------------------- pilot stack ---

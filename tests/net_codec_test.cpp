@@ -12,7 +12,9 @@
 #include <cfloat>
 #include <climits>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -506,52 +508,61 @@ TEST(NetCodecHostile, RandomGarbageNeverCrashes) {
 /// a large memory ask.
 std::vector<pilot::UnitRecord> unit_shapes() {
   std::vector<pilot::UnitRecord> shapes;
-  pilot::UnitRecord base;
-  base.state = pilot::UnitState::kPendingAgent;
-  base.pilot = "pilot.0000";
-  shapes.push_back(base);  // all lists empty
+  const auto shape = [&shapes](pilot::UnitState state, std::string pilot,
+                               const pilot::ComputeUnitDescription& desc) {
+    shapes.push_back(pilot::UnitRecord{
+        state, std::move(pilot),
+        std::make_shared<const pilot::ComputeUnitDescription>(desc)});
+  };
+  const pilot::ComputeUnitDescription base;
+  shape(pilot::UnitState::kPendingAgent, "pilot.0000", base);  // lists empty
 
-  pilot::UnitRecord full = base;
-  full.state = pilot::UnitState::kNew;
-  full.description.name = "kmeans-map-3";
-  full.description.executable = "/bin/python";
-  full.description.arguments = {"kmeans.py", "--iter", "2"};
-  full.description.input_staging = {
-      {saga::Url("file://stampede/points.csv"), 1024}};
-  full.description.output_staging = {
-      {saga::Url("file://stampede/out.csv"), 64}};
-  full.description.preferred_nodes = {"c401-001", "c401-002"};
-  full.description.depends_on = {"unit.000001", "unit.000002"};
-  shapes.push_back(full);
+  pilot::ComputeUnitDescription full = base;
+  full.name = "kmeans-map-3";
+  full.executable = "/bin/python";
+  full.arguments = {"kmeans.py", "--iter", "2"};
+  full.input_staging = {{saga::Url("file://stampede/points.csv"), 1024}};
+  full.output_staging = {{saga::Url("file://stampede/out.csv"), 64}};
+  full.preferred_nodes = {"c401-001", "c401-002"};
+  full.depends_on = {"unit.000001", "unit.000002"};
+  shape(pilot::UnitState::kNew, "pilot.0000", full);
 
-  pilot::UnitRecord staged = base;
-  staged.description.input_staging = {
+  pilot::ComputeUnitDescription staged = base;
+  staged.input_staging = {
       {saga::Url("hdfs://wrangler/data/part-0"), 5 * common::kGiB},
       {saga::Url("file://wrangler/scratch/tiny.bin"), 0}};
-  staged.description.output_staging = {
+  staged.output_staging = {
       {saga::Url("file://wrangler/results/"), 123456789}};
-  shapes.push_back(staged);
+  shape(pilot::UnitState::kPendingAgent, "pilot.0000", staged);
 
-  pilot::UnitRecord mpi = base;
-  mpi.state = pilot::UnitState::kFailed;
-  mpi.description.is_mpi = true;
-  mpi.description.cores = 256;
-  mpi.description.executable = "/usr/bin/mpiexec";
-  shapes.push_back(mpi);
+  pilot::ComputeUnitDescription mpi = base;
+  mpi.is_mpi = true;
+  mpi.cores = 256;
+  mpi.executable = "/usr/bin/mpiexec";
+  shape(pilot::UnitState::kFailed, "pilot.0000", mpi);
 
-  pilot::UnitRecord failing = base;
-  failing.state = pilot::UnitState::kDone;
-  failing.description.exit_code = -11;
-  failing.description.duration = 0.1 + 0.2;
-  shapes.push_back(failing);
+  pilot::ComputeUnitDescription failing = base;
+  failing.exit_code = -11;
+  failing.duration = 0.1 + 0.2;
+  shape(pilot::UnitState::kDone, "pilot.0000", failing);
 
-  pilot::UnitRecord big = base;
-  big.description.memory_mb = std::int64_t{1} << 40;
-  big.description.duration = 1.7976931348623157e308;
-  big.description.name = "quoted \"name\" with\nnewline";
-  big.pilot = "";
-  shapes.push_back(big);
+  pilot::ComputeUnitDescription big = base;
+  big.memory_mb = std::int64_t{1} << 40;
+  big.duration = 1.7976931348623157e308;
+  big.name = "quoted \"name\" with\nnewline";
+  shape(pilot::UnitState::kPendingAgent, "", big);
   return shapes;
+}
+
+/// \p unit with a copy of its description edited by \p edit.
+pilot::UnitRecord edited(
+    pilot::UnitRecord unit,
+    const std::function<void(pilot::ComputeUnitDescription&)>& edit) {
+  auto desc =
+      std::make_shared<pilot::ComputeUnitDescription>(*unit.description);
+  edit(*desc);
+  unit.description = std::move(desc);
+  return unit;
 }
 
 /// Lower-case hex of \p bytes, the inverse of from_hex.
@@ -609,10 +620,10 @@ TEST(UnitDocumentCodecGolden, EveryShapeEncodesAsRecorded) {
         pilot::unpack_unit_document(from_hex(recorded[i]));
     EXPECT_EQ(back.state, shapes[i].state) << i;
     EXPECT_EQ(back.pilot, shapes[i].pilot) << i;
-    EXPECT_EQ(back.description.name, shapes[i].description.name) << i;
+    EXPECT_EQ(back.description->name, shapes[i].description->name) << i;
     EXPECT_EQ(pilot::pack_unit_document(back), bytes) << i;
     // The description alone (a SubmitRequest's) is the document's tail.
-    const auto desc = pilot::pack_unit_description(shapes[i].description);
+    const auto desc = pilot::pack_unit_description(*shapes[i].description);
     ASSERT_LE(desc.size(), bytes.size());
     EXPECT_TRUE(std::equal(desc.begin(), desc.end(),
                            bytes.end() - static_cast<std::ptrdiff_t>(
@@ -629,8 +640,10 @@ TEST(UnitDocumentCodecGolden, DurationsCrossBitExact) {
   // A computed duration crosses unrounded: the simulation's event times
   // depend on its last bit.
   for (const double duration : {0.1 + 0.2, -0.0, DBL_MAX, 5e-324}) {
-    pilot::UnitRecord unit = unit_shapes()[0];
-    unit.description.duration = duration;
+    const pilot::UnitRecord unit =
+        edited(unit_shapes()[0], [duration](pilot::ComputeUnitDescription& d) {
+          d.duration = duration;
+        });
     const auto bytes = pilot::pack_unit_document(unit);
     Packer bits;
     bits.f64(duration);
@@ -639,7 +652,7 @@ TEST(UnitDocumentCodecGolden, DurationsCrossBitExact) {
               bytes.end())
         << duration;
     const double back =
-        pilot::unpack_unit_document(bytes).description.duration;
+        pilot::unpack_unit_document(bytes).description->duration;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
               std::bit_cast<std::uint64_t>(duration))
         << duration;
@@ -651,9 +664,11 @@ TEST(UnitDocumentCodecGolden, SmallestDocumentIsMinWireBytes) {
   // list count of records would be checked against.
   static_assert(min_wire_bytes<pilot::UnitRecord>() == 66);
   static_assert(min_wire_bytes<pilot::StagedFile>() == 12);
-  pilot::UnitRecord empty;
-  empty.description.name.clear();
-  empty.description.executable.clear();
+  const pilot::UnitRecord empty =
+      edited(pilot::UnitRecord{}, [](pilot::ComputeUnitDescription& d) {
+        d.name.clear();
+        d.executable.clear();
+      });
   EXPECT_EQ(pilot::pack_unit_document(empty).size(),
             min_wire_bytes<pilot::UnitRecord>());
 }
@@ -702,8 +717,8 @@ TEST(UnitDocumentCodecHostile, WrongValueTypeThrows) {
   EXPECT_THROW(pilot::unpack_unit_document(bad_url), CodecError);
 
   // An i64 no int holds, in place of the cores count.
-  pilot::UnitRecord marked = unit;
-  marked.description.cores = 0x5a5a5a5a;
+  pilot::UnitRecord marked = edited(
+      unit, [](pilot::ComputeUnitDescription& d) { d.cores = 0x5a5a5a5a; });
   const auto marked_bytes = pilot::pack_unit_document(marked);
   Packer marker;
   marker.put(std::int64_t{0x5a5a5a5a});
@@ -719,12 +734,14 @@ TEST(UnitDocumentCodecHostile, WrongValueTypeThrows) {
     EXPECT_THROW(pilot::unpack_unit_document(bad), CodecError) << wide;
   }
   // The ends of the int range cross.
-  marked.description.cores = INT_MAX;
-  marked.description.exit_code = INT_MIN;
+  marked = edited(marked, [](pilot::ComputeUnitDescription& d) {
+    d.cores = INT_MAX;
+    d.exit_code = INT_MIN;
+  });
   const pilot::UnitRecord ends =
       pilot::unpack_unit_document(pilot::pack_unit_document(marked));
-  EXPECT_EQ(ends.description.cores, INT_MAX);
-  EXPECT_EQ(ends.description.exit_code, INT_MIN);
+  EXPECT_EQ(ends.description->cores, INT_MAX);
+  EXPECT_EQ(ends.description->exit_code, INT_MIN);
 
   // A bool byte other than 0 or 1: the MPI shape has no dependencies,
   // so is_mpi sits just before their empty list's count.
@@ -761,18 +778,22 @@ TEST(UnitDocumentCodecHostile, MalformedIngestLeavesNoRecord) {
                                                     good}}}),
                CodecError);
   for (const char* id : {"unit.000007", "unit.000008", "unit.000009"}) {
-    EXPECT_FALSE(store.unit_description(id).has_value()) << id;
+    EXPECT_FALSE(store.unit_index(id).has_value()) << id;
   }
+  EXPECT_EQ(store.unit_description(0), nullptr);
   EXPECT_EQ(store.queue_depth("agent.p1"), 0u);
   EXPECT_EQ(store.mutation_count(), 0u);
 
   call<Ack>(transport, "store.ingest",
             StoreIngest{"unit", {{"unit.000009", "agent.p1", good},
                                  {"unit.000007", "", good}}});
-  EXPECT_EQ(store.unit_state("unit.000009"), pilot::UnitState::kNew);
-  EXPECT_EQ(store.unit_state("unit.000007"), pilot::UnitState::kNew);
+  const auto first = store.unit_index("unit.000009");
+  const auto second = store.unit_index("unit.000007");
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(store.unit_state(*first), pilot::UnitState::kNew);
+  EXPECT_EQ(store.unit_state(*second), pilot::UnitState::kNew);
   EXPECT_EQ(store.queue_pop_all("agent.p1"),
-            std::vector<std::string>{"unit.000009"});
+            std::vector<pilot::UnitIndex>{*first});
   store.set_transport(nullptr);
 }
 

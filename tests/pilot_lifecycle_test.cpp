@@ -227,13 +227,13 @@ TEST_F(PilotLifecycleTest, UnitWriteSettlingTheLastUnitFlipsTheBarrier) {
   auto units = um_.submit(
       std::vector<ComputeUnitDescription>(2, simple_unit()));
   StateStore& store = session_.store();
-  store.set_unit_state(units[0]->id(), UnitState::kCanceled);
+  store.set_unit_state(units[0]->index(), UnitState::kCanceled);
   EXPECT_FALSE(um_.all_done());
   const auto ops = store.op_count();
   EXPECT_FALSE(um_.all_done());  // nothing written: nothing read
   EXPECT_EQ(store.op_count(), ops);
 
-  store.set_unit_state(units[1]->id(), UnitState::kCanceled);
+  store.set_unit_state(units[1]->index(), UnitState::kCanceled);
   EXPECT_TRUE(um_.all_done());
   EXPECT_EQ(units[1]->state(), UnitState::kCanceled);
 }
@@ -250,7 +250,7 @@ TEST_F(PilotLifecycleTest, BarrierPollRereadsOnlyWrittenUnits) {
   // One unit written since the last poll: the next poll reads that one
   // document once, not all eight.
   StateStore& store = session_.store();
-  store.set_unit_state(units[3]->id(), UnitState::kCanceled);
+  store.set_unit_state(units[3]->index(), UnitState::kCanceled);
   const auto ops = store.op_count();
   EXPECT_FALSE(um_.all_done());
   EXPECT_EQ(store.op_count() - ops, 1u);
@@ -275,6 +275,32 @@ TEST_F(PilotLifecycleTest, InvalidUnitRejected) {
   EXPECT_EQ(um_.submitted(), 0u);
 }
 
+TEST_F(PilotLifecycleTest, StagedFileWithoutSchemeOrHostRejected) {
+  // A default StagedFile's URL has no scheme or host and could not
+  // cross the unit document: submit refuses it up front, before any
+  // unit of the batch has an id, a handle or a record.
+  auto pilot = pm_.submit_pilot(plain_pilot("slurm://stampede/", 1));
+  um_.add_pilot(pilot);
+  ComputeUnitDescription bad_out = simple_unit();
+  bad_out.output_staging = {StagedFile{}};
+  EXPECT_THROW(um_.submit(std::vector<ComputeUnitDescription>{simple_unit(),
+                                                              bad_out}),
+               common::ConfigError);
+  ComputeUnitDescription bad_in = simple_unit();
+  bad_in.input_staging = {StagedFile{}};
+  EXPECT_THROW(um_.submit(bad_in), common::ConfigError);
+  EXPECT_EQ(um_.find_unit("unit.0000"), nullptr);
+  EXPECT_EQ(um_.find_unit("unit.0001"), nullptr);
+  EXPECT_TRUE(session_.store().find_all("unit").empty());
+  EXPECT_EQ(session_.store().queue_depth("agent." + pilot->id()), 0u);
+  EXPECT_EQ(um_.submitted(), 0u);
+
+  auto good = um_.submit(simple_unit());
+  session_.engine().run_until(300.0);
+  EXPECT_EQ(good->state(), UnitState::kDone);
+  EXPECT_TRUE(um_.all_done());
+}
+
 TEST_F(PilotLifecycleTest, BatchedDispatchKeepsSubmitOrder) {
   // Free units cross as one StoreIngest batch while a held unit is put
   // directly. The batch is flushed before that put, so the unit write
@@ -288,11 +314,11 @@ TEST_F(PilotLifecycleTest, BatchedDispatchKeepsSubmitOrder) {
   const auto units = um_.submit(
       std::vector<ComputeUnitDescription>{simple_unit(), held, simple_unit()});
   ASSERT_EQ(units[0]->id(), "unit.0000");
-  const std::vector<std::string> order = {units[0]->id(), units[1]->id(),
-                                          units[2]->id()};
+  const std::vector<UnitIndex> order = {
+      units[0]->index(), units[1]->index(), units[2]->index()};
   EXPECT_EQ(store.drain_feed(feed), order);
   EXPECT_EQ(store.queue_pop_all("agent." + pilot->id()),
-            (std::vector<std::string>{order[0], order[2]}));
+            (std::vector<UnitIndex>{order[0], order[2]}));
   EXPECT_EQ(units[1]->state(), UnitState::kNew);
   store.close_feed(feed);
 }
@@ -344,8 +370,9 @@ TEST(BatchedDispatch, LargeSubmitCrossesInBatchesUnderTheByteBound) {
   };
   const std::size_t unit_bytes = list_bytes(net::StoreIngest::Unit{
       units[0]->id(), "agent." + pilot->id(),
-      pack_unit_document(
-          UnitRecord{UnitState::kPendingAgent, pilot->id(), desc})});
+      pack_unit_document(UnitRecord{
+          UnitState::kPendingAgent, pilot->id(),
+          std::make_shared<const ComputeUnitDescription>(desc)})});
   ASSERT_GE(n * unit_bytes, 4 * net::kBatchBytes);  // several bounds' worth
   const std::size_t per_batch = (net::kBatchBytes - 1) / unit_bytes;
   const std::size_t batches = (n + per_batch - 1) / per_batch;
@@ -365,6 +392,42 @@ TEST(BatchedDispatch, LargeSubmitCrossesInBatchesUnderTheByteBound) {
     EXPECT_EQ(net::make_envelope(ingest).payload.size(), 8 + 4 + bytes);
   }
   EXPECT_EQ(next, n);
+}
+
+/// Puts a unit of its own into the store whenever a StoreIngest crosses.
+class IntrudingTransport : public net::InProcessTransport {
+ public:
+  net::Envelope call(const std::string& endpoint,
+                     const net::Envelope& request) override {
+    net::Envelope reply = InProcessTransport::call(endpoint, request);
+    if (endpoint == "store.ingest" && store != nullptr) {
+      store->put_unit("intruder." + std::to_string(puts++), UnitRecord{});
+    }
+    return reply;
+  }
+
+  StateStore* store = nullptr;
+  int puts = 0;
+};
+
+TEST(BatchedDispatch, ForeignRowDuringSubmitIsRefused) {
+  // submit() derives its units' indices from the store's row count, which
+  // holds only while no other writer appends mid-batch: it checks.
+  Session session;
+  auto owned = std::make_unique<IntrudingTransport>();
+  IntrudingTransport& transport = *owned;
+  session.set_transport(std::move(owned));
+  session.register_machine(cluster::stampede_profile(),
+                           hpc::SchedulerKind::kSlurm, 8);
+  PilotManager pm(session);
+  UnitManager um(session);
+  PilotDescription pd;
+  pd.resource = "slurm://stampede/";
+  um.add_pilot(pm.submit_pilot(pd));
+  transport.store = &session.store();
+  EXPECT_THROW(um.submit(ComputeUnitDescription{}), common::StateError);
+  EXPECT_EQ(transport.puts, 1);
+  EXPECT_EQ(um.submitted(), 0u);
 }
 
 }  // namespace

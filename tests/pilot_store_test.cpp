@@ -14,10 +14,12 @@
 namespace hoh::pilot {
 namespace {
 
-UnitRecord pending(const std::string& pilot = "pilot.0") {
+UnitRecord pending(const std::string& pilot = "pilot.0",
+                   ComputeUnitDescription desc = {}) {
   UnitRecord unit;
   unit.state = UnitState::kPendingAgent;
   unit.pilot = pilot;
+  unit.description = std::make_shared<const ComputeUnitDescription>(desc);
   return unit;
 }
 
@@ -33,44 +35,47 @@ common::Json document(const StateStore& store, const std::string& id) {
 TEST(StateStoreTest, PutGetRoundTrip) {
   sim::Engine engine;
   StateStore store(engine);
-  UnitRecord unit = pending();
-  unit.description.name = "map-0";
-  store.put_unit("unit.0", unit);
-  EXPECT_EQ(store.unit_state("unit.0"), UnitState::kPendingAgent);
-  ASSERT_TRUE(store.unit_description("unit.0").has_value());
-  EXPECT_EQ(store.unit_description("unit.0")->name, "map-0");
+  ComputeUnitDescription desc;
+  desc.name = "map-0";
+  const UnitIndex index = store.put_unit("unit.0", pending("pilot.0", desc));
+  EXPECT_EQ(store.unit_index("unit.0"), index);
+  EXPECT_EQ(store.unit_id(index), "unit.0");
+  EXPECT_EQ(store.unit_state(index), UnitState::kPendingAgent);
+  ASSERT_NE(store.unit_description(index), nullptr);
+  EXPECT_EQ(store.unit_description(index)->name, "map-0");
   const common::Json doc = document(store, "unit.0");
   EXPECT_EQ(doc.at("state").as_string(), "PendingAgent");
   EXPECT_EQ(doc.at("pilot").as_string(), "pilot.0");
   EXPECT_EQ(doc.at("description").at("name").as_string(), "map-0");
-  EXPECT_FALSE(store.unit_description("missing").has_value());
+  EXPECT_FALSE(store.unit_index("missing").has_value());
+  EXPECT_EQ(store.unit_description(index + 1), nullptr);
 }
 
 TEST(StateStoreTest, UpdateMergesFields) {
   sim::Engine engine;
   StateStore store(engine);
-  store.put_unit("u", pending("pilot.0"));
-  store.set_unit_state("u", UnitState::kAgentScheduling);
+  const UnitIndex u = store.put_unit("u", pending("pilot.0"));
+  store.set_unit_state(u, UnitState::kAgentScheduling);
   const common::Json got = document(store, "u");
   EXPECT_EQ(got.at("state").as_string(), "AgentScheduling");
   EXPECT_EQ(got.at("pilot").as_string(), "pilot.0");  // untouched
   // A rebind moves the pilot with the state.
-  store.set_unit_state("u", UnitState::kFailed);
-  store.set_unit_state("u", UnitState::kPendingAgent, "pilot.1");
+  store.set_unit_state(u, UnitState::kFailed);
+  store.set_unit_state(u, UnitState::kPendingAgent, "pilot.1");
   EXPECT_EQ(document(store, "u").at("pilot").as_string(), "pilot.1");
 }
 
 TEST(StateStoreTest, UpdateRejectsIllegalUnitTransition) {
   sim::Engine engine;
   StateStore store(engine);
-  store.put_unit("u", pending());
+  const UnitIndex u = store.put_unit("u", pending());
   const auto digest = store.schedule_digest();
   // PendingAgent -> Executing skips AgentScheduling: not a Fig. 3 edge.
-  EXPECT_THROW(store.set_unit_state("u", UnitState::kExecuting),
+  EXPECT_THROW(store.set_unit_state(u, UnitState::kExecuting),
                common::StateError);
   // The rejected write must not have leaked into the document.
   EXPECT_EQ(document(store, "u").at("state").as_string(), "PendingAgent");
-  EXPECT_EQ(store.unit_state("u"), UnitState::kPendingAgent);
+  EXPECT_EQ(store.unit_state(u), UnitState::kPendingAgent);
   EXPECT_EQ(store.schedule_digest(), digest);
 }
 
@@ -82,35 +87,43 @@ TEST(StateStoreTest, PutUnitReingestIsUngatedAndUnfolded) {
   StateStore store(engine);
   UnitRecord held = pending();
   held.state = UnitState::kNew;
-  store.put_unit("u", held);
+  const UnitIndex u = store.put_unit("u", held);
   const auto digest = store.schedule_digest();
-  store.put_unit("u", pending());
-  EXPECT_EQ(store.unit_state("u"), UnitState::kPendingAgent);
+  EXPECT_EQ(store.put_unit("u", pending()), u);  // the same row
+  EXPECT_EQ(store.unit_state(u), UnitState::kPendingAgent);
   EXPECT_EQ(store.schedule_digest(), digest);
   // A gated write is folded.
-  store.set_unit_state("u", UnitState::kAgentScheduling);
+  store.set_unit_state(u, UnitState::kAgentScheduling);
   EXPECT_NE(store.schedule_digest(), digest);
 }
 
 TEST(StateStoreTest, TypedUnitReads) {
   sim::Engine engine;
   StateStore store(engine);
-  UnitRecord unit = pending();
-  unit.description.name = "map-7";
-  unit.description.depends_on = {"unit.1"};
-  store.put_unit("u", unit);
-  const auto desc = store.unit_description("u");
-  ASSERT_TRUE(desc.has_value());
+  ComputeUnitDescription put;
+  put.name = "map-7";
+  put.depends_on = {"unit.1"};
+  const UnitRecord unit = pending("pilot.0", put);
+  const UnitIndex u = store.put_unit("u", unit);
+  const auto desc = store.unit_description(u);
+  ASSERT_NE(desc, nullptr);
   EXPECT_EQ(desc->name, "map-7");
   EXPECT_EQ(desc->depends_on, std::vector<std::string>{"unit.1"});
-  EXPECT_FALSE(store.unit_description("missing").has_value());
-  EXPECT_THROW(store.unit_state("missing"), common::NotFoundError);
-  EXPECT_THROW(store.set_unit_state("missing", UnitState::kCanceled),
+  // The record holds the put description itself: reads share it.
+  EXPECT_EQ(desc, unit.description);
+  const UnitIndex missing = u + 1;
+  EXPECT_EQ(store.unit_description(missing), nullptr);
+  EXPECT_THROW(store.unit_state(missing), common::NotFoundError);
+  EXPECT_THROW(store.set_unit_state(missing, UnitState::kCanceled),
                common::NotFoundError);
-  // Each typed read is one op.
+  EXPECT_THROW(store.queue_push("q", missing), common::NotFoundError);
+  EXPECT_THROW(store.unit_id(missing), common::NotFoundError);
+  // Each typed read is one op; resolving an id or an index is none.
   const auto ops = store.op_count();
-  store.unit_state("u");
-  store.unit_description("u");
+  store.unit_state(u);
+  store.unit_description(u);
+  store.unit_index("u");
+  store.unit_id(u);
   EXPECT_EQ(store.op_count() - ops, 2u);
 }
 
@@ -143,11 +156,13 @@ TEST(StateStoreTest, HeartbeatsAreTypedAndWatched) {
 TEST(StateStoreTest, QueueFifoAndDrain) {
   sim::Engine engine;
   StateStore store(engine);
-  store.queue_push("agent.p0", "a");
-  store.queue_push("agent.p0", "b");
+  const UnitIndex a = store.put_unit("a", pending());
+  const UnitIndex b = store.put_unit("b", pending());
+  store.queue_push("agent.p0", a);
+  store.queue_push("agent.p0", b);
   EXPECT_EQ(store.queue_depth("agent.p0"), 2u);
   auto drained = store.queue_pop_all("agent.p0");
-  EXPECT_EQ(drained, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(drained, (std::vector<UnitIndex>{a, b}));
   EXPECT_EQ(store.queue_depth("agent.p0"), 0u);
   EXPECT_TRUE(store.queue_pop_all("agent.p0").empty());
   EXPECT_TRUE(store.queue_pop_all("never-used").empty());
@@ -158,12 +173,11 @@ TEST(StateStoreTest, FindAllSorted) {
   StateStore store(engine);
   store.put_unit("b", pending());
   store.put_unit("a", pending());
-  UnitRecord staged = pending();
-  staged.description.cores = 4;
-  staged.description.input_staging = {
-      {saga::Url("file://stampede/points.csv"), 1024}};
-  staged.description.depends_on = {"a"};
-  store.put_unit("c", staged);
+  ComputeUnitDescription staged;
+  staged.cores = 4;
+  staged.input_staging = {{saga::Url("file://stampede/points.csv"), 1024}};
+  staged.depends_on = {"a"};
+  store.put_unit("c", pending("pilot.0", staged));
   auto all = store.find_all("unit");
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].first, "a");
@@ -183,10 +197,11 @@ TEST(StateStoreTest, FindAllSorted) {
 TEST(StateStoreTest, OpCounting) {
   sim::Engine engine;
   StateStore store(engine);
+  const UnitIndex x = store.put_unit("x", pending());
   const auto before = store.op_count();
   store.put_heartbeat("pilot.0", HeartbeatRecord{});
   store.heartbeat("pilot.0");
-  store.queue_push("q", "x");
+  store.queue_push("q", x);
   store.queue_pop_all("q");
   EXPECT_EQ(store.op_count(), before + 4);
 }
@@ -201,30 +216,29 @@ TEST(StateStoreTest, WriteFeedNamesEachWriteUntilDrained) {
   const auto other = store.open_feed();
   EXPECT_NE(feed, 0u);
   EXPECT_NE(feed, other);
-  store.put_unit("a", pending());
-  store.set_unit_state("a", UnitState::kAgentScheduling);
-  store.put_unit("b", pending());
+  const UnitIndex a = store.put_unit("a", pending());
+  store.set_unit_state(a, UnitState::kAgentScheduling);
+  const UnitIndex b = store.put_unit("b", pending());
   // Heartbeats and queue traffic are not unit writes.
   store.put_heartbeat("pilot.0", HeartbeatRecord{});
-  store.queue_push("agent.pilot.0", "a");
+  store.queue_push("agent.pilot.0", a);
   store.queue_pop_all("agent.pilot.0");
   // A write the transition gate rejects never happened.
-  EXPECT_THROW(store.set_unit_state("b", UnitState::kNew),
+  EXPECT_THROW(store.set_unit_state(b, UnitState::kNew),
                common::StateError);
 
-  const std::vector<std::string> written{"a", "a", "b"};
+  const std::vector<UnitIndex> written{a, a, b};
   EXPECT_EQ(store.drain_feed(feed), written);
   EXPECT_TRUE(store.drain_feed(feed).empty());
-  store.set_unit_state("b", UnitState::kAgentScheduling);
-  EXPECT_EQ(store.drain_feed(feed), std::vector<std::string>{"b"});
+  store.set_unit_state(b, UnitState::kAgentScheduling);
+  EXPECT_EQ(store.drain_feed(feed), std::vector<UnitIndex>{b});
   // Feeds are independent: the second still holds everything.
-  EXPECT_EQ(store.drain_feed(other),
-            (std::vector<std::string>{"a", "a", "b", "b"}));
+  EXPECT_EQ(store.drain_feed(other), (std::vector<UnitIndex>{a, a, b, b}));
 
   store.close_feed(feed);
-  store.put_unit("c", pending());
+  const UnitIndex c = store.put_unit("c", pending());
   EXPECT_TRUE(store.drain_feed(feed).empty());
-  EXPECT_EQ(store.drain_feed(other), std::vector<std::string>{"c"});
+  EXPECT_EQ(store.drain_feed(other), std::vector<UnitIndex>{c});
   // Opening, draining and closing feeds are not ops: the 9 counted are
   // the writes, queue calls and the rejected update.
   EXPECT_EQ(store.op_count() - ops, 9u);
@@ -238,6 +252,11 @@ TEST(StateStoreTest, WatchDeliveryIsFifoAcrossBuckets) {
   // registration order.
   std::vector<std::string> buckets = {"unit", "heartbeat"};
   for (int i = 0; i < 10; ++i) buckets.push_back("q." + std::to_string(i));
+  // The units the queues carry exist before anyone watches.
+  std::vector<UnitIndex> queued;
+  for (int round = 0; round < 3; ++round) {
+    queued.push_back(store.put_unit("k" + std::to_string(round), pending()));
+  }
   std::vector<std::string> delivered;
   for (const std::string& bucket : buckets) {
     store.watch(bucket, "", [&delivered](const WatchEvent& e) {
@@ -254,7 +273,7 @@ TEST(StateStoreTest, WatchDeliveryIsFifoAcrossBuckets) {
       } else if (bucket == "heartbeat") {
         store.put_heartbeat(key, HeartbeatRecord{});
       } else {
-        store.queue_push(bucket, key);
+        store.queue_push(bucket, queued[static_cast<std::size_t>(round)]);
       }
       expected.push_back(bucket + "/" + key);
     }
@@ -305,10 +324,10 @@ TEST(StateStoreTest, ConcurrentMutationStress) {
         store.put_heartbeat(pilot, beat);
         ASSERT_TRUE(store.heartbeat(pilot).has_value());
         const std::string unit = prefix + "." + id;
-        store.put_unit(unit, pending());
-        store.set_unit_state(unit, UnitState::kAgentScheduling);
-        ASSERT_EQ(store.unit_state(unit), UnitState::kAgentScheduling);
-        store.queue_push(queue, id);
+        const UnitIndex index = store.put_unit(unit, pending());
+        store.set_unit_state(index, UnitState::kAgentScheduling);
+        ASSERT_EQ(store.unit_state(index), UnitState::kAgentScheduling);
+        store.queue_push(queue, index);
       }
       EXPECT_EQ(store.queue_pop_all(queue).size(),
                 static_cast<std::size_t>(kOps));

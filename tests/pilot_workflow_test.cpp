@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "pilot/agent/agent.h"
 #include "pilot/pilot_manager.h"
 #include "pilot/unit_manager.h"
 
@@ -137,6 +138,73 @@ TEST_F(WorkflowTest, DependsOnSerializedInStoreDocument) {
     return;
   }
   FAIL() << "no document for " << b->id();
+}
+
+TEST_F(WorkflowTest, TwoManagersShareOneSession) {
+  // Both managers draw unit ids and store indices from the one session,
+  // so interleaved submits must not collide, and each manager answers
+  // only for its own units.
+  UnitManager other(session_);
+  other.add_pilot(pilot_);
+  auto a = um_.submit(unit("a", 30.0));
+  auto x = other.submit(unit("x", 5.0));
+  auto b = um_.submit(unit("b", 5.0, {a->id()}));  // held behind a
+  auto y = other.submit({unit("y1", 5.0), unit("y2", 10.0)});
+  // A dependency on another manager's unit is unknown here: canceled.
+  auto z = other.submit(unit("z", 5.0, {a->id()}));
+  EXPECT_EQ(um_.find_unit(x->id()), nullptr);
+  EXPECT_EQ(other.find_unit(a->id()), nullptr);
+  EXPECT_EQ(um_.find_unit(b->id()), b);
+  EXPECT_EQ(other.find_unit(y[1]->id()), y[1]);
+
+  while (!other.all_done() && session_.engine().now() < 3600.0) {
+    session_.engine().run_until(session_.engine().now() + 5.0);
+  }
+  EXPECT_EQ(x->state(), UnitState::kDone);
+  EXPECT_EQ(y[0]->state(), UnitState::kDone);
+  EXPECT_EQ(y[1]->state(), UnitState::kDone);
+  EXPECT_EQ(z->state(), UnitState::kCanceled);
+  // The other barrier settled without this manager's units.
+  EXPECT_EQ(b->state(), UnitState::kNew);
+  EXPECT_FALSE(um_.all_done());
+
+  drive();
+  EXPECT_EQ(a->state(), UnitState::kDone);
+  EXPECT_EQ(b->state(), UnitState::kDone);
+  EXPECT_TRUE(other.all_done());
+  EXPECT_EQ(um_.done_count(), 2u);
+  EXPECT_EQ(other.done_count(), 3u);
+  // Recorded when units were keyed by their string ids: the run is the
+  // same event for event.
+  EXPECT_EQ(session_.store().schedule_digest(), 0x045d9782fe994260ULL);
+}
+
+TEST_F(WorkflowTest, DescriptionsAreSharedNotCopied) {
+  // One-node units on a two-node pilot: two run, the rest wait in the
+  // agent queue.
+  ComputeUnitDescription wide = unit("wide", 50.0);
+  wide.cores = 8;
+  auto units = um_.submit(std::vector<ComputeUnitDescription>(6, wide));
+  auto held = um_.submit(unit("held", 5.0, {units[0]->id()}));
+  StateStore& store = session_.store();
+  // A held unit's record holds the handle's own description.
+  EXPECT_EQ(store.unit_description(held->index()).get(),
+            &held->description());
+
+  Agent* agent = nullptr;
+  while (session_.engine().now() < 600.0) {
+    session_.engine().run_until(session_.engine().now() + 1.0);
+    agent = pilot_->agent();
+    if (agent != nullptr && agent->units_running() > 0) break;
+  }
+  ASSERT_NE(agent, nullptr);
+  // Every queued unit's description is its store record's.
+  const auto queued = agent->queued_descriptions();
+  ASSERT_EQ(queued.size(), 4u);
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    const auto& unit = units[units.size() - queued.size() + i];
+    EXPECT_EQ(queued[i], store.unit_description(unit->index())) << i;
+  }
 }
 
 }  // namespace
