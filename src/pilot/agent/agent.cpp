@@ -1,10 +1,34 @@
 #include "pilot/agent/agent.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.h"
 
 namespace hoh::pilot {
+
+namespace {
+
+/// The per-unit trace labels, interned once instead of on every record.
+const sim::TraceName kUnitTrace("unit");
+const sim::TraceName kExecSpan("exec");
+const sim::TraceName kStartupSpan("startup");
+const sim::TraceName kPlaced("placed");
+
+sim::TraceName state_label(UnitState state) {
+  static const auto labels = [] {
+    std::array<sim::TraceName,
+               static_cast<std::size_t>(UnitState::kFailed) + 1>
+        out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = to_string(static_cast<UnitState>(i));
+    }
+    return out;
+  }();
+  return labels[static_cast<std::size_t>(state)];
+}
+
+}  // namespace
 
 Agent::Agent(saga::SagaContext& saga, StateStore& store,
              saga::FileTransferService& transfer, std::string pilot_id,
@@ -94,19 +118,30 @@ void Agent::start(std::function<void()> on_active) {
       // before activation). The heartbeat is a lease timer —
       // write_heartbeat() re-arms it, and activity renews it early
       // (renew_heartbeat_lease).
+      // Every push after this watch is registered is delivered once,
+      // and only this agent pops the queue. A delivery finds its unit
+      // either still queued (its poll pops it and every unit pushed
+      // after it) or popped ahead; the latter skips the store.
       unit_watch_ = store_.watch(
           "agent." + pilot_id_, "", [this](const WatchEvent&) {
-            if (active_) poll_store();
+            if (!active_) return;
+            if (popped_ahead_ > 0) {
+              --popped_ahead_;
+              schedule_queued();
+              return;
+            }
+            const std::size_t popped = poll_store();
+            if (popped > 0) popped_ahead_ += popped - 1;
           });
       fallback_timer_.bind(saga_.engine(), [this] {
         if (!active_) return;
-        poll_store();
+        popped_ahead_ += poll_store();  // their deliveries are pending
         fallback_timer_.arm(config_.watch_fallback_interval);
       });
       fallback_timer_.arm(config_.watch_fallback_interval);
       heartbeat_lease_.bind(saga_.engine(), [this] { write_heartbeat(); });
       write_heartbeat();
-      poll_store();  // drain anything queued before activation
+      poll_store();  // units queued before the watch: no deliveries
       if (cb) cb();
       if (config_.transport != nullptr && !config_.event_endpoint.empty()) {
         // Activation crosses the boundary as a one-way lifecycle event.
@@ -179,8 +214,8 @@ void Agent::notify_capacity_event() {
   for (const auto& fn : capacity_listeners_) fn();
 }
 
-void Agent::poll_store() {
-  if (!active_) return;
+std::size_t Agent::poll_store() {
+  if (!active_) return 0;
   const auto indices = store_.queue_pop_all("agent." + pilot_id_);
   for (const UnitIndex index : indices) {
     auto desc = store_.unit_description(index);
@@ -198,20 +233,24 @@ void Agent::poll_store() {
     renew_heartbeat_lease();
     notify_capacity_event();  // backlog grew
   }
+  return indices.size();
 }
 
 void Agent::set_unit_state(UnitRec& unit, UnitState state) {
   if (is_final(unit.state)) return;
   unit.state = state;
   store_.set_unit_state(unit.index, state);
-  saga_.trace().record(saga_.engine().now(), "unit", to_string(state),
+  saga_.trace().record(saga_.engine().now(), kUnitTrace, state_label(state),
                        {{"unit", unit.id}, {"pilot", pilot_id_}});
   if (is_final(state)) {
-    saga_.trace().end_span(saga_.engine().now(), "unit", "exec", unit.id);
+    saga_.trace().end_span(saga_.engine().now(), kUnitTrace, kExecSpan,
+                           unit.id);
   }
   if (state == UnitState::kExecuting) {
-    saga_.trace().begin_span(saga_.engine().now(), "unit", "exec", unit.id);
-    saga_.trace().end_span(saga_.engine().now(), "unit", "startup", unit.id);
+    saga_.trace().begin_span(saga_.engine().now(), kUnitTrace, kExecSpan,
+                             unit.id);
+    saga_.trace().end_span(saga_.engine().now(), kUnitTrace, kStartupSpan,
+                           unit.id);
     if (!saw_first_unit_) {
       saw_first_unit_ = true;
       saga_.trace().record(saga_.engine().now(), "pilot",
@@ -266,7 +305,7 @@ bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
 }
 
 void Agent::record_placed(const UnitRec& unit, const std::string& nodes) {
-  saga_.trace().record(saga_.engine().now(), "unit", "placed",
+  saga_.trace().record(saga_.engine().now(), kUnitTrace, kPlaced,
                        {{"unit", unit.id}, {"node", nodes}});
   store_.record_placement(unit.id, nodes);
 }

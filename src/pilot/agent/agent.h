@@ -146,7 +146,9 @@ class Agent {
   friend class SparkLaunch;
 
   // --- store interaction (U.3 / state write-back) ---
-  void poll_store();
+  /// Drains this pilot's store queue into the agent queue, then runs a
+  /// scheduling pass; returns how many units it popped.
+  std::size_t poll_store();
   void write_heartbeat();
   /// Activity renews the heartbeat lease early (rate-limited to half the
   /// heartbeat interval) instead of waiting for the timer.
@@ -235,6 +237,9 @@ class Agent {
   // renewed by activity; drains re-check on a bounded self re-arming
   // timer.
   WatchHandle unit_watch_;
+  /// Queued units a poll popped before their push's watch delivery
+  /// arrived: that many deliveries pop nothing and skip the store.
+  std::size_t popped_ahead_ = 0;
   sim::DeadlineTimer fallback_timer_;
   sim::DeadlineTimer heartbeat_lease_;
   sim::DeadlineTimer drain_recheck_;

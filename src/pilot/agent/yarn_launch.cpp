@@ -16,6 +16,13 @@
 
 namespace hoh::pilot {
 
+namespace {
+
+const sim::TraceName kUnitTrace("unit");
+const sim::TraceName kYarnSubmitSpan("yarn_submit");
+
+}  // namespace
+
 class YarnLaunch final : public LaunchMethod {
  public:
   YarnLaunch(Agent& agent, yarn::YarnCluster* external)
@@ -204,8 +211,8 @@ bool YarnLaunch::admit(UnitRec& unit) {
 }
 
 void YarnLaunch::launch(const std::shared_ptr<UnitRec>& unit) {
-  agent_.saga_.trace().begin_span(agent_.saga_.engine().now(), "unit",
-                                  "yarn_submit", unit->id);
+  agent_.saga_.trace().begin_span(agent_.saga_.engine().now(), kUnitTrace,
+                                  kYarnSubmitSpan, unit->id);
   agent_.stage_in(unit, [this, unit] {
     // Serialized `yarn jar` CLI submission round trip.
     agent_.saga_.engine().schedule(
@@ -268,8 +275,8 @@ void YarnLaunch::run_in_container(const std::shared_ptr<UnitRec>& unit,
       engine.schedule(wrapper, [this, unit, id, &engine] {
         if (agent_.stopped_ || unit->container_id != id) return;
         agent_.set_unit_state(*unit, UnitState::kExecuting);
-        agent_.saga_.trace().end_span(engine.now(), "unit", "yarn_submit",
-                                      unit->id);
+        agent_.saga_.trace().end_span(engine.now(), kUnitTrace,
+                                      kYarnSubmitSpan, unit->id);
         unit->exec_event = engine.schedule(unit->desc->duration, [this, unit,
                                                                  id] {
           if (agent_.stopped_) return;

@@ -13,6 +13,11 @@ namespace hoh::pilot {
 
 namespace {
 
+/// The per-unit trace labels, interned once instead of on every submit.
+const sim::TraceName kUnitTrace("unit");
+const sim::TraceName kSubmitted("Submitted");
+const sim::TraceName kStartupSpan("startup");
+
 /// Session-unique submit-endpoint prefix per manager (engine-thread
 /// only; the names never enter digests).
 std::string next_um_prefix() {
@@ -408,10 +413,10 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     const double predicted = estimator_->predict(desc);
     backlog_seconds_[pilot_id] += predicted;
 
-    session_.trace().record(session_.engine().now(), "unit", "Submitted",
+    session_.trace().record(session_.engine().now(), kUnitTrace, kSubmitted,
                             {{"unit", unit_id}, {"pilot", pilot_id}});
-    session_.trace().begin_span(session_.engine().now(), "unit", "startup",
-                                unit_id);
+    session_.trace().begin_span(session_.engine().now(), kUnitTrace,
+                                kStartupSpan, unit_id);
 
     // The one copy of the description: the handle, a held unit's record
     // and the U.2 hand-over share it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <stdexcept>
 
 #include "common/thread_annotations.h"
@@ -9,9 +10,12 @@
 namespace hoh::sim {
 namespace {
 
-std::string span_key(const std::string& category, const std::string& name,
-                     const std::string& key) {
-  return category + "\x1f" + name + "\x1f" + key;
+std::size_t hash_combine(std::size_t seed, std::size_t h) {
+  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+
+std::size_t hash_identity(TraceName name) {
+  return std::hash<const void*>{}(name.identity());
 }
 
 /// Every TraceName text, each stored once. std::set nodes never move,
@@ -77,50 +81,63 @@ void TraceAttrs::insert_or_assign(std::string_view key, std::string value) {
   }
 }
 
-void Trace::record(common::Seconds time, std::string category,
-                   std::string name, std::initializer_list<TraceAttr> attrs) {
-  TraceAttrs kept;  // a rolled-up category keeps no attributes
-  if (!rollup_enabled(category)) kept = TraceAttrs(attrs);
-  record(time, std::move(category), std::move(name), std::move(kept));
+std::size_t Trace::NamePairHash::operator()(const NamePair& p) const {
+  return hash_combine(hash_identity(p.first), hash_identity(p.second));
 }
 
-void Trace::record(common::Seconds time, std::string category,
-                   std::string name, TraceAttrs attrs) {
+std::size_t Trace::OpenSpanHash::operator()(const OpenSpanRef& s) const {
+  return hash_combine(
+      hash_combine(hash_identity(s.category), hash_identity(s.name)),
+      std::hash<std::string_view>{}(s.key));
+}
+
+void Trace::record(common::Seconds time, TraceName category, TraceName name,
+                   std::initializer_list<TraceAttr> attrs) {
+  TraceAttrs kept;  // a rolled-up category keeps no attributes
+  if (!rollup_enabled(category)) kept = TraceAttrs(attrs);
+  record(time, category, name, std::move(kept));
+}
+
+void Trace::record(common::Seconds time, TraceName category, TraceName name,
+                   TraceAttrs attrs) {
   if (rollup_enabled(category)) {
-    TraceRollup& r = rollups_[{std::move(category), std::move(name)}];
+    TraceRollup& r = rollups_[{category, name}];
     if (r.count == 0) r.first = time;
     r.last = time;
     ++r.count;
     return;
   }
-  events_.push_back(
-      TraceEvent{time, std::move(category), std::move(name), std::move(attrs)});
+  events_.push_back(TraceEvent{time, category, name, std::move(attrs)});
 }
 
-void Trace::enable_rollup(const std::string& category) {
-  rollup_categories_.insert(category);
+void Trace::enable_rollup(TraceName category) {
+  if (!rollup_enabled(category)) rollup_categories_.push_back(category);
 }
 
-TraceRollup Trace::rollup(const std::string& category,
-                          const std::string& name) const {
+bool Trace::rollup_enabled(TraceName category) const {
+  return std::find(rollup_categories_.begin(), rollup_categories_.end(),
+                   category) != rollup_categories_.end();
+}
+
+TraceRollup Trace::rollup(TraceName category, TraceName name) const {
   const auto it = rollups_.find({category, name});
   return it == rollups_.end() ? TraceRollup{} : it->second;
 }
 
-TraceSpanStats Trace::span_stats(const std::string& category,
-                                 const std::string& name) const {
+TraceSpanStats Trace::span_stats(TraceName category, TraceName name) const {
   const auto it = span_stats_.find({category, name});
   return it == span_stats_.end() ? TraceSpanStats{} : it->second;
 }
 
-void Trace::begin_span(common::Seconds time, const std::string& category,
-                       const std::string& name, const std::string& key) {
-  open_spans_[span_key(category, name, key)] = time;
+void Trace::begin_span(common::Seconds time, TraceName category,
+                       TraceName name, std::string_view key) {
+  open_spans_.insert_or_assign(OpenSpan{category, name, std::string(key)},
+                               time);
 }
 
-void Trace::end_span(common::Seconds time, const std::string& category,
-                     const std::string& name, const std::string& key) {
-  auto it = open_spans_.find(span_key(category, name, key));
+void Trace::end_span(common::Seconds time, TraceName category,
+                     TraceName name, std::string_view key) {
+  const auto it = open_spans_.find(OpenSpanRef{category, name, key});
   if (it == open_spans_.end()) return;
   if (rollup_enabled(category)) {
     const common::Seconds duration = time - it->second;
@@ -137,8 +154,9 @@ void Trace::end_span(common::Seconds time, const std::string& category,
     open_spans_.erase(it);
     return;
   }
-  spans_.push_back(TraceSpan{it->second, time, category, name, key});
-  open_spans_.erase(it);
+  auto open = open_spans_.extract(it);
+  spans_.push_back(TraceSpan{open.mapped(), time, category, name,
+                             std::move(open.key().key)});
 }
 
 std::vector<TraceEvent> Trace::find(const std::string& category,
@@ -152,22 +170,36 @@ std::vector<TraceEvent> Trace::find(const std::string& category,
   return out;
 }
 
+const std::pair<const Trace::NamePair, TraceRollup>* Trace::pick_rollup(
+    TraceName category, const std::string& name, bool earliest) const {
+  const std::pair<const NamePair, TraceRollup>* best = nullptr;
+  // hoh-analyze: allow-next-line(det-unordered-emit) -- ties go by name
+  for (const auto& entry : rollups_) {
+    const auto& [key, r] = entry;
+    if (key.first != category || r.count == 0) continue;
+    if (!name.empty() && key.second != name) continue;
+    if (best == nullptr) {
+      best = &entry;
+      continue;
+    }
+    const common::Seconds t = earliest ? r.first : r.last;
+    const common::Seconds best_t =
+        earliest ? best->second.first : best->second.last;
+    if ((earliest ? t < best_t : t > best_t) ||
+        (t == best_t && key.second.str() < best->first.second.str())) {
+      best = &entry;
+    }
+  }
+  return best;
+}
+
 std::optional<TraceEvent> Trace::first(const std::string& category,
                                        const std::string& name) const {
   if (rollup_enabled(category)) {
     // Synthesize an attribute-free event from the rollup counters.
-    const TraceRollup* best = nullptr;
-    const std::string* best_name = nullptr;
-    for (const auto& [key, r] : rollups_) {
-      if (key.first != category || r.count == 0) continue;
-      if (!name.empty() && key.second != name) continue;
-      if (best == nullptr || r.first < best->first) {
-        best = &r;
-        best_name = &key.second;
-      }
-    }
+    const auto* best = pick_rollup(category, name, true);
     if (best == nullptr) return std::nullopt;
-    return TraceEvent{best->first, category, *best_name, {}};
+    return TraceEvent{best->second.first, category, best->first.second, {}};
   }
   for (const auto& e : events_) {
     if (e.category == category && (name.empty() || e.name == name)) return e;
@@ -178,18 +210,9 @@ std::optional<TraceEvent> Trace::first(const std::string& category,
 std::optional<TraceEvent> Trace::last(const std::string& category,
                                       const std::string& name) const {
   if (rollup_enabled(category)) {
-    const TraceRollup* best = nullptr;
-    const std::string* best_name = nullptr;
-    for (const auto& [key, r] : rollups_) {
-      if (key.first != category || r.count == 0) continue;
-      if (!name.empty() && key.second != name) continue;
-      if (best == nullptr || r.last > best->last) {
-        best = &r;
-        best_name = &key.second;
-      }
-    }
+    const auto* best = pick_rollup(category, name, false);
     if (best == nullptr) return std::nullopt;
-    return TraceEvent{best->last, category, *best_name, {}};
+    return TraceEvent{best->second.last, category, best->first.second, {}};
   }
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     if (it->category == category && (name.empty() || it->name == name)) {

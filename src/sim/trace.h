@@ -1,12 +1,12 @@
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <initializer_list>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,7 +26,10 @@ namespace hoh::sim {
 /// fixed set, so each distinct text is stored once in a process-wide
 /// table that never shrinks, and a record holds an 8-byte pointer per
 /// label instead of a 32-byte std::string. Converts to and compares
-/// with std::string.
+/// with std::string. Two names are equal exactly when their texts are,
+/// so a name's identity() hashes and compares without reading the text;
+/// a hot call site keeps its names in constants and interns nothing per
+/// call.
 class TraceName {
  public:
   TraceName() : TraceName(std::string_view()) {}
@@ -37,6 +40,7 @@ class TraceName {
   const std::string& str() const { return *text_; }
   operator const std::string&() const { return *text_; }
   const char* c_str() const { return text_->c_str(); }
+  const void* identity() const { return text_; }
 
   friend bool operator==(TraceName a, TraceName b) {
     return a.text_ == b.text_;
@@ -130,9 +134,9 @@ class Trace {
  public:
   /// Appends one record. The initializer-list form builds the stored
   /// attributes only when \p category keeps records (not rolled up).
-  void record(common::Seconds time, std::string category, std::string name,
+  void record(common::Seconds time, TraceName category, TraceName name,
               std::initializer_list<TraceAttr> attrs);
-  void record(common::Seconds time, std::string category, std::string name,
+  void record(common::Seconds time, TraceName category, TraceName name,
               TraceAttrs attrs = {});
 
   /// Rollup mode (DESIGN.md §13): a web-scale run emits millions of
@@ -143,25 +147,21 @@ class Trace {
   /// return nothing (attributes are not retained); first()/last()
   /// synthesize attribute-free events from the counters, so coarse
   /// metrics (e.g. time of the last "Done") still work.
-  void enable_rollup(const std::string& category);
-  bool rollup_enabled(const std::string& category) const {
-    return rollup_categories_.count(category) > 0;
-  }
+  void enable_rollup(TraceName category);
+  bool rollup_enabled(TraceName category) const;
 
   /// Counter for a rolled-up (category, name); count == 0 when absent.
-  TraceRollup rollup(const std::string& category,
-                     const std::string& name) const;
+  TraceRollup rollup(TraceName category, TraceName name) const;
 
   /// Span duration stats for a rolled-up (category, name).
-  TraceSpanStats span_stats(const std::string& category,
-                            const std::string& name) const;
+  TraceSpanStats span_stats(TraceName category, TraceName name) const;
 
   /// Opens a span keyed by (category, name, key); closing a span that was
   /// never opened is ignored, re-opening overwrites the begin time.
-  void begin_span(common::Seconds time, const std::string& category,
-                  const std::string& name, const std::string& key);
-  void end_span(common::Seconds time, const std::string& category,
-                const std::string& name, const std::string& key);
+  void begin_span(common::Seconds time, TraceName category, TraceName name,
+                  std::string_view key);
+  void end_span(common::Seconds time, TraceName category, TraceName name,
+                std::string_view key);
 
   /// Deques, not vectors: a kept-everything trace grows by blocks
   /// instead of doubling, so it never holds up to 2x its records.
@@ -188,12 +188,53 @@ class Trace {
   void clear();
 
  private:
+  /// (category, name), hashed and compared by identity.
+  using NamePair = std::pair<TraceName, TraceName>;
+  struct NamePairHash {
+    std::size_t operator()(const NamePair& p) const;
+  };
+
+  /// An open span's key. Lookups pass the entity key as a view, so
+  /// closing a span builds no string.
+  struct OpenSpan {
+    TraceName category;
+    TraceName name;
+    std::string key;
+  };
+  struct OpenSpanRef {
+    TraceName category;
+    TraceName name;
+    std::string_view key;
+  };
+  struct OpenSpanHash {
+    using is_transparent = void;
+    std::size_t operator()(const OpenSpan& s) const {
+      return (*this)(OpenSpanRef{s.category, s.name, s.key});
+    }
+    std::size_t operator()(const OpenSpanRef& s) const;
+  };
+  struct OpenSpanEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.category == b.category && a.name == b.name &&
+             std::string_view(a.key) == std::string_view(b.key);
+    }
+  };
+
+  /// The rollup entry of (\p category, \p name) with the earliest first
+  /// (\p earliest) or latest last occurrence; ties go to the name that
+  /// sorts first, so the pick does not depend on hash order.
+  const std::pair<const NamePair, TraceRollup>* pick_rollup(
+      TraceName category, const std::string& name, bool earliest) const;
+
   std::deque<TraceEvent> events_;
   std::deque<TraceSpan> spans_;
-  std::map<std::string, common::Seconds> open_spans_;
-  std::set<std::string> rollup_categories_;
-  std::map<std::pair<std::string, std::string>, TraceRollup> rollups_;
-  std::map<std::pair<std::string, std::string>, TraceSpanStats> span_stats_;
+  std::unordered_map<OpenSpan, common::Seconds, OpenSpanHash, OpenSpanEq>
+      open_spans_;
+  std::vector<TraceName> rollup_categories_;  // a handful at most
+  std::unordered_map<NamePair, TraceRollup, NamePairHash> rollups_;
+  std::unordered_map<NamePair, TraceSpanStats, NamePairHash> span_stats_;
 };
 
 }  // namespace hoh::sim

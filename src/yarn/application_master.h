@@ -19,16 +19,20 @@
 namespace hoh::yarn {
 
 class ResourceManager;
+struct AppRecord;
 
+/// Lives inside its application's RM record and holds that record, so
+/// no call below looks the application up. The handle stays valid after
+/// the application finished.
 class ApplicationMaster {
  public:
-  ApplicationMaster(ResourceManager& rm, std::string app_id)
-      : rm_(rm), app_id_(std::move(app_id)) {}
+  ApplicationMaster(ResourceManager& rm, AppRecord& app)
+      : rm_(rm), app_(app) {}
 
   ApplicationMaster(const ApplicationMaster&) = delete;
   ApplicationMaster& operator=(const ApplicationMaster&) = delete;
 
-  const std::string& app_id() const { return app_id_; }
+  const std::string& app_id() const;
 
   /// Asks the RM for \p count containers; \p on_allocated fires once per
   /// grant (possibly over several scheduler passes).
@@ -60,7 +64,7 @@ class ApplicationMaster {
   friend class ResourceManager;
 
   ResourceManager& rm_;
-  std::string app_id_;
+  AppRecord& app_;
   std::function<void(const Container&)> preempted_callback_;
 };
 

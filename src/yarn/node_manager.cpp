@@ -1,8 +1,23 @@
 #include "yarn/node_manager.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/error.h"
 
 namespace hoh::yarn {
+
+namespace {
+
+/// Where \p id sits in \p containers (sorted by id), or would go.
+template <typename Containers>
+auto position(Containers& containers, const std::string& id) {
+  return std::lower_bound(
+      containers.begin(), containers.end(), id,
+      [](const Container& c, const std::string& key) { return c.id < key; });
+}
+
+}  // namespace
 
 std::string to_string(ContainerState state) {
   switch (state) {
@@ -86,7 +101,8 @@ bool NodeManager::can_fit(const Resource& resource) const {
 
 bool NodeManager::allocate(const Container& container) {
   if (!can_fit(container.resource)) return false;
-  if (containers_.count(container.id) > 0) {
+  const auto at = position(containers_, container.id);
+  if (at != containers_.end() && at->id == container.id) {
     throw common::StateError("NM: duplicate container id " + container.id);
   }
   const int ledger_cores =
@@ -99,53 +115,53 @@ bool NodeManager::allocate(const Container& container) {
   in_use_.memory_mb += container.resource.memory_mb;
   in_use_.vcores += container.resource.vcores;
   count_in_view(+1);
-  Container c = container;
+  Container& c = *containers_.insert(at, container);
   c.node = node_->name();
   c.state = ContainerState::kAllocated;
-  containers_.emplace(c.id, std::move(c));
   return true;
 }
 
-Container& NodeManager::find(const std::string& container_id) {
-  auto it = containers_.find(container_id);
-  if (it == containers_.end()) {
-    throw common::NotFoundError("NM " + node_->name() +
-                                ": unknown container " + container_id);
-  }
-  return it->second;
+const Container* NodeManager::find(const std::string& container_id) const {
+  const auto at = position(containers_, container_id);
+  return at != containers_.end() && at->id == container_id ? &*at : nullptr;
 }
 
 void NodeManager::launch(const std::string& container_id,
                          std::function<void()> on_running) {
-  Container& c = find(container_id);
-  if (c.state != ContainerState::kAllocated) {
+  const auto at = position(containers_, container_id);
+  if (at == containers_.end() || at->id != container_id) {
+    throw common::NotFoundError("NM " + node_->name() +
+                                ": unknown container " + container_id);
+  }
+  if (at->state != ContainerState::kAllocated) {
     throw common::StateError("NM: container " + container_id +
                              " not in ALLOCATED state");
   }
-  c.state = ContainerState::kLaunching;
+  at->state = ContainerState::kLaunching;
   const common::Seconds latency =
-      c.is_am ? config_.am_launch_time : config_.container_launch_time;
+      at->is_am ? config_.am_launch_time : config_.container_launch_time;
   engine_.schedule(latency, [this, container_id,
                              cb = std::move(on_running)] {
-    auto it = containers_.find(container_id);
-    if (it == containers_.end() ||
-        it->second.state != ContainerState::kLaunching) {
-      return;  // killed while launching
+    const auto it = position(containers_, container_id);
+    if (it == containers_.end() || it->id != container_id ||
+        it->state != ContainerState::kLaunching) {
+      return;  // released while launching
     }
-    it->second.state = ContainerState::kRunning;
+    it->state = ContainerState::kRunning;
     if (cb) cb();
   });
 }
 
-void NodeManager::release(const std::string& container_id,
-                          ContainerState final_state) {
-  Container& c = find(container_id);
-  if (c.state == ContainerState::kCompleted ||
-      c.state == ContainerState::kKilled ||
-      c.state == ContainerState::kPreempted) {
+void NodeManager::release(const std::string& container_id) {
+  const auto at = position(containers_, container_id);
+  if (at == containers_.end() || at->id != container_id) {
     return;  // already released
   }
-  c.state = final_state;
+  free_resources(*at);
+  containers_.erase(at);
+}
+
+void NodeManager::free_resources(const Container& c) {
   count_in_view(-1);
   in_use_.memory_mb -= c.resource.memory_mb;
   in_use_.vcores -= c.resource.vcores;
@@ -156,40 +172,14 @@ void NodeManager::release(const std::string& container_id,
       cluster::ResourceRequest{ledger_cores, c.resource.memory_mb});
 }
 
-bool NodeManager::has_container(const std::string& container_id) const {
-  return containers_.count(container_id) > 0;
-}
-
-const Container& NodeManager::container(
-    const std::string& container_id) const {
-  auto it = containers_.find(container_id);
-  if (it == containers_.end()) {
-    throw common::NotFoundError("NM " + node_->name() +
-                                ": unknown container " + container_id);
-  }
-  return it->second;
-}
-
-std::vector<std::string> NodeManager::live_container_ids() const {
-  std::vector<std::string> out;
-  for (const auto& [id, c] : containers_) {
-    if (c.state == ContainerState::kAllocated ||
-        c.state == ContainerState::kLaunching ||
-        c.state == ContainerState::kRunning) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 void NodeManager::fail() {
   if (!alive_) return;
   count_in_view(-1);
   alive_ = false;
   count_in_view(+1);
-  for (const auto& id : live_container_ids()) {
-    release(id, ContainerState::kKilled);
-  }
+  for (const Container& c : containers_) free_resources(c);
+  containers_.clear();
+  lost_on_crash_.clear();  // the RM has propagated them
 }
 
 void NodeManager::crash() {
@@ -198,10 +188,11 @@ void NodeManager::crash() {
   crashed_ = true;
   count_in_view(+1);
   crash_time_ = engine_.now();
-  lost_on_crash_ = live_container_ids();
-  for (const auto& id : lost_on_crash_) {
-    release(id, ContainerState::kKilled);
+  for (Container& c : containers_) {
+    free_resources(c);
+    c.state = ContainerState::kKilled;
   }
+  lost_on_crash_ = std::exchange(containers_, {});
 }
 
 void NodeManager::recover() {
@@ -242,18 +233,6 @@ void NodeManager::count_in_view(int sign) {
       view_->by_free_memory.erase(key);
     }
   }
-}
-
-std::size_t NodeManager::live_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    if (c.state == ContainerState::kAllocated ||
-        c.state == ContainerState::kLaunching ||
-        c.state == ContainerState::kRunning) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace hoh::yarn

@@ -13,7 +13,7 @@
 #include "yarn/types.h"
 
 /// \file node_manager.h
-/// One YARN NodeManager: owns the container table of one node, enforces
+/// One YARN NodeManager: owns the live containers of one node, enforces
 /// the advertised (memory, vcores) capacity against the shared
 /// cluster::Node ledger, and models container-launch latency
 /// (localization + JVM start).
@@ -71,19 +71,22 @@ class NodeManager {
   void launch(const std::string& container_id,
               std::function<void()> on_running);
 
-  /// Marks a running/launching container completed (or killed /
-  /// preempted) and releases its resources.
-  void release(const std::string& container_id, ContainerState final_state);
+  /// Ends a container (completed, killed or preempted alike): its
+  /// resources return and its record is erased. Releasing a container
+  /// this NM no longer holds is a no-op.
+  void release(const std::string& container_id);
 
-  bool has_container(const std::string& container_id) const;
-  const Container& container(const std::string& container_id) const;
+  bool has_container(const std::string& container_id) const {
+    return find(container_id) != nullptr;
+  }
+  /// The live container \p container_id; nullptr once it was released
+  /// (or was never allocated here).
+  const Container* find(const std::string& container_id) const;
 
-  /// Containers currently tracked (any state); completed ones are
-  /// retained for queries.
-  std::size_t live_count() const;
-
-  /// Live container ids (for failure propagation).
-  std::vector<std::string> live_container_ids() const;
+  /// The live containers (allocated, launching or running), in id order.
+  /// A released container is erased: an NM keeps only live work.
+  const std::vector<Container>& containers() const { return containers_; }
+  std::size_t live_count() const { return containers_.size(); }
 
   bool alive() const { return alive_; }
 
@@ -107,8 +110,9 @@ class NodeManager {
     return crashed_ ? crash_time_ : engine_.now();
   }
 
-  /// Container ids that were live when crash() hit (empty otherwise).
-  const std::vector<std::string>& lost_on_crash() const {
+  /// The containers that were live when crash() hit, in id order; empty
+  /// otherwise, and again after fail() or recover().
+  const std::vector<Container>& lost_on_crash() const {
     return lost_on_crash_;
   }
 
@@ -126,7 +130,8 @@ class NodeManager {
   void attach_view(ClusterView* view);
 
  private:
-  Container& find(const std::string& container_id);
+  /// Returns \p c's resources to the NM, the view and the node ledger.
+  void free_resources(const Container& c);
   /// Adds (\p sign +1) or removes (-1) this NM's share of view_.
   /// Every field change a share depends on is bracketed by -1 / +1.
   void count_in_view(int sign);
@@ -140,8 +145,8 @@ class NodeManager {
   bool decommissioning_ = false;
   bool crashed_ = false;
   common::Seconds crash_time_ = 0.0;
-  std::vector<std::string> lost_on_crash_;
-  std::map<std::string, Container> containers_;
+  std::vector<Container> lost_on_crash_;
+  std::vector<Container> containers_;  // live only, sorted by id
   ClusterView* view_ = nullptr;
   std::uint64_t view_order_ = 0;  // tie-break key in view_->by_free_memory
 };

@@ -1,6 +1,7 @@
 #include "yarn/resource_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -17,6 +18,17 @@ namespace {
 std::string next_rm_prefix() {
   static std::uint64_t counter = 0;
   return "rm" + std::to_string(counter++);
+}
+
+/// Runs the callback in \p slot from a local, so the call may finish
+/// \p app (which clears the slot) without destroying the closure it runs
+/// in. Afterwards the callback goes back into \p slot unless \p app
+/// finished meanwhile or the call installed another one.
+template <typename Fn, typename... Args>
+void run_kept(const AppRecord& app, Fn& slot, Args&... args) {
+  Fn fn = std::exchange(slot, nullptr);
+  if (fn) fn(args...);
+  if (!is_final(app.report.state) && !slot) slot = std::move(fn);
 }
 
 }  // namespace
@@ -116,9 +128,10 @@ net::Envelope ResourceManager::handle_nm_message(const net::Envelope& env) {
       return net::make_envelope(net::Ack{});
     }
     case net::MsgType::kReleaseRequest: {
+      // The final state travels for the record; the NM erases the
+      // container whatever it is.
       const auto msg = net::open_envelope<net::ReleaseRequest>(env);
-      node_manager(msg.node).release(
-          msg.container_id, static_cast<ContainerState>(msg.final_state));
+      node_manager(msg.node).release(msg.container_id);
       return net::make_envelope(net::Ack{});
     }
     case net::MsgType::kNodeProbe: {
@@ -156,6 +169,7 @@ void ResourceManager::transport_launch(const std::string& node,
 void ResourceManager::transport_release(NodeManager& nm,
                                         const std::string& container_id,
                                         ContainerState final_state) {
+  container_host_.erase(container_id);
   net::call<net::Ack>(
       *transport_, nm_endpoint_,
       net::ReleaseRequest{nm.node_name(), container_id,
@@ -176,11 +190,11 @@ void ResourceManager::shutdown() {
   pass_pending_ = false;
   liveness_leases_.clear();
   // Kill everything still running.
-  std::vector<std::string> live;
-  for (const auto& [id, app] : apps_) {
-    if (!is_final(app.report.state)) live.push_back(id);
+  std::vector<AppRecord*> live;
+  for (auto& [id, app] : apps_) {
+    if (!is_final(app.report.state)) live.push_back(&app);
   }
-  for (const auto& id : live) finish_application(id, AppState::kKilled);
+  for (AppRecord* app : live) finish_application(*app, AppState::kKilled);
 }
 
 void ResourceManager::request_scheduler_pass() {
@@ -232,7 +246,8 @@ std::string ResourceManager::submit_application(AppDescriptor descriptor) {
   if (shut_down_) {
     throw common::StateError("ResourceManager is shut down");
   }
-  if (pending_.count(descriptor.queue) == 0) {
+  const auto queue = pending_.find(descriptor.queue);
+  if (queue == pending_.end()) {
     throw common::ConfigError("unknown queue: " + descriptor.queue);
   }
   const std::string app_id = common::strformat(
@@ -240,28 +255,22 @@ std::string ResourceManager::submit_application(AppDescriptor descriptor) {
       static_cast<unsigned long long>(cluster_timestamp_),
       static_cast<unsigned long long>(next_app_number_++));
 
-  AppRecord record;
-  record.descriptor = std::move(descriptor);
-  record.report.id = app_id;
-  record.report.name = record.descriptor.name;
-  record.report.queue = record.descriptor.queue;
-  record.report.state = AppState::kSubmitted;
-  record.report.submit_time = engine_.now();
-  record.am = std::make_unique<ApplicationMaster>(*this, app_id);
-
-  PendingAsk ask;
-  ask.app_id = app_id;
-  ask.request.resource = config_.normalize(record.descriptor.am_resource);
-  ask.is_am = true;
-  ask.seq = next_ask_seq_++;
-  pending_.at(record.descriptor.queue).push_back(std::move(ask));
-
-  apps_.emplace(app_id, std::move(record));
+  AppRecord& app = apps_.try_emplace(app_id, *this).first->second;
+  app.report.id = app_id;
+  app.report.name = std::move(descriptor.name);
+  app.report.queue = std::move(descriptor.queue);
+  app.report.state = AppState::kSubmitted;
+  app.report.submit_time = engine_.now();
+  app.am_resource = descriptor.am_resource;
+  app.on_am_start = std::move(descriptor.on_am_start);
+  app.on_finished = std::move(descriptor.on_finished);
+  app.asks = &queue->second;
+  push_ask(app, ContainerRequest{app.am_resource, {}, true}, true);
   request_scheduler_pass();  // demand created
   return app_id;
 }
 
-ResourceManager::AppRecord& ResourceManager::find_app(
+AppRecord& ResourceManager::find_app(
     const std::string& app_id) {
   auto it = apps_.find(app_id);
   if (it == apps_.end()) {
@@ -270,7 +279,7 @@ ResourceManager::AppRecord& ResourceManager::find_app(
   return it->second;
 }
 
-const ResourceManager::AppRecord& ResourceManager::find_app(
+const AppRecord& ResourceManager::find_app(
     const std::string& app_id) const {
   auto it = apps_.find(app_id);
   if (it == apps_.end()) {
@@ -292,7 +301,7 @@ std::vector<AppReport> ResourceManager::applications() const {
 
 ApplicationMaster& ResourceManager::application_master(
     const std::string& app_id) {
-  return *find_app(app_id).am;
+  return find_app(app_id).am;
 }
 
 NodeManager& ResourceManager::node_manager(const std::string& node) {
@@ -316,26 +325,29 @@ void ResourceManager::fail_node(const std::string& node) {
   if (!nm.alive()) return;
   // A silently crashed NM already lost its containers at the crash
   // instant; propagate those. A direct fail_node kills them now.
-  const auto lost =
-      nm.crashed() ? nm.lost_on_crash() : nm.live_container_ids();
+  std::vector<Container> lost =
+      nm.crashed() ? nm.lost_on_crash() : nm.containers();
   nm.fail();  // releases the containers as KILLED
+  for (Container& c : lost) {
+    c.state = ContainerState::kKilled;
+    container_host_.erase(c.id);
+  }
   trace_event("nm_lost",
               {{"node", node},
                {"lost_containers", std::to_string(lost.size())}});
 
-  for (const auto& cid : lost) {
-    const Container& c = nm.container(cid);
+  for (const Container& c : lost) {
     auto it = apps_.find(c.app_id);
     if (it == apps_.end() || is_final(it->second.report.state)) continue;
     AppRecord& app = it->second;
-    if (cid == app.am_container_id) {
+    if (c.id == app.am_container_id) {
       // AM lost: new attempt or app failure.
       if (app.attempt >= config_.am_max_attempts) {
         trace_event("app_failed",
                     {{"app", c.app_id},
                      {"reason", "am_max_attempts"},
                      {"attempt", std::to_string(app.attempt)}});
-        finish_application(c.app_id, AppState::kFailed);
+        finish_application(app, AppState::kFailed);
         continue;
       }
       app.attempt += 1;
@@ -343,7 +355,7 @@ void ResourceManager::fail_node(const std::string& node) {
                                  {"node", node},
                                  {"attempt", std::to_string(app.attempt)}});
       app.am_container_id.clear();
-      // Lost task containers of this app die with the attempt.
+      // Task containers of this app die with the attempt.
       for (const auto& tid : app.container_ids) {
         if (NodeManager* host = nm_hosting(tid)) {
           transport_release(*host, tid, ContainerState::kKilled);
@@ -351,18 +363,13 @@ void ResourceManager::fail_node(const std::string& node) {
       }
       app.container_ids.clear();
       app.report.state = AppState::kSubmitted;
-      PendingAsk ask;
-      ask.app_id = c.app_id;
-      ask.request.resource = config_.normalize(app.descriptor.am_resource);
-      ask.is_am = true;
-      ask.seq = next_ask_seq_++;
-      pending_.at(app.report.queue).push_back(std::move(ask));
+      push_ask(app, ContainerRequest{app.am_resource, {}, true}, true);
     } else {
       // Task container lost: tell the AM.
       trace_event("task_container_lost",
-                  {{"app", c.app_id}, {"container", cid}, {"node", node}});
-      std::erase(app.container_ids, cid);
-      if (app.am->preempted_callback_) app.am->preempted_callback_(c);
+                  {{"app", c.app_id}, {"container", c.id}, {"node", node}});
+      std::erase(app.container_ids, c.id);
+      run_kept(app, app.am.preempted_callback_, c);
     }
   }
   request_scheduler_pass();  // AM re-asks queued, capacity changed
@@ -370,9 +377,13 @@ void ResourceManager::fail_node(const std::string& node) {
 
 std::optional<ContainerState> ResourceManager::container_state(
     const std::string& container_id) const {
-  auto it = container_host_.find(container_id);
+  const auto it = container_host_.find(container_id);
   if (it == container_host_.end()) return std::nullopt;
-  return it->second->container(container_id).state;
+  // A container lost with a silently crashed NM is gone from the NM
+  // before the RM propagates the loss.
+  const Container* c = it->second->find(container_id);
+  if (c == nullptr) return std::nullopt;
+  return c->state;
 }
 
 void ResourceManager::trace_event(const std::string& name,
@@ -462,7 +473,7 @@ NodeManager* ResourceManager::try_place(const PendingAsk& ask,
       "container_%llu_%06llu",
       static_cast<unsigned long long>(cluster_timestamp_),
       static_cast<unsigned long long>(next_container_number_));
-  out.app_id = ask.app_id;
+  out.app_id = ask.app->report.id;
   out.resource = ask.request.resource;
   out.is_am = ask.is_am;
 
@@ -471,7 +482,7 @@ NodeManager* ResourceManager::try_place(const PendingAsk& ask,
     NodeManager* nm = find_nm(name);
     if (nm != nullptr && transport_allocate(*nm, out)) {
       out.node = nm->node_name();
-      container_host_[out.id] = nm;
+      container_host_.emplace(out.id, nm);
       ++next_container_number_;
       return nm;
     }
@@ -494,7 +505,7 @@ NodeManager* ResourceManager::try_place(const PendingAsk& ask,
   }
   if (best != nullptr && transport_allocate(*best, out)) {
     out.node = best->node_name();
-    container_host_[out.id] = best;
+    container_host_.emplace(out.id, best);
     ++next_container_number_;
     return best;
   }
@@ -509,8 +520,7 @@ common::MemoryMb ResourceManager::queue_used_mb(
   // never final, and a non-final app lists exactly its live containers.
   common::MemoryMb used = 0;
   for (const auto& nm : node_managers_) {
-    for (const auto& cid : nm->live_container_ids()) {
-      const Container& c = nm->container(cid);
+    for (const Container& c : nm->containers()) {
       auto it = apps_.find(c.app_id);
       if (it == apps_.end() || is_final(it->second.report.state)) continue;
       if (it->second.report.queue == queue) used += c.resource.memory_mb;
@@ -561,8 +571,9 @@ void ResourceManager::scheduler_pass() {
     while (!asks.empty()) {
       PendingAsk ask = std::move(asks.front());
       asks.pop_front();
-      auto app_it = apps_.find(ask.app_id);
-      if (app_it == apps_.end() || is_final(app_it->second.report.state)) {
+      AppRecord& app = *ask.app;
+      if (is_final(app.report.state)) {
+        --app.pending_asks;
         continue;  // app died while queued
       }
       const Resource& need = ask.request.resource;
@@ -583,14 +594,13 @@ void ResourceManager::scheduler_pass() {
         remaining.push_back(std::move(ask));
         continue;
       }
-      AppRecord& app = app_it->second;
+      --app.pending_asks;
       if (ask.is_am) {
         app.am_container_id = placed.id;
         app.report.state = AppState::kAmLaunching;
         app.report.am_node = nm->node_name();
-        const std::string app_id = ask.app_id;
         transport_launch(nm->node_name(), placed.id,
-                         [this, app_id] { on_am_container_running(app_id); });
+                         [this, &app] { on_am_container_running(app); });
       } else {
         app.container_ids.push_back(placed.id);
         if (ask.on_allocated) ask.on_allocated(placed);
@@ -630,42 +640,37 @@ void ResourceManager::preemption_pass() {
     for (auto cit = app.container_ids.rbegin();
          cit != app.container_ids.rend(); ++cit) {
       NodeManager* nm = nm_hosting(*cit);
-      if (nm == nullptr) continue;
-      const Container& c = nm->container(*cit);
-      if (c.state == ContainerState::kRunning ||
-          c.state == ContainerState::kAllocated ||
-          c.state == ContainerState::kLaunching) {
-        Container copy = c;
-        transport_release(*nm, *cit, ContainerState::kPreempted);
-        if (preemption_hook_) {
-          preemption_hook_(app.report.id, copy.id, app.report.queue);
-        }
-        if (app.am->preempted_callback_) app.am->preempted_callback_(copy);
-        return;  // one preemption per pass
+      const Container* live = nm == nullptr ? nullptr : nm->find(*cit);
+      if (live == nullptr) continue;  // lost with a crashed NM
+      const Container copy = *live;
+      transport_release(*nm, copy.id, ContainerState::kPreempted);
+      std::erase(app.container_ids, copy.id);
+      if (preemption_hook_) {
+        preemption_hook_(app.report.id, copy.id, app.report.queue);
       }
+      run_kept(app, app.am.preempted_callback_, copy);
+      return;  // one preemption per pass
     }
   }
 }
 
-void ResourceManager::on_am_container_running(const std::string& app_id) {
+void ResourceManager::on_am_container_running(AppRecord& app) {
   // AM process is up; registration handshake follows.
-  engine_.schedule(config_.am_register_time, [this, app_id] {
-    auto it = apps_.find(app_id);
-    if (it == apps_.end() || is_final(it->second.report.state)) return;
-    AppRecord& app = it->second;
+  engine_.schedule(config_.am_register_time, [this, &app] {
+    if (is_final(app.report.state)) return;
     app.report.state = AppState::kRunning;
     app.report.start_time = engine_.now();
-    if (app.descriptor.on_am_start) app.descriptor.on_am_start(*app.am);
+    run_kept(app, app.on_am_start, app.am);
   });
 }
 
-void ResourceManager::finish_application(const std::string& app_id,
+void ResourceManager::finish_application(AppRecord& app,
                                          AppState final_state) {
-  AppRecord& app = find_app(app_id);
   if (is_final(app.report.state)) return;
   app.report.state = final_state;
   app.report.finish_time = engine_.now();
-  // Release all live containers including the AM's.
+  // Release all live containers including the AM's; one the AM already
+  // completed is no longer hosted and gets no second release.
   const ContainerState container_final = final_state == AppState::kFinished
                                              ? ContainerState::kCompleted
                                              : ContainerState::kKilled;
@@ -679,45 +684,52 @@ void ResourceManager::finish_application(const std::string& app_id,
       transport_release(*nm, app.am_container_id, container_final);
     }
   }
-  // Drop this app's pending asks.
-  for (auto& [queue, asks] : pending_) {
-    std::erase_if(asks,
-                  [&app_id](const PendingAsk& a) { return a.app_id == app_id; });
+  // Drop this app's pending asks. Asks a running scheduler pass holds
+  // are dropped by that pass.
+  if (app.pending_asks > 0) {
+    app.pending_asks -= std::erase_if(
+        *app.asks, [&app](const PendingAsk& a) { return a.app == &app; });
   }
   request_scheduler_pass();  // released capacity may satisfy other asks
+  // A final application keeps only its report and its AM handle. A
+  // callback running right now lives in a local (run_kept) and ends
+  // with its call.
+  std::vector<std::string>().swap(app.container_ids);
+  std::string().swap(app.am_container_id);
+  app.on_am_start = nullptr;
+  app.am.preempted_callback_ = nullptr;
   // Push the outcome to the submitter (event notification, not polling).
-  if (app.descriptor.on_finished) app.descriptor.on_finished(app.report);
+  if (auto done = std::exchange(app.on_finished, nullptr)) done(app.report);
 }
 
 void ResourceManager::kill_application(const std::string& app_id) {
-  finish_application(app_id, AppState::kKilled);
+  finish_application(find_app(app_id), AppState::kKilled);
+}
+
+void ResourceManager::push_ask(
+    AppRecord& app, ContainerRequest request, bool is_am,
+    std::function<void(const Container&)> on_allocated) {
+  request.resource = config_.normalize(request.resource);
+  app.asks->push_back(
+      PendingAsk{&app, std::move(request), is_am, std::move(on_allocated)});
+  ++app.pending_asks;
 }
 
 void ResourceManager::am_request_containers(
-    const std::string& app_id, int count, const ContainerRequest& request,
+    AppRecord& app, int count, const ContainerRequest& request,
     std::function<void(const Container&)> cb) {
-  AppRecord& app = find_app(app_id);
   if (app.report.state != AppState::kRunning) {
-    throw common::StateError("AM of " + app_id +
+    throw common::StateError("AM of " + app.report.id +
                              " requested containers while not RUNNING");
   }
   for (int i = 0; i < count; ++i) {
-    PendingAsk ask;
-    ask.app_id = app_id;
-    ask.request = request;
-    ask.request.resource = config_.normalize(request.resource);
-    ask.is_am = false;
-    ask.on_allocated = cb;
-    ask.seq = next_ask_seq_++;
-    pending_.at(app.report.queue).push_back(std::move(ask));
+    push_ask(app, request, false, cb);
   }
   request_scheduler_pass();  // demand created
 }
 
-void ResourceManager::am_launch_container(const std::string& app_id,
-                                          const std::string& container_id,
+void ResourceManager::am_launch_container(const std::string& container_id,
                                           std::function<void()> on_running) {
-  find_app(app_id);  // validates
   NodeManager* nm = nm_hosting(container_id);
   if (nm == nullptr) {
     throw common::NotFoundError("no NM hosts container " + container_id);
@@ -725,19 +737,14 @@ void ResourceManager::am_launch_container(const std::string& app_id,
   transport_launch(nm->node_name(), container_id, std::move(on_running));
 }
 
-void ResourceManager::am_release_container(const std::string& app_id,
+void ResourceManager::am_release_container(AppRecord& app,
                                            const std::string& container_id,
                                            ContainerState final_state) {
-  find_app(app_id);
   if (NodeManager* nm = nm_hosting(container_id)) {
     transport_release(*nm, container_id, final_state);
   }
+  std::erase(app.container_ids, container_id);
   request_scheduler_pass();  // capacity freed
-}
-
-void ResourceManager::am_unregister(const std::string& app_id, bool success) {
-  finish_application(app_id,
-                     success ? AppState::kFinished : AppState::kFailed);
 }
 
 Resource ResourceManager::available() const {
@@ -793,28 +800,32 @@ common::Json ResourceManager::scheduler_info() const {
 
 // --- ApplicationMaster methods (need the full RM type) ---
 
+const std::string& ApplicationMaster::app_id() const {
+  return app_.report.id;
+}
+
 void ApplicationMaster::request_containers(
     int count, const ContainerRequest& request,
     std::function<void(const Container&)> on_allocated) {
-  rm_.am_request_containers(app_id_, count, request, std::move(on_allocated));
+  rm_.am_request_containers(app_, count, request, std::move(on_allocated));
 }
 
 void ApplicationMaster::launch(const std::string& container_id,
                                std::function<void()> on_running) {
-  rm_.am_launch_container(app_id_, container_id, std::move(on_running));
+  rm_.am_launch_container(container_id, std::move(on_running));
 }
 
 void ApplicationMaster::complete_container(const std::string& container_id) {
-  rm_.am_release_container(app_id_, container_id,
-                           ContainerState::kCompleted);
+  rm_.am_release_container(app_, container_id, ContainerState::kCompleted);
 }
 
 void ApplicationMaster::kill_container(const std::string& container_id) {
-  rm_.am_release_container(app_id_, container_id, ContainerState::kKilled);
+  rm_.am_release_container(app_, container_id, ContainerState::kKilled);
 }
 
 void ApplicationMaster::unregister(bool success) {
-  rm_.am_unregister(app_id_, success);
+  rm_.finish_application(app_,
+                         success ? AppState::kFinished : AppState::kFailed);
 }
 
 }  // namespace hoh::yarn

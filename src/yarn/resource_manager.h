@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/machine.h"
@@ -13,6 +14,7 @@
 #include "net/transport.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "yarn/application_master.h"
 #include "yarn/node_manager.h"
 #include "yarn/types.h"
 
@@ -27,9 +29,7 @@
 
 namespace hoh::yarn {
 
-class ApplicationMaster;
-
-/// RM-side application record.
+/// What `yarn application -status` reports about an application.
 struct AppReport {
   std::string id;
   std::string name;
@@ -54,6 +54,35 @@ struct AppDescriptor {
   /// application(). Fired after the RM's own bookkeeping (containers
   /// released, pending asks dropped).
   std::function<void(const AppReport&)> on_finished;
+};
+
+struct PendingAsk;
+
+/// RM-side application record. Only a live application holds callbacks,
+/// containers and its AM's preemption callback; finishing frees them and
+/// keeps the report and the AM handle.
+struct AppRecord {
+  explicit AppRecord(ResourceManager& rm) : am(rm, *this) {}
+
+  AppReport report;
+  ApplicationMaster am;
+  Resource am_resource;
+  std::function<void(ApplicationMaster&)> on_am_start;
+  std::function<void(const AppReport&)> on_finished;
+  /// The application's queue of pending asks, and how many it has there.
+  std::deque<PendingAsk>* asks = nullptr;
+  std::size_t pending_asks = 0;
+  std::string am_container_id;
+  std::vector<std::string> container_ids;  // live task containers
+  int attempt = 1;                         // AM attempt number
+};
+
+/// One outstanding container ask, queued until a scheduler pass places it.
+struct PendingAsk {
+  AppRecord* app = nullptr;
+  ContainerRequest request;
+  bool is_am = false;
+  std::function<void(const Container&)> on_allocated;  // task asks only
 };
 
 class ResourceManager {
@@ -143,9 +172,10 @@ class ResourceManager {
   /// task_container_lost).
   void set_trace(sim::Trace* trace) { trace_ = trace; }
 
-  /// State of a container anywhere in the cluster; nullopt once its NM
-  /// is gone or the id was never allocated. Drivers use this to tell a
-  /// live task from one whose container died without a callback.
+  /// State of a live container anywhere in the cluster; nullopt once it
+  /// was released (completed, killed, preempted or lost with its node)
+  /// or if the id was never allocated. Drivers use this to tell a
+  /// running task from one whose container died without a callback.
   std::optional<ContainerState> container_state(
       const std::string& container_id) const;
 
@@ -171,23 +201,6 @@ class ResourceManager {
 
  private:
   friend class ApplicationMaster;
-
-  struct PendingAsk {
-    std::string app_id;
-    ContainerRequest request;
-    bool is_am = false;
-    std::function<void(const Container&)> on_allocated;  // task asks only
-    std::uint64_t seq = 0;
-  };
-
-  struct AppRecord {
-    AppDescriptor descriptor;
-    AppReport report;
-    std::unique_ptr<ApplicationMaster> am;
-    std::string am_container_id;
-    std::vector<std::string> container_ids;  // task containers
-    int attempt = 1;                         // AM attempt number
-  };
 
   AppRecord& find_app(const std::string& app_id);
   const AppRecord& find_app(const std::string& app_id) const;
@@ -217,8 +230,11 @@ class ResourceManager {
   double queue_usage_ratio(const std::string& queue) const;
   common::MemoryMb queue_used_mb(const std::string& queue) const;
 
-  void on_am_container_running(const std::string& app_id);
-  void finish_application(const std::string& app_id, AppState final_state);
+  /// Queues one ask of \p app on its queue, the resource normalized.
+  void push_ask(AppRecord& app, ContainerRequest request, bool is_am,
+                std::function<void(const Container&)> on_allocated = {});
+  void on_am_container_running(AppRecord& app);
+  void finish_application(AppRecord& app, AppState final_state);
 
   // --- Message boundary (DESIGN.md §14) ---
   // The RM↔NM control plane crosses the session transport as typed
@@ -242,16 +258,13 @@ class ResourceManager {
   common::Seconds transport_last_heartbeat(const std::string& node);
 
   // --- ApplicationMaster backend (called via friend) ---
-  void am_request_containers(const std::string& app_id, int count,
+  void am_request_containers(AppRecord& app, int count,
                              const ContainerRequest& request,
                              std::function<void(const Container&)> cb);
-  void am_launch_container(const std::string& app_id,
-                           const std::string& container_id,
+  void am_launch_container(const std::string& container_id,
                            std::function<void()> on_running);
-  void am_release_container(const std::string& app_id,
-                            const std::string& container_id,
+  void am_release_container(AppRecord& app, const std::string& container_id,
                             ContainerState final_state);
-  void am_unregister(const std::string& app_id, bool success);
 
   NodeManager* nm_hosting(const std::string& container_id);
 
@@ -272,11 +285,14 @@ class ResourceManager {
   std::vector<QueueConfig> queues_;
   ClusterView view_;  // every NM in node_managers_ counts into it
   std::vector<std::unique_ptr<NodeManager>> node_managers_;
-  /// Free-list style indexes (DESIGN.md §13): NM by node name and
-  /// hosting NM by container id, so placement, liveness and release
+  /// Hash indexes (DESIGN.md §13): NM by node name and hosting NM by
+  /// live container id (an entry goes when the RM releases the container
+  /// or propagates its node's loss), so placement, liveness and release
   /// paths stop walking every NodeManager per lookup at 10k nodes.
-  std::map<std::string, NodeManager*> nm_index_;
-  std::map<std::string, NodeManager*> container_host_;
+  std::unordered_map<std::string, NodeManager*> nm_index_;
+  std::unordered_map<std::string, NodeManager*> container_host_;
+  /// Every application ever submitted, in id order; a record never
+  /// moves, so its AM and pending asks point at it.
   std::map<std::string, AppRecord> apps_;
   std::map<std::string, std::deque<PendingAsk>> pending_;  // per queue
   // Demand-driven pass dedup + per-NM liveness leases.
@@ -286,7 +302,6 @@ class ResourceManager {
   bool shut_down_ = false;
   std::uint64_t next_app_number_ = 1;
   std::uint64_t next_container_number_ = 1;
-  std::uint64_t next_ask_seq_ = 1;
   std::uint64_t cluster_timestamp_ = 1454300000;  // fixed epoch for ids
 };
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "common/error.h"
+#include "net/message.h"
+#include "net/transport.h"
 #include "yarn/application_master.h"
 #include "yarn/resource_manager.h"
 #include "yarn/yarn_cluster.h"
@@ -414,6 +419,172 @@ TEST_F(YarnTest, SubmitAfterShutdownThrows) {
   ResourceManager rm(engine_, allocation_);
   rm.shutdown();
   EXPECT_THROW(rm.submit_application(AppDescriptor{}), common::StateError);
+}
+
+// ------------------------------------------------ only live work is kept ---
+
+/// Counts the ReleaseRequests the RM sends its NodeManagers.
+class ReleaseCounter : public net::InProcessTransport {
+ public:
+  net::Envelope call(const std::string& endpoint,
+                     const net::Envelope& request) override {
+    if (request.type == net::MsgType::kReleaseRequest) ++releases;
+    return net::InProcessTransport::call(endpoint, request);
+  }
+  int releases = 0;
+};
+
+/// Submits one Mode-I style application: its AM asks for one task
+/// container, runs it, completes it and unregisters. Records the
+/// container ids it was given.
+std::string submit_dedicated_unit(ResourceManager& rm, sim::Engine& engine,
+                                  std::vector<std::string>& containers) {
+  AppDescriptor app;
+  app.on_am_start = [&engine, &containers](ApplicationMaster& am) {
+    ContainerRequest req;
+    req.resource = {2048, 1};
+    am.request_containers(1, req, [&](const Container& c) {
+      containers.push_back(c.id);
+      am.launch(c.id, [&engine, &am, id = c.id] {
+        engine.schedule(5.0, [&am, id] {
+          am.complete_container(id);
+          am.unregister(true);
+        });
+      });
+    });
+  };
+  return rm.submit_application(std::move(app));
+}
+
+TEST_F(YarnTest, FinishedUnitsLeaveNoContainersBehind) {
+  ResourceManager rm(engine_, allocation_);
+  std::vector<std::string> app_ids;
+  std::vector<std::string> containers;
+  constexpr int kUnits = 6;
+  for (int i = 0; i < kUnits; ++i) {
+    app_ids.push_back(submit_dedicated_unit(rm, engine_, containers));
+  }
+  engine_.run();
+  ASSERT_EQ(containers.size(), static_cast<std::size_t>(kUnits));
+  for (const std::string node : {"n0", "n1", "n2"}) {
+    const NodeManager& nm = rm.node_manager(node);
+    EXPECT_EQ(nm.live_count(), 0u) << node;
+    for (const auto& id : containers) {
+      EXPECT_FALSE(nm.has_container(id)) << node << " " << id;
+    }
+  }
+  for (const auto& id : containers) {
+    EXPECT_EQ(rm.container_state(id), std::nullopt) << id;
+  }
+  // The reports outlive the containers.
+  for (const auto& id : app_ids) {
+    EXPECT_EQ(rm.application(id).state, AppState::kFinished) << id;
+  }
+  EXPECT_EQ(rm.applications().size(), app_ids.size());
+  EXPECT_EQ(rm.apps_json().at("apps").at("app").as_array().size(),
+            app_ids.size());
+  EXPECT_EQ(rm.total_allocated(), (Resource{0, 0}));
+  rm.shutdown();
+}
+
+TEST_F(YarnTest, UnregisterReleasesOnlyContainersStillHeld) {
+  ReleaseCounter transport;
+  YarnConfig cfg;
+  cfg.transport = &transport;
+  ResourceManager rm(engine_, allocation_, cfg);
+  std::vector<std::string> containers;
+  submit_dedicated_unit(rm, engine_, containers);
+  engine_.run();
+  ASSERT_EQ(containers.size(), 1u);
+  // One release for the completed task container, one for the AM's at
+  // unregister; the task container is not released a second time.
+  EXPECT_EQ(transport.releases, 2);
+  rm.shutdown();
+}
+
+TEST_F(YarnTest, FinishedAppFreesItsCallbacks) {
+  ResourceManager rm(engine_, allocation_);
+  auto started = std::make_shared<int>(0);
+  auto finished = std::make_shared<int>(0);
+  auto preempted = std::make_shared<int>(0);
+  AppDescriptor app;
+  app.on_am_start = [started, preempted](ApplicationMaster& am) {
+    ++*started;
+    am.on_preempted([preempted](const Container&) { ++*preempted; });
+    // Unregistering from inside on_am_start finishes the app while this
+    // closure runs.
+    am.unregister(true);
+  };
+  app.on_finished = [finished](const AppReport&) { ++*finished; };
+  const auto app_id = rm.submit_application(std::move(app));
+  engine_.run();
+  EXPECT_EQ(rm.application(app_id).state, AppState::kFinished);
+  EXPECT_EQ(*started, 1);
+  EXPECT_EQ(*finished, 1);
+  EXPECT_EQ(started.use_count(), 1);
+  EXPECT_EQ(finished.use_count(), 1);
+  EXPECT_EQ(preempted.use_count(), 1);
+
+  // Killed before its AM ever ran: the unused closure goes too.
+  auto never = std::make_shared<int>(0);
+  AppDescriptor killed;
+  killed.on_am_start = [never](ApplicationMaster&) { ++*never; };
+  const auto killed_id = rm.submit_application(std::move(killed));
+  rm.kill_application(killed_id);
+  engine_.run();
+  EXPECT_EQ(*never, 0);
+  EXPECT_EQ(never.use_count(), 1);
+  EXPECT_EQ(rm.application(killed_id).state, AppState::kKilled);
+  rm.shutdown();
+}
+
+TEST_F(YarnTest, SilentCrashOfAmAndTaskHostStillPropagatesLosses) {
+  YarnConfig cfg;
+  cfg.nm_liveness_timeout = 30.0;
+  ResourceManager rm(engine_, allocation_, cfg);
+  sim::Trace trace;
+  rm.set_trace(&trace);
+  // Equal free memory: app A's AM lands on the first registered node,
+  // n0, and app B's on n1.
+  std::string b_task;
+  AppDescriptor a;
+  a.on_am_start = [](ApplicationMaster&) {};
+  const auto a_id = rm.submit_application(std::move(a));
+  AppDescriptor b;
+  b.on_am_start = [&](ApplicationMaster& am) {
+    ContainerRequest req;
+    req.resource = {2048, 1};
+    req.preferred_nodes = {"n0"};
+    req.relax_locality = false;
+    am.request_containers(1, req, [&](const Container& c) {
+      b_task = c.id;
+      am.launch(c.id, [] {});
+    });
+  };
+  const auto b_id = rm.submit_application(std::move(b));
+  engine_.run_until(60.0);
+  ASSERT_EQ(rm.application(a_id).am_node, "n0");
+  ASSERT_EQ(rm.application(b_id).am_node, "n1");
+  ASSERT_FALSE(b_task.empty());
+  ASSERT_EQ(rm.container_state(b_task), ContainerState::kRunning);
+
+  rm.node_manager("n0").crash();  // silent: the RM is not told
+  // The task died with its node even before the RM learns of it.
+  EXPECT_EQ(rm.container_state(b_task), std::nullopt);
+  EXPECT_EQ(rm.node_manager("n0").live_count(), 0u);
+  EXPECT_EQ(rm.node_manager("n0").lost_on_crash().size(), 2u);
+  engine_.run_until(200.0);
+
+  const auto restarts = trace.find("yarn", "am_restart");
+  ASSERT_EQ(restarts.size(), 1u);
+  EXPECT_EQ(restarts.front().attrs.at("app"), a_id);
+  EXPECT_EQ(restarts.front().attrs.at("node"), "n0");
+  const auto lost = trace.find("yarn", "task_container_lost");
+  ASSERT_EQ(lost.size(), 1u);
+  EXPECT_EQ(lost.front().attrs.at("app"), b_id);
+  EXPECT_EQ(lost.front().attrs.at("container"), b_task);
+  EXPECT_TRUE(rm.node_manager("n0").lost_on_crash().empty());
+  rm.shutdown();
 }
 
 }  // namespace
