@@ -1,11 +1,10 @@
 /// Web-scale benchmark (DESIGN.md §13): drives one large K-Means cell —
 /// by default the scale_keystone shape, 10,000 nodes and 1,000,000
 /// Compute-Units — through the full middleware stack and reports host
-/// throughput (engine events/sec, units/sec) plus peak RSS. Before the
-/// timed cell it runs a small parity matrix asserting that the digest is
-/// independent of trace rollup, so a rolled-up scale run is provably
-/// computing the same workload as the full-trace configuration the rest
-/// of the suite exercises.
+/// throughput (engine events/sec, units/sec) plus peak RSS. The cell
+/// runs with trace rollup, which decides only what the trace stores: the
+/// RollupParityTest ctest checks that rollup leaves both digests of a
+/// small cell unchanged.
 ///
 /// Usage:
 ///   scale_benchmark [--nodes N] [--tasks T] [--iterations I]
@@ -38,8 +37,7 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KB
 }
 
-KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
-                                   bool rollup) {
+KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations) {
   KmeansExperimentConfig cfg;
   cfg.machine = cluster::generic_profile();
   cfg.scheduler = hpc::SchedulerKind::kSlurm;
@@ -50,7 +48,7 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
   cfg.tasks = tasks;
   cfg.yarn_stack = false;
   cfg.spawn_latency = 0.001;
-  cfg.trace_rollup = rollup;
+  cfg.trace_rollup = true;  // the raw event list would dominate RSS
   // 20 iterations of 50k units need ~5 simulated days; the 48 h default
   // pilot walltime would kill the keystone mid-trajectory.
   cfg.pilot_runtime = 14 * 24 * 3600.0;
@@ -90,33 +88,13 @@ int main(int argc, char** argv) {
       "scale trajectory (DESIGN.md §13): batched event delivery, bitmap "
       "scheduling, rollup tracing");
 
-  // Parity matrix: a small cell (100 nodes, 1,000 units) must produce
-  // one digest with rollup on or off.
-  std::printf("parity matrix (100 nodes, 1000 units):\n");
-  std::string parity_digest;
-  bool parity_ok = true;
-  for (const bool rollup : {false, true}) {
-    const auto r = analytics::run_kmeans_experiment(
-        cell_config(100, 250, 2, rollup));
-    if (parity_digest.empty()) parity_digest = r.output_checksum;
-    const bool match = r.ok && r.output_checksum == parity_digest;
-    parity_ok = parity_ok && match;
-    std::printf("  rollup %-5s units %4zu digest %s %s\n",
-                rollup ? "on" : "off", r.units_completed,
-                r.output_checksum.c_str(), match ? "ok" : "MISMATCH");
-  }
-  if (!parity_ok) {
-    std::fprintf(stderr, "scale_benchmark: digest parity FAILED\n");
-    return 1;
-  }
-
   // Timed cell.
   const std::size_t expected_units = static_cast<std::size_t>(tasks) * 2 *
                                      static_cast<std::size_t>(iterations);
-  std::printf("\ntimed cell: %d nodes, %zu units\n", nodes, expected_units);
+  std::printf("timed cell: %d nodes, %zu units\n", nodes, expected_units);
   const auto t0 = std::chrono::steady_clock::now();
   const KmeansExperimentResult result = analytics::run_kmeans_experiment(
-      cell_config(nodes, tasks, iterations, /*rollup=*/true));
+      cell_config(nodes, tasks, iterations));
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
   const double events_per_sec =
@@ -141,8 +119,6 @@ int main(int argc, char** argv) {
         << "  \"config\": {\"nodes\": " << nodes << ", \"tasks\": " << tasks
         << ", \"iterations\": " << iterations << ", \"units\": "
         << expected_units << "},\n"
-        << "  \"parity\": {\"ok\": " << (parity_ok ? "true" : "false")
-        << ", \"digest\": \"" << parity_digest << "\"},\n"
         << "  \"wall_s\": " << wall_s << ",\n"
         << "  \"engine_events\": " << result.engine_events << ",\n"
         << "  \"events_per_sec\": " << events_per_sec << ",\n"

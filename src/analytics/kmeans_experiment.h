@@ -92,8 +92,9 @@ struct KmeansExperimentConfig {
 
   /// Plan "trace_rollup": fold per-unit trace events into O(1) counters
   /// (DESIGN.md §13). Required at the 1M-unit scale — the raw event list
-  /// would dominate peak RSS. Digests are unaffected (the checksum is
-  /// computed from store documents, not the trace).
+  /// would dominate peak RSS. Storage-only: no simulation decision reads
+  /// the trace, so both digests and the engine event count are the same
+  /// either way (RollupParityTest).
   bool trace_rollup = false;
 
   /// Plan "transport": "inprocess" (default) | "socket" (DESIGN.md §14).

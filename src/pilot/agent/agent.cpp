@@ -31,18 +31,21 @@ sim::TraceName state_label(UnitState state) {
 }  // namespace
 
 Agent::Agent(saga::SagaContext& saga, StateStore& store,
+             net::Transport& transport,
              saga::FileTransferService& transfer, std::string pilot_id,
              const cluster::MachineProfile& machine,
              cluster::Allocation allocation, AgentBackend backend,
              AgentConfig config, yarn::YarnCluster* external_yarn)
     : saga_(saga),
       store_(store),
+      transport_(transport),
       transfer_(transfer),
       pilot_id_(std::move(pilot_id)),
       machine_(machine),
       allocation_(std::move(allocation)),
       backend_(backend),
-      config_(config) {
+      config_(config),
+      ctrl_endpoint_("agent." + pilot_id_ + ".ctrl") {
   if (allocation_.empty()) {
     throw common::ConfigError("Agent: empty allocation");
   }
@@ -64,37 +67,32 @@ Agent::Agent(saga::SagaContext& saga, StateStore& store,
       launch_ = make_spark_launch(*this);
       break;
   }
-  if (config_.transport != nullptr) {
-    // Message boundary (DESIGN.md §14): PilotManager commands arrive as
-    // AgentCommand messages on the agent's control endpoint.
-    ctrl_endpoint_ = "agent." + pilot_id_ + ".ctrl";
-    config_.transport->register_endpoint(
-        ctrl_endpoint_, [this](const net::Envelope& env) {
-          const auto msg = net::open_envelope<net::AgentCommand>(env);
-          switch (msg.op) {
-            case net::AgentCommand::kStart:
-              start();
-              break;
-            case net::AgentCommand::kStop:
-              stop();
-              break;
-            case net::AgentCommand::kStopFailUnits:
-              stop(/*fail_units=*/true);
-              break;
-            default:
-              throw common::StateError("Agent: unknown AgentCommand op " +
-                                       std::to_string(msg.op));
-          }
-          return net::make_envelope(net::Ack{});
-        });
-  }
+  // Message boundary (DESIGN.md §14): PilotManager commands arrive as
+  // AgentCommand messages on the agent's control endpoint.
+  transport_.register_endpoint(
+      ctrl_endpoint_, [this](const net::Envelope& env) {
+        const auto msg = net::open_envelope<net::AgentCommand>(env);
+        switch (msg.op) {
+          case net::AgentCommand::kStart:
+            start();
+            break;
+          case net::AgentCommand::kStop:
+            stop();
+            break;
+          case net::AgentCommand::kStopFailUnits:
+            stop(/*fail_units=*/true);
+            break;
+          default:
+            throw common::StateError("Agent: unknown AgentCommand op " +
+                                     std::to_string(msg.op));
+        }
+        return net::make_envelope(net::Ack{});
+      });
 }
 
 Agent::~Agent() {
   stop();
-  if (!ctrl_endpoint_.empty()) {
-    config_.transport->unregister_endpoint(ctrl_endpoint_);
-  }
+  transport_.unregister_endpoint(ctrl_endpoint_);
 }
 
 void Agent::start(std::function<void()> on_active) {
@@ -143,9 +141,9 @@ void Agent::start(std::function<void()> on_active) {
       write_heartbeat();
       poll_store();  // units queued before the watch: no deliveries
       if (cb) cb();
-      if (config_.transport != nullptr && !config_.event_endpoint.empty()) {
+      if (!config_.event_endpoint.empty()) {
         // Activation crosses the boundary as a one-way lifecycle event.
-        net::send(*config_.transport, config_.event_endpoint,
+        net::send(transport_, config_.event_endpoint,
                   net::AgentEvent{pilot_id_, net::AgentEvent::kActive});
       }
     });

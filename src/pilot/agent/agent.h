@@ -9,6 +9,7 @@
 
 #include "cluster/machine.h"
 #include "common/object_pool.h"
+#include "net/transport.h"
 #include "pilot/agent/agent_config.h"
 #include "pilot/agent/launch_method.h"
 #include "pilot/descriptions.h"
@@ -44,9 +45,13 @@ struct AgentCapacity {
 
 class Agent {
  public:
-  /// \p external_yarn must be non-null for AgentBackend::kYarnModeII (the
-  /// pre-existing cluster, e.g. Wrangler's dedicated Hadoop reservation).
-  Agent(saga::SagaContext& saga, StateStore& store,
+  /// The agent registers its control endpoint "agent.<pilot_id>.ctrl"
+  /// (start/stop commands) on \p transport and reports lifecycle events
+  /// (activation) to AgentConfig::event_endpoint over it (DESIGN.md §14);
+  /// the transport must outlive the agent. \p external_yarn must be
+  /// non-null for AgentBackend::kYarnModeII (the pre-existing cluster,
+  /// e.g. Wrangler's dedicated Hadoop reservation).
+  Agent(saga::SagaContext& saga, StateStore& store, net::Transport& transport,
         saga::FileTransferService& transfer, std::string pilot_id,
         const cluster::MachineProfile& machine,
         cluster::Allocation allocation, AgentBackend backend,
@@ -200,6 +205,7 @@ class Agent {
 
   saga::SagaContext& saga_;
   StateStore& store_;
+  net::Transport& transport_;
   saga::FileTransferService& transfer_;
   std::string pilot_id_;
   const cluster::MachineProfile& machine_;
@@ -207,8 +213,7 @@ class Agent {
   AgentBackend backend_;
   AgentConfig config_;
 
-  /// Control endpoint registered on config_.transport (empty when the
-  /// agent runs without a message boundary).
+  /// Control endpoint registered on transport_.
   std::string ctrl_endpoint_;
 
   std::unique_ptr<LaunchMethod> launch_;

@@ -4,7 +4,6 @@
 
 #include "common/control_plane.h"
 #include "common/units.h"
-#include "net/transport.h"
 #include "spark/standalone.h"
 #include "yarn/yarn_cluster.h"
 
@@ -67,14 +66,8 @@ struct AgentConfig {
   /// locations of their staged inputs.
   bool data_aware_scheduling = false;
 
-  /// Message boundary (DESIGN.md §14): when set, the agent registers
-  /// its control endpoint "agent.<pilot_id>.ctrl" (start/stop commands)
-  /// on this transport and reports lifecycle events (activation) to
-  /// \ref event_endpoint as AgentEvent messages. Must outlive the agent.
-  /// nullptr keeps direct calls (standalone agents in unit tests).
-  net::Transport* transport = nullptr;
-
-  /// Where lifecycle AgentEvents go (the PilotManager registers
+  /// Where the agent sends its lifecycle AgentEvents over the session
+  /// transport (DESIGN.md §14; the PilotManager registers
   /// "pilot.<pilot_id>.lifecycle" here). Empty = no events sent.
   std::string event_endpoint;
 

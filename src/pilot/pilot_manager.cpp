@@ -46,16 +46,10 @@ void Pilot::release_grow_segments() {
 
 void Pilot::stop_agent(bool fail_units) {
   if (agent_ == nullptr) return;
-  net::Transport& transport = manager_->session().transport();
-  const std::string endpoint = "agent." + id_ + ".ctrl";
-  if (transport.has_endpoint(endpoint)) {
-    net::call<net::Ack>(
-        transport, endpoint,
-        net::AgentCommand{id_, fail_units ? net::AgentCommand::kStopFailUnits
-                                          : net::AgentCommand::kStop});
-  } else {
-    agent_->stop(fail_units);
-  }
+  net::call<net::Ack>(
+      manager_->session().transport(), "agent." + id_ + ".ctrl",
+      net::AgentCommand{id_, fail_units ? net::AgentCommand::kStopFailUnits
+                                        : net::AgentCommand::kStop});
 }
 
 void Pilot::cancel() {
@@ -182,7 +176,6 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
   // Message boundary (DESIGN.md §14): the agent joins the session
   // transport — control commands in, lifecycle events out — and any
   // Mode-I cluster it bootstraps wires its RM onto the same transport.
-  agent_config.transport = &session_.transport();
   agent_config.event_endpoint = "pilot." + pilot_id + ".lifecycle";
   agent_config.yarn.yarn.transport = &session_.transport();
   pilot->agent_config_ = agent_config;
@@ -220,9 +213,9 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
         // P.2: placeholder job started; bring the agent up.
         pilot->set_state(PilotState::kLaunching);
         pilot->agent_ = std::make_unique<Agent>(
-            session_.saga(), session_.store(), session_.transfer(),
-            pilot->id_, profile, allocation, pilot->description_.backend,
-            pilot->agent_config_, external);
+            session_.saga(), session_.store(), session_.transport(),
+            session_.transfer(), pilot->id_, profile, allocation,
+            pilot->description_.backend, pilot->agent_config_, external);
         // P.2 over the boundary: the start command crosses as a message;
         // activation comes back as an AgentEvent on the lifecycle
         // endpoint registered above.

@@ -77,7 +77,7 @@ class Pilot {
   void release_grow_segments();
 
   /// Routes a stop to the agent over the session transport as an
-  /// AgentCommand (direct call fallback for agents without a boundary).
+  /// AgentCommand.
   void stop_agent(bool fail_units = false);
 
   PilotManager* manager_;

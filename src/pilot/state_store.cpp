@@ -96,7 +96,7 @@ UnitIndex StateStore::put_unit(const std::string& id, UnitRecord unit) {
         unit_index_.try_emplace(id, static_cast<UnitIndex>(units_.size()));
     index = it->second;
     if (added) {
-      units_.push_back(Unit{id, std::move(unit)});
+      units_.push_back(Unit{id, std::move(unit), {}});
     } else {
       units_[index].record = std::move(unit);
     }
@@ -117,6 +117,11 @@ std::optional<UnitIndex> StateStore::unit_index(const std::string& id) const {
 std::string StateStore::unit_id(UnitIndex index) const {
   common::MutexLock lock(mu_);
   return unit_in(units_, index).id;
+}
+
+UnitRunTimes StateStore::unit_run_times(UnitIndex index) const {
+  common::MutexLock lock(mu_);
+  return unit_in(units_, index).times;
 }
 
 std::size_t StateStore::unit_count() const {
@@ -172,7 +177,8 @@ void StateStore::set_unit_state(UnitIndex index, UnitState state,
     // it. Watchers are notified only after the gate passed — they never
     // observe an illegal write.
     validate_transition(unit.record.state, state, unit.id);
-    const auto bits = std::bit_cast<std::uint64_t>(engine_.now());
+    const common::Seconds now = engine_.now();
+    const auto bits = std::bit_cast<std::uint64_t>(now);
     char time_bytes[sizeof bits];
     for (std::size_t i = 0; i < sizeof bits; ++i) {
       time_bytes[i] = static_cast<char>(bits >> (8 * i));
@@ -180,6 +186,8 @@ void StateStore::set_unit_state(UnitIndex index, UnitState state,
     fold_schedule({std::string_view(time_bytes, sizeof bits), unit.id,
                    to_string(state)});
     unit.record.state = state;
+    if (state == UnitState::kExecuting) unit.times.executing = now;
+    if (state == UnitState::kDone) unit.times.done = now;
     if (!pilot.empty()) unit.record.pilot = pilot;
     ++muts_;
     record_write(index);

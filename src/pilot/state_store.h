@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -80,6 +81,13 @@ struct HeartbeatRecord {
   std::size_t units_running = 0;
 };
 
+/// When a unit's last kExecuting and last kDone writes passed the
+/// transition gate, in simulated seconds; NaN before the first.
+struct UnitRunTimes {
+  common::Seconds executing = std::numeric_limits<double>::quiet_NaN();
+  common::Seconds done = std::numeric_limits<double>::quiet_NaN();
+};
+
 /// What kind of store mutation fired a watch.
 enum class WatchEventType { kPut, kUpdate, kQueuePush };
 
@@ -140,6 +148,11 @@ class StateStore {
   /// The string id of unit \p index; throws NotFoundError when absent.
   std::string unit_id(UnitIndex index) const;
 
+  /// When unit \p index last went kExecuting and kDone (the run time
+  /// the Unit-Manager's estimator learns); not an op. Throws
+  /// NotFoundError when the unit is absent.
+  UnitRunTimes unit_run_times(UnitIndex index) const;
+
   /// The rows of the unit table: the index the next new unit gets.
   std::size_t unit_count() const;
 
@@ -161,7 +174,8 @@ class StateStore {
   /// to that pilot. The edge is validated against the unit
   /// lifecycle-transition table: an illegal one (e.g. Done -> Executing
   /// after a stale requeue) throws StateError, changes nothing and
-  /// notifies nobody. A legal one is folded into the schedule digest.
+  /// notifies nobody. A legal one is folded into the schedule digest,
+  /// and a kExecuting or kDone one stamps the unit's run times.
   /// Throws NotFoundError when the unit is absent.
   void set_unit_state(UnitIndex index, UnitState state,
                       const std::string& pilot = {});
@@ -245,6 +259,7 @@ class StateStore {
   struct Unit {
     std::string id;
     UnitRecord record;
+    UnitRunTimes times;
   };
 
   /// Appends unit \p index to every feed (under mu_).

@@ -302,23 +302,6 @@ void UnitManager::drain_pending_requeues() {
 void UnitManager::reconcile() { poll(/*settle=*/false); }
 
 void UnitManager::poll(bool settle) {
-  // Fold the trace increment into the handles' Executing/Done times: the
-  // trace is append-only, so every event is visited once per run, not
-  // once per finished unit. (With trace rollup enabled, unit events are not
-  // stored and the estimator simply never observes — scale runs use
-  // known durations, not predictions.)
-  const auto& events = session_.trace().events();
-  for (; trace_scan_pos_ < events.size(); ++trace_scan_pos_) {
-    const auto& e = events[trace_scan_pos_];
-    if (e.category != "unit") continue;
-    if (e.name != "Executing" && e.name != "Done") continue;
-    const auto unit_attr = e.attrs.find("unit");
-    if (unit_attr == e.attrs.end()) continue;
-    const auto index = session_.store().unit_index(unit_attr->second);
-    ComputeUnit* unit = index ? unit_at(*index) : nullptr;
-    if (unit == nullptr) continue;  // another manager's unit
-    (e.name == "Executing" ? unit->executing_at_ : unit->done_at_) = e.time;
-  }
   // An open unit's state can only have turned final through a write
   // since the last pass, or it was (re)opened since: recheck exactly
   // those, folding in open order (the estimator and the backlog sums
@@ -349,15 +332,12 @@ void UnitManager::poll(bool settle) {
     if (!is_final(state)) continue;
     unit->open_seq_ = 0;
     backlog_seconds_[unit->pilot_id()] -= unit->predicted_;
-    // Observed runtime: Executing -> Done (a NaN, a time the trace did
-    // not show, fails the comparison). The times are dropped once
-    // consumed; a later requeue re-records them.
-    if (state == UnitState::kDone && unit->done_at_ >= unit->executing_at_) {
-      estimator_->observe(unit->description(),
-                          unit->done_at_ - unit->executing_at_);
+    // Observed runtime: the store's stamps of the unit's last Executing
+    // and Done writes (a requeued unit's last run).
+    if (state == UnitState::kDone) {
+      const UnitRunTimes run = session_.store().unit_run_times(unit->index_);
+      estimator_->observe(unit->description(), run.done - run.executing);
     }
-    unit->executing_at_ = unit->done_at_ =
-        std::numeric_limits<double>::quiet_NaN();
   }
   open_recheck_.clear();
   if (!settle) return;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,10 +70,6 @@ class ComputeUnit {
   std::uint64_t open_seq_ = 0;
   // Predicted runtime, carried by the pilot's backlog while open.
   double predicted_ = 0.0;
-  // When the trace last showed it Executing and Done, until folded; NaN
-  // when it has not.
-  double executing_at_ = std::numeric_limits<double>::quiet_NaN();
-  double done_at_ = std::numeric_limits<double>::quiet_NaN();
   // Recovery requeues done; -1 once the retry budget is gone.
   int requeues_ = 0;
   // kFailed, with a recovery requeue in flight.
@@ -164,7 +159,8 @@ class UnitManager {
   std::size_t submitted() const { return units_.size(); }
   std::size_t done_count() const;
 
-  /// Folds finished units back into the estimator and the per-pilot
+  /// Folds finished units back into the estimator (each Done unit's
+  /// Executing -> Done time, as the store stamped it) and the per-pilot
   /// backlog accounting. Called implicitly by all_done() and by the
   /// kPredictive pilot pick.
   void reconcile();
@@ -249,19 +245,16 @@ class UnitManager {
   std::shared_ptr<RuntimeEstimator> estimator_;
   std::map<std::string, double> backlog_seconds_;    // pilot -> predicted
 
-  /// Incremental reconcile/all_done bookkeeping (DESIGN.md §13). The
-  /// trace is append-only, so reconcile() scans it once past
-  /// trace_scan_pos_ into the handles' Executing/Done times instead of
-  /// re-walking the whole trace per finished unit. Unit states change
-  /// only through "unit" document writes, which the store's write feed
-  /// (unit_feed_) names, so a poll re-reads only the units written or
-  /// (re)opened since the last one: open_recheck_ for reconcile() (open
-  /// units, folded in open_seq_ order), settle_recheck_ for all_done().
+  /// Incremental reconcile/all_done bookkeeping (DESIGN.md §13). Unit
+  /// states change only through "unit" document writes, which the
+  /// store's write feed (unit_feed_) names, so a poll re-reads only the
+  /// units written or (re)opened since the last one: open_recheck_ for
+  /// reconcile() (open units, folded in open_seq_ order), settle_recheck_
+  /// for all_done().
   /// Unsettled units not settled at their last read are flagged blocking
   /// and counted in blocking_count_ — the barrier holds while it is
   /// non-zero. A recovery input (recovery_dirty_) rechecks every
   /// unsettled unit.
-  std::size_t trace_scan_pos_ = 0;
   std::uint64_t unit_feed_ = 0;  // opened by the first reconcile()
   std::uint64_t next_open_seq_ = 1;
   /// The handles are owned by units_ for the manager's lifetime.

@@ -144,22 +144,37 @@ TEST_F(PredictivePolicyTest, LearnedRuntimesSteerBinding) {
   EXPECT_TRUE(um.all_done());
 }
 
-TEST_F(PredictivePolicyTest, ReconcileFeedsObservationsBack) {
+/// The runtime the estimator learns from one finished 50 s unit, with the
+/// "unit" trace category rolled up (\p rollup) or kept event by event.
+double learned_runtime(bool rollup) {
+  Session session;
+  session.register_machine(cluster::generic_profile(8, 8, 16 * 1024),
+                           hpc::SchedulerKind::kSlurm, 8);
+  if (rollup) session.trace().enable_rollup("unit");
+  PilotManager pm(session);
   PilotDescription pd;
   pd.resource = "slurm://beowulf/";
-  auto pilot = pm_.submit_pilot(pd);
+  auto pilot = pm.submit_pilot(pd);
   auto estimator = std::make_shared<MovingAverageEstimator>(0.5, 10.0);
-  UnitManager um(session_, UnitSchedulingPolicy::kPredictive, estimator);
+  UnitManager um(session, UnitSchedulingPolicy::kPredictive, estimator);
   um.add_pilot(pilot);
   ComputeUnitDescription cud;
   cud.executable = "burn";
   cud.duration = 50.0;
   cud.memory_mb = 1024;
   um.submit(cud);
-  session_.engine().run_until(200.0);
-  ASSERT_TRUE(um.all_done());  // triggers reconcile
-  // The estimator learned ~50s (exact: Executing -> Done span).
-  EXPECT_NEAR(estimator->predict(cud), 50.0, 1.0);
+  session.engine().run_until(200.0);
+  EXPECT_TRUE(um.all_done());  // triggers reconcile
+  return estimator->predict(cud);
+}
+
+TEST_F(PredictivePolicyTest, ReconcileFeedsObservationsBack) {
+  // The estimator learned ~50s (exact: the store's Executing -> Done
+  // stamps), whether or not the trace keeps the unit events.
+  for (const bool rollup : {false, true}) {
+    SCOPED_TRACE(rollup ? "rollup on" : "rollup off");
+    EXPECT_NEAR(learned_runtime(rollup), 50.0, 1.0);
+  }
 }
 
 }  // namespace

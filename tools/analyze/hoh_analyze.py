@@ -9,7 +9,7 @@ iteration over a hash table feeding a trace, a state write that bypasses
 validate_transition, a lock the thread-safety analysis never sees. This
 tool is the project's one source-rule engine. It enforces them
 structurally, over the same translation units the tier-1 preset compiles
-(compile_commands.json), with six rule families:
+(compile_commands.json), with seven rule families:
 
   concurrency (DESIGN.md §7)
     conc-naked-primitive  std::mutex / recursive_mutex / shared_mutex /
@@ -90,10 +90,22 @@ structurally, over the same translation units the tier-1 preset compiles
                         be host-order-dependent and invisible to the codec
                         fuzz tests.
 
+  observability
+    trace-read          a call to a sim::Trace read method (events, find,
+                        first, last, find_spans, span_stats, rollup) on a
+                        trace receiver (`trace()`, `trace_`, `trace`, ...)
+                        under src/, outside src/sim/ and the measurement
+                        code in src/analytics/kmeans_experiment.cpp — the
+                        trace is observability only: rollup decides what
+                        it stores, so a simulation decision that reads it
+                        changes with rollup (DESIGN.md §13). Decisions
+                        read the state store instead.
+
 Path-keyed rules
   The allowlists, the periodic budget, src/tenant/, the src/net/ wire
-  exemption, the src/common/random.* determinism exemption and the state
-  gate files all match rule_path(): the repo path for a file under src/,
+  exemption, the src/common/random.* determinism exemption, the state
+  gate files and the trace-read scope (src/ only) and its exemptions
+  all match rule_path(): the repo path for a file under src/,
   else the tail from the file's last `src/` component. A fixture tree
   that mirrors src/ (tests/lint_fixtures/analyze/src/) is therefore
   judged exactly like the real files.
@@ -155,6 +167,7 @@ RULES = (
     "guard-missing",
     "guard-local-mutex",
     "wire-encoding",
+    "trace-read",
     "suppression-unjustified",
 )
 
@@ -201,6 +214,14 @@ WIRE_BYTEORDER_IDENTS = {
     "htole16", "htole32", "htole64", "le16toh", "le32toh", "le64toh",
 }
 WIRE_MEM_CALLEES = {"memcpy", "memmove"}
+
+# The trace's read methods (trace-read rule), and where reading them is
+# allowed: the trace itself and the experiment driver's measurements.
+TRACE_READ_METHODS = {
+    "events", "find", "first", "last", "find_spans", "span_stats", "rollup",
+}
+TRACE_READ_EXEMPT_PREFIX = "src/sim/"
+TRACE_READ_EXEMPT_FILES = {"src/analytics/kmeans_experiment.cpp"}
 
 # The seeded RNG wrapper is the one place allowed to hold a raw engine.
 DET_FILE_ALLOWLIST = {
@@ -1198,15 +1219,18 @@ class InternalFrontend:
     # -- token-stream scans -----------------------------------------------
 
     def _token_scan(self, toks, ir: FileIR) -> None:
-        """The token-pattern rules: concurrency, tenant, wire-encoding and
-        determinism bans, each skipping the paths its policy table
-        exempts (matched on ir.key, see rule_path)."""
+        """The token-pattern rules: concurrency, tenant, wire-encoding,
+        trace-read and determinism bans, each skipping the paths its
+        policy table exempts (matched on ir.key, see rule_path)."""
         key = ir.key
         primitive_ok = key in PRIMITIVE_ALLOWLIST
         thread_ok = key in THREAD_ALLOWLIST
         tenant = key.startswith(TENANT_DIR_PREFIX)
         wire_exempt = key.startswith(WIRE_DIR_PREFIX)
         det_exempt = key in DET_FILE_ALLOWLIST
+        trace_read_checked = key.startswith("src/") \
+            and not key.startswith(TRACE_READ_EXEMPT_PREFIX) \
+            and key not in TRACE_READ_EXEMPT_FILES
         n = len(toks)
         periodic_sites = []
 
@@ -1220,6 +1244,15 @@ class InternalFrontend:
 
         def is_call(i):
             return i + 1 < n and toks[i + 1].text == "("
+
+        def trace_receiver(i):
+            # `<x>trace<y>.m(` / `->m(`, or `trace().m(` / `->m(`.
+            if i < 2 or toks[i - 1].text not in (".", "->"):
+                return False
+            r = toks[i - 2]
+            if r.text == ")" and i >= 4 and toks[i - 3].text == "(":
+                r = toks[i - 4]
+            return r.is_ident and "trace" in r.text.lower()
 
         for i, t in enumerate(toks):
             if not t.is_ident:
@@ -1267,6 +1300,14 @@ class InternalFrontend:
                 continue
             if t.text == "schedule_periodic" and is_call(i):
                 periodic_sites.append(t)
+                continue
+            if trace_read_checked and t.text in TRACE_READ_METHODS \
+                    and is_call(i) and trace_receiver(i):
+                flag(t, "trace-read",
+                     f"trace read `{t.text}()` outside src/sim/; the trace "
+                     f"is observability only (rollup decides what it "
+                     f"stores, DESIGN.md §13), so simulation decisions "
+                     f"read the state store instead")
                 continue
             if not wire_exempt:
                 if t.text == "reinterpret_cast":
@@ -1679,7 +1720,7 @@ def main(argv=None) -> int:
         prog="hoh_analyze.py",
         description="AST-level concurrency / determinism / lock-order / "
                     "state-discipline / annotation-coverage / wire-encoding "
-                    "analyzer (see module docstring)")
+                    "/ observability analyzer (see module docstring)")
     parser.add_argument("-p", "--build-dir",
                         help="build dir containing compile_commands.json "
                              "(tier-1 preset exports it)")

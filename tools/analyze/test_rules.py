@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Self-test for the project's source-rule engine, hoh_analyze.py (all six
+"""Self-test for the project's source-rule engine, hoh_analyze.py (all seven
 rule families, the suppression meta-rule and the path-keyed exemptions).
 
 The fixture tree (tests/lint_fixtures/analyze/) holds deliberately-bad
 snippets; every line that must be flagged carries a trailing
 `// EXPECT: <rule>` annotation (comma-separated for several findings on one
 line). Its src/ subtree mirrors real repo paths, so the path-keyed rules
-(allowlists, periodic budget, src/tenant/, the src/net/ and
-src/common/random.* exemptions) judge each fixture like the file it
-mirrors; the unflagged lines there are the exemptions' negative cases. The
-test runs the analyzer over the tree and asserts the set of (file, line,
-rule) findings equals the set of expectations EXACTLY — a rule that fails
-to fire is as much a failure as a spurious finding, so both false
-negatives and false positives regress loudly.
+(allowlists, periodic budget, src/tenant/, the src/net/,
+src/common/random.* and trace-read exemptions) judge each fixture like
+the file it mirrors; the unflagged lines there are the exemptions'
+negative cases. The test runs the analyzer over the tree and asserts the
+set of (file, line, rule) findings equals the set of expectations
+EXACTLY — a rule that fails to fire is as much a failure as a spurious
+finding, so both false negatives and false positives regress loudly.
 
 Also covered: the lock-order DOT/JSON artifacts, a clean src/ tree and
 an edgeless src/ lock-order graph.
@@ -99,7 +99,7 @@ class AnalyzerFixtures(unittest.TestCase):
             "det-wallclock", "det-rand", "det-unseeded-rng",
             "det-unordered-emit", "lock-order-cycle", "lock-order-self",
             "state-write", "guard-missing", "guard-local-mutex",
-            "wire-encoding", "suppression-unjustified")
+            "wire-encoding", "trace-read", "suppression-unjustified")
         self.assertEqual(set(families), set(hoh_analyze.RULES),
                          "RULES and this list must name the same ids")
         rules = {r for (_, _, r) in collect_expectations(FIXTURES)}
