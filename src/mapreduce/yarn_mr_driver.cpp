@@ -227,15 +227,10 @@ YarnMrJobStatus YarnMrDriver::status(const std::string& app_id) const {
   if (it == jobs_.end()) {
     throw common::NotFoundError("YarnMrDriver: unknown job " + app_id);
   }
-  YarnMrJobStatus out = it->second.progress;
-  // The RM can fail the application behind the driver's back (AM
-  // attempts exhausted); fold that into the snapshot.
-  const yarn::AppState app_state = rm_.application(app_id).state;
-  if (!out.finished && (app_state == yarn::AppState::kFailed ||
-                        app_state == yarn::AppState::kKilled)) {
-    out.failed = true;
-  }
-  return out;
+  // An application the RM failed or killed behind the driver's back (AM
+  // attempts exhausted) is already folded in by its on_finished, so a
+  // job whose application left the RM's window still answers.
+  return it->second.progress;
 }
 
 }  // namespace hoh::mapreduce

@@ -141,11 +141,9 @@ void Agent::start(std::function<void()> on_active) {
       write_heartbeat();
       poll_store();  // units queued before the watch: no deliveries
       if (cb) cb();
-      if (!config_.event_endpoint.empty()) {
-        // Activation crosses the boundary as a one-way lifecycle event.
-        net::send(transport_, config_.event_endpoint,
-                  net::AgentEvent{pilot_id_, net::AgentEvent::kActive});
-      }
+      // Activation crosses the boundary as a one-way lifecycle event.
+      net::send(transport_, lifecycle_endpoint(pilot_id_),
+                net::AgentEvent{pilot_id_, net::AgentEvent::kActive});
     });
   });
 }

@@ -43,11 +43,18 @@ struct AgentCapacity {
   int idle_cores() const { return total_cores - used_cores; }
 };
 
+/// The endpoint a pilot's agent sends its lifecycle AgentEvents to over
+/// the session transport (DESIGN.md §14): "pilot.<pilot_id>.lifecycle",
+/// which the PilotManager registers.
+inline std::string lifecycle_endpoint(const std::string& pilot_id) {
+  return "pilot." + pilot_id + ".lifecycle";
+}
+
 class Agent {
  public:
   /// The agent registers its control endpoint "agent.<pilot_id>.ctrl"
   /// (start/stop commands) on \p transport and reports lifecycle events
-  /// (activation) to AgentConfig::event_endpoint over it (DESIGN.md §14);
+  /// (activation) to lifecycle_endpoint(pilot_id) over it (DESIGN.md §14);
   /// the transport must outlive the agent. \p external_yarn must be
   /// non-null for AgentBackend::kYarnModeII (the pre-existing cluster,
   /// e.g. Wrangler's dedicated Hadoop reservation).

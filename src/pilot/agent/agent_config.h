@@ -66,11 +66,6 @@ struct AgentConfig {
   /// locations of their staged inputs.
   bool data_aware_scheduling = false;
 
-  /// Where the agent sends its lifecycle AgentEvents over the session
-  /// transport (DESIGN.md §14; the PilotManager registers
-  /// "pilot.<pilot_id>.lifecycle" here). Empty = no events sent.
-  std::string event_endpoint;
-
   /// Backend cluster configurations for Mode I bootstraps.
   yarn::YarnClusterConfig yarn;
   spark::SparkConfig spark;

@@ -33,15 +33,18 @@ class YarnLaunch final : public LaunchMethod {
     waiting_for_shared_am_.clear();
     if (owned_ != nullptr) owned_->shutdown();
     // A borrowed cluster outlives the pilot; the pilot's applications
-    // must not.
-    for (const auto& id : borrowed_apps_) rm().kill_application(id);
+    // must not. Each kill's on_finished erases from the set, so walk a
+    // copy.
+    for (const auto& id : std::exchange(borrowed_apps_, {})) {
+      rm().kill_application(id);
+    }
   }
   bool admit(UnitRec& unit) override;
   void launch(const std::shared_ptr<UnitRec>& unit) override;
   void withdraw(UnitRec& unit) override {
     if (unit.am != nullptr) {
       unit.am->kill_container(unit.container_id);
-      if (unit.dedicated_app) end_app(*unit.am, false);
+      if (unit.dedicated_app) unit.am->unregister(false);
     }
     unit.dedicated_app = false;
     unit.container_id.clear();
@@ -120,9 +123,10 @@ class YarnLaunch final : public LaunchMethod {
     std::string id = rm().submit_application(std::move(app));
     if (external_ != nullptr) borrowed_apps_.insert(std::move(id));
   }
-  void end_app(yarn::ApplicationMaster& am, bool success) {
-    borrowed_apps_.erase(am.app_id());
-    am.unregister(success);
+  /// Every application's on_finished starts here: a finished one is no
+  /// longer the pilot's to kill.
+  void app_finished(const yarn::AppReport& report) {
+    if (external_ != nullptr) borrowed_apps_.erase(report.id);
   }
   void submit(const std::shared_ptr<UnitRec>& unit);
   /// Asks \p am for the unit's one container and runs the unit in it.
@@ -138,6 +142,9 @@ class YarnLaunch final : public LaunchMethod {
   std::set<std::string> wrapper_cache_;
   /// Live applications the pilot submitted to a borrowed cluster.
   std::set<std::string> borrowed_apps_;
+  // An AM handle lives in its application's RM record, which the RM may
+  // evict once the application finished: every holder below (and
+  // UnitRec::am) is cleared in the application's on_finished.
   // Shared-application extension state.
   yarn::ApplicationMaster* shared_am_ = nullptr;
   std::deque<std::shared_ptr<UnitRec>> waiting_for_shared_am_;
@@ -240,6 +247,13 @@ void YarnLaunch::submit(const std::shared_ptr<UnitRec>& unit) {
       waiting_for_shared_am_.clear();
       for (auto& w : waiting) run_in_container(w, am, false);
     };
+    app.on_finished = [this](const yarn::AppReport& report) {
+      app_finished(report);
+      for (const auto& running : agent_.running_units_) {
+        if (running->am == shared_am_) running->am = nullptr;
+      }
+      shared_am_ = nullptr;
+    };
     submit_app(std::move(app));
     return;
   }
@@ -247,6 +261,13 @@ void YarnLaunch::submit(const std::shared_ptr<UnitRec>& unit) {
   app.name = unit->desc->name;
   app.on_am_start = [this, unit](yarn::ApplicationMaster& am) {
     if (!agent_.stopped_) run_in_container(unit, am, true);
+  };
+  app.on_finished = [this, unit](const yarn::AppReport& report) {
+    app_finished(report);
+    // A requeued unit may hold another application's AM by now.
+    if (unit->am != nullptr && unit->am->app_id() == report.id) {
+      unit->am = nullptr;
+    }
   };
   submit_app(std::move(app));
 }
@@ -280,15 +301,20 @@ void YarnLaunch::run_in_container(const std::shared_ptr<UnitRec>& unit,
         unit->exec_event = engine.schedule(unit->desc->duration, [this, unit,
                                                                  id] {
           if (agent_.stopped_) return;
-          yarn::ApplicationMaster& am = *std::exchange(unit->am, nullptr);
+          yarn::ApplicationMaster* am = std::exchange(unit->am, nullptr);
           unit->exec_event = sim::EventHandle{};
           const bool ok = unit->desc->exit_code == 0;
-          if (ok) {
-            am.complete_container(id);
-          } else {
-            am.kill_container(id);
+          const bool dedicated = std::exchange(unit->dedicated_app, false);
+          // No AM: the application failed under the unit (its AM was
+          // lost beyond its attempts) and took the container with it.
+          if (am != nullptr) {
+            if (ok) {
+              am->complete_container(id);
+            } else {
+              am->kill_container(id);
+            }
+            if (dedicated) am->unregister(ok);
           }
-          if (std::exchange(unit->dedicated_app, false)) end_app(am, ok);
           agent_.payload_done(unit);
         });
       });

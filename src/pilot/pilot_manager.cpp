@@ -67,8 +67,7 @@ PilotManager::~PilotManager() {
   // already stopped.
   for (const auto& pilot : pilots_) {
     pilot->stop_agent();
-    session_.transport().unregister_endpoint("pilot." + pilot->id_ +
-                                             ".lifecycle");
+    session_.transport().unregister_endpoint(lifecycle_endpoint(pilot->id_));
   }
   for (auto& [id, lease] : heartbeat_leases_) {
     if (lease.watch.valid()) session_.store().unwatch(lease.watch);
@@ -176,7 +175,6 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
   // Message boundary (DESIGN.md §14): the agent joins the session
   // transport — control commands in, lifecycle events out — and any
   // Mode-I cluster it bootstraps wires its RM onto the same transport.
-  agent_config.event_endpoint = "pilot." + pilot_id + ".lifecycle";
   agent_config.yarn.yarn.transport = &session_.transport();
   pilot->agent_config_ = agent_config;
 
@@ -197,7 +195,7 @@ std::shared_ptr<Pilot> PilotManager::submit_pilot(
   std::weak_ptr<Pilot> weak = pilot;
   // Lifecycle endpoint: the agent's activation event lands here.
   session_.transport().register_endpoint(
-      "pilot." + pilot_id + ".lifecycle", [weak](const net::Envelope& env) {
+      lifecycle_endpoint(pilot_id), [weak](const net::Envelope& env) {
         const auto msg = net::open_envelope<net::AgentEvent>(env);
         if (msg.kind == net::AgentEvent::kActive) {
           if (auto p = weak.lock()) p->set_state(PilotState::kActive);

@@ -13,8 +13,16 @@ namespace hoh::pilot {
 namespace {
 
 /// A unit document as Json, under the keys of its fields; an empty list
-/// is left out.
-common::Json unit_json(const UnitRecord& unit) {
+/// is left out. A retired unit's description is its name alone.
+common::Json unit_json(const UnitRecord& unit,
+                       const std::optional<std::string>& retired_name) {
+  common::Json doc;
+  doc["pilot"] = unit.pilot;
+  doc["state"] = to_string(unit.state);
+  if (retired_name) {
+    doc["description"]["name"] = *retired_name;
+    return doc;
+  }
   const ComputeUnitDescription& d = *unit.description;
   common::Json desc;
   const auto put_list = [&desc](const char* key, const auto& values,
@@ -43,10 +51,7 @@ common::Json unit_json(const UnitRecord& unit) {
   desc["name"] = d.name;
   put_list("output_staging", d.output_staging, staged);
   put_list("preferred_nodes", d.preferred_nodes, text);
-  common::Json doc;
   doc["description"] = std::move(desc);
-  doc["pilot"] = unit.pilot;
-  doc["state"] = to_string(unit.state);
   return doc;
 }
 
@@ -76,7 +81,7 @@ std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
   std::vector<std::pair<std::string, common::Json>> out;
   out.reserve(units_.size());
   for (const Unit& unit : units_) {
-    out.emplace_back(unit.id, unit_json(unit.record));
+    out.emplace_back(unit.id, unit_json(unit.record, unit.retired_name));
   }
   // Index order is put order, which id order leaves past unit.9999.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -96,9 +101,10 @@ UnitIndex StateStore::put_unit(const std::string& id, UnitRecord unit) {
         unit_index_.try_emplace(id, static_cast<UnitIndex>(units_.size()));
     index = it->second;
     if (added) {
-      units_.push_back(Unit{id, std::move(unit), {}});
+      units_.push_back(Unit{id, std::move(unit), {}, {}});
     } else {
       units_[index].record = std::move(unit);
+      units_[index].retired_name.reset();
     }
     record_write(index);
     wake = notify(WatchEventType::kPut, kUnitBucket, id);
@@ -189,6 +195,11 @@ void StateStore::set_unit_state(UnitIndex index, UnitState state,
     if (state == UnitState::kExecuting) unit.times.executing = now;
     if (state == UnitState::kDone) unit.times.done = now;
     if (!pilot.empty()) unit.record.pilot = pilot;
+    if (state == UnitState::kDone || state == UnitState::kCanceled) {
+      // A sink: the row retires (set_unit_state() in the header).
+      unit.retired_name = unit.record.description->name;
+      unit.record.description = default_description();
+    }
     ++muts_;
     record_write(index);
     wake = notify(WatchEventType::kUpdate, kUnitBucket, unit.id);

@@ -128,10 +128,10 @@ class StateStore {
 
   /// Every unit as a Json document, in id order: {"description": {...},
   /// "pilot", "state"}, with the description's fields under their names
-  /// and its empty lists left out. Kept for the benchmark program's
-  /// cross-check of completed units, which reads the store's units this
-  /// way; not on any hot path. Any other \p collection throws
-  /// ConfigError.
+  /// and its empty lists left out; a retired unit's description holds
+  /// only its name. Kept for the benchmark program's cross-check of
+  /// completed units, which reads the store's units this way; not on any
+  /// hot path. Any other \p collection throws ConfigError.
   std::vector<std::pair<std::string, common::Json>> find_all(
       const std::string& collection) const;
 
@@ -167,7 +167,7 @@ class StateStore {
   UnitState unit_state(UnitIndex index) const;
 
   /// A unit's description, shared with the record (not copied); nullptr
-  /// when the unit is absent.
+  /// when the unit is absent, default_description() once it retired.
   SharedDescription unit_description(UnitIndex index) const;
 
   /// Moves a unit to \p state and, when \p pilot is non-empty, binds it
@@ -175,7 +175,12 @@ class StateStore {
   /// lifecycle-transition table: an illegal one (e.g. Done -> Executing
   /// after a stale requeue) throws StateError, changes nothing and
   /// notifies nobody. A legal one is folded into the schedule digest,
-  /// and a kExecuting or kDone one stamps the unit's run times.
+  /// and a kExecuting or kDone one stamps the unit's run times. A legal
+  /// kDone or kCanceled write retires the unit: those states are sinks,
+  /// so nothing reads its description again, and the record swaps it for
+  /// default_description(), keeping id, state, pilot, run times and the
+  /// description's name. A kFailed unit keeps its description: requeue
+  /// and redispatch read it.
   /// Throws NotFoundError when the unit is absent.
   void set_unit_state(UnitIndex index, UnitState state,
                       const std::string& pilot = {});
@@ -255,11 +260,13 @@ class StateStore {
   net::Transport* transport() const { return transport_; }
 
  private:
-  /// One row of the unit table.
+  /// One row of the unit table. A retired row's description is the
+  /// default one and its name is kept here.
   struct Unit {
     std::string id;
     UnitRecord record;
     UnitRunTimes times;
+    std::optional<std::string> retired_name;
   };
 
   /// Appends unit \p index to every feed (under mu_).

@@ -23,7 +23,9 @@ struct AppRecord;
 
 /// Lives inside its application's RM record and holds that record, so
 /// no call below looks the application up. The handle stays valid after
-/// the application finished.
+/// the application finished until the RM evicts the record from its
+/// window of finished applications: a holder lets go of it in the
+/// application's on_finished.
 class ApplicationMaster {
  public:
   ApplicationMaster(ResourceManager& rm, AppRecord& app)

@@ -23,11 +23,14 @@ std::string next_rm_prefix() {
 /// Runs the callback in \p slot from a local, so the call may finish
 /// \p app (which clears the slot) without destroying the closure it runs
 /// in. Afterwards the callback goes back into \p slot unless \p app
-/// finished meanwhile or the call installed another one.
+/// finished meanwhile or the call installed another one. The record is
+/// held meanwhile, so no eviction the call sets off takes it.
 template <typename Fn, typename... Args>
-void run_kept(const AppRecord& app, Fn& slot, Args&... args) {
+void run_kept(AppRecord& app, Fn& slot, Args&... args) {
   Fn fn = std::exchange(slot, nullptr);
+  ++app.holds;
   if (fn) fn(args...);
+  --app.holds;
   if (!is_final(app.report.state) && !slot) slot = std::move(fn);
 }
 
@@ -189,12 +192,16 @@ void ResourceManager::shutdown() {
   engine_.cancel(pass_event_);
   pass_pending_ = false;
   liveness_leases_.clear();
-  // Kill everything still running.
-  std::vector<AppRecord*> live;
-  for (auto& [id, app] : apps_) {
-    if (!is_final(app.report.state)) live.push_back(&app);
+  // Kill everything still running, by id: a kill's on_finished may
+  // finish others, and their records may leave the window meanwhile.
+  std::vector<std::string> live;
+  for (const auto& [id, app] : apps_) {
+    if (!is_final(app.report.state)) live.push_back(id);
   }
-  for (AppRecord* app : live) finish_application(*app, AppState::kKilled);
+  for (const std::string& id : live) {
+    const auto it = apps_.find(id);
+    if (it != apps_.end()) finish_application(it->second, AppState::kKilled);
+  }
 }
 
 void ResourceManager::request_scheduler_pass() {
@@ -656,7 +663,9 @@ void ResourceManager::preemption_pass() {
 
 void ResourceManager::on_am_container_running(AppRecord& app) {
   // AM process is up; registration handshake follows.
+  ++app.holds;
   engine_.schedule(config_.am_register_time, [this, &app] {
+    --app.holds;
     if (is_final(app.report.state)) return;
     app.report.state = AppState::kRunning;
     app.report.start_time = engine_.now();
@@ -698,8 +707,24 @@ void ResourceManager::finish_application(AppRecord& app,
   std::string().swap(app.am_container_id);
   app.on_am_start = nullptr;
   app.am.preempted_callback_ = nullptr;
+  ++apps_completed_;
   // Push the outcome to the submitter (event notification, not polling).
   if (auto done = std::exchange(app.on_finished, nullptr)) done(app.report);
+  retire(app);
+}
+
+void ResourceManager::retire(AppRecord& app) {
+  finished_.push_back(&app);
+  // The record just finished is the newest, so its callers' references
+  // stay good. An older one goes only when no pending ask, registration
+  // event or running callback points at it; a held front waits for a
+  // later finish.
+  while (finished_.size() > kMaxCompletedApps) {
+    const AppRecord& oldest = *finished_.front();
+    if (oldest.pending_asks > 0 || oldest.holds > 0) break;
+    apps_.erase(apps_.find(oldest.report.id));
+    finished_.pop_front();
+  }
 }
 
 void ResourceManager::kill_application(const std::string& app_id) {
@@ -756,18 +781,14 @@ common::Json ResourceManager::cluster_metrics() const {
   const Resource cap = total_capacity();
   const Resource used = total_allocated();
   std::int64_t running = 0;
-  std::int64_t submitted = 0;
-  std::int64_t completed = 0;
   for (const auto& [id, app] : apps_) {
-    ++submitted;
     if (app.report.state == AppState::kRunning) ++running;
-    if (is_final(app.report.state)) ++completed;
   }
   common::Json metrics;
   auto& m = metrics["clusterMetrics"];
-  m["appsSubmitted"] = submitted;
+  m["appsSubmitted"] = static_cast<std::int64_t>(next_app_number_ - 1);
   m["appsRunning"] = running;
-  m["appsCompleted"] = completed;
+  m["appsCompleted"] = apps_completed_;
   m["totalMB"] = cap.memory_mb;
   m["totalVirtualCores"] = static_cast<std::int64_t>(cap.vcores);
   m["allocatedMB"] = used.memory_mb;

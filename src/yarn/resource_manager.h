@@ -60,7 +60,8 @@ struct PendingAsk;
 
 /// RM-side application record. Only a live application holds callbacks,
 /// containers and its AM's preemption callback; finishing frees them and
-/// keeps the report and the AM handle.
+/// keeps the report and the AM handle until the record leaves the RM's
+/// window of finished applications (ResourceManager::kMaxCompletedApps).
 struct AppRecord {
   explicit AppRecord(ResourceManager& rm) : am(rm, *this) {}
 
@@ -75,6 +76,10 @@ struct AppRecord {
   std::string am_container_id;
   std::vector<std::string> container_ids;  // live task containers
   int attempt = 1;                         // AM attempt number
+  /// RM-side references that may outlive a finish: a pending AM
+  /// registration event and a callback running through the record. A
+  /// held record, or one with pending asks, is not evicted yet.
+  int holds = 0;
 };
 
 /// One outstanding container ask, queued until a scheduler pass places it.
@@ -87,6 +92,13 @@ struct PendingAsk {
 
 class ResourceManager {
  public:
+  /// How many finished applications the RM remembers, as YARN's
+  /// yarn.resourcemanager.max-completed-applications: past it the oldest
+  /// finished record goes, and application()/kill_application() of its
+  /// id throw NotFoundError. An AM handle lives in its record, so a
+  /// holder of one clears it in the application's on_finished.
+  static constexpr std::size_t kMaxCompletedApps = 1000;
+
   /// Brings up one NodeManager per allocation node and arms their
   /// liveness leases. Scheduler passes run on demand (DESIGN.md §10).
   ResourceManager(sim::Engine& engine, const cluster::Allocation& allocation,
@@ -107,7 +119,9 @@ class ResourceManager {
   /// Kills an application: AM and all its containers are released.
   void kill_application(const std::string& app_id);
 
+  /// A live application's report, or a finished one still in the window.
   AppReport application(const std::string& app_id) const;
+  /// The live applications and the window of finished ones, in id order.
   std::vector<AppReport> applications() const;
 
   /// The AM handle of a running application (for in-process callers).
@@ -235,6 +249,9 @@ class ResourceManager {
                 std::function<void(const Container&)> on_allocated = {});
   void on_am_container_running(AppRecord& app);
   void finish_application(AppRecord& app, AppState final_state);
+  /// Appends \p app to the finished window and evicts the oldest
+  /// finished records past kMaxCompletedApps, stopping at a held one.
+  void retire(AppRecord& app);
 
   // --- Message boundary (DESIGN.md §14) ---
   // The RM↔NM control plane crosses the session transport as typed
@@ -291,9 +308,14 @@ class ResourceManager {
   /// paths stop walking every NodeManager per lookup at 10k nodes.
   std::unordered_map<std::string, NodeManager*> nm_index_;
   std::unordered_map<std::string, NodeManager*> container_host_;
-  /// Every application ever submitted, in id order; a record never
-  /// moves, so its AM and pending asks point at it.
+  /// The live applications and the last kMaxCompletedApps finished
+  /// ones, in id order. A record never moves while it is kept, so its AM,
+  /// its pending asks and the RM's own callbacks point at it.
   std::map<std::string, AppRecord> apps_;
+  /// The finished records of apps_, oldest first.
+  std::deque<AppRecord*> finished_;
+  /// cluster_metrics() counts: exact past any eviction.
+  std::int64_t apps_completed_ = 0;
   std::map<std::string, std::deque<PendingAsk>> pending_;  // per queue
   // Demand-driven pass dedup + per-NM liveness leases.
   bool pass_pending_ = false;

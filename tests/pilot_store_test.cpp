@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +126,55 @@ TEST(StateStoreTest, TypedUnitReads) {
   store.unit_index("u");
   store.unit_id(u);
   EXPECT_EQ(store.op_count() - ops, 2u);
+}
+
+TEST(StateStoreTest, SinkWritesRetireTheDescription) {
+  sim::Engine engine;
+  StateStore store(engine);
+  ComputeUnitDescription desc;
+  desc.name = "map-3";
+  desc.arguments = {"--k", "8"};
+  const UnitIndex done = store.put_unit("done", pending("pilot.0", desc));
+  const UnitIndex canceled =
+      store.put_unit("canceled", pending("pilot.0", desc));
+  const UnitIndex failed = store.put_unit("failed", pending("pilot.0", desc));
+  for (const UnitState s : {UnitState::kAgentScheduling,
+                            UnitState::kExecuting, UnitState::kDone}) {
+    store.set_unit_state(done, s);
+  }
+  store.set_unit_state(canceled, UnitState::kCanceled);
+  store.set_unit_state(failed, UnitState::kAgentScheduling);
+  store.set_unit_state(failed, UnitState::kFailed);
+
+  // Done and Canceled are sinks: their rows drop the description...
+  EXPECT_EQ(store.unit_description(done), default_description());
+  EXPECT_EQ(store.unit_description(canceled), default_description());
+  // ...and keep id, state, pilot, run times and the name.
+  EXPECT_EQ(store.unit_id(done), "done");
+  EXPECT_EQ(store.unit_state(done), UnitState::kDone);
+  EXPECT_FALSE(std::isnan(store.unit_run_times(done).executing));
+  EXPECT_FALSE(std::isnan(store.unit_run_times(done).done));
+  const common::Json doc = document(store, "done");
+  EXPECT_EQ(doc.at("state").as_string(), "Done");
+  EXPECT_EQ(doc.at("pilot").as_string(), "pilot.0");
+  EXPECT_EQ(doc.at("description"), common::Json::parse(R"({"name": "map-3"})"));
+  const common::Json gone = document(store, "canceled");
+  EXPECT_EQ(gone.at("state").as_string(), "Canceled");
+  EXPECT_EQ(gone.at("pilot").as_string(), "pilot.0");
+  EXPECT_EQ(gone.at("description").at("name").as_string(), "map-3");
+
+  // A Failed row keeps its description: the requeue onto another pilot
+  // hands the same one over.
+  const SharedDescription kept = store.unit_description(failed);
+  ASSERT_NE(kept, default_description());
+  EXPECT_EQ(kept->arguments, desc.arguments);
+  store.set_unit_state(failed, UnitState::kPendingAgent, "pilot.1");
+  store.queue_push("agent.pilot.1", failed);
+  EXPECT_EQ(store.queue_pop_all("agent.pilot.1"),
+            std::vector<UnitIndex>{failed});
+  EXPECT_EQ(store.unit_description(failed), kept);
+  EXPECT_EQ(document(store, "failed").at("description").at("arguments"),
+            common::Json::parse(R"(["--k", "8"])"));
 }
 
 TEST(StateStoreTest, HeartbeatsAreTypedAndWatched) {

@@ -315,5 +315,89 @@ TEST_F(PilotYarnSparkTest, CancelReleasesSharedAmOnModeII) {
   EXPECT_EQ(hadoop->resource_manager().total_allocated().vcores, 0);
 }
 
+/// The RM report of the application named \p name.
+yarn::AppReport app_named(const yarn::ResourceManager& rm,
+                          const std::string& name) {
+  for (const auto& report : rm.applications()) {
+    if (report.name == name) return report;
+  }
+  ADD_FAILURE() << "no application " << name;
+  return {};
+}
+
+// A unit's dedicated application fails under it (its AM is lost beyond
+// its attempts), and then more applications finish than the RM keeps:
+// the evicted record held the unit's AM handle, so the unit must have
+// let go of it when the application finished. Under AddressSanitizer a
+// kept handle is a use-after-free when the pilot ends or the unit's
+// payload ends.
+TEST_F(PilotYarnSparkTest, FailedApplicationLeavesNoDanglingAmHandle) {
+  AgentConfig once;
+  once.yarn.yarn.am_max_attempts = 1;
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("slurm://stampede/", 4, AgentBackend::kYarnModeI), once);
+  um_.add_pilot(pilot);
+  ComputeUnitDescription victim_desc = simple_unit(20000.0);
+  victim_desc.name = "victim";
+  auto victim = um_.submit(victim_desc);
+  while (victim->state() != UnitState::kExecuting &&
+         session_.engine().now() < 3600.0) {
+    session_.engine().run_until(engine_now_plus(10.0));
+  }
+  ASSERT_EQ(victim->state(), UnitState::kExecuting);
+  yarn::ResourceManager& rm =
+      pilot->agent()->yarn_cluster()->resource_manager();
+  const yarn::AppReport app = app_named(rm, "victim");
+  rm.fail_node(app.am_node);
+  ASSERT_EQ(rm.application(app.id).state, yarn::AppState::kFailed);
+
+  auto others = um_.submit(std::vector<ComputeUnitDescription>(
+      yarn::ResourceManager::kMaxCompletedApps + 10, simple_unit(1.0)));
+  while (others.back()->state() != UnitState::kDone &&
+         session_.engine().now() < 19000.0) {
+    session_.engine().run_until(engine_now_plus(100.0));
+  }
+  for (const auto& u : others) ASSERT_EQ(u->state(), UnitState::kDone);
+  EXPECT_THROW(rm.application(app.id), common::NotFoundError);
+  // The victim's payload timer ends without touching its application.
+  session_.engine().run_until(engine_now_plus(20000.0));
+  EXPECT_TRUE(is_final(victim->state()));
+}
+
+// The shared application of a reuse_yarn_app pilot fails: the pilot
+// forgets its AM and the next unit starts a new shared application,
+// instead of asking the failed AM for a container.
+TEST_F(PilotYarnSparkTest, FailedSharedApplicationIsReplaced) {
+  AgentConfig reuse;
+  reuse.reuse_yarn_app = true;
+  reuse.yarn.yarn.am_max_attempts = 1;
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("slurm://stampede/", 3, AgentBackend::kYarnModeI), reuse);
+  um_.add_pilot(pilot);
+  auto first = um_.submit(
+      std::vector<ComputeUnitDescription>(2, simple_unit(300.0)));
+  while (first.back()->state() != UnitState::kExecuting &&
+         session_.engine().now() < 3600.0) {
+    session_.engine().run_until(engine_now_plus(10.0));
+  }
+  ASSERT_EQ(first.front()->state(), UnitState::kExecuting);
+  ASSERT_EQ(first.back()->state(), UnitState::kExecuting);
+  yarn::ResourceManager& rm =
+      pilot->agent()->yarn_cluster()->resource_manager();
+  const yarn::AppReport shared = app_named(rm, "radical-pilot-shared");
+  rm.fail_node(shared.am_node);
+  ASSERT_EQ(rm.application(shared.id).state, yarn::AppState::kFailed);
+
+  auto later = um_.submit(simple_unit(10.0));
+  session_.engine().run_until(engine_now_plus(1200.0));
+  EXPECT_EQ(later->state(), UnitState::kDone);
+  std::size_t shared_apps = 0;
+  for (const auto& report : rm.applications()) {
+    if (report.name == "radical-pilot-shared") ++shared_apps;
+  }
+  EXPECT_EQ(shared_apps, 2u);
+  for (const auto& u : first) EXPECT_TRUE(is_final(u->state()));
+}
+
 }  // namespace
 }  // namespace hoh::pilot

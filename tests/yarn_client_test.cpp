@@ -106,5 +106,33 @@ TEST_F(YarnClientTest, TwoConcurrentMrJobsShareCluster) {
   EXPECT_EQ(done, 2);
 }
 
+TEST_F(YarnClientTest, StatusOutlivesTheRmWindow) {
+  mapreduce::YarnMrDriver driver(*rm_);
+  mapreduce::YarnMrJobSpec spec;
+  spec.map_tasks = 2;
+  spec.reduce_tasks = 1;
+  spec.map_task_seconds = 20.0;
+  spec.reduce_task_seconds = 10.0;
+  const auto done_id = driver.submit(spec);
+  engine_.run_until(400.0);
+  ASSERT_TRUE(driver.status(done_id).finished);
+  spec.map_task_seconds = 600.0;
+  const auto killed_id = driver.submit(spec);
+  engine_.run_until(500.0);  // maps running
+  rm_->kill_application(killed_id);
+  // A window's worth of later finishes evicts both applications.
+  for (std::size_t i = 0; i < yarn::ResourceManager::kMaxCompletedApps;
+       ++i) {
+    rm_->kill_application(rm_->submit_application(yarn::AppDescriptor{}));
+  }
+  EXPECT_THROW(rm_->application(done_id), common::NotFoundError);
+  EXPECT_THROW(rm_->application(killed_id), common::NotFoundError);
+  // The killed job's task timers still fire and touch nothing evicted.
+  engine_.run_until(2000.0);
+  EXPECT_TRUE(driver.status(done_id).finished);
+  EXPECT_FALSE(driver.status(done_id).failed);
+  EXPECT_TRUE(driver.status(killed_id).failed);
+}
+
 }  // namespace
 }  // namespace hoh

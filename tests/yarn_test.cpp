@@ -587,5 +587,76 @@ TEST_F(YarnTest, SilentCrashOfAmAndTaskHostStillPropagatesLosses) {
   rm.shutdown();
 }
 
+/// Submits and kills \p count applications: each finishes at once.
+void finish_apps(ResourceManager& rm, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    rm.kill_application(rm.submit_application(AppDescriptor{}));
+  }
+}
+
+TEST_F(YarnTest, FinishedApplicationsKeepABoundedWindow) {
+  ResourceManager rm(engine_, allocation_);
+  AppDescriptor live;
+  live.on_am_start = [](ApplicationMaster&) {};  // runs until shutdown
+  const auto live_id = rm.submit_application(std::move(live));
+  AppDescriptor first;
+  first.on_am_start = [](ApplicationMaster& am) { am.unregister(true); };
+  const auto first_id = rm.submit_application(std::move(first));
+  engine_.run_until(60.0);
+  ASSERT_EQ(rm.application(first_id).state, AppState::kFinished);
+  ASSERT_EQ(rm.application(live_id).state, AppState::kRunning);
+
+  // One finish more than the window holds: the oldest finished goes.
+  constexpr std::size_t kWindow = ResourceManager::kMaxCompletedApps;
+  finish_apps(rm, kWindow);
+  EXPECT_EQ(rm.applications().size(), kWindow + 1);  // + the live app
+  EXPECT_EQ(rm.apps_json().at("apps").at("app").as_array().size(),
+            kWindow + 1);
+  EXPECT_THROW(rm.application(first_id), common::NotFoundError);
+  EXPECT_THROW(rm.kill_application(first_id), common::NotFoundError);
+  EXPECT_EQ(rm.application(live_id).state, AppState::kRunning);
+  // The counts stay exact past the eviction.
+  const auto m = rm.cluster_metrics().at("clusterMetrics");
+  EXPECT_EQ(m.at("appsSubmitted").as_int(),
+            static_cast<std::int64_t>(kWindow + 2));
+  EXPECT_EQ(m.at("appsCompleted").as_int(),
+            static_cast<std::int64_t>(kWindow + 1));
+  EXPECT_EQ(m.at("appsRunning").as_int(), 1);
+
+  rm.shutdown();  // kills the live app, which evicts one more
+  EXPECT_EQ(rm.applications().size(), kWindow);
+  EXPECT_EQ(rm.application(live_id).state, AppState::kKilled);
+  EXPECT_EQ(rm.cluster_metrics()
+                .at("clusterMetrics")
+                .at("appsCompleted")
+                .as_int(),
+            static_cast<std::int64_t>(kWindow + 2));
+}
+
+TEST_F(YarnTest, PendingRegistrationHoldsAFinishedRecord) {
+  ResourceManager rm(engine_, allocation_);
+  bool started = false;
+  AppDescriptor app;
+  app.on_am_start = [&started](ApplicationMaster&) { started = true; };
+  const auto app_id = rm.submit_application(std::move(app));
+  // The AM container runs from 12.5 s; it registers at 15.5 s.
+  engine_.run_until(14.0);
+  ASSERT_EQ(rm.application(app_id).state, AppState::kAmLaunching);
+  rm.kill_application(app_id);
+  // A window's worth of finishes puts it first in line, but the pending
+  // registration event still points at it: it stays.
+  constexpr std::size_t kWindow = ResourceManager::kMaxCompletedApps;
+  finish_apps(rm, kWindow);
+  EXPECT_EQ(rm.application(app_id).state, AppState::kKilled);
+  EXPECT_EQ(rm.applications().size(), kWindow + 1);
+  engine_.run_until(20.0);  // the registration sees a killed app
+  EXPECT_FALSE(started);
+  // Released: the next finish evicts it and trims to the window.
+  finish_apps(rm, 1);
+  EXPECT_THROW(rm.application(app_id), common::NotFoundError);
+  EXPECT_EQ(rm.applications().size(), kWindow);
+  rm.shutdown();
+}
+
 }  // namespace
 }  // namespace hoh::yarn
