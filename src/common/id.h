@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
+
+#include "common/string_util.h"
 
 /// \file id.h
 /// Small typed-id helpers. Every managed entity (pilot, unit, job,
@@ -31,10 +32,10 @@ class IdGenerator {
   /// Returns e.g. "pilot.0000", "pilot.0001", ...
   std::string next() {
     const std::uint64_t n = counter_.fetch_add(1, std::memory_order_relaxed);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ".%04llu",
-                  static_cast<unsigned long long>(n));
-    return prefix_ + buf;
+    std::string id = prefix_;
+    id += '.';
+    append_decimal(id, n, 4);
+    return id;
   }
 
   /// Number of ids handed out so far.

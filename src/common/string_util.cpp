@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -43,18 +44,32 @@ std::string trim(std::string_view s) {
 }
 
 std::string strformat(const char* fmt, ...) {
+  // One pass into a stack buffer; a second only when the text is longer.
+  char stack[256];
   va_list args;
   va_start(args, fmt);
-  va_list args2;
-  va_copy(args2, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  va_list again;
+  va_copy(again, args);
+  const int needed = std::vsnprintf(stack, sizeof(stack), fmt, args);
   va_end(args);
-  std::string out(needed > 0 ? static_cast<std::size_t>(needed) : 0, '\0');
-  if (needed > 0) {
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
+  std::string out;
+  if (needed > 0 && static_cast<std::size_t>(needed) < sizeof(stack)) {
+    out.assign(stack, static_cast<std::size_t>(needed));
+  } else if (needed > 0) {
+    out.resize(static_cast<std::size_t>(needed));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
   }
-  va_end(args2);
+  va_end(again);
   return out;
+}
+
+void append_decimal(std::string& out, std::uint64_t value,
+                    std::size_t min_digits) {
+  char digits[20];  // 2^64 - 1 has 20
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  const auto n = static_cast<std::size_t>(end - digits);
+  if (n < min_digits) out.append(min_digits - n, '0');
+  out.append(digits, n);
 }
 
 std::string format_bytes(std::int64_t bytes) {

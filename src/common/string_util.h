@@ -27,6 +27,11 @@ std::string trim(std::string_view s);
 std::string strformat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends \p value in decimal, zero-padded to at least \p min_digits
+/// digits: what printf's "%0<min_digits>llu" prints, without printf.
+void append_decimal(std::string& out, std::uint64_t value,
+                    std::size_t min_digits = 1);
+
 /// Human-readable byte count, e.g. "1.5 GiB".
 std::string format_bytes(std::int64_t bytes);
 

@@ -48,13 +48,14 @@ FrameHeader FrameHeader::unpack(Unpacker& u) {
 }
 
 std::vector<std::uint8_t> encode_frame(const Envelope& e) {
-  Packer p;
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + e.payload.size());
+  BasicPacker<BufferWriter> p{BufferWriter(out.data())};
   FrameHeader h;
   h.type = static_cast<std::uint16_t>(e.type);
   h.length = static_cast<std::uint32_t>(e.payload.size());
   h.pack(p);
-  auto out = p.take();
-  out.insert(out.end(), e.payload.begin(), e.payload.end());
+  BufferWriter(out.data() + kFrameHeaderBytes)
+      .write(e.payload.data(), e.payload.size());
   return out;
 }
 

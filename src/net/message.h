@@ -77,7 +77,8 @@ struct FrameHeader {
   std::uint16_t type = 0;
   std::uint32_t length = 0;
 
-  void pack(Packer& p) const {
+  template <typename Sink>
+  void pack(BasicPacker<Sink>& p) const {
     p.u32(magic);
     p.u16(version);
     p.u16(type);
@@ -302,11 +303,10 @@ struct Bye {
 
 /// --- envelope / frame helpers --------------------------------------
 
-template <typename M>
+/// Packs \p m into a payload of exactly its size (pack_exact).
+template <HasFields M>
 Envelope make_envelope(const M& m) {
-  Packer p;
-  pack_fields(p, m);
-  return Envelope{M::kType, p.take()};
+  return Envelope{M::kType, pack_exact(m)};
 }
 
 /// Unpacks a typed message out of an envelope; CodecError on a type
@@ -325,6 +325,22 @@ M open_envelope(const Envelope& e) {
 
 /// header + payload as one contiguous byte string.
 std::vector<std::uint8_t> encode_frame(const Envelope& e);
+
+/// The frame of \p type whose payload is \p body packed, built in one
+/// buffer of exactly its size: the body is never packed on its own and
+/// then copied behind the header.
+template <typename Body>
+std::vector<std::uint8_t> encode_frame(MsgType type, const Body& body) {
+  const std::size_t length = wire_size(body);
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + length);
+  BasicPacker<BufferWriter> p{BufferWriter(out.data())};
+  FrameHeader h;
+  h.type = static_cast<std::uint16_t>(type);
+  h.length = static_cast<std::uint32_t>(length);
+  h.pack(p);
+  p.put(body);
+  return out;
+}
 
 /// The one frame reader of every byte stream: moves the front frame of
 /// \p in into \p out and returns true, or returns false and consumes

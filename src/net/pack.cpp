@@ -2,8 +2,8 @@
 
 namespace hoh::net {
 
-void Packer::append(const std::uint8_t* data, std::size_t n) {
-  buf_.insert(buf_.end(), data, data + n);
+void ByteVector::write(const std::uint8_t* data, std::size_t n) {
+  bytes.insert(bytes.end(), data, data + n);
 }
 
 }  // namespace hoh::net

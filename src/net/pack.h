@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +26,11 @@
 /// message, or a struct nested in one); lists carry a u32 element count
 /// followed by the elements in order. A type that declares a wire form
 /// (HasWireForm) packs as that form.
+///
+/// One put() walk serves every sink: pack_exact runs it once over a
+/// ByteCount to learn the value's exact size and once more into a
+/// buffer of that size, so packing a message costs one allocation and
+/// no sizes are kept anywhere but in put() itself.
 ///
 /// Unpacker is bounds-checked: reading past the buffer, or a length
 /// prefix larger than the remaining bytes, throws CodecError instead of
@@ -90,34 +96,61 @@ class CodecError : public common::Error {
   using common::Error::Error;
 };
 
-/// Append-only big-endian encoder. put() picks the encoding from the
-/// field type, so a message's fields() list is its whole wire layout.
-class Packer {
+/// Where a packer's bytes go. A sink has one member,
+/// write(data, n), and three exist: ByteCount only counts, so a put()
+/// walk over a value measures its exact encoded size; BufferWriter
+/// fills a buffer already that size; ByteVector grows as it goes.
+class ByteCount {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void write(const std::uint8_t*, std::size_t n) { size_ += n; }
+  std::size_t size() const { return size_; }
 
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Writes into memory the caller sized beforehand (by a ByteCount walk
+/// over the same values).
+class BufferWriter {
+ public:
+  explicit BufferWriter(std::uint8_t* at) : at_(at) {}
+  void write(const std::uint8_t* data, std::size_t n) {
+    if (n > 0) std::memcpy(at_, data, n);
+    at_ += n;
   }
 
-  void u32(std::uint32_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
+ private:
+  std::uint8_t* at_;
+};
 
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
+/// Appends to a vector that grows as needed, for a value built piece
+/// by piece.
+struct ByteVector {
+  /// Out of line (pack.cpp): GCC 12 at -O2 reports a bogus
+  /// -Wstringop-overflow for a vector range insert inlined into a put().
+  void write(const std::uint8_t* data, std::size_t n);
 
+  std::vector<std::uint8_t> bytes;
+};
+
+/// Big-endian encoder over a sink. put() picks the encoding from the
+/// field type, so a message's fields() list is its whole wire layout,
+/// and the same walk both sizes a value and writes it.
+template <typename Sink>
+class BasicPacker {
+ public:
+  BasicPacker() = default;
+  explicit BasicPacker(Sink sink) : sink_(std::move(sink)) {}
+
+  void u8(std::uint8_t v) { big_endian<1>(v); }
+  void u16(std::uint16_t v) { big_endian<2>(v); }
+  void u32(std::uint32_t v) { big_endian<4>(v); }
+  void u64(std::uint64_t v) { big_endian<8>(v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    append(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+    sink_.write(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
 
   void put(std::uint8_t v) { u8(v); }
@@ -131,7 +164,7 @@ class Packer {
   /// Raw bytes with a u32 length prefix (nested payloads).
   void put(const std::vector<std::uint8_t>& b) {
     u32(static_cast<std::uint32_t>(b.size()));
-    append(b.data(), b.size());
+    sink_.write(b.data(), b.size());
   }
   template <typename T>
   void put(const std::vector<T>& list) {
@@ -151,17 +184,47 @@ class Packer {
     put(*v);
   }
 
-  std::size_t size() const { return buf_.size(); }
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  const Sink& sink() const { return sink_; }
+
+ protected:
+  Sink sink_;
 
  private:
-  /// Out of line (pack.cpp): GCC 12 at -O2 reports a bogus
-  /// -Wstringop-overflow for a vector range insert inlined into
-  /// make_envelope.
-  void append(const std::uint8_t* data, std::size_t n);
+  template <std::size_t N>
+  void big_endian(std::uint64_t v) {
+    std::uint8_t b[N];
+    for (std::size_t i = 0; i < N; ++i) {
+      b[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+    }
+    sink_.write(b, N);
+  }
+};
 
-  std::vector<std::uint8_t> buf_;
+/// The exact number of bytes put(\p value) writes.
+template <typename T>
+std::size_t wire_size(const T& value) {
+  BasicPacker<ByteCount> count;
+  count.put(value);
+  return count.sink().size();
+}
+
+/// Packs \p value into one buffer of exactly its wire size: one
+/// allocation, no growth and no spare capacity.
+template <typename T>
+std::vector<std::uint8_t> pack_exact(const T& value) {
+  std::vector<std::uint8_t> out(wire_size(value));
+  BasicPacker<BufferWriter> p{BufferWriter(out.data())};
+  p.put(value);
+  return out;
+}
+
+/// Packs piece by piece into a growing buffer; a whole value packs
+/// with pack_exact instead.
+class Packer : public BasicPacker<ByteVector> {
+ public:
+  std::size_t size() const { return sink_.bytes.size(); }
+  const std::vector<std::uint8_t>& data() const { return sink_.bytes; }
+  std::vector<std::uint8_t> take() { return std::move(sink_.bytes); }
 };
 
 /// Bounds-checked big-endian decoder over a borrowed buffer.
@@ -306,12 +369,6 @@ class Unpacker {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-/// Packs \p m's fields() in list order.
-template <HasFields M>
-void pack_fields(Packer& p, const M& m) {
-  p.put(m);
-}
 
 /// Unpacks \p m's fields() in list order and requires the buffer to end
 /// there, so a length/payload disagreement is a CodecError, never a

@@ -167,12 +167,6 @@ TransportStats SocketTransport::stats() const {
 
 // --- wire ------------------------------------------------------------
 
-std::vector<std::uint8_t> SocketTransport::encode_wire(const WireMessage& msg) {
-  Packer body;
-  pack_fields(body, msg);
-  return encode_frame(Envelope{msg.envelope.type, body.take()});
-}
-
 SocketTransport::WireMessage SocketTransport::decode_wire(
     const Envelope& frame) {
   Unpacker u(frame.payload);
@@ -188,7 +182,9 @@ SocketTransport::WireMessage SocketTransport::wire_transfer(int peer_slot,
   msg.seq = next_seq_++;
   if (msg.kind == kRequest) ++stats_.calls;
   if (msg.kind == kOneWay) ++stats_.sends;
-  const std::vector<std::uint8_t> frame = encode_wire(msg);
+  // Header and wire body packed into one buffer of the frame's size.
+  const std::vector<std::uint8_t> frame =
+      encode_frame(msg.envelope.type, msg);
   try {
     for (;;) {
       if (peers_[0] < 0) {

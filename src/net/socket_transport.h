@@ -115,7 +115,6 @@ class SocketTransport : public Transport {
   bool dial() HOH_REQUIRES(mu_);
   void drop_connection() HOH_REQUIRES(mu_);
 
-  static std::vector<std::uint8_t> encode_wire(const WireMessage& msg);
   static WireMessage decode_wire(const Envelope& frame);
 
   /// Dispatches a decoded request to its registered handler.

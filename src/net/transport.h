@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "common/thread_annotations.h"
 #include "net/message.h"
@@ -20,8 +21,9 @@
 /// is a function of the call sequence, not of the transport:
 ///
 ///   InProcessTransport  — dispatches the handler directly on the
-///     caller's stack, zero copies. The default; byte-for-byte the
-///     behavior the stack had when these were plain method calls.
+///     caller's stack with the envelope it was given; the typed
+///     call()/send() below still pack the message and the handler
+///     still unpacks it. The default.
 ///   SocketTransport     — packs each envelope into a versioned frame
 ///     and round-trips the bytes through a real loopback TCP
 ///     connection, driven on the caller's thread, before (and after)
@@ -81,7 +83,7 @@ void send(Transport& t, const std::string& endpoint, const Request& req) {
 }
 
 /// Direct dispatch on the caller's stack; the envelope is handed to the
-/// handler by reference (zero-copy).
+/// handler by reference, not copied or framed.
 class InProcessTransport : public Transport {
  public:
   void register_endpoint(const std::string& endpoint, Handler handler) override;
@@ -93,13 +95,18 @@ class InProcessTransport : public Transport {
   TransportStats stats() const override;
 
  private:
-  /// Copies the handler out under the lock; the dispatch itself runs
-  /// unlocked so handlers may call back into the transport.
-  Handler resolve(const std::string& endpoint) const;
+  /// Under one lock: finds the endpoint, counts the crossing in
+  /// \p counter and shares the handler out. The dispatch itself runs
+  /// unlocked, so a handler may call back into the transport, and the
+  /// shared handler outlives a re-registration or unregistration of its
+  /// own endpoint while it runs.
+  std::shared_ptr<const Handler> route(const std::string& endpoint,
+                                       std::uint64_t TransportStats::*counter);
 
   mutable common::Mutex mu_;
-  std::map<std::string, Handler> endpoints_ HOH_GUARDED_BY(mu_);
-  mutable TransportStats stats_ HOH_GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::shared_ptr<const Handler>> endpoints_
+      HOH_GUARDED_BY(mu_);
+  TransportStats stats_ HOH_GUARDED_BY(mu_);
 };
 
 }  // namespace hoh::net

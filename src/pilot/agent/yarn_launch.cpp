@@ -42,9 +42,11 @@ class YarnLaunch final : public LaunchMethod {
   bool admit(UnitRec& unit) override;
   void launch(const std::shared_ptr<UnitRec>& unit) override;
   void withdraw(UnitRec& unit) override {
-    if (unit.am != nullptr) {
-      unit.am->kill_container(unit.container_id);
-      if (unit.dedicated_app) unit.am->unregister(false);
+    // Let go of the AM first: the unregister below fails the unit's
+    // application, whose on_finished must not take it for a loss.
+    if (yarn::ApplicationMaster* am = std::exchange(unit.am, nullptr)) {
+      am->kill_container(unit.container_id);
+      if (unit.dedicated_app) am->unregister(false);
     }
     unit.dedicated_app = false;
     unit.container_id.clear();
@@ -129,6 +131,12 @@ class YarnLaunch final : public LaunchMethod {
     if (external_ != nullptr) borrowed_apps_.erase(report.id);
   }
   void submit(const std::shared_ptr<UnitRec>& unit);
+  /// An application finished under \p unit while it held one of its
+  /// containers (unit->am is that application's AM). A failed one (its
+  /// AM lost beyond its attempts) took the container with it, so the
+  /// unit runs again; otherwise the unit only lets go of the AM.
+  void app_lost(const std::shared_ptr<UnitRec>& unit,
+                const yarn::AppReport& report);
   /// Asks \p am for the unit's one container and runs the unit in it.
   void run_in_container(const std::shared_ptr<UnitRec>& unit,
                         yarn::ApplicationMaster& am, bool dedicated_app);
@@ -249,10 +257,14 @@ void YarnLaunch::submit(const std::shared_ptr<UnitRec>& unit) {
     };
     app.on_finished = [this](const yarn::AppReport& report) {
       app_finished(report);
+      std::vector<std::shared_ptr<UnitRec>> held;
       for (const auto& running : agent_.running_units_) {
-        if (running->am == shared_am_) running->am = nullptr;
+        if (running->am != nullptr && running->am == shared_am_) {
+          held.push_back(running);
+        }
       }
       shared_am_ = nullptr;
+      for (const auto& unit : held) app_lost(unit, report);
     };
     submit_app(std::move(app));
     return;
@@ -266,10 +278,19 @@ void YarnLaunch::submit(const std::shared_ptr<UnitRec>& unit) {
     app_finished(report);
     // A requeued unit may hold another application's AM by now.
     if (unit->am != nullptr && unit->am->app_id() == report.id) {
-      unit->am = nullptr;
+      app_lost(unit, report);
     }
   };
   submit_app(std::move(app));
+}
+
+void YarnLaunch::app_lost(const std::shared_ptr<UnitRec>& unit,
+                          const yarn::AppReport& report) {
+  unit->am = nullptr;
+  if (report.state != yarn::AppState::kFailed || agent_.stopped_) return;
+  agent_.requeue_unit(unit);
+  if (agent_.active_) agent_.schedule_queued();
+  agent_.notify_capacity_event();
 }
 
 void YarnLaunch::run_in_container(const std::shared_ptr<UnitRec>& unit,

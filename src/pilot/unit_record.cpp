@@ -7,13 +7,6 @@ namespace hoh::pilot {
 namespace {
 
 template <typename T>
-std::vector<std::uint8_t> pack(const T& value) {
-  net::Packer p;
-  net::pack_fields(p, value);
-  return p.take();
-}
-
-template <typename T>
 T unpack(const std::vector<std::uint8_t>& bytes) {
   net::Unpacker u(bytes);
   T value;
@@ -30,7 +23,7 @@ const SharedDescription& default_description() {
 }
 
 std::vector<std::uint8_t> pack_unit_document(const UnitRecord& unit) {
-  return pack(unit);
+  return net::pack_exact(unit);
 }
 
 UnitRecord unpack_unit_document(const std::vector<std::uint8_t>& bytes) {
@@ -39,7 +32,7 @@ UnitRecord unpack_unit_document(const std::vector<std::uint8_t>& bytes) {
 
 std::vector<std::uint8_t> pack_unit_description(
     const ComputeUnitDescription& desc) {
-  return pack(desc);
+  return net::pack_exact(desc);
 }
 
 ComputeUnitDescription unpack_unit_description(

@@ -34,7 +34,26 @@ void run_kept(AppRecord& app, Fn& slot, Args&... args) {
   if (!is_final(app.report.state) && !slot) slot = std::move(fn);
 }
 
+std::string make_id(const char* kind, std::uint64_t cluster_timestamp,
+                    std::uint64_t n, std::size_t digits) {
+  std::string id(kind);
+  common::append_decimal(id, cluster_timestamp);
+  id += '_';
+  common::append_decimal(id, n, digits);
+  return id;
+}
+
 }  // namespace
+
+std::string make_application_id(std::uint64_t cluster_timestamp,
+                                std::uint64_t n) {
+  return make_id("application_", cluster_timestamp, n, 4);
+}
+
+std::string make_container_id(std::uint64_t cluster_timestamp,
+                              std::uint64_t n) {
+  return make_id("container_", cluster_timestamp, n, 6);
+}
 
 ResourceManager::ResourceManager(sim::Engine& engine,
                                  const cluster::Allocation& allocation,
@@ -257,10 +276,8 @@ std::string ResourceManager::submit_application(AppDescriptor descriptor) {
   if (queue == pending_.end()) {
     throw common::ConfigError("unknown queue: " + descriptor.queue);
   }
-  const std::string app_id = common::strformat(
-      "application_%llu_%04llu",
-      static_cast<unsigned long long>(cluster_timestamp_),
-      static_cast<unsigned long long>(next_app_number_++));
+  const std::string app_id =
+      make_application_id(cluster_timestamp_, next_app_number_++);
 
   AppRecord& app = apps_.try_emplace(app_id, *this).first->second;
   app.report.id = app_id;
@@ -476,10 +493,7 @@ NodeManager* ResourceManager::nm_hosting(const std::string& container_id) {
 
 NodeManager* ResourceManager::try_place(const PendingAsk& ask,
                                         Container& out) {
-  out.id = common::strformat(
-      "container_%llu_%06llu",
-      static_cast<unsigned long long>(cluster_timestamp_),
-      static_cast<unsigned long long>(next_container_number_));
+  out.id = make_container_id(cluster_timestamp_, next_container_number_);
   out.app_id = ask.app->report.id;
   out.resource = ask.request.resource;
   out.is_am = ask.is_am;

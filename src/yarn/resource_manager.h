@@ -29,6 +29,14 @@
 
 namespace hoh::yarn {
 
+/// YARN's id formats: "application_<cluster timestamp>_<n>" with n
+/// zero-padded to four digits, "container_<cluster timestamp>_<n>" to
+/// six.
+std::string make_application_id(std::uint64_t cluster_timestamp,
+                                std::uint64_t n);
+std::string make_container_id(std::uint64_t cluster_timestamp,
+                              std::uint64_t n);
+
 /// What `yarn application -status` reports about an application.
 struct AppReport {
   std::string id;

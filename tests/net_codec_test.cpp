@@ -673,6 +673,57 @@ TEST(UnitDocumentCodecGolden, SmallestDocumentIsMinWireBytes) {
             min_wire_bytes<pilot::UnitRecord>());
 }
 
+// --- exact-size packing ----------------------------------------------
+
+/// \p msg packs into a payload of exactly its wire size, with no spare
+/// capacity, and frames into a buffer of exactly the frame's size.
+template <typename M>
+void expect_exact(const M& msg) {
+  const Envelope env = make_envelope(msg);
+  EXPECT_EQ(env.payload.size(), wire_size(msg)) << to_string(M::kType);
+  EXPECT_EQ(env.payload.capacity(), env.payload.size())
+      << to_string(M::kType);
+  const std::vector<std::uint8_t> frame = encode_frame(env);
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + env.payload.size());
+  EXPECT_EQ(frame.capacity(), frame.size()) << to_string(M::kType);
+}
+
+TEST(NetCodecExactSize, EveryMessageFillsOneExactBuffer) {
+  expect_exact(Ack{});
+  expect_exact(AllocateRequest{"c1", "app_1", "node-7", 4096, -3, true});
+  expect_exact(AllocateReply{true, "node-7"});
+  expect_exact(LaunchRequest{"node-7", "c1", 0x0102030405060708ull});
+  expect_exact(ContainerRunning{"c1", 42});
+  expect_exact(ReleaseRequest{"node-7", "c1", 3});
+  expect_exact(NodeProbe{"n"});
+  expect_exact(NodeStatus{"node-7", 12.5, true});
+  expect_exact(WatchNotify{7, 2, "unit", {"unit.000001", "u2", ""}});
+  expect_exact(AgentCommand{"pilot.0", AgentCommand::kStopFailUnits});
+  expect_exact(AgentEvent{"pilot.0", AgentEvent::kActive});
+  expect_exact(SubmitRequest{
+      "alice", pilot::pack_unit_description(*unit_shapes()[1].description)});
+  expect_exact(SubmitReply{"unit.000002"});
+  expect_exact(Hello{Hello::kSubmitter, "s0", -1});
+  expect_exact(UnitAssign{"u1", "map-1", 0.1});
+  expect_exact(UnitResult{"u1", "map-1", false});
+  expect_exact(Bye{});
+
+  // A StoreIngest of every document shape, two of them sharing one
+  // description that stages a URL, as the Unit-Manager builds it.
+  std::vector<pilot::UnitRecord> records = unit_shapes();
+  records.push_back(pilot::UnitRecord{pilot::UnitState::kPendingAgent,
+                                      "pilot.0001", records[2].description});
+  StoreIngest ingest{"unit", {}};
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto document = pilot::pack_unit_document(records[i]);
+    EXPECT_EQ(document.size(), wire_size(records[i])) << i;
+    EXPECT_EQ(document.capacity(), document.size()) << i;
+    ingest.units.push_back({"unit." + std::to_string(i), "agent.p1",
+                            document});
+  }
+  expect_exact(ingest);
+}
+
 TEST(UnitDocumentCodecHostile, TruncatedAtEveryByteThrows) {
   for (const pilot::UnitRecord& unit : unit_shapes()) {
     const auto bytes = pilot::pack_unit_document(unit);

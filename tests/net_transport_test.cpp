@@ -100,6 +100,53 @@ TEST(TransportParity, ReRegisterReplacesHandler) {
   t.unregister_endpoint("test.v");
 }
 
+// A handler may replace its own endpoint while it runs (a component
+// respawning under its name): the running handler, captures and all,
+// lives until it returns, and the next call reaches the new one.
+TEST(TransportParity, HandlerReRegistersItsOwnEndpoint) {
+  InProcessTransport inproc;
+  SocketTransport socket;
+  for (Transport* t : {static_cast<Transport*>(&inproc),
+                       static_cast<Transport*>(&socket)}) {
+    // Longer than any small-string buffer, so a destroyed capture shows.
+    const std::string old_tag(64, 'o');
+    t->register_endpoint("test.self", [t, old_tag](const Envelope&) {
+      t->register_endpoint("test.self", [](const Envelope&) {
+        return make_envelope(SubmitReply{"new"});
+      });
+      return make_envelope(SubmitReply{old_tag});
+    });
+    EXPECT_EQ(call<SubmitReply>(*t, "test.self", Bye{}).unit_id, old_tag)
+        << t->mode();
+    EXPECT_EQ(call<SubmitReply>(*t, "test.self", Bye{}).unit_id, "new")
+        << t->mode();
+    EXPECT_EQ(t->stats().calls, 2u) << t->mode();
+    t->unregister_endpoint("test.self");
+  }
+}
+
+// A handler may unregister its own endpoint while it runs: it finishes
+// its reply, and later calls find no endpoint.
+TEST(TransportParity, HandlerUnregistersItsOwnEndpoint) {
+  InProcessTransport inproc;
+  SocketTransport socket;
+  for (Transport* t : {static_cast<Transport*>(&inproc),
+                       static_cast<Transport*>(&socket)}) {
+    const std::string tag(64, 'u');
+    t->register_endpoint("test.once", [t, tag](const Envelope&) {
+      t->unregister_endpoint("test.once");
+      return make_envelope(SubmitReply{tag});
+    });
+    EXPECT_EQ(call<SubmitReply>(*t, "test.once", Bye{}).unit_id, tag)
+        << t->mode();
+    EXPECT_EQ(t->stats().calls, 1u) << t->mode();
+    EXPECT_FALSE(t->has_endpoint("test.once")) << t->mode();
+    EXPECT_THROW(t->call("test.once", make_envelope(Bye{})),
+                 common::NotFoundError)
+        << t->mode();
+  }
+}
+
 TEST(SocketTransport, CountsTrafficAndRoundTripsBytes) {
   SocketTransport t;
   t.register_endpoint("test.echo", [](const Envelope& env) {

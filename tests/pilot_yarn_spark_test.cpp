@@ -359,14 +359,60 @@ TEST_F(PilotYarnSparkTest, FailedApplicationLeavesNoDanglingAmHandle) {
   }
   for (const auto& u : others) ASSERT_EQ(u->state(), UnitState::kDone);
   EXPECT_THROW(rm.application(app.id), common::NotFoundError);
-  // The victim's payload timer ends without touching its application.
+  // The victim ran again in an application of its own; its lost run
+  // touched nothing when the RM forgot the failed application.
   session_.engine().run_until(engine_now_plus(20000.0));
   EXPECT_TRUE(is_final(victim->state()));
 }
 
+// The AM of an Executing unit's dedicated application is lost beyond its
+// attempts: the application fails and its task container dies with it,
+// so the unit must run again in a new application instead of reporting
+// Done when the lost run's payload timer would have ended.
+TEST_F(PilotYarnSparkTest, FailedApplicationRequeuesItsUnit) {
+  AgentConfig once;
+  once.yarn.yarn.am_max_attempts = 1;
+  auto pilot = pm_.submit_pilot(
+      pilot_desc("slurm://stampede/", 4, AgentBackend::kYarnModeI), once);
+  um_.add_pilot(pilot);
+  constexpr double kDuration = 2000.0;
+  ComputeUnitDescription victim_desc = simple_unit(kDuration);
+  victim_desc.name = "victim";
+  auto victim = um_.submit(victim_desc);
+  while (victim->state() != UnitState::kExecuting &&
+         session_.engine().now() < 3600.0) {
+    session_.engine().run_until(engine_now_plus(10.0));
+  }
+  ASSERT_EQ(victim->state(), UnitState::kExecuting);
+  const double started = session_.engine().now();
+  session_.engine().run_until(started + kDuration / 2);
+  ASSERT_EQ(victim->state(), UnitState::kExecuting);
+
+  yarn::ResourceManager& rm =
+      pilot->agent()->yarn_cluster()->resource_manager();
+  const yarn::AppReport app = app_named(rm, "victim");
+  rm.fail_node(app.am_node);
+  ASSERT_EQ(rm.application(app.id).state, yarn::AppState::kFailed);
+  EXPECT_NE(victim->state(), UnitState::kExecuting);
+
+  // Past the end of the lost run: the unit is running again, not Done.
+  session_.engine().run_until(started + kDuration + 100.0);
+  EXPECT_EQ(victim->state(), UnitState::kExecuting);
+  std::size_t victim_apps = 0;
+  for (const auto& report : rm.applications()) {
+    if (report.name == "victim") ++victim_apps;
+  }
+  EXPECT_EQ(victim_apps, 2u);
+
+  session_.engine().run_until(started + 3 * kDuration);
+  EXPECT_EQ(victim->state(), UnitState::kDone);
+  EXPECT_TRUE(um_.all_done());
+}
+
 // The shared application of a reuse_yarn_app pilot fails: the pilot
-// forgets its AM and the next unit starts a new shared application,
-// instead of asking the failed AM for a container.
+// forgets its AM, requeues the units that ran in it, and the next unit
+// starts a new shared application instead of asking the failed AM for
+// a container.
 TEST_F(PilotYarnSparkTest, FailedSharedApplicationIsReplaced) {
   AgentConfig reuse;
   reuse.reuse_yarn_app = true;
@@ -387,6 +433,8 @@ TEST_F(PilotYarnSparkTest, FailedSharedApplicationIsReplaced) {
   const yarn::AppReport shared = app_named(rm, "radical-pilot-shared");
   rm.fail_node(shared.am_node);
   ASSERT_EQ(rm.application(shared.id).state, yarn::AppState::kFailed);
+  // Their containers died with the application: both run again.
+  for (const auto& u : first) EXPECT_NE(u->state(), UnitState::kExecuting);
 
   auto later = um_.submit(simple_unit(10.0));
   session_.engine().run_until(engine_now_plus(1200.0));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 
@@ -656,6 +657,23 @@ TEST_F(YarnTest, PendingRegistrationHoldsAFinishedRecord) {
   EXPECT_THROW(rm.application(app_id), common::NotFoundError);
   EXPECT_EQ(rm.applications().size(), kWindow);
   rm.shutdown();
+}
+
+// The RM's ids as the printf formatter printed them, across each
+// padding width's boundary.
+TEST(YarnIds, MatchPrintfAtThePaddingBoundaries) {
+  constexpr unsigned long long kStamp = 1454300000;
+  for (const unsigned long long n :
+       {1ull, 9999ull, 10000ull, 999999ull, 1000000ull,
+        18446744073709551615ull}) {
+    char app[96];
+    std::snprintf(app, sizeof(app), "application_%llu_%04llu", kStamp, n);
+    EXPECT_EQ(make_application_id(kStamp, n), app) << n;
+    char container[96];
+    std::snprintf(container, sizeof(container), "container_%llu_%06llu",
+                  kStamp, n);
+    EXPECT_EQ(make_container_id(kStamp, n), container) << n;
+  }
 }
 
 }  // namespace
